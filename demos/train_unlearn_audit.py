@@ -28,7 +28,7 @@ seqs = build_sequences(10, 10, seed=0)
 cfg = TrainConfig(epochs=3, lr=0.1, batch_size=32, seed=0)
 
 meter = CostMeter()
-model = train_fedsgt(ds, plan, seqs, cfg, workers=4, meter=meter)
+model = train_fedsgt(ds, plan, seqs, cfg, meter=meter)
 print(f"trained {len(seqs.perms)} sequences x {seqs.group_count} phases "
       f"({meter.updates:.2e} parameter updates)")
 

@@ -266,13 +266,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _train_system(cfg: RunConfig, workers: int):
+def _train_system(cfg: RunConfig):
     dataset = build_dataset(cfg)
     plan = build_grouping(dataset.slice_catalog(), cfg.groups, cfg.seed)
     seqs = build_sequences(cfg.groups, cfg.budget, cfg.seed)
     meter = CostMeter()
-    model = train_fedsgt(dataset, plan, seqs, trainer_config(cfg),
-                         workers=workers, meter=meter)
+    model = train_fedsgt(dataset, plan, seqs, trainer_config(cfg), meter=meter)
     return dataset, plan, seqs, model, meter
 
 
@@ -280,7 +279,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config_file(args.config)
     outdir = _outdir(args.out or cfg.out or "run")
     start = time.perf_counter()
-    dataset, plan, seqs, model, meter = _train_system(cfg, args.workers)
+    dataset, plan, seqs, model, meter = _train_system(cfg)
 
     write_bank(outdir / "bank.fsgt", model)
     (outdir / "plan.json").write_text(plan_to_json(plan))
@@ -418,7 +417,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = load_config_file(args.config)
     outdir = _outdir(args.out or cfg.out or "compare")
     start = time.perf_counter()
-    dataset, plan, seqs, model, _ = _train_system(cfg, args.workers)
+    dataset, plan, seqs, model, _ = _train_system(cfg)
     requests = build_requests(cfg, dataset.slice_catalog())
     tcfg = trainer_config(cfg)
 
@@ -496,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a system and write its module bank")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; training runs on one "
+                        "thread whatever the value")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("unlearn", help="stream deletion requests at a bank")
@@ -518,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="FedSGT vs FedCIO vs FedRetrain")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; training runs on one "
+                        "thread whatever the value")
     p.add_argument("--retrain-stride", type=int, default=5)
     p.set_defaults(func=cmd_compare)
     return parser

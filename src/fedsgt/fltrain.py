@@ -9,17 +9,22 @@ function it ended phase p with.
 
 Determinism is the point, not a nicety: the exactness audit recomputes
 modules from scratch and compares bytes. Every stochastic choice (batch
-order) is drawn from a PCG64 stream keyed by (seed, sequence, phase, round),
-independent of anything later in the run; client updates are aggregated in
-ascending client id with a fixed summation order. Training the prefix of a
-sequence therefore reproduces the full run's leading modules bit for bit on
-the same platform (cross-platform equality is not promised).
+order) is drawn from a per-client PCG64 stream keyed by (seed, sequence,
+phase, round), independent of anything later in the run; client updates are
+aggregated in ascending client id with a fixed summation order. Training the
+prefix of a sequence therefore reproduces the full run's leading modules bit
+for bit on the same platform (cross-platform equality is not promised).
+
+A round steps all its participants together: at each batch offset the
+clients that share a batch length take one stacked step, whose per-client
+matmuls and reductions are the ones a client-by-client loop would make.
+Training runs on one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -106,33 +111,9 @@ def _round_rng(cfg: TrainConfig, round_key: tuple[int, ...]) -> np.random.Genera
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _local_update(active: np.ndarray, frozen: np.ndarray, x: np.ndarray,
-                  y: np.ndarray, cfg: TrainConfig,
-                  rng: np.random.Generator) -> np.ndarray:
-    """E epochs of mini-batch gradient descent on the cross-entropy of
-    (frozen + active) @ x, updating only the active module."""
-    a = active.copy()
-    n = len(y)
-    onehot = np.zeros((n, a.shape[0]))
-    onehot[np.arange(n), y] = 1.0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            xb = x[idx]
-            probs = _softmax(xb @ (frozen + a).T)
-            loss = -np.mean(np.log(probs[np.arange(len(idx)), y[idx]] + 1e-300))
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss (lr={cfg.lr}, batch={len(idx)} samples)")
-            grad = (probs - onehot[idx]).T @ xb / len(idx)
-            a -= cfg.lr * grad
-    return a
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def local_loss(active: np.ndarray, frozen: np.ndarray, x: np.ndarray,
@@ -142,18 +123,40 @@ def local_loss(active: np.ndarray, frozen: np.ndarray, x: np.ndarray,
     return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
 
 
+def _batch_plan(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, int]]:
+    """The stacked steps of one epoch as (start, first, stop, length).
+
+    ``sizes`` are the participants' sample counts, largest first. At batch
+    offset ``start`` the clients still stepping form a prefix, and clients
+    whose batch length ``min(batch_size, n - start)`` agrees sit next to each
+    other, so each step is the slice ``first:stop`` of that prefix.
+    """
+    steps = []
+    for start in range(0, sizes[0], batch_size):
+        first = 0
+        for length, run in groupby(min(batch_size, n - start)
+                                   for n in sizes if n > start):
+            stop = first + len(list(run))
+            steps.append((start, first, stop, length))
+            first = stop
+    return steps
+
+
 def federated_round(active: np.ndarray, frozen: np.ndarray,
                     data: dict[int, tuple[np.ndarray, np.ndarray]],
                     cfg: TrainConfig, round_key: tuple[int, ...],
                     meter: CostMeter | None = None,
                     cost_modules: int = 1) -> np.ndarray:
     """One synchronous round: every participant copies the active module,
-    runs local epochs, and the server returns the sample-count-weighted
+    runs E epochs of mini-batch gradient descent on the cross-entropy of
+    (frozen + module) @ x, and the server returns the sample-count-weighted
     average, accumulated in ascending client id order.
 
-    Each participant reads its batch order from a fresh stream keyed by
-    (seed, *round_key); participants with identical data therefore produce
-    identical updates.
+    Participant c's epoch-e batch order is the e-th ``permutation(n_c)`` of a
+    fresh stream keyed by (seed, *round_key); participants with identical
+    data therefore produce identical updates. All participants step
+    together: each step is one stacked matmul over the clients that share a
+    batch length, and gives the same bytes as stepping them one by one.
     """
     if not data:
         raise TrainingError("federated_round: no participants")
@@ -161,14 +164,46 @@ def federated_round(active: np.ndarray, frozen: np.ndarray,
     counts = np.array([len(data[c][1]) for c in participants], dtype=np.float64)
     if np.any(counts == 0):
         raise TrainingError("federated_round: participant with empty data")
-    updates = np.empty((len(participants),) + active.shape)
-    for i, c in enumerate(participants):
-        x, y = data[c]
+    # Largest first (ties in id order): the clients stepping at any batch
+    # offset are then a prefix, grouped by batch length.
+    rank = np.argsort(-counts, kind="stable")
+    sizes = [int(counts[i]) for i in rank]
+    xs = np.concatenate([data[participants[i]][0] for i in rank])
+    ys = np.concatenate([data[participants[i]][1] for i in rank])
+    onehot = np.zeros((len(ys), active.shape[0]))
+    onehot[np.arange(len(ys)), ys] = 1.0
+    offsets = np.cumsum([0] + sizes)
+
+    # order[e, i, :n_i] holds the rows of xs that participant i visits in
+    # epoch e. The stream depends only on n_i, so draw it once per size.
+    order = np.zeros((cfg.epochs, len(sizes), sizes[0]), dtype=np.intp)
+    first = 0
+    for n, run in groupby(sizes):
+        stop = first + len(list(run))
         rng = _round_rng(cfg, round_key)
-        updates[i] = _local_update(active, frozen, x, y, cfg, rng)
-        if meter is not None:
-            meter.charge(samples=len(y), params=active.size,
-                         modules=cost_modules, epochs=cfg.epochs)
+        perms = np.array([rng.permutation(n) for _ in range(cfg.epochs)],
+                         dtype=np.intp).reshape(cfg.epochs, 1, n)
+        order[:, first:stop, :n] = perms + offsets[first:stop, None]
+        first = stop
+
+    modules = np.repeat(active[None], len(sizes), axis=0)
+    steps = _batch_plan(sizes, cfg.batch_size)
+    for epoch in range(cfg.epochs):
+        for start, first, stop, length in steps:
+            idx = order[epoch, first:stop, start:start + length]
+            xb = xs[idx]
+            a = modules[first:stop]
+            probs = _softmax(xb @ (frozen + a).transpose(0, 2, 1))
+            if not np.isfinite(probs).all():
+                raise TrainingError(
+                    f"non-finite loss (lr={cfg.lr}, batch={length} samples)")
+            grad = (probs - onehot[idx]).transpose(0, 2, 1) @ xb / length
+            a -= cfg.lr * grad
+    if meter is not None:
+        meter.charge(samples=int(counts.sum()), params=active.size,
+                     modules=cost_modules, epochs=cfg.epochs)
+    updates = np.empty_like(modules)
+    updates[rank] = modules
     weights = counts / counts.sum()
     return np.sum(weights[:, None, None] * updates, axis=0)
 
@@ -225,21 +260,12 @@ def train_sequence(dataset: Dataset, plan: GroupingPlan, perm: tuple[int, ...],
 
 
 def train_fedsgt(dataset: Dataset, plan: GroupingPlan, seqs: SequenceSet,
-                 cfg: TrainConfig, workers: int = 1,
-                 meter: CostMeter | None = None) -> ToyModel:
-    """Train every sequence in the family. Sequences are independent given
-    their index, so they may run in parallel without changing results."""
+                 cfg: TrainConfig, meter: CostMeter | None = None) -> ToyModel:
+    """Train every sequence in the family, in sequence-index order."""
     backbone = np.zeros((dataset.classes, dataset.dim))
-
-    def job(sid: int) -> list[AdapterModule]:
-        return train_sequence(dataset, plan, seqs.perms[sid], cfg,
-                              sequence_index=sid, backbone=backbone, meter=meter)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stacks = list(pool.map(job, range(len(seqs.perms))))
-    else:
-        stacks = [job(sid) for sid in range(len(seqs.perms))]
+    stacks = [train_sequence(dataset, plan, perm, cfg, sequence_index=sid,
+                             backbone=backbone, meter=meter)
+              for sid, perm in enumerate(seqs.perms)]
     return ToyModel(backbone=backbone, sequences=seqs, modules=stacks)
 
 

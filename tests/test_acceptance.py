@@ -133,7 +133,7 @@ def test_criterion_07_noniid_accuracy_band():
         plan = build_grouping(ds.slice_catalog(), 10, seed)
         seqs = build_sequences(10, 10, seed)
         cfg = TrainConfig(epochs=3, lr=0.1, batch_size=32, seed=seed)
-        model = train_fedsgt(ds, plan, seqs, cfg, workers=4)
+        model = train_fedsgt(ds, plan, seqs, cfg)
         return evaluate(model, fresh_state(seqs), "allseq",
                         ds.test_x, ds.test_y), ds
 
@@ -183,7 +183,7 @@ def test_criterion_09_exactness_audit_every_request():
     plan = build_grouping(ds.slice_catalog(), 10, 0)
     seqs = build_sequences(10, 10, 0)
     cfg = TrainConfig(epochs=3, lr=0.1, batch_size=32, seed=0)
-    model = train_fedsgt(ds, plan, seqs, cfg, workers=4)
+    model = train_fedsgt(ds, plan, seqs, cfg)
     system = fedsgt_system(plan, seqs, "allseq", model, ds)
     modules_checked = 0
     for req in uniform_requests(ds.slice_catalog(), 30, seed=7,

@@ -5,10 +5,10 @@ import pytest
 
 from fedsgt.core import ServiceUnavailable, TrainingError
 from fedsgt.dataset import synth_dataset
-from fedsgt.fltrain import (CostMeter, TrainConfig, evaluate, fedavg_train,
-                            federated_round, local_loss, matrix_accuracy,
-                            predict, predict_proba, train_fedsgt,
-                            train_sequence)
+from fedsgt.fltrain import (CostMeter, TrainConfig, _round_rng, _softmax,
+                            evaluate, fedavg_train, federated_round,
+                            local_loss, matrix_accuracy, predict,
+                            predict_proba, train_fedsgt, train_sequence)
 from fedsgt.grouping import build_grouping
 from fedsgt.sequencing import (apply_deletion, build_sequences, fresh_state,
                                state_from_deleted)
@@ -87,6 +87,102 @@ class TestLocalUpdate:
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
+def reference_round(active, frozen, data, cfg, round_key, meter=None,
+                    cost_modules=1):
+    """Client-by-client form of a federated round: each participant runs
+    its local epochs alone, then the server sums the sample-weighted
+    updates in ascending client id."""
+    participants = sorted(data)
+    counts = np.array([len(data[c][1]) for c in participants],
+                      dtype=np.float64)
+    updates = np.empty((len(participants),) + active.shape)
+    for i, c in enumerate(participants):
+        x, y = data[c]
+        rng = _round_rng(cfg, round_key)
+        a = active.copy()
+        n = len(y)
+        onehot = np.zeros((n, a.shape[0]))
+        onehot[np.arange(n), y] = 1.0
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                xb = x[idx]
+                probs = _softmax(xb @ (frozen + a).T)
+                grad = (probs - onehot[idx]).T @ xb / len(idx)
+                a -= cfg.lr * grad
+        updates[i] = a
+        if meter is not None:
+            meter.charge(samples=n, params=active.size, modules=cost_modules,
+                         epochs=cfg.epochs)
+    weights = counts / counts.sum()
+    return np.sum(weights[:, None, None] * updates, axis=0)
+
+
+class TestStackedRound:
+    """federated_round steps all clients together; it must give the bytes
+    of the client-by-client reference round."""
+
+    K, D = 3, 6
+
+    def clients(self, sizes, seed=0, ids=None):
+        rng = np.random.default_rng(seed)
+        ids = range(len(sizes)) if ids is None else ids
+        return {c: (rng.normal(size=(n, self.D)), rng.integers(0, self.K, n))
+                for c, n in zip(ids, sizes)}
+
+    def assert_same_round(self, data, cfg, active=None, frozen=None,
+                          cost_modules=1):
+        if active is None:
+            active = np.zeros((self.K, self.D))
+        if frozen is None:
+            frozen = np.zeros((self.K, self.D))
+        got_meter, want_meter = CostMeter(), CostMeter()
+        got = federated_round(active, frozen, data, cfg, (2, 1, 0), got_meter,
+                              cost_modules=cost_modules)
+        want = reference_round(active, frozen, data, cfg, (2, 1, 0),
+                               want_meter, cost_modules=cost_modules)
+        assert got.tobytes() == want.tobytes()
+        assert got_meter.updates == want_meter.updates
+
+    @pytest.mark.parametrize("sizes, batch_size", [
+        ((70, 33, 16, 5, 64, 1), 16),   # ragged, not multiples of the batch
+        ((9, 4, 12), 50),               # batch larger than every client
+        ((40, 40, 23), 8),              # two clients of equal size
+        ((37,), 10),                    # a single client
+    ])
+    def test_matches_reference(self, sizes, batch_size):
+        cfg = TrainConfig(epochs=3, lr=0.2, batch_size=batch_size, seed=4)
+        self.assert_same_round(self.clients(sizes), cfg)
+
+    def test_zero_epochs(self):
+        cfg = TrainConfig(epochs=0, lr=0.1, batch_size=8, seed=0)
+        active = np.random.default_rng(2).normal(size=(self.K, self.D))
+        self.assert_same_round(self.clients((10, 3, 7)), cfg, active=active)
+
+    def test_nonzero_frozen_and_active(self):
+        rng = np.random.default_rng(3)
+        cfg = TrainConfig(epochs=2, lr=0.3, batch_size=7, seed=5)
+        self.assert_same_round(self.clients((30, 18, 7, 18)), cfg,
+                               active=rng.normal(size=(self.K, self.D)),
+                               frozen=rng.normal(size=(self.K, self.D)),
+                               cost_modules=4)
+
+    def test_sparse_unordered_client_ids(self):
+        cfg = TrainConfig(epochs=2, lr=0.1, batch_size=6, seed=9)
+        data = self.clients((13, 40, 6, 25), ids=(17, 3, 42, 8))
+        assert list(data) != sorted(data)
+        self.assert_same_round(data, cfg)
+
+    def test_non_finite_feature_raises(self):
+        data = self.clients((20, 12))
+        data[1][0][4, 2] = np.nan
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8, seed=0)
+        with pytest.raises(TrainingError, match="non-finite"):
+            federated_round(np.zeros((self.K, self.D)),
+                            np.zeros((self.K, self.D)), data, cfg, (0, 0, 0))
+
+
 class TestSequenceTraining:
     def test_zero_epochs_leaves_zero_modules(self):
         ds, plan, seqs, _ = system(epochs=0)
@@ -119,14 +215,6 @@ class TestSequenceTraining:
         m1 = train_fedsgt(ds, plan, seqs, cfg)
         m2 = train_fedsgt(ds, plan, seqs, cfg)
         for sa, sb in zip(m1.modules, m2.modules):
-            for a, b in zip(sa, sb):
-                assert a.weights.tobytes() == b.weights.tobytes()
-
-    def test_workers_do_not_change_result(self):
-        ds, plan, seqs, cfg = system(seed=4)
-        serial = train_fedsgt(ds, plan, seqs, cfg, workers=1)
-        parallel = train_fedsgt(ds, plan, seqs, cfg, workers=4)
-        for sa, sb in zip(serial.modules, parallel.modules):
             for a, b in zip(sa, sb):
                 assert a.weights.tobytes() == b.weights.tobytes()
 
