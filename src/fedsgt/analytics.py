@@ -45,10 +45,6 @@ class AnalyticParams:
     epochs: int = 3
     adapter_params: int = 1
 
-    @property
-    def effective_budget(self) -> int:
-        return min(self.group_count, self.budget)
-
 
 def _check_positive(**kwargs: int) -> None:
     for name, value in kwargs.items():

@@ -33,9 +33,11 @@ import numpy as np
 from . import __version__, analytics, montecarlo
 from .bank import read_bank, write_bank
 from .core import (BankFormatError, ConfigurationError, CsvSpec, FedSGTError,
-                   RunConfig, SyntheticSpec, TrainingError, validate_config)
+                   RunConfig, SyntheticSpec, TrainingError, parse_script,
+                   validate_config)
 from .dataset import Dataset, load_csv_dataset, synth_dataset
-from .fltrain import CostMeter, TrainConfig, evaluate, train_fedsgt
+from .fltrain import (CostMeter, TrainConfig, evaluate, sequence_logits,
+                      train_fedsgt)
 from .grouping import SliceRef, build_grouping, plan_from_json, plan_to_json
 from .montecarlo import MCConfig
 from .sequencing import build_sequences, fresh_state, state_to_json
@@ -105,20 +107,28 @@ def build_dataset(cfg: RunConfig) -> Dataset:
     raise ConfigurationError([f"unsupported dataset spec {spec!r}"])
 
 
+def resolve_script(script: Sequence[tuple[int, int, int | None]],
+                   catalog: list[tuple[SliceRef, int]], label: str
+                   ) -> list[UnlearnRequest]:
+    """Requests for parsed script entries. Every slice must be in the
+    catalog; record counts are capped at the slice size, and a count of None
+    takes the whole slice."""
+    sizes = dict(catalog)
+    targets = [(SliceRef(client, sl), records) for client, sl, records in script]
+    errors = [f"{label}[{i}]: unknown slice ({ref.client_id},{ref.slice_idx})"
+              for i, (ref, _) in enumerate(targets) if ref not in sizes]
+    if errors:
+        raise ConfigurationError(errors)
+    return [UnlearnRequest(target=ref, record_count=sizes[ref] if records is None
+                           else min(records, sizes[ref]))
+            for ref, records in targets]
+
+
 def build_requests(cfg: RunConfig, catalog: list[tuple[SliceRef, int]]
                    ) -> list[UnlearnRequest]:
     spec = cfg.requests
     if spec.script is not None:
-        sizes = dict(catalog)
-        requests = []
-        for client, sl, records in spec.script:
-            ref = SliceRef(client, sl)
-            if ref not in sizes:
-                raise ConfigurationError([f"scripted request targets unknown slice "
-                                          f"({client},{sl})"])
-            requests.append(UnlearnRequest(target=ref,
-                                           record_count=min(records, sizes[ref])))
-        return requests
+        return resolve_script(spec.script, catalog, "requests.script")
     return uniform_requests(catalog, spec.count, spec.seed, spec.record_count)
 
 
@@ -160,14 +170,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                [("FedSGT", f"L={L};B={B}", repr(rate_sgt)),
                 ("FedCIO", f"c={c}", repr(rate_cio))])
 
-    curve = []
-    closed_form_valid = B >= L
-    for r in range(args.max_requests + 1):
-        sgt = analytics.expected_remaining_fedsgt(D, L, r) if closed_form_valid else ""
-        curve.append((r, repr(sgt) if sgt != "" else "",
-                      repr(analytics.expected_remaining_fedcio(D, c, r))))
+    requests = range(args.max_requests + 1)
+    # The FedSGT closed form needs a rotation for every group (B >= L).
+    remaining_sgt = ([analytics.expected_remaining_fedsgt(D, L, r) for r in requests]
+                     if B >= L else None)
+    remaining_cio = [analytics.expected_remaining_fedcio(D, c, r) for r in requests]
     _write_csv(outdir / "remaining_curve.csv",
-               ("requests", "fedsgt_remaining", "fedcio_remaining"), curve)
+               ("requests", "fedsgt_remaining", "fedcio_remaining"),
+               [(r, "" if remaining_sgt is None else repr(remaining_sgt[r]),
+                 repr(remaining_cio[r])) for r in requests])
 
     comm_sgt = analytics.expected_comm_cost(L, S)
     comm_cio = args.rounds + args.t_cluster
@@ -189,13 +200,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "deletion_rate": {"fedsgt": rate_sgt, "fedcio": rate_cio,
                           "ratio": rate_sgt / rate_cio},
         "deletion_rate_params": {"groups": L, "budget": B, "clusters": c},
-        "remaining_curve": {
-            "requests": list(range(args.max_requests + 1)),
-            "fedsgt": [analytics.expected_remaining_fedsgt(D, L, r)
-                       for r in range(args.max_requests + 1)] if closed_form_valid else None,
-            "fedcio": [analytics.expected_remaining_fedcio(D, c, r)
-                       for r in range(args.max_requests + 1)],
-        },
+        "remaining_curve": {"requests": list(requests), "fedsgt": remaining_sgt,
+                            "fedcio": remaining_cio},
         "comm_cost": {"fedsgt_expected_client_rounds": comm_sgt,
                       "fedcio_client_rounds_incl_clustering": comm_cio},
         "training_cost": costs,
@@ -287,10 +293,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     state = fresh_state(seqs)
     per_seq = []
     for sid, perm in enumerate(seqs.perms):
-        w = model.backbone.copy()
-        for module in model.modules[sid]:
-            w = w + module.weights
-        preds = np.argmax(dataset.test_x @ w.T, axis=1)
+        preds = np.argmax(sequence_logits(model, sid, len(perm), dataset.test_x),
+                          axis=1)
         per_seq.append((sid, "-".join(str(g) for g in perm),
                         float(np.mean(preds == dataset.test_y))))
     _write_csv(outdir / "training_report.csv",
@@ -323,23 +327,11 @@ def _load_requests_file(path: str, catalog: list[tuple[SliceRef, int]]
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError([f"requests file: {exc}"]) from exc
-    if not isinstance(doc, list):
-        raise ConfigurationError(["requests file: expected a JSON list"])
-    sizes = dict(catalog)
-    requests = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or not {"client", "slice"} <= set(entry):
-            raise ConfigurationError(
-                [f"requests file entry {i}: need keys client, slice"])
-        ref = SliceRef(int(entry["client"]), int(entry["slice"]))
-        if ref not in sizes:
-            raise ConfigurationError(
-                [f"requests file entry {i}: unknown slice ({ref.client_id},"
-                 f"{ref.slice_idx})"])
-        records = int(entry.get("records", sizes[ref]))
-        requests.append(UnlearnRequest(target=ref,
-                                       record_count=min(records, sizes[ref])))
-    return requests
+    errors: list[str] = []
+    script = parse_script(errors, doc, "requests file")
+    if errors:
+        raise ConfigurationError(errors)
+    return resolve_script(script, catalog, "requests file")
 
 
 def cmd_unlearn(args: argparse.Namespace) -> int:
@@ -366,6 +358,8 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     else:
         if args.count < 0:
             raise ConfigurationError(["--count: must be >= 0"])
+        if args.record_count < 1:
+            raise ConfigurationError(["--record-count: must be >= 1"])
         requests = uniform_requests(catalog, args.count, args.request_seed,
                                     args.record_count)
 
@@ -414,6 +408,8 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.retrain_stride < 1:
+        raise ConfigurationError(["--retrain-stride: must be >= 1"])
     cfg = load_config_file(args.config)
     outdir = _outdir(args.out or cfg.out or "compare")
     start = time.perf_counter()

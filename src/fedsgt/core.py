@@ -1,8 +1,8 @@
 """Shared identifiers, service status, error taxonomy, and run configuration.
 
 Everything downstream (grouping, sequencing, training, the CLI) speaks in
-terms of the small vocabulary defined here: semantic id types, the
-available/failed service status, and a validated run configuration that is
+terms of the small vocabulary defined here: the available/failed service
+status, the error taxonomy, and a validated run configuration that is
 round-trippable through JSON manifests.
 """
 
@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, NewType
-
-ClientId = NewType("ClientId", int)
-SliceIdx = NewType("SliceIdx", int)
-GroupId = NewType("GroupId", int)
-SequenceId = NewType("SequenceId", int)
-PhaseIdx = NewType("PhaseIdx", int)
+from typing import Any, Mapping
 
 STRATEGIES = ("allseq", "minseq", "longseq")
 
@@ -260,6 +254,41 @@ def _validate_trainer(errors: list[str], raw: Any) -> TrainerSpec:
                        rounds_per_phase=rounds, fedavg_rounds=fedavg_rounds)
 
 
+def parse_script(errors: list[str], items: Any, label: str
+                 ) -> list[tuple[int, int, int | None]]:
+    """Request-script entries ``{"client", "slice", "records"}`` as
+    (client, slice, records) tuples; records is None when the key is absent.
+
+    Shared by the config ``requests.script`` and the ``--requests-file``;
+    each source gives a missing ``records`` its own default. Unknown keys,
+    missing client/slice and values that are not plain integers are added
+    to ``errors`` and the entry is skipped.
+    """
+    if not isinstance(items, (list, tuple)):
+        errors.append(f"{label}: expected a list")
+        return []
+    script = []
+    for i, item in enumerate(items):
+        where = f"{label}[{i}]"
+        if not isinstance(item, Mapping):
+            errors.append(f"{where}: expected an object")
+            continue
+        before = len(errors)
+        for key in item:
+            if key not in ("client", "slice", "records"):
+                errors.append(f"{where}.{key}: unknown key")
+        for key in ("client", "slice"):
+            if key not in item:
+                errors.append(f"{where}.{key}: required")
+        client = _expect_int(errors, item, "client", 0, 0, f"{where}.client")
+        sl = _expect_int(errors, item, "slice", 0, 0, f"{where}.slice")
+        records = (_expect_int(errors, item, "records", 1, 1, f"{where}.records")
+                   if "records" in item else None)
+        if len(errors) == before:
+            script.append((client, sl, records))
+    return script
+
+
 def _validate_requests(errors: list[str], raw: Any) -> RequestSpec:
     if raw is None:
         return RequestSpec()
@@ -270,27 +299,9 @@ def _validate_requests(errors: list[str], raw: Any) -> RequestSpec:
         for key in raw:
             if key != "script":
                 errors.append(f"requests.{key}: unknown key when 'script' is given")
-        script = []
-        items = raw["script"]
-        if not isinstance(items, (list, tuple)):
-            errors.append("requests.script: expected a list")
-            items = []
-        for i, item in enumerate(items):
-            if not isinstance(item, Mapping):
-                errors.append(f"requests.script[{i}]: expected an object")
-                continue
-            try:
-                client = int(item["client"])
-                sl = int(item["slice"])
-                records = int(item.get("records", 100))
-            except (KeyError, TypeError, ValueError):
-                errors.append(f"requests.script[{i}]: needs integer client/slice fields")
-                continue
-            if records < 1:
-                errors.append(f"requests.script[{i}].records: must be >= 1")
-                records = 1
-            script.append((client, sl, records))
-        return RequestSpec(script=tuple(script))
+        script = parse_script(errors, raw["script"], "requests.script")
+        return RequestSpec(script=tuple((c, s, 100 if n is None else n)
+                                        for c, s, n in script))
     allowed = {"count", "seed", "record_count"}
     for key in raw:
         if key not in allowed:
@@ -358,6 +369,10 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
             errors.append(
                 f"dataset.classes: class means need classes <= dim "
                 f"({dataset.classes} > {dataset.dim})")
+        if dataset.samples_per_client < slices_per_client:
+            errors.append(
+                f"dataset.samples_per_client: need at least one sample per slice "
+                f"({dataset.samples_per_client} < slices_per_client={slices_per_client})")
 
     if errors:
         raise ConfigurationError(errors)

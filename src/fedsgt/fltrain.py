@@ -23,8 +23,9 @@ Training runs on one thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -208,19 +209,22 @@ def federated_round(active: np.ndarray, frozen: np.ndarray,
     return np.sum(weights[:, None, None] * updates, axis=0)
 
 
-def _cumulative_client_data(dataset: Dataset, plan: GroupingPlan,
-                            prefix: tuple[int, ...]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per-client concatenation of all slices in the prefix groups, in group
-    order then plan order. The order is part of the determinism contract."""
-    parts: dict[int, list[SliceRef]] = {}
-    for g in prefix:
-        for ref in plan.groups[g]:
-            parts.setdefault(ref.client_id, []).append(ref)
-    data = {}
-    for client, refs in parts.items():
-        xs, ys = zip(*(dataset.slice_data(ref) for ref in refs))
-        data[client] = (np.concatenate(xs), np.concatenate(ys))
-    return data
+def client_data(dataset: Dataset, refs: Iterable[SliceRef],
+                removed: Mapping[SliceRef, int] | None = None
+                ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per-client concatenation of the given slices in the order given, each
+    without its first ``removed[ref]`` records. Clients left holding no
+    records are absent. The order is part of the determinism contract."""
+    parts: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    for ref in refs:
+        x, y = dataset.slice_data(ref)
+        drop = removed.get(ref, 0) if removed else 0
+        if drop < len(y):
+            xs, ys = parts.setdefault(ref.client_id, ([], []))
+            xs.append(x[drop:])
+            ys.append(y[drop:])
+    return {client: (np.concatenate(xs), np.concatenate(ys))
+            for client, (xs, ys) in parts.items()}
 
 
 def train_sequence(dataset: Dataset, plan: GroupingPlan, perm: tuple[int, ...],
@@ -244,8 +248,8 @@ def train_sequence(dataset: Dataset, plan: GroupingPlan, perm: tuple[int, ...],
     frozen = backbone.copy()
     modules: list[AdapterModule] = []
     for phase in range(upto):
-        prefix = perm[:phase + 1]
-        data = _cumulative_client_data(dataset, plan, prefix)
+        data = client_data(dataset, (ref for g in perm[:phase + 1]
+                                     for ref in plan.groups[g]))
         if not data:
             raise TrainingError(f"phase {phase}: cumulative groups hold no data")
         active = np.zeros((classes, dim))

@@ -17,14 +17,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .core import ServiceStatus, ServiceUnavailable, TrainingError
 from .dataset import Dataset
-from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate, fedavg_train,
-                      matrix_accuracy, train_sequence)
+from .fltrain import (CostMeter, ToyModel, TrainConfig, client_data, evaluate,
+                      fedavg_train, matrix_accuracy, train_sequence)
 from .grouping import GroupingPlan, SliceRef, group_of
 from .sequencing import (SequenceSet, SequenceState, apply_deletion,
                          fresh_state, state_from_deleted)
@@ -110,6 +110,20 @@ def uniform_requests(catalog: list[tuple[SliceRef, int]], count: int, seed: int,
     return [next(stream) for _ in range(count)]
 
 
+def record_removal(removed: dict[SliceRef, int], sizes: Mapping[SliceRef, int],
+                   req: UnlearnRequest) -> None:
+    """Book a request's records against its slice in ``removed``, capped at
+    the slice size. An unknown slice raises KeyError and a request larger
+    than its slice raises ValueError, both before ``removed`` changes."""
+    if req.target not in sizes:
+        raise KeyError(f"unknown slice {req.target}")
+    size = sizes[req.target]
+    if req.record_count > size:
+        raise ValueError(
+            f"request for {req.record_count} records exceeds slice size {size}")
+    removed[req.target] = min(size, removed.get(req.target, 0) + req.record_count)
+
+
 # ---------------------------------------------------------------------------
 # FedSGT serving system
 # ---------------------------------------------------------------------------
@@ -129,10 +143,6 @@ class FedSGTSystem:
     dataset: Dataset | None = None
     removed: dict[SliceRef, int] = field(default_factory=dict)
     steps: int = 0
-
-    @property
-    def slice_sizes(self) -> dict[SliceRef, int]:
-        return self.plan.sizes
 
     @property
     def remaining_samples(self) -> int:
@@ -160,17 +170,9 @@ def fedsgt_system(plan: GroupingPlan, seqs: SequenceSet, strategy: str = "allseq
 def process_request(system: FedSGTSystem, req: UnlearnRequest) -> TimelineRecord:
     """Apply one deletion request. Invalid targets are rejected (raised)
     before any state changes."""
-    sizes = system.slice_sizes
-    if req.target not in sizes:
-        raise KeyError(f"unknown slice {req.target}")
-    if req.record_count > sizes[req.target]:
-        raise ValueError(
-            f"request for {req.record_count} records exceeds slice size "
-            f"{sizes[req.target]}")
+    record_removal(system.removed, system.plan.sizes, req)
     gid = group_of(system.plan, req.target)
     system.state = apply_deletion(system.state, system.seqs, gid)
-    already = system.removed.get(req.target, 0)
-    system.removed[req.target] = min(sizes[req.target], already + req.record_count)
     system.steps += 1
     return TimelineRecord(
         step=system.steps, method=METHOD_FEDSGT, affected_unit=f"group:{gid}",
@@ -200,28 +202,6 @@ def cluster_of(client: int, clusters: int) -> int:
     return client % clusters
 
 
-def _cluster_members(client_count: int, clusters: int) -> list[list[int]]:
-    members: list[list[int]] = [[] for _ in range(clusters)]
-    for c in range(client_count):
-        members[cluster_of(c, clusters)].append(c)
-    return members
-
-
-def _client_full_data(dataset: Dataset, client: int,
-                      removed: dict[SliceRef, int] | None = None
-                      ) -> tuple[np.ndarray, np.ndarray] | None:
-    xs, ys = [], []
-    for s in range(dataset.slices_of(client)):
-        x, y = dataset.slice_data(SliceRef(client, s))
-        drop = 0 if removed is None else removed.get(SliceRef(client, s), 0)
-        if drop < len(y):
-            xs.append(x[drop:])
-            ys.append(y[drop:])
-    if not ys:
-        return None
-    return np.concatenate(xs), np.concatenate(ys)
-
-
 def train_clusters(dataset: Dataset, clusters: int, cfg: TrainConfig,
                    rounds: int, meter: CostMeter | None = None,
                    adapter_stack: int = 1,
@@ -229,15 +209,13 @@ def train_clusters(dataset: Dataset, clusters: int, cfg: TrainConfig,
                    only: Iterable[int] | None = None) -> dict[int, np.ndarray]:
     """Per-cluster FedAvg models. ``adapter_stack`` books the cost of the
     jointly trained module stack the collapsed matrix stands in for."""
-    members = _cluster_members(dataset.client_count, clusters)
+    refs = [ref for ref, _ in dataset.slice_catalog()]
     targets = range(clusters) if only is None else only
     models = {}
     for cid in targets:
-        data = {}
-        for client in members[cid]:
-            pair = _client_full_data(dataset, client, removed)
-            if pair is not None:
-                data[client] = pair
+        data = client_data(dataset, (ref for ref in refs
+                                     if cluster_of(ref.client_id, clusters) == cid),
+                           removed)
         if not data:
             raise TrainingError(f"cluster {cid} has no data")
         models[cid] = fedavg_train(data, dataset.classes, dataset.dim, rounds,
@@ -277,11 +255,8 @@ def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
                               status=status(), utility=utility(),
                               notes="baseline")]
     for step, req in enumerate(requests, start=1):
-        if req.target not in sizes:
-            raise KeyError(f"unknown slice {req.target}")
+        record_removal(removed, sizes, req)
         cid = cluster_of(req.target.client_id, clusters)
-        already = removed.get(req.target, 0)
-        removed[req.target] = min(sizes[req.target], already + req.record_count)
         if retrain:
             models.update(train_clusters(dataset, clusters, cfg, rounds,
                                          meter=meter, adapter_stack=adapter_stack,
@@ -314,11 +289,7 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
     removed: dict[SliceRef, int] = {}
 
     def refit() -> float:
-        data = {}
-        for client in range(dataset.client_count):
-            pair = _client_full_data(dataset, client, removed)
-            if pair is not None:
-                data[client] = pair
+        data = client_data(dataset, sizes, removed)
         if not data:
             raise TrainingError("no records left to retrain on")
         w = fedavg_train(data, dataset.classes, dataset.dim, rounds, cfg,
@@ -331,10 +302,7 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
                               status=status, utility=refit(), notes="baseline")]
     downtime = 0
     for step, req in enumerate(requests, start=1):
-        if req.target not in sizes:
-            raise KeyError(f"unknown slice {req.target}")
-        already = removed.get(req.target, 0)
-        removed[req.target] = min(sizes[req.target], already + req.record_count)
+        record_removal(removed, sizes, req)
         downtime += rounds
         if step % eval_every == 0:
             utility = refit()

@@ -6,11 +6,19 @@ import json
 import pytest
 
 import fedsgt.analytics
-from fedsgt.cli import main
+from fedsgt.cli import _load_requests_file, build_requests, main
+from fedsgt.core import ConfigurationError, validate_config
+from fedsgt.grouping import SliceRef
+from fedsgt.unlearn import UnlearnRequest
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.fixture
@@ -32,6 +40,13 @@ def config_file(tmp_path):
         "requests": {"count": 4, "seed": 2, "record_count": 10},
     }))
     return path
+
+
+@pytest.fixture
+def trained(tmp_path, config_file):
+    out = tmp_path / "run"
+    assert run("train", "--config", config_file, "--out", out) == 0
+    return out
 
 
 class TestAnalyze:
@@ -59,6 +74,23 @@ class TestAnalyze:
         assert len(sgt) == 13
         assert all(a >= b for a, b in zip(sgt, sgt[1:]))
         assert sgt[0] == pytest.approx(50_000)
+
+    def test_json_curve_equals_csv(self, tmp_path):
+        for budget, has_sgt in ((10, True), (4, False)):
+            out = tmp_path / f"b{budget}"
+            assert run("analyze", "--groups", 10, "--budget", budget,
+                       "--max-requests", 8, "--out", out) == 0
+            curve = json.loads((out / "analyze.json").read_text())["remaining_curve"]
+            with (out / "remaining_curve.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert curve["requests"] == [int(r["requests"]) for r in rows]
+            assert curve["fedcio"] == [float(r["fedcio_remaining"]) for r in rows]
+            if has_sgt:
+                assert curve["fedsgt"] == [float(r["fedsgt_remaining"])
+                                           for r in rows]
+            else:
+                assert curve["fedsgt"] is None
+                assert all(r["fedsgt_remaining"] == "" for r in rows)
 
     def test_single_group_degenerate(self, tmp_path):
         out = tmp_path / "a"
@@ -158,12 +190,6 @@ class TestTrain:
 
 
 class TestUnlearn:
-    @pytest.fixture
-    def trained(self, tmp_path, config_file):
-        out = tmp_path / "run"
-        assert run("train", "--config", config_file, "--out", out) == 0
-        return out
-
     def test_stream_with_audit(self, tmp_path, trained):
         out = tmp_path / "u"
         assert run("unlearn", "--bank", trained / "bank.fsgt", "--count", 3,
@@ -235,6 +261,53 @@ class TestCompare:
         assert doc["requests"] == 4
         for key in ("fedsgt", "fedcio", "fedretrain"):
             assert "failure_step" in doc[key]
+
+
+class TestRequestScripts:
+    CATALOG = [(SliceRef(0, 0), 150), (SliceRef(1, 2), 40)]
+
+    def test_config_script_and_requests_file_agree(self, tmp_path):
+        entries = [{"client": 0, "slice": 0, "records": 120},
+                   {"client": 1, "slice": 2, "records": 90}]
+        cfg = validate_config({"requests": {"script": entries}})
+        from_file = _load_requests_file(write_json(tmp_path / "r.json", entries),
+                                        self.CATALOG)
+        assert build_requests(cfg, self.CATALOG) == from_file == [
+            UnlearnRequest(SliceRef(0, 0), 120), UnlearnRequest(SliceRef(1, 2), 40)]
+
+    def test_missing_records_defaults(self, tmp_path):
+        entries = [{"client": 0, "slice": 0}]
+        cfg = validate_config({"requests": {"script": entries}})
+        assert build_requests(cfg, self.CATALOG) == [
+            UnlearnRequest(SliceRef(0, 0), 100)]
+        assert _load_requests_file(write_json(tmp_path / "r.json", entries),
+                                   self.CATALOG) == [
+            UnlearnRequest(SliceRef(0, 0), 150)]
+
+    def test_unknown_slice_in_config_script(self):
+        cfg = validate_config({"requests": {"script": [{"client": 5, "slice": 0}]}})
+        with pytest.raises(ConfigurationError):
+            build_requests(cfg, self.CATALOG)
+
+
+@pytest.mark.parametrize("argv", [
+    ["unlearn", "--requests-file", [{"client": 0, "slice": 0, "records": 0}]],
+    ["unlearn", "--requests-file", [{"client": 0, "slice": 0, "records": -3}]],
+    ["unlearn", "--requests-file", [{"client": "x", "slice": 0}]],
+    ["unlearn", "--count", 3, "--record-count", 0],
+    ["compare", "--retrain-stride", 0],
+], ids=["file-records-0", "file-records-negative", "file-client-string",
+        "record-count-0", "retrain-stride-0"])
+def test_bad_request_input_is_config_error(tmp_path, config_file, trained,
+                                           capsys, argv):
+    argv = [write_json(tmp_path / "reqs.json", a) if isinstance(a, list) else a
+            for a in argv]
+    if argv[0] == "unlearn":
+        argv += ["--bank", trained / "bank.fsgt"]
+    else:
+        argv += ["--config", config_file]
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 class TestParser:

@@ -57,6 +57,13 @@ class TestErrors:
             validate_config({"clients": 3, "clusters": 10})
         assert any("clusters" in e for e in err.value.errors)
 
+    def test_fewer_samples_than_slices(self):
+        with pytest.raises(ConfigurationError) as err:
+            validate_config({"slices_per_client": 5,
+                             "dataset": {"kind": "synthetic",
+                                         "samples_per_client": 4}})
+        assert any("samples_per_client" in e for e in err.value.errors)
+
     def test_classes_exceeding_dim(self):
         with pytest.raises(ConfigurationError) as err:
             validate_config({"dataset": {"kind": "synthetic", "dim": 3,
@@ -108,10 +115,24 @@ class TestRequestSpecs:
         assert cfg.requests.script == ((0, 1, 50), (2, 0, 10))
 
     def test_script_shape_validated(self):
-        with pytest.raises(ConfigurationError):
-            validate_config({"requests": {"script": [[0, 1]]}})
-        with pytest.raises(ConfigurationError):
-            validate_config({"requests": {"script": [{"client": 0}]}})
+        bad_scripts = [
+            [[0, 1]],
+            [{"client": 0}],
+            [{"client": 0, "slice": 1, "recs": 5}],
+            [{"client": True, "slice": 1}],
+            [{"client": 0, "slice": 1, "records": True}],
+            [{"client": 0, "slice": 1, "records": 2.7}],
+            [{"client": 0, "slice": 1.5}],
+            [{"client": 0, "slice": 1, "records": 0}],
+            {"client": 0, "slice": 1},
+        ]
+        for script in bad_scripts:
+            with pytest.raises(ConfigurationError):
+                validate_config({"requests": {"script": script}})
+
+    def test_script_records_default_to_100(self):
+        cfg = validate_config({"requests": {"script": [{"client": 0, "slice": 1}]}})
+        assert cfg.requests.script == ((0, 1, 100),)
 
     def test_budget_requests_default(self):
         cfg = validate_config({"requests": {"count": 7, "seed": 4}})

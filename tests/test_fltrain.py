@@ -6,10 +6,11 @@ import pytest
 from fedsgt.core import ServiceUnavailable, TrainingError
 from fedsgt.dataset import synth_dataset
 from fedsgt.fltrain import (CostMeter, TrainConfig, _round_rng, _softmax,
-                            evaluate, fedavg_train, federated_round,
+                            client_data, evaluate, fedavg_train,
+                            federated_round,
                             local_loss, matrix_accuracy, predict,
                             predict_proba, train_fedsgt, train_sequence)
-from fedsgt.grouping import build_grouping
+from fedsgt.grouping import SliceRef, build_grouping
 from fedsgt.sequencing import (apply_deletion, build_sequences, fresh_state,
                                state_from_deleted)
 
@@ -181,6 +182,21 @@ class TestStackedRound:
         with pytest.raises(TrainingError, match="non-finite"):
             federated_round(np.zeros((self.K, self.D)),
                             np.zeros((self.K, self.D)), data, cfg, (0, 0, 0))
+
+
+class TestClientData:
+    def test_order_removed_prefix_and_emptied_clients(self):
+        ds = data(clients=3)  # two slices of 30 samples per client
+        refs = [SliceRef(1, 1), SliceRef(0, 0), SliceRef(1, 0), SliceRef(2, 0)]
+        got = client_data(ds, refs, {SliceRef(1, 1): 10, SliceRef(2, 0): 30})
+        assert list(got) == [1, 0]  # client 2 lost its only listed slice
+        x1, y1 = got[1]
+        assert x1.tobytes() == np.concatenate(
+            [ds.train_x[1][1][10:], ds.train_x[1][0]]).tobytes()
+        assert y1.tobytes() == np.concatenate(
+            [ds.train_y[1][1][10:], ds.train_y[1][0]]).tobytes()
+        assert got[0][0].tobytes() == ds.train_x[0][0].tobytes()
+        assert list(client_data(ds, refs)) == [1, 0, 2]
 
 
 class TestSequenceTraining:

@@ -197,6 +197,18 @@ class TestFedRetrain:
         assert "downtime" in records[1].notes
 
 
+@pytest.mark.parametrize("simulate", [
+    lambda ds, cfg, reqs: fedcio_simulate(ds, 2, cfg, reqs, rounds=1),
+    lambda ds, cfg, reqs: fedretrain_simulate(ds, cfg, reqs, rounds=1),
+], ids=["fedcio", "fedretrain"])
+def test_baselines_reject_invalid_requests(simulate):
+    ds, plan, seqs, cfg, model = build()
+    with pytest.raises(KeyError):
+        simulate(ds, cfg, [UnlearnRequest(SliceRef(50, 0), 1)])
+    with pytest.raises(ValueError):
+        simulate(ds, cfg, [UnlearnRequest(SliceRef(0, 0), 10_000)])
+
+
 class TestAudit:
     def test_passes_after_deletions(self):
         ds, plan, seqs, cfg, model = build(seed=3)
