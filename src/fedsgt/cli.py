@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__, analytics, montecarlo
 from .bank import read_bank, write_bank
+from .combinatorics import MAX_STIRLING_N
 from .core import (BankFormatError, ConfigurationError, CsvSpec, FedSGTError,
                    RunConfig, SyntheticSpec, TrainingError, parse_script,
                    validate_config)
@@ -155,6 +156,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         errors.append("--data-size: must be >= 0")
     if args.max_requests < 0:
         errors.append("--max-requests: must be >= 0")
+    # stirling2 caps r; the FedSGT curve (run when B >= L) and comm cost use it.
+    if args.budget >= args.groups and args.max_requests > MAX_STIRLING_N:
+        errors.append(f"--max-requests: must be <= {MAX_STIRLING_N} "
+                      "when --budget >= --groups")
+    if args.slices_per_client > MAX_STIRLING_N:
+        errors.append(f"--slices-per-client: must be <= {MAX_STIRLING_N}")
     if errors:
         raise ConfigurationError(errors)
 
@@ -233,6 +240,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise ConfigurationError(["--confidence-k: must be positive"])
     if args.workers < 1:
         raise ConfigurationError(["--workers: must be >= 1"])
+    if args.data_size < 0:
+        raise ConfigurationError(["--data-size: must be >= 0"])
     outdir = _outdir(args.out)
     cfg = MCConfig(trials=args.trials, seed=args.seed,
                    confidence_k=args.confidence_k)

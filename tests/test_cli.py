@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import fedsgt.analytics
 from fedsgt.cli import _load_requests_file, build_requests, main
+from fedsgt.combinatorics import MAX_STIRLING_N
 from fedsgt.core import ConfigurationError, validate_config
 from fedsgt.grouping import SliceRef
 from fedsgt.unlearn import UnlearnRequest
@@ -104,6 +109,23 @@ class TestAnalyze:
     def test_bad_arguments(self, tmp_path):
         assert run("analyze", "--groups", 0, "--out", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("flag", ["--max-requests", "--slices-per-client"])
+    def test_above_stirling_cap_is_config_error(self, tmp_path, capsys, flag):
+        assert run("analyze", flag, MAX_STIRLING_N + 1,
+                   "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag}")
+        assert str(MAX_STIRLING_N) in err
+
+    def test_long_curve_without_fedsgt_closed_form(self, tmp_path):
+        # B < L draws only the FedCIO curve, which needs no Stirling numbers
+        out = tmp_path / "a"
+        assert run("analyze", "--budget", 2, "--max-requests",
+                   MAX_STIRLING_N + 1, "--out", out) == 0
+        doc = json.loads((out / "analyze.json").read_text())
+        assert doc["remaining_curve"]["fedsgt"] is None
+        assert len(doc["remaining_curve"]["fedcio"]) == MAX_STIRLING_N + 2
+
 
 class TestValidate:
     def test_grid_passes_and_is_well_formed(self, tmp_path):
@@ -143,6 +165,10 @@ class TestValidate:
 
     def test_bad_trials(self, tmp_path):
         assert run("validate", "--trials", 0, "--out", tmp_path / "v") == 2
+
+    def test_negative_data_size(self, tmp_path, capsys):
+        assert run("validate", "--data-size", -5, "--out", tmp_path / "v") == 2
+        assert capsys.readouterr().err.startswith("config error: --data-size")
 
 
 class TestTrain:
@@ -308,6 +334,26 @@ def test_bad_request_input_is_config_error(tmp_path, config_file, trained,
         argv += ["--config", config_file]
     assert run(*argv, "--out", tmp_path / "out") == 2
     assert "config error:" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *argv):
+        src = str(Path(fedsgt.analytics.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "fedsgt", *map(str, argv)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_analyze_and_config_error(self, tmp_path):
+        done = self.run_module("analyze", "--out", tmp_path / "a")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "a" / "analyze.json").is_file()
+        done = self.run_module("validate", "--data-size", -5,
+                               "--out", tmp_path / "v")
+        assert done.returncode == 2
+        assert "config error: --data-size" in done.stderr
 
 
 class TestParser:

@@ -2,14 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedsgt import analytics
-from fedsgt.montecarlo import (MCConfig, MCEstimate, mc_comm_cost,
-                               mc_deletion_rate_fedcio,
+from fedsgt.montecarlo import (MCConfig, MCEstimate, _span_samples,
+                               mc_comm_cost, mc_deletion_rate_fedcio,
                                mc_deletion_rate_fedsgt,
                                mc_expected_remaining, mc_expected_span,
                                validation_grid)
+from fedsgt.sequencing import cyclic_span
 
 CFG = MCConfig(trials=60_000, seed=11)
 
@@ -45,9 +50,58 @@ class TestAgreement:
             assert est.consistent_with(analytics.expected_comm_cost(L, S))
 
     def test_span_above_lookup_limit(self):
-        # L=20 cannot use the 2^L lookup table; the fallback path must agree
+        # L=20 was beyond the old 2^L lookup table (L <= 16); the row kernel
+        # must agree there as well
         est = mc_expected_span(20, 6, MCConfig(trials=20_000, seed=5))
         assert est.consistent_with(analytics.expected_span(20, 6))
+
+    def test_large_l_span_and_remaining(self):
+        cfg = MCConfig(trials=20_000, seed=13)
+        assert mc_expected_span(64, 5, cfg).consistent_with(
+            analytics.expected_span(64, 5))
+        assert mc_expected_remaining("FedSGT", 50_000, 64, 5, cfg).consistent_with(
+            analytics.expected_remaining_fedsgt(50_000, 64, 5))
+
+
+def oracle_span_samples(rng, n, group_count, requests):
+    """Reference: the same draws, cyclic_span applied row by row."""
+    draws = rng.integers(0, group_count, size=(n, requests))
+    return np.array([cyclic_span(group_count, set(row)) for row in draws],
+                    dtype=np.float64)
+
+
+class _FixedDraws:
+    """Stands in for a Generator whose next ``integers`` call is known."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def integers(self, low, high, size):
+        assert (low, size) == (0, self.draws.shape)
+        return self.draws
+
+
+class TestSpanKernel:
+    @pytest.mark.parametrize("group_count", [1, 2, 4, 10, 16, 17, 32, 64, 100])
+    @pytest.mark.parametrize("requests", [1, 2, 10, 300])
+    def test_matches_row_oracle(self, group_count, requests):
+        seed = 1000 * group_count + requests
+        got = _span_samples(np.random.default_rng(seed), 500, group_count,
+                            requests)
+        want = oracle_span_samples(np.random.default_rng(seed), 500,
+                                   group_count, requests)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_matrix_matches_cyclic_span(self, data):
+        group_count = data.draw(st.integers(1, 40))
+        shape = data.draw(st.tuples(st.integers(1, 12), st.integers(1, 25)))
+        draws = data.draw(arrays(np.int64, shape,
+                                 elements=st.integers(0, group_count - 1)))
+        got = _span_samples(_FixedDraws(draws), shape[0], group_count, shape[1])
+        assert got.tolist() == [cyclic_span(group_count, row) for row in draws]
 
 
 class TestReproducibility:
