@@ -17,8 +17,7 @@ from .analytics import (AnalyticParams, deletion_rate_fedcio,
                         deletion_rate_fedsgt, expected_comm_cost,
                         expected_remaining_fedcio, expected_remaining_fedsgt,
                         expected_span, expected_span_given_m, matched_budget,
-                        prob_k_groups, prob_m_distinct, prob_max_gap_le,
-                        training_cost)
+                        prob_m_distinct, prob_max_gap_le, training_cost)
 from .bank import read_bank, write_bank
 from .combinatorics import binomial, harmonic, stirling2
 from .core import (BankFormatError, ClosedFormUnavailable, ConfigurationError,
@@ -49,7 +48,7 @@ __all__ = [
     "AnalyticParams", "deletion_rate_fedsgt", "deletion_rate_fedcio",
     "prob_m_distinct", "prob_max_gap_le", "expected_span_given_m",
     "expected_span", "expected_remaining_fedsgt", "expected_remaining_fedcio",
-    "prob_k_groups", "expected_comm_cost", "matched_budget", "training_cost",
+    "expected_comm_cost", "matched_budget", "training_cost",
     # combinatorics
     "harmonic", "binomial", "stirling2",
     # core

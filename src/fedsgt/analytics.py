@@ -15,6 +15,7 @@ formula here and also offers a finite-population mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,12 +86,9 @@ def prob_m_distinct(group_count: int, requests: int, distinct: int) -> Fraction:
         return Fraction(1) if distinct == 0 else Fraction(0)
     if distinct < 1 or distinct > min(requests, group_count):
         return Fraction(0)
-    ways = binomial(group_count, distinct)
-    onto = 1
-    for i in range(1, distinct + 1):
-        onto *= i
-    onto *= stirling2(requests, distinct)
-    return Fraction(ways * onto, group_count ** requests)
+    onto = math.factorial(distinct) * stirling2(requests, distinct)
+    return Fraction(binomial(group_count, distinct) * onto,
+                    group_count ** requests)
 
 
 def prob_max_gap_le(group_count: int, occupied: int, gap_bound: int) -> Fraction:
@@ -185,12 +183,6 @@ def expected_remaining_fedcio(total_samples: int, clusters: int, requests: int) 
     return total_samples * (1.0 - 1.0 / clusters) ** requests
 
 
-def prob_k_groups(group_count: int, slices_per_client: int, occupied: int) -> Fraction:
-    """P(a client's ``slices_per_client`` slices land in exactly ``occupied``
-    distinct groups) under independent uniform assignment."""
-    return prob_m_distinct(group_count, slices_per_client, occupied)
-
-
 def expected_comm_cost(group_count: int, slices_per_client: int) -> float:
     """Expected per-client communication rounds across all group_count cyclic
     sequences.
@@ -203,7 +195,7 @@ def expected_comm_cost(group_count: int, slices_per_client: int) -> float:
     _check_positive(group_count=group_count, slices_per_client=slices_per_client)
     acc = Fraction(0)
     for k in range(1, min(slices_per_client, group_count) + 1):
-        acc += prob_k_groups(group_count, slices_per_client, k) * Fraction(k, k + 1)
+        acc += prob_m_distinct(group_count, slices_per_client, k) * Fraction(k, k + 1)
     return float(group_count * (group_count + 1) * acc)
 
 

@@ -32,14 +32,14 @@ import numpy as np
 
 from . import __version__, analytics, montecarlo
 from .bank import read_bank, write_bank
-from .combinatorics import MAX_STIRLING_N
 from .core import (BankFormatError, ConfigurationError, CsvSpec, FedSGTError,
                    RunConfig, SyntheticSpec, TrainingError, parse_script,
                    validate_config)
 from .dataset import Dataset, load_csv_dataset, synth_dataset
-from .fltrain import (CostMeter, TrainConfig, evaluate, sequence_logits,
-                      train_fedsgt)
-from .grouping import SliceRef, build_grouping, plan_from_json, plan_to_json
+from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
+                      sequence_logits, train_fedsgt)
+from .grouping import (GroupingPlan, SliceRef, build_grouping, plan_from_json,
+                       plan_to_json)
 from .montecarlo import MCConfig
 from .sequencing import build_sequences, fresh_state, state_to_json
 from .unlearn import (UnlearnRequest, exactness_audit, fedcio_simulate,
@@ -156,12 +156,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         errors.append("--data-size: must be >= 0")
     if args.max_requests < 0:
         errors.append("--max-requests: must be >= 0")
-    # stirling2 caps r; the FedSGT curve (run when B >= L) and comm cost use it.
-    if args.budget >= args.groups and args.max_requests > MAX_STIRLING_N:
-        errors.append(f"--max-requests: must be <= {MAX_STIRLING_N} "
-                      "when --budget >= --groups")
-    if args.slices_per_client > MAX_STIRLING_N:
-        errors.append(f"--slices-per-client: must be <= {MAX_STIRLING_N}")
     if errors:
         raise ConfigurationError(errors)
 
@@ -343,6 +337,30 @@ def _load_requests_file(path: str, catalog: list[tuple[SliceRef, int]]
     return resolve_script(script, catalog, "requests file")
 
 
+def _load_plan(path: Path, model: ToyModel) -> GroupingPlan:
+    """The plan at ``path``, checked against the bank it will serve: the
+    same group count, and every module's sample count equal to the plan's
+    running total along its sequence."""
+    try:
+        plan = plan_from_json(path.read_text())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError([f"plan {path}: {exc}"]) from exc
+    if plan.group_count != model.sequences.group_count:
+        raise ConfigurationError([
+            f"plan {path} has {plan.group_count} groups but the bank has "
+            f"{model.sequences.group_count}"])
+    for sid, stack in enumerate(model.modules):
+        total = 0
+        for phase, module in enumerate(stack):
+            total += plan.group_samples(module.group)
+            if module.samples != total:
+                raise ConfigurationError([
+                    f"plan {path} does not match the bank at sequence "
+                    f"{sid}, phase {phase}: the bank module saw "
+                    f"{module.samples} samples, the plan gives {total}"])
+    return plan
+
+
 def cmd_unlearn(args: argparse.Namespace) -> int:
     bank_path = Path(args.bank)
     if not bank_path.exists():
@@ -356,7 +374,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
         raise ConfigurationError([f"plan not found: {plan_path}"])
     if not manifest_path.exists():
         raise ConfigurationError([f"manifest not found: {manifest_path}"])
-    plan = plan_from_json(plan_path.read_text())
+    plan = _load_plan(plan_path, model)
     cfg = load_config_file(manifest_path)
     dataset = build_dataset(cfg)
     strategy = args.strategy or cfg.strategy
@@ -557,3 +575,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -11,11 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-
-# Stirling values are memoized; the table is bounded so a buggy caller cannot
-# silently grow an unbounded cache.
-MAX_STIRLING_N = 256
 
 
 def harmonic(n: int) -> Fraction:
@@ -34,23 +29,14 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
-def _stirling2(r: int, m: int) -> int:
-    if m == 0:
-        return 1 if r == 0 else 0
-    if m > r:
-        return 0
-    if m == r:
-        return 1
-    # S(r, m) = m * S(r-1, m) + S(r-1, m-1)
-    return m * _stirling2(r - 1, m) + _stirling2(r - 1, m - 1)
-
-
 def stirling2(r: int, m: int) -> int:
     """Stirling number of the second kind: partitions of r items into m
-    nonempty unlabeled blocks. Zero when m > r; S(0, 0) = 1."""
+    nonempty unlabeled blocks. Zero when m > r; S(0, 0) = 1.
+
+    Counts surjections by inclusion-exclusion and divides out the block
+    labels: S(r, m) = sum_j (-1)^j C(m, j) (m - j)^r / m!, exact for any r.
+    """
     if r < 0 or m < 0:
         raise ValueError(f"stirling2: arguments must be nonnegative, got ({r}, {m})")
-    if r > MAX_STIRLING_N:
-        raise ValueError(f"stirling2: r is capped at {MAX_STIRLING_N}, got {r}")
-    return _stirling2(r, m)
+    onto = sum((-1) ** j * math.comb(m, j) * (m - j) ** r for j in range(m + 1))
+    return onto // math.factorial(m)

@@ -154,7 +154,8 @@ def plan_to_json(plan: GroupingPlan) -> str:
 
 def plan_from_json(text: str) -> GroupingPlan:
     doc = json.loads(text)
-    if doc.get("format") != "fedsgt-plan" or doc.get("version") != 1:
+    if (not isinstance(doc, dict) or doc.get("format") != "fedsgt-plan"
+            or doc.get("version") != 1):
         raise ValueError("not a version-1 fedsgt plan document")
     groups = []
     sizes = {}

@@ -99,29 +99,49 @@ def _estimate(key: tuple[int, ...], cfg: MCConfig, workers: int,
 # ---------------------------------------------------------------------------
 
 
+def _head_words(universe: int, heads: list[int]) -> np.ndarray:
+    """(ceil(H/64), universe) uint64 table: head i sets bit i % 64 of word
+    i // 64 at its own position, so any head count fits."""
+    words = np.zeros(((len(heads) + 63) // 64, universe), dtype=np.uint64)
+    for i, h in enumerate(heads):
+        words[i // 64, h] |= np.uint64(1 << (i % 64))
+    return words
+
+
+def _covered_prefix(words: np.ndarray, positions: np.ndarray,
+                    seen: np.ndarray) -> np.ndarray:
+    """Whether every head is covered after each column of ``positions``,
+    counting the heads already in ``seen`` (one row of words per row of
+    ``positions``, advanced in place to the last column)."""
+    covered = None
+    for w, word in enumerate(words):
+        bits = word[positions]
+        np.bitwise_or.accumulate(bits, axis=1, out=bits)
+        bits |= seen[:, w, None]
+        seen[:, w] = bits[:, -1]
+        full = bits == np.bitwise_or.reduce(word)
+        covered = full if covered is None else np.logical_and(covered, full,
+                                                              out=covered)
+    return covered
+
+
 def _coverage_times(rng: np.random.Generator, n: int, universe: int,
                     heads: list[int]) -> np.ndarray:
     """Per trial: uniform draws over [0, universe) until every head has been
     seen; returns the number of draws needed."""
-    head_bit = np.zeros(universe, dtype=np.int64)
-    for i, h in enumerate(heads):
-        head_bit[h] = 1 << i
-    full = (1 << len(heads)) - 1
+    words = _head_words(universe, heads)
     times = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=np.int64)
+    seen = np.zeros((n, len(words)), dtype=np.uint64)
     active = np.arange(n)
     base = 0
     while active.size:
         draws = rng.integers(0, universe, size=(active.size, _BLOCK))
-        bits = head_bit[draws]
-        np.bitwise_or.accumulate(bits, axis=1, out=bits)
-        bits |= seen[active, None]
-        covered = bits == full
+        covered = _covered_prefix(words, draws, seen)
         done = covered[:, -1]
         first = covered.argmax(axis=1)
         times[active[done]] = base + first[done] + 1
-        seen[active] = bits[:, -1]
         active = active[~done]
+        seen = seen[~done]
         base += _BLOCK
     return times.astype(np.float64)
 
@@ -133,14 +153,10 @@ def _finite_coverage_times(rng: np.random.Generator, n: int, group_count: int,
     m = group_count * slices_per_group
     order = np.tile(np.arange(m), (n, 1))
     order = rng.permuted(order, axis=1)
-    groups = order // slices_per_group
-    head_bit = np.zeros(group_count, dtype=np.int64)
-    for i, h in enumerate(heads):
-        head_bit[h] = 1 << i
-    full = (1 << len(heads)) - 1
-    bits = head_bit[groups]
-    np.bitwise_or.accumulate(bits, axis=1, out=bits)
-    return (bits == full).argmax(axis=1).astype(np.float64) + 1.0
+    words = _head_words(group_count, heads)
+    seen = np.zeros((n, len(words)), dtype=np.uint64)
+    covered = _covered_prefix(words, order // slices_per_group, seen)
+    return covered.argmax(axis=1).astype(np.float64) + 1.0
 
 
 def _rotation_heads(group_count: int, budget: int) -> list[int]:

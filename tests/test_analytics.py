@@ -17,8 +17,7 @@ from fedsgt.analytics import (AnalyticParams, deletion_rate_fedcio,
                               expected_remaining_fedcio,
                               expected_remaining_fedsgt, expected_span,
                               expected_span_given_m, matched_budget,
-                              prob_k_groups, prob_m_distinct, prob_max_gap_le,
-                              training_cost)
+                              prob_m_distinct, prob_max_gap_le, training_cost)
 from fedsgt.core import ClosedFormUnavailable
 
 
@@ -227,8 +226,8 @@ class TestCommCost:
         assert expected_comm_cost(1, 1) == pytest.approx(1.0)
 
     def test_k_distribution_reuses_occupancy(self):
-        assert prob_k_groups(6, 2, 1) == Fraction(1, 6)
-        assert sum(prob_k_groups(10, 2, k) for k in range(11)) == 1
+        assert prob_m_distinct(6, 2, 1) == Fraction(1, 6)
+        assert sum(prob_m_distinct(10, 2, k) for k in range(11)) == 1
 
 
 class TestBudgetAndCost:

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import fedsgt.analytics
-from fedsgt.cli import _load_requests_file, build_requests, main
-from fedsgt.combinatorics import MAX_STIRLING_N
+from fedsgt.bank import read_bank
+from fedsgt.cli import (_load_requests_file, build_dataset, build_requests,
+                        load_config_file, main)
 from fedsgt.core import ConfigurationError, validate_config
-from fedsgt.grouping import SliceRef
+from fedsgt.grouping import SliceRef, build_grouping, plan_to_json
 from fedsgt.unlearn import UnlearnRequest
 
 
@@ -110,21 +111,28 @@ class TestAnalyze:
         assert run("analyze", "--groups", 0, "--out", tmp_path / "x") == 2
 
     @pytest.mark.parametrize("flag", ["--max-requests", "--slices-per-client"])
-    def test_above_stirling_cap_is_config_error(self, tmp_path, capsys, flag):
-        assert run("analyze", flag, MAX_STIRLING_N + 1,
-                   "--out", tmp_path / "x") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {flag}")
-        assert str(MAX_STIRLING_N) in err
+    def test_past_old_stirling_cap_matches_closed_form(self, tmp_path, flag):
+        # 257 needs Stirling numbers S(r, m) past r = 256; the default
+        # B = L = 10 draws the FedSGT curve
+        sizes = {"--max-requests": 25, "--slices-per-client": 2, flag: 257}
+        out = tmp_path / "a"
+        assert run("analyze", *(x for kv in sizes.items() for x in kv),
+                   "--out", out) == 0
+        doc = json.loads((out / "analyze.json").read_text())
+        assert doc["remaining_curve"]["fedsgt"] == [
+            fedsgt.analytics.expected_remaining_fedsgt(50_000, 10, r)
+            for r in range(sizes["--max-requests"] + 1)]
+        assert doc["comm_cost"]["fedsgt_expected_client_rounds"] == \
+            fedsgt.analytics.expected_comm_cost(10, sizes["--slices-per-client"])
 
     def test_long_curve_without_fedsgt_closed_form(self, tmp_path):
         # B < L draws only the FedCIO curve, which needs no Stirling numbers
         out = tmp_path / "a"
-        assert run("analyze", "--budget", 2, "--max-requests",
-                   MAX_STIRLING_N + 1, "--out", out) == 0
+        assert run("analyze", "--budget", 2, "--max-requests", 257,
+                   "--out", out) == 0
         doc = json.loads((out / "analyze.json").read_text())
         assert doc["remaining_curve"]["fedsgt"] is None
-        assert len(doc["remaining_curve"]["fedcio"]) == MAX_STIRLING_N + 2
+        assert len(doc["remaining_curve"]["fedcio"]) == 258
 
 
 class TestValidate:
@@ -257,6 +265,44 @@ class TestUnlearn:
         assert run("unlearn", "--bank", tmp_path / "none.fsgt",
                    "--out", tmp_path / "u") == 4
 
+    @pytest.mark.parametrize("text", ['{"format": "nope"}', "not json", "[]",
+                                      '{"format": "fedsgt-plan", "version": 1}'],
+                             ids=["wrong-format", "not-json", "list",
+                                  "no-groups"])
+    def test_unreadable_plan_is_config_error(self, tmp_path, trained, capsys,
+                                             text):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        assert run("unlearn", "--bank", trained / "bank.fsgt", "--plan", plan,
+                   "--count", 1, "--out", tmp_path / "u") == 2
+        assert capsys.readouterr().err.startswith(f"config error: plan {plan}")
+
+    @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["serve", "audit"])
+    def test_plan_with_other_group_count_is_config_error(self, tmp_path, trained,
+                                                         capsys, audit):
+        dataset = build_dataset(load_config_file(trained / "manifest.json"))
+        plan = tmp_path / "plan.json"
+        plan.write_text(plan_to_json(build_grouping(dataset.slice_catalog(), 4,
+                                                    seed=3)))
+        assert run("unlearn", "--bank", trained / "bank.fsgt", "--plan", plan,
+                   "--count", 3, *audit, "--out", tmp_path / "u") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "has 4 groups but the bank has 5" in err
+
+    def test_plan_with_other_group_totals_is_config_error(self, tmp_path,
+                                                          trained, capsys):
+        doc = json.loads((trained / "plan.json").read_text())
+        doc["groups"][1].append(doc["groups"][0].pop())
+        plan = write_json(tmp_path / "plan.json", doc)
+        first = read_bank(trained / "bank.fsgt").sequences.perms[0]
+        phase = min(first.index(0), first.index(1))
+        assert run("unlearn", "--bank", trained / "bank.fsgt", "--plan", plan,
+                   "--count", 3, "--audit", "--out", tmp_path / "u") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"sequence 0, phase {phase}:" in err
+
     def test_tampered_bank_fails_audit(self, tmp_path, trained):
         raw = bytearray((trained / "bank.fsgt").read_bytes())
         raw[-4] ^= 0x01  # flip one bit inside the last module's weights
@@ -337,20 +383,26 @@ def test_bad_request_input_is_config_error(tmp_path, config_file, trained,
 
 
 class TestModuleEntryPoint:
-    def run_module(self, *argv):
+    def run_module(self, module, *argv):
         src = str(Path(fedsgt.analytics.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "fedsgt", *map(str, argv)],
+        return subprocess.run([sys.executable, "-m", module, *map(str, argv)],
                               env=env, capture_output=True, text=True,
                               timeout=120)
 
     def test_analyze_and_config_error(self, tmp_path):
-        done = self.run_module("analyze", "--out", tmp_path / "a")
+        done = self.run_module("fedsgt", "analyze", "--out", tmp_path / "a")
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "a" / "analyze.json").is_file()
-        done = self.run_module("validate", "--data-size", -5,
+        done = self.run_module("fedsgt", "validate", "--data-size", -5,
+                               "--out", tmp_path / "v")
+        assert done.returncode == 2
+        assert "config error: --data-size" in done.stderr
+
+    def test_cli_module_runs(self, tmp_path):
+        done = self.run_module("fedsgt.cli", "validate", "--data-size", -5,
                                "--out", tmp_path / "v")
         assert done.returncode == 2
         assert "config error: --data-size" in done.stderr

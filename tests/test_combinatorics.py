@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from fedsgt.analytics import prob_m_distinct
 from fedsgt.combinatorics import binomial, harmonic, stirling2
 
 
@@ -110,9 +111,16 @@ class TestStirling2:
                            for j in range(m + 1))
                 assert math.factorial(m) * stirling2(n, m) == surj
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            stirling2(257, 3)
+    def test_recurrence_far_past_small_r(self):
+        # S(r, m) = m S(r-1, m) + S(r-1, m-1), checked well past r = 256
+        for m in (1, 2, 3, 7, 10, 64, 150, 299, 300):
+            assert stirling2(300, m) == \
+                m * stirling2(299, m) + stirling2(299, m - 1), m
+
+    def test_occupancy_sums_to_one_at_large_r(self):
+        for L in (1, 10, 64):
+            total = sum(prob_m_distinct(L, 300, m) for m in range(L + 1))
+            assert total == Fraction(1), L
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

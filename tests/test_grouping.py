@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fedsgt.analytics import prob_k_groups
+from fedsgt.analytics import prob_m_distinct
 from fedsgt.grouping import (SliceRef, build_grouping, client_group_counts,
                              fisher_yates, group_of, plan_from_json,
                              plan_to_json)
@@ -139,13 +139,13 @@ class TestShuffleQuality:
 
     def test_k_distribution_matches_closed_form(self):
         # independent-uniform assignment (the analysis model): distinct
-        # groups hit by one client's S slices follows prob_k_groups exactly
+        # groups hit by one client's S slices follows prob_m_distinct exactly
         L, S, trials = 6, 2, 200_000
         rng = np.random.default_rng(123)
         draws = rng.integers(0, L, size=(trials, S))
         distinct = np.array([len(set(row)) for row in draws])
         for k in (1, 2):
-            p = float(prob_k_groups(L, S, k))
+            p = float(prob_m_distinct(L, S, k))
             freq = float(np.mean(distinct == k))
             sd = (p * (1 - p) / trials) ** 0.5
             assert abs(freq - p) < 4 * sd, (k, freq, p)

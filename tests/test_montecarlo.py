@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedsgt import analytics
-from fedsgt.montecarlo import (MCConfig, MCEstimate, _span_samples,
-                               mc_comm_cost, mc_deletion_rate_fedcio,
+from fedsgt.montecarlo import (_BLOCK, MCConfig, MCEstimate,
+                               _coverage_times, _finite_coverage_times,
+                               _span_samples, mc_comm_cost,
+                               mc_deletion_rate_fedcio,
                                mc_deletion_rate_fedsgt,
                                mc_expected_remaining, mc_expected_span,
                                validation_grid)
@@ -62,6 +64,15 @@ class TestAgreement:
         assert mc_expected_remaining("FedSGT", 50_000, 64, 5, cfg).consistent_with(
             analytics.expected_remaining_fedsgt(50_000, 64, 5))
 
+    def test_deletion_rates_past_64_heads(self):
+        # 64 heads and more take a second mask word
+        cfg = MCConfig(trials=20_000, seed=17)
+        for L in (64, 100):
+            est = mc_deletion_rate_fedsgt(L, L, cfg)
+            assert est.consistent_with(analytics.deletion_rate_fedsgt(L, L), 4.0)
+        assert mc_deletion_rate_fedcio(64, cfg).consistent_with(
+            analytics.deletion_rate_fedcio(64), 4.0)
+
 
 def oracle_span_samples(rng, n, group_count, requests):
     """Reference: the same draws, cyclic_span applied row by row."""
@@ -104,6 +115,80 @@ class TestSpanKernel:
         assert got.tolist() == [cyclic_span(group_count, row) for row in draws]
 
 
+def oracle_coverage_times(rows, heads):
+    """Reference: per row, one Python set of the heads drawn so far; the
+    time is the first draw after which it holds every head."""
+    times = []
+    for row in rows:
+        missing = set(heads)
+        for t, draw in enumerate(row, start=1):
+            missing.discard(int(draw))
+            if not missing:
+                times.append(float(t))
+                break
+    return times
+
+
+class _BlockDraws:
+    """Stands in for a Generator: hands out the columns of a fixed draw
+    matrix one block at a time, for the rows still drawing."""
+
+    def __init__(self, draws, times):
+        self.draws, self.times = draws, np.array(times)
+        self.base = 0
+
+    def integers(self, low, high, size):
+        rows = np.flatnonzero(self.times > self.base)
+        assert (low, size) == (0, (rows.size, _BLOCK))
+        block = self.draws[rows, self.base:self.base + _BLOCK]
+        self.base += _BLOCK
+        return block
+
+
+class _FixedPermutation:
+    """Stands in for a Generator whose ``permuted`` call is known."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def permuted(self, x, axis):
+        assert axis == 1 and x.shape == self.order.shape
+        return self.order
+
+
+class TestCoverageKernel:
+    HEADS = [1, 10, 63, 64, 65, 130]
+
+    @staticmethod
+    def shuffled_heads(rng, universe, count):
+        return [int(h) for h in rng.permutation(universe)[:count]]
+
+    @pytest.mark.parametrize("spare", [0, 7])
+    @pytest.mark.parametrize("head_count", HEADS)
+    def test_with_replacement_matches_set_oracle(self, head_count, spare):
+        rng = np.random.default_rng(100 * head_count + spare)
+        universe = head_count + spare
+        heads = self.shuffled_heads(rng, universe, head_count)
+        draws = rng.integers(0, universe, size=(40, 40 * _BLOCK))
+        draws[:, -head_count:] = heads  # every row covers within the matrix
+        want = oracle_coverage_times(draws, heads)
+        got = _coverage_times(_BlockDraws(draws, want), 40, universe, heads)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("slices_per_group", [1, 3])
+    @pytest.mark.parametrize("head_count", HEADS)
+    def test_finite_matches_set_oracle(self, head_count, slices_per_group):
+        rng = np.random.default_rng(100 * head_count + slices_per_group)
+        group_count = head_count + 5
+        heads = self.shuffled_heads(rng, group_count, head_count)
+        order = rng.permuted(np.tile(np.arange(group_count * slices_per_group),
+                                     (40, 1)), axis=1)
+        got = _finite_coverage_times(_FixedPermutation(order), 40, group_count,
+                                     slices_per_group, heads)
+        assert got.tolist() == oracle_coverage_times(order // slices_per_group,
+                                                     heads)
+
+
 class TestReproducibility:
     def test_same_seed_same_estimate(self):
         a = mc_expected_span(6, 2, CFG)
@@ -136,9 +221,10 @@ class TestFinitePopulation:
 
     def test_single_slice_groups_cover_in_exactly_l(self):
         cfg = MCConfig(trials=2_000, seed=3)
-        est = mc_deletion_rate_fedsgt(5, 5, cfg, slices_per_group=1)
-        assert est.mean == pytest.approx(5.0)
-        assert est.stderr == pytest.approx(0.0)
+        for L in (5, 70):
+            est = mc_deletion_rate_fedsgt(L, L, cfg, slices_per_group=1)
+            assert est.mean == pytest.approx(L)
+            assert est.stderr == pytest.approx(0.0)
 
 
 class TestEstimateSemantics:
