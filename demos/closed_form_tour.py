@@ -54,7 +54,7 @@ for T in (5, 10, 20):
 
 print()
 print("=== Total update counts (P = 1 parameter unit) ===")
-params = analytics.AnalyticParams(group_count=L, budget=B, clusters=c,
+params = analytics.AnalyticParams(group_count=L, budget=B,
                                   total_samples=D, rounds=10, epochs=3)
 for method in ("FedAvg", "FedCIO", "FedSGT"):
     cost = analytics.training_cost(method, params)

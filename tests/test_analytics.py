@@ -6,6 +6,7 @@ calling the function under test.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -16,9 +17,15 @@ from fedsgt.analytics import (AnalyticParams, deletion_rate_fedcio,
                               deletion_rate_fedsgt, expected_comm_cost,
                               expected_remaining_fedcio,
                               expected_remaining_fedsgt, expected_span,
-                              expected_span_given_m, matched_budget,
-                              prob_m_distinct, prob_max_gap_le, training_cost)
+                              expected_span_curve, expected_span_given_m,
+                              matched_budget, prob_m_distinct,
+                              prob_max_gap_le, training_cost)
+from fedsgt.combinatorics import stirling2
 from fedsgt.core import ClosedFormUnavailable
+
+# Every (L, r) with L <= 6 and r <= 6: small enough to enumerate all L^r
+# equally likely request sequences.
+SMALL_GRID = [(L, r) for L in range(1, 7) for r in range(7)]
 
 
 def max_circular_gap(L: int, occupied: frozenset) -> int:
@@ -30,10 +37,14 @@ def max_circular_gap(L: int, occupied: frozenset) -> int:
     return max(gaps)
 
 
-def enumerate_occupancy(L: int, r: int):
-    """All L^r equally likely assignments of r requests to L groups."""
-    for draw in product(range(L), repeat=r):
-        yield frozenset(draw)
+def enumerate_occupancy(L: int, r: int) -> Counter:
+    """The hit sets of all L^r equally likely assignments of r requests to
+    L groups, with the number of assignments giving each."""
+    return Counter(frozenset(draw) for draw in product(range(L), repeat=r))
+
+
+def span_of(L: int, occupied: frozenset) -> int:
+    return 0 if not occupied else L - max_circular_gap(L, occupied) + 1
 
 
 class TestDeletionRates:
@@ -64,13 +75,23 @@ class TestDeletionRates:
 
 class TestOccupancyDistribution:
     def test_prob_m_distinct_enumeration(self):
-        for L, r in [(3, 1), (3, 2), (4, 3), (5, 4), (6, 2)]:
-            counts = {}
-            for occ in enumerate_occupancy(L, r):
-                counts[len(occ)] = counts.get(len(occ), 0) + 1
-            for m in range(0, L + 2):
-                want = Fraction(counts.get(m, 0), L ** r)
+        for L, r in SMALL_GRID:
+            counts = Counter()
+            for occ, n in enumerate_occupancy(L, r).items():
+                counts[len(occ)] += n
+            for m in range(-1, L + 2):
+                want = Fraction(counts[m], L ** r)
                 assert prob_m_distinct(L, r, m) == want, (L, r, m)
+
+    def test_matches_stirling_surjection_count(self):
+        # C(L, m) * m! * S(r, m) / L^r: choose the m groups hit, then map
+        # the r requests onto them
+        for L in (1, 10, 64):
+            for r in (0, 1, 50, 300):
+                for m in range(L + 2):
+                    want = Fraction(math.comb(L, m) * math.factorial(m) *
+                                    stirling2(r, m), L ** r)
+                    assert prob_m_distinct(L, r, m) == want, (L, r, m)
 
     def test_reference_values(self):
         # L=6, r=2: both requests in one group w.p. 1/6
@@ -162,21 +183,48 @@ class TestExpectedSpan:
 
     def test_zero_requests(self):
         assert expected_span(6, 0) == 0.0
+        assert expected_span_curve(6, 0) == [0.0]
+
+    def test_curve_matches_stirling_mixture(self):
+        # The surjection-count mixture the occupancy chain replaced: for each
+        # r, sum_m C(L, m) m! S(r, m) / L^r * E[U | M=m], in exact rationals.
+        L, top = 16, 40
+        given_m = {m: 1 + sum(prob_max_gap_le(L, m, s) for s in range(1, L))
+                   for m in range(1, L + 1)}
+        want = [float(sum(Fraction(math.comb(L, m) * math.factorial(m) *
+                                   stirling2(r, m), L ** r) * given_m[m]
+                          for m in range(1, min(r, L) + 1)))
+                for r in range(top + 1)]
+        assert expected_span_curve(L, top) == want
+        assert [expected_span(L, r) for r in (0, 1, 16, 40)] == \
+            [want[r] for r in (0, 1, 16, 40)]
+
+    def test_negative_requests_rejected(self):
+        with pytest.raises(ValueError):
+            expected_span_curve(6, -1)
+        with pytest.raises(ValueError):
+            expected_span(6, -1)
 
 
 class TestExpectedRemaining:
-    def remaining_oracle_sgt(self, D: int, L: int, r: int) -> float:
-        total = Fraction(0)
-        for draw in product(range(L), repeat=r):
-            occ = frozenset(draw)
-            span = 0 if not occ else L - max_circular_gap(L, occ) + 1
-            total += Fraction(D, L) * (L - span)
-        return float(total / L ** r)
+    def span_after_requests(self, L: int, r: int) -> Fraction:
+        """E[cyclic span of the hit set] over all L^r request sequences."""
+        return sum((n * span_of(L, occ)
+                    for occ, n in enumerate_occupancy(L, r).items()),
+                   Fraction(0)) / L ** r
 
     def test_fedsgt_against_enumeration(self):
-        for L, r in [(4, 1), (4, 2), (4, 3), (6, 2), (5, 4)]:
-            want = self.remaining_oracle_sgt(50_000, L, r)
-            assert expected_remaining_fedsgt(50_000, L, r) == pytest.approx(want)
+        D = 50_000
+        curves = {L: expected_span_curve(L, 6) for L in range(1, 7)}
+        for L, r in SMALL_GRID:
+            span = self.span_after_requests(L, r)
+            assert expected_span(L, r) == curves[L][r] == float(span), (L, r)
+            # The remaining data is (D/L) * (L - E[U]) taken in float after
+            # the exact span, so it can sit one ulp from the exact rational.
+            remaining = expected_remaining_fedsgt(D, L, r)
+            assert remaining == D / L * (L - float(span)), (L, r)
+            assert remaining == pytest.approx(float(Fraction(D, L) * (L - span)),
+                                              rel=1e-15, abs=0), (L, r)
 
     def test_fedcio_matches_direct_formula(self):
         for c, r in [(2, 1), (5, 3), (5, 10)]:
@@ -202,19 +250,19 @@ class TestExpectedRemaining:
 class TestCommCost:
     def comm_oracle(self, L: int, S: int) -> Fraction:
         """Enumerate all L^S ownership assignments for one client; for each,
-        average the entry position over the L rotations."""
-        total = Fraction(0)
-        for draw in product(range(L), repeat=S):
-            owned = set(draw)
+        sum the cost L - entry + 1 over the L rotations."""
+        total = 0
+        for owned, n in enumerate_occupancy(L, S).items():
             for t in range(L):
                 entry = min(((g + t) % L) + 1 for g in owned)
-                total += L - entry + 1
-        return total / L ** S
+                total += n * (L - entry + 1)
+        return Fraction(total, L ** S)
 
     def test_against_enumeration(self):
-        for L, S in [(2, 2), (3, 1), (3, 2), (4, 2), (5, 3)]:
-            assert expected_comm_cost(L, S) == pytest.approx(
-                float(self.comm_oracle(L, S))), (L, S)
+        for L, S in SMALL_GRID:
+            if S >= 1:
+                assert expected_comm_cost(L, S) == float(self.comm_oracle(L, S)), \
+                    (L, S)
 
     def test_reference_values(self):
         assert expected_comm_cost(2, 2) == pytest.approx(3.5)
@@ -240,7 +288,7 @@ class TestBudgetAndCost:
 
     def test_training_cost_reference(self):
         # T=10, E=3, D=50000, P=1, L=10: baselines 10*3*50000*10 = 1.5e7
-        params = AnalyticParams(group_count=10, budget=10, clusters=5,
+        params = AnalyticParams(group_count=10, budget=10,
                                 total_samples=50_000, rounds=10, epochs=3,
                                 adapter_params=1)
         assert training_cost("FedAvg", params) == pytest.approx(1.5e7)
@@ -249,7 +297,7 @@ class TestBudgetAndCost:
         assert training_cost("FedSGT", params) == pytest.approx(8.25e6)
 
     def test_cost_ratio_closed_form(self):
-        params = AnalyticParams(group_count=10, budget=10, clusters=5,
+        params = AnalyticParams(group_count=10, budget=10,
                                 total_samples=50_000, rounds=10, epochs=3)
         ratio = training_cost("FedSGT", params) / training_cost("FedAvg", params)
         assert ratio == pytest.approx(10 * 11 / (2 * 10 * 10))
@@ -258,7 +306,7 @@ class TestBudgetAndCost:
         # at B = 2TL/(L+1) the FedSGT cost equals the FedAvg cost
         T, L = 10, 10
         b = matched_budget(T, L)
-        params = AnalyticParams(group_count=L, budget=1, clusters=5,
+        params = AnalyticParams(group_count=L, budget=1,
                                 total_samples=1000, rounds=T, epochs=2)
         fedavg = training_cost("FedAvg", params)
         sgt_per_budget = training_cost("FedSGT", params)

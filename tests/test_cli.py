@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -201,12 +202,12 @@ class TestTrain:
         assert (out1 / "plan.json").read_text() == \
             (out2 / "plan.json").read_text()
 
-    def test_workers_do_not_change_bank(self, tmp_path, config_file):
-        out1, out2 = tmp_path / "w1", tmp_path / "w4"
-        run("train", "--config", config_file, "--out", out1, "--workers", 1)
-        run("train", "--config", config_file, "--out", out2, "--workers", 4)
-        assert (out1 / "bank.fsgt").read_bytes() == \
-            (out2 / "bank.fsgt").read_bytes()
+    def test_workers_flag_is_usage_error(self, tmp_path, config_file):
+        for command in ("train", "compare"):
+            out = tmp_path / command
+            assert run(command, "--config", config_file, "--workers", 1,
+                       "--out", out) == 2
+            assert not out.exists()
 
     def test_invalid_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -382,6 +383,35 @@ def test_bad_request_input_is_config_error(tmp_path, config_file, trained,
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["validate", "--seed", -1],
+                                  ["unlearn", "--count", 1, "--request-seed", -1]],
+                         ids=["validate", "unlearn"])
+def test_negative_seed_is_config_error(tmp_path, request, capsys, argv):
+    if argv[0] == "unlearn":
+        argv = [*argv, "--bank", request.getfixturevalue("trained") / "bank.fsgt"]
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "seed: must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "train", "unlearn",
+                                     "compare"])
+def test_out_under_regular_file_is_config_error(tmp_path, request, capsys,
+                                                command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if command == "unlearn":
+        source = ["--bank", request.getfixturevalue("trained") / "bank.fsgt"]
+    elif command in ("train", "compare"):
+        source = ["--config", request.getfixturevalue("config_file")]
+    else:
+        source = []
+    assert run(command, *source, "--out", afile / "sub") == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: --out {afile / 'sub'}: ")
+
+
 class TestModuleEntryPoint:
     def run_module(self, module, *argv):
         src = str(Path(fedsgt.analytics.__file__).resolve().parents[1])
@@ -417,3 +447,10 @@ class TestParser:
 
     def test_version_exits_zero(self):
         assert run("--version") == 0
+
+    def test_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),
+                             re.MULTILINE)
+        assert declared is not None
+        assert declared.group(1) == fedsgt.__version__
