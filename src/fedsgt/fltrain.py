@@ -117,13 +117,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def local_loss(active: np.ndarray, frozen: np.ndarray, x: np.ndarray,
-               y: np.ndarray) -> float:
-    """Mean cross-entropy of the composite model on (x, y)."""
-    probs = _softmax(x @ (frozen + active).T)
-    return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
-
-
 def _batch_plan(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, int]]:
     """The stacked steps of one epoch as (start, first, stop, length).
 

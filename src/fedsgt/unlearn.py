@@ -143,6 +143,9 @@ class FedSGTSystem:
     dataset: Dataset | None = None
     removed: dict[SliceRef, int] = field(default_factory=dict)
     steps: int = 0
+    # (model, dataset, strategy, active_len, utility) of the last evaluation.
+    _scored: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def remaining_samples(self) -> int:
@@ -154,10 +157,26 @@ class FedSGTSystem:
         return ServiceStatus(surviving=surviving, note=note)
 
     def utility(self) -> float | None:
+        """Test accuracy of the served ensemble; None without a model, a
+        dataset or a survivor.
+
+        The served function reads the state only through ``active_len``, so
+        the last value is returned again while the model and dataset (by
+        identity), the strategy and every surviving prefix are unchanged.
+        Deletions only accumulate, so the last state is the only one that
+        can come back and one slot suffices.
+        """
         if self.model is None or self.dataset is None or self.state.all_dead:
             return None
-        return evaluate(self.model, self.state, self.strategy,
-                        self.dataset.test_x, self.dataset.test_y)
+        last = self._scored
+        if (last is None or last[0] is not self.model
+                or last[1] is not self.dataset
+                or last[2:4] != (self.strategy, self.state.active_len)):
+            value = evaluate(self.model, self.state, self.strategy,
+                             self.dataset.test_x, self.dataset.test_y)
+            last = self._scored = (self.model, self.dataset, self.strategy,
+                                   self.state.active_len, value)
+        return last[4]
 
 
 def fedsgt_system(plan: GroupingPlan, seqs: SequenceSet, strategy: str = "allseq",

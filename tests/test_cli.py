@@ -1,14 +1,19 @@
 """Command-line behavior: outputs, reproducibility, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsgt.analytics
 from fedsgt.bank import read_bank
@@ -28,25 +33,26 @@ def write_json(path, doc):
     return path
 
 
+CONFIG = {
+    "experiment": "cli-test",
+    "seed": 11,
+    "clients": 5,
+    "slices_per_client": 2,
+    "groups": 5,
+    "budget": 5,
+    "clusters": 3,
+    "strategy": "allseq",
+    "dataset": {"kind": "synthetic", "samples_per_client": 60, "dim": 8,
+                "classes": 3, "alpha": None, "test_samples": 120},
+    "trainer": {"epochs": 1, "lr": 0.1, "batch_size": 16,
+                "rounds_per_phase": 1, "fedavg_rounds": 3},
+    "requests": {"count": 4, "seed": 2, "record_count": 10},
+}
+
+
 @pytest.fixture
 def config_file(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "experiment": "cli-test",
-        "seed": 11,
-        "clients": 5,
-        "slices_per_client": 2,
-        "groups": 5,
-        "budget": 5,
-        "clusters": 3,
-        "strategy": "allseq",
-        "dataset": {"kind": "synthetic", "samples_per_client": 60, "dim": 8,
-                    "classes": 3, "alpha": None, "test_samples": 120},
-        "trainer": {"epochs": 1, "lr": 0.1, "batch_size": 16,
-                    "rounds_per_phase": 1, "fedavg_rounds": 3},
-        "requests": {"count": 4, "seed": 2, "record_count": 10},
-    }))
-    return path
+    return write_json(tmp_path / "config.json", CONFIG)
 
 
 @pytest.fixture
@@ -410,6 +416,42 @@ def test_out_under_regular_file_is_config_error(tmp_path, request, capsys,
     assert run(command, *source, "--out", afile / "sub") == 2
     assert capsys.readouterr().err.startswith(
         f"config error: --out {afile / 'sub'}: ")
+
+
+@pytest.fixture(scope="module")
+def shared_bank(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shared")
+    config = write_json(root / "config.json", CONFIG)
+    assert run("train", "--config", config, "--out", root / "run") == 0
+    return root / "run" / "bank.fsgt"
+
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.integers(-2, 40), request_seed=st.integers(-2, 2**70),
+       record_count=st.integers(-2, 10**6),
+       strategy=st.sampled_from(["allseq", "minseq", "longseq"]))
+def test_unlearn_contract(shared_bank, count, request_seed, record_count,
+                          strategy):
+    """Any bounded request flags end in a documented exit code, never a
+    traceback; success writes the run's files."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        out = Path(tmp) / "out"
+        code = run("unlearn", "--bank", shared_bank, "--count", count,
+                   "--request-seed", request_seed, "--record-count",
+                   record_count, "--strategy", strategy, "--out", out)
+        written = {p.name for p in out.iterdir()} if out.exists() else set()
+        rows = (len((out / "timeline.csv").read_text().splitlines())
+                if code == 0 else None)
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert {"manifest.json", "timeline.csv", "summary.json"} <= written
+        assert rows == count + 2  # header, baseline, one row per request
+    else:
+        assert err.getvalue().startswith("config error:")
 
 
 class TestModuleEntryPoint:

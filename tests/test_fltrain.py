@@ -7,8 +7,7 @@ from fedsgt.core import ServiceUnavailable, TrainingError
 from fedsgt.dataset import synth_dataset
 from fedsgt.fltrain import (CostMeter, TrainConfig, _round_rng, _softmax,
                             client_data, evaluate, fedavg_train,
-                            federated_round,
-                            local_loss, matrix_accuracy, predict,
+                            federated_round, matrix_accuracy, predict,
                             predict_proba, train_fedsgt, train_sequence)
 from fedsgt.grouping import SliceRef, build_grouping
 from fedsgt.sequencing import (apply_deletion, build_sequences, fresh_state,
@@ -78,12 +77,17 @@ class TestLocalUpdate:
         y = rng.integers(0, 2, 200)
         x = means[y] + rng.normal(size=(200, 4))
         cfg = TrainConfig(epochs=1, lr=0.1, batch_size=32, seed=2)
+
+        def loss(w):
+            probs = _softmax(x @ w.T)
+            return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
+
         w = np.zeros((2, 4))
-        losses = [local_loss(np.zeros_like(w), w, x, y)]
+        losses = [loss(w)]
         for t in range(6):
             w = w + federated_round(np.zeros_like(w), w, {0: (x, y)}, cfg,
                                     round_key=(0, 0, t))
-            losses.append(local_loss(np.zeros_like(w), w, x, y))
+            losses.append(loss(w))
         assert losses[-1] < losses[0]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 

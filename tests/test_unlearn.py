@@ -1,13 +1,15 @@
 """Deletion streams, baselines, timelines, and the exactness audit."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
+import fedsgt.unlearn
 from fedsgt.analytics import deletion_rate_fedcio
 from fedsgt.dataset import synth_dataset
-from fedsgt.fltrain import TrainConfig, train_fedsgt
+from fedsgt.fltrain import TrainConfig, evaluate, train_fedsgt
 from fedsgt.grouping import SliceRef, build_grouping, group_of
 from fedsgt.sequencing import build_sequences, state_from_deleted
 from fedsgt.unlearn import (UnlearnRequest, cluster_of, exactness_audit,
@@ -105,6 +107,81 @@ class TestProcessRequest:
         total = ds.total_samples
         process_request(system, UnlearnRequest(SliceRef(0, 0), 7))
         assert system.remaining_samples == total - 7
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The active_len of every state ``unlearn`` scores with ``evaluate``."""
+    scored = []
+
+    def counted(model, state, strategy, x, y):
+        scored.append(state.active_len)
+        return evaluate(model, state, strategy, x, y)
+
+    monkeypatch.setattr(fedsgt.unlearn, "evaluate", counted)
+    return scored
+
+
+class TestUtilityReuse:
+    @pytest.mark.parametrize("strategy", ["allseq", "minseq", "longseq"])
+    def test_every_utility_equals_a_fresh_evaluation(self, strategy, tmp_path):
+        ds, plan, seqs, cfg, model = build()
+        for seed in range(4):
+            requests = uniform_requests(ds.slice_catalog(), 12, seed, 2)
+            groups = [group_of(plan, req.target) for req in requests]
+            assert len(set(groups)) < len(groups)  # some request repeats a group
+            records = run_stream(fedsgt_system(plan, seqs, strategy, model, ds),
+                                 requests)
+            fresh = []
+            for step, record in enumerate(records):
+                state = state_from_deleted(seqs, groups[:step])
+                expected = None if state.all_dead else evaluate(
+                    model, state, strategy, ds.test_x, ds.test_y)
+                assert record.utility == expected, (seed, step)
+                fresh.append(dataclasses.replace(record, utility=expected))
+            write_timeline(tmp_path / "served.csv", records)
+            write_timeline(tmp_path / "fresh.csv", fresh)
+            assert ((tmp_path / "served.csv").read_bytes()
+                    == (tmp_path / "fresh.csv").read_bytes())
+
+    def test_one_evaluation_per_distinct_prefix_state(self, evaluations):
+        ds, plan, seqs, cfg, model = build()
+        requests = uniform_requests(ds.slice_catalog(), 12, 1, 2)
+        run_stream(fedsgt_system(plan, seqs, "allseq", model, ds), requests)
+        groups = [group_of(plan, req.target) for req in requests]
+        reached = [state_from_deleted(seqs, groups[:step])
+                   for step in range(len(groups) + 1)]
+        distinct = {s.active_len for s in reached if not s.all_dead}
+        assert len(distinct) < len(requests)
+        assert sorted(evaluations) == sorted(distinct)
+
+    def test_deletion_outside_every_prefix_reuses_the_value(self, evaluations):
+        # Two rotations of six groups: (0..5) and (5, 0..4). Deleting group 3
+        # cuts them to prefixes of 3 and 4; group 4 then lies past both.
+        ds, plan, seqs, cfg, model = build(groups=6, budget=2)
+        system = fedsgt_system(plan, seqs, "allseq", model, ds)
+        first = process_request(system, UnlearnRequest(plan.groups[3][0], 1))
+        before = system.state
+        second = process_request(system, UnlearnRequest(plan.groups[4][0], 1))
+        assert system.state.deleted == before.deleted | {4}
+        assert system.state.active_len == before.active_len == (3, 4)
+        assert evaluations == [(3, 4)]
+        assert second.utility == first.utility == evaluate(
+            model, system.state, "allseq", ds.test_x, ds.test_y)
+
+    def test_new_strategy_or_dataset_is_scored_again(self, evaluations):
+        ds, plan, seqs, cfg, model = build()
+        system = fedsgt_system(plan, seqs, "allseq", model, ds)
+        req = UnlearnRequest(plan.groups[0][0], 1)
+        process_request(system, req)
+        system.strategy = "longseq"
+        record = process_request(system, req)
+        assert len(evaluations) == 2
+        assert record.utility == evaluate(model, system.state, "longseq",
+                                          ds.test_x, ds.test_y)
+        system.dataset = dataclasses.replace(ds)
+        process_request(system, req)
+        assert len(evaluations) == 3
 
 
 class TestTimeline:
