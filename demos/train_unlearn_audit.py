@@ -37,8 +37,10 @@ print(f"baseline accuracy: {system.utility():.3f}\n")
 
 requests = uniform_requests(ds.slice_catalog(), 12, seed=7, record_count=40)
 print(f"{'step':>4} {'deleted':>8} {'surviving':>9} {'accuracy':>8} audit")
+records = []
 for step, req in enumerate(requests, 1):
     rec = process_request(system, req)
+    records.append(rec)
     audit = exactness_audit(model, plan, cfg, ds, system.state.deleted)
     acc = "  down  " if rec.utility is None else f"{rec.utility:8.3f}"
     print(f"{step:>4} {rec.affected_unit:>8} {rec.surviving:>9} {acc} "
@@ -49,7 +51,7 @@ requests = uniform_requests(ds.slice_catalog(), 12, seed=7, record_count=40)
 cio = timeline_summary(fedcio_simulate(ds, 5, cfg, requests, rounds=10))
 ret = timeline_summary(fedretrain_simulate(ds, cfg, requests, eval_every=4,
                                            rounds=10))
-sgt_alive = system.state.surviving
+sgt = timeline_summary(records)
 
 
 def verdict(summary):
@@ -57,8 +59,8 @@ def verdict(summary):
     return "never failed" if fs is None else f"failed at request {fs}"
 
 
-print(f"FedSGT:     {verdict({'failure_step': None if sgt_alive else 0})}, "
-      f"{sgt_alive}/{len(seqs.perms)} sequences alive, zero retraining")
+print(f"FedSGT:     {verdict(sgt)}, "
+      f"{system.state.surviving}/{len(seqs.perms)} sequences alive, zero retraining")
 print(f"FedCIO:     {verdict(cio)} (a hit cluster goes dark)")
 print(f"FedRetrain: {verdict(ret)}, but paid full retraining downtime on "
       "every request")

@@ -11,7 +11,7 @@ The package has three layers:
   that retrains surviving prefixes and compares them byte for byte.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analytics import (AnalyticParams, deletion_rate_fedcio,
                         deletion_rate_fedsgt, expected_comm_cost,
@@ -22,8 +22,8 @@ from .analytics import (AnalyticParams, deletion_rate_fedcio,
 from .bank import read_bank, write_bank
 from .combinatorics import binomial, harmonic, stirling2
 from .core import (BankFormatError, ClosedFormUnavailable, ConfigurationError,
-                   FedSGTError, RunConfig, ServiceStatus, ServiceUnavailable,
-                   TrainingError, default_config, validate_config)
+                   FedSGTError, RunConfig, ServiceUnavailable, TrainingError,
+                   default_config, validate_config)
 from .dataset import Dataset, load_csv_dataset, save_csv_dataset, synth_dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
                       fedavg_train, predict, predict_proba, train_fedsgt,
@@ -55,7 +55,7 @@ __all__ = [
     "harmonic", "binomial", "stirling2",
     # core
     "FedSGTError", "ConfigurationError", "TrainingError", "BankFormatError",
-    "ServiceUnavailable", "ClosedFormUnavailable", "ServiceStatus",
+    "ServiceUnavailable", "ClosedFormUnavailable",
     "RunConfig", "default_config", "validate_config",
     # dataset
     "Dataset", "synth_dataset", "save_csv_dataset", "load_csv_dataset",

@@ -92,7 +92,5 @@ def read_bank(path: str | Path) -> ToyModel:
             raise BankFormatError(f"stored order {perm} is not a permutation")
         perms.append(perm)
         modules.append(stack)
-    seqs = SequenceSet(group_count=group_count, budget=budget,
-                       perms=tuple(perms), seed=0,
-                       rotation_count=min(group_count, budget))
+    seqs = SequenceSet(group_count=group_count, perms=tuple(perms))
     return ToyModel(backbone=backbone, sequences=seqs, modules=modules)

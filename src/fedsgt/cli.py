@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -235,8 +236,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise ConfigurationError(["--trials: must be >= 1"])
     if args.seed < 0:
         raise ConfigurationError(["--seed: must be >= 0"])
-    if args.confidence_k <= 0:
-        raise ConfigurationError(["--confidence-k: must be positive"])
+    if not (math.isfinite(args.confidence_k) and args.confidence_k > 0):
+        raise ConfigurationError(["--confidence-k: must be finite and positive"])
     if args.workers < 1:
         raise ConfigurationError(["--workers: must be >= 1"])
     if args.data_size < 0:

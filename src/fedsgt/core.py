@@ -1,15 +1,16 @@
-"""Shared identifiers, service status, error taxonomy, and run configuration.
+"""Shared identifiers, error taxonomy, and run configuration.
 
 Everything downstream (grouping, sequencing, training, the CLI) speaks in
-terms of the small vocabulary defined here: the available/failed service
-status, the error taxonomy, and a validated run configuration that is
-round-trippable through JSON manifests.
+terms of the small vocabulary defined here: the serving strategies, the
+error taxonomy, and a validated run configuration that is round-trippable
+through JSON manifests.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Mapping
 
 STRATEGIES = ("allseq", "minseq", "longseq")
@@ -41,27 +42,6 @@ class ServiceUnavailable(FedSGTError):
 
 class ClosedFormUnavailable(FedSGTError):
     """The requested closed form does not cover this parameter regime."""
-
-
-class ServiceTag(str, Enum):
-    AVAILABLE = "available"
-    FAILED = "failed"
-
-
-@dataclass(frozen=True)
-class ServiceStatus:
-    """Serving state summary: how many sequences survive, and why if none do."""
-
-    surviving: int
-    note: str = ""
-
-    @property
-    def tag(self) -> ServiceTag:
-        return ServiceTag.AVAILABLE if self.surviving > 0 else ServiceTag.FAILED
-
-    @property
-    def failed(self) -> bool:
-        return self.surviving == 0
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +165,24 @@ def _expect_int(errors: list[str], raw: Mapping[str, Any], key: str, default: in
     return value
 
 
+def _positive_number(value: Any) -> bool:
+    """A positive number that converts to a finite float; JSON may carry
+    NaN, Infinity and integers past the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
+
+
+def _orders_fewer_than(groups: int, budget: int) -> bool:
+    """Whether groups! < budget, stopping the product once it reaches
+    budget so that a large group count costs no huge factorial."""
+    orders = 1
+    for n in range(2, groups + 1):
+        orders *= n
+        if orders >= budget:
+            return False
+    return orders < budget
+
+
 def _validate_dataset(errors: list[str], raw: Any) -> SyntheticSpec | CsvSpec:
     if raw is None:
         return SyntheticSpec()
@@ -205,8 +203,9 @@ def _validate_dataset(errors: list[str], raw: Any) -> SyntheticSpec | CsvSpec:
                                    "dataset.test_samples")
         alpha = raw.get("alpha", 0.3)
         if alpha is not None:
-            if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or alpha <= 0:
-                errors.append(f"dataset.alpha: must be a positive number or null, got {alpha!r}")
+            if not _positive_number(alpha):
+                errors.append(
+                    f"dataset.alpha: must be a finite positive number or null, got {alpha!r}")
                 alpha = 0.3
             else:
                 alpha = float(alpha)
@@ -247,8 +246,8 @@ def _validate_trainer(errors: list[str], raw: Any) -> TrainerSpec:
     rounds = _expect_int(errors, raw, "rounds_per_phase", 1, 1, "trainer.rounds_per_phase")
     fedavg_rounds = _expect_int(errors, raw, "fedavg_rounds", 10, 1, "trainer.fedavg_rounds")
     lr = raw.get("lr", 0.1)
-    if not isinstance(lr, (int, float)) or isinstance(lr, bool) or lr <= 0:
-        errors.append(f"trainer.lr: must be a positive number, got {lr!r}")
+    if not _positive_number(lr):
+        errors.append(f"trainer.lr: must be a finite positive number, got {lr!r}")
         lr = 0.1
     return TrainerSpec(epochs=epochs, lr=float(lr), batch_size=batch,
                        rounds_per_phase=rounds, fedavg_rounds=fedavg_rounds)
@@ -362,6 +361,10 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
         errors.append(
             f"groups: need at least one slice per group "
             f"(groups={groups} > clients*slices_per_client={clients * slices_per_client})")
+    if _orders_fewer_than(groups, budget):
+        errors.append(
+            f"budget: {budget} exceeds the {math.factorial(groups)} distinct "
+            f"orders of {groups} groups")
     if clusters > clients:
         errors.append(f"clusters: cannot exceed clients ({clusters} > {clients})")
     if isinstance(dataset, SyntheticSpec):

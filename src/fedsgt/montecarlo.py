@@ -38,8 +38,9 @@ class MCConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.confidence_k <= 0:
-            raise ValueError(f"confidence_k must be positive, got {self.confidence_k}")
+        if not (np.isfinite(self.confidence_k) and self.confidence_k > 0):
+            raise ValueError(
+                f"confidence_k must be finite and positive, got {self.confidence_k}")
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SequenceSet:
-    """The trained family of group orders. ``rotation_count`` marks how many
-    leading sequences are cyclic rotations (the analyzable core)."""
+    """The trained family of group orders: ``perms[t]`` is rotation t for
+    t < min(group_count, len(perms)) (the analyzable core)."""
 
     group_count: int
-    budget: int
     perms: tuple[tuple[int, ...], ...]
-    seed: int
-    rotation_count: int
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,7 @@ def build_sequences(group_count: int, budget: int, seed: int = 0) -> SequenceSet
             if candidate not in seen:
                 seen.add(candidate)
                 perms.append(candidate)
-    return SequenceSet(group_count=group_count, budget=budget,
-                       perms=tuple(perms), seed=seed, rotation_count=rotations)
+    return SequenceSet(group_count=group_count, perms=tuple(perms))
 
 
 def _prefix_len(perm: tuple[int, ...], deleted: frozenset[int]) -> int:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import ServiceStatus, ServiceUnavailable, TrainingError
+from .core import TrainingError
 from .dataset import Dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, client_data, evaluate,
                       fedavg_train, matrix_accuracy, train_sequence)
@@ -54,23 +54,20 @@ class TimelineRecord:
     step: int
     method: str
     affected_unit: str
-    status: ServiceStatus
+    surviving: int
     utility: float | None
     notes: str = ""
 
-    @property
-    def surviving(self) -> int:
-        return self.status.surviving
-
 
 def write_timeline(path: str | Path, records: Iterable[TimelineRecord]) -> None:
-    """RFC-4180 CSV with one row per timeline record."""
+    """RFC-4180 CSV with one row per timeline record. The status column is
+    ``available`` while anything survives and ``failed`` once nothing does."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMELINE_HEADER)
         for r in records:
             writer.writerow([r.step, r.method, r.affected_unit,
-                             r.status.tag.value,
+                             "available" if r.surviving else "failed",
                              "" if r.utility is None else repr(r.utility),
                              r.surviving, r.notes])
 
@@ -78,7 +75,7 @@ def write_timeline(path: str | Path, records: Iterable[TimelineRecord]) -> None:
 def timeline_summary(records: list[TimelineRecord]) -> dict:
     """Failure step (first step with zero survivors) and mean utility over
     the steps that produced one."""
-    failure = next((r.step for r in records if r.status.failed), None)
+    failure = next((r.step for r in records if r.surviving == 0), None)
     utilities = [r.utility for r in records if r.utility is not None]
     return {
         "failure_step": failure,
@@ -151,11 +148,6 @@ class FedSGTSystem:
     def remaining_samples(self) -> int:
         return self.plan.total_samples - sum(self.removed.values())
 
-    def status(self) -> ServiceStatus:
-        surviving = self.state.surviving
-        note = "" if surviving else "all sequences dead"
-        return ServiceStatus(surviving=surviving, note=note)
-
     def utility(self) -> float | None:
         """Test accuracy of the served ensemble; None without a model, a
         dataset or a survivor.
@@ -195,7 +187,7 @@ def process_request(system: FedSGTSystem, req: UnlearnRequest) -> TimelineRecord
     system.steps += 1
     return TimelineRecord(
         step=system.steps, method=METHOD_FEDSGT, affected_unit=f"group:{gid}",
-        status=system.status(), utility=system.utility(),
+        surviving=system.state.surviving, utility=system.utility(),
         notes=f"slice=({req.target.client_id},{req.target.slice_idx}) "
               f"records={req.record_count} remaining={system.remaining_samples}")
 
@@ -204,8 +196,8 @@ def run_stream(system: FedSGTSystem,
                requests: Iterable[UnlearnRequest]) -> list[TimelineRecord]:
     """Baseline evaluation row (step 0) followed by one row per request."""
     records = [TimelineRecord(step=0, method=METHOD_FEDSGT, affected_unit="",
-                              status=system.status(), utility=system.utility(),
-                              notes="baseline")]
+                              surviving=system.state.surviving,
+                              utility=system.utility(), notes="baseline")]
     for req in requests:
         records.append(process_request(system, req))
     return records
@@ -260,10 +252,6 @@ def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
     removed: dict[SliceRef, int] = {}
     sizes = dict(dataset.slice_catalog())
 
-    def status() -> ServiceStatus:
-        note = "" if alive else "all clusters dead"
-        return ServiceStatus(surviving=len(alive), note=note)
-
     def utility() -> float | None:
         if not alive:
             return None
@@ -271,7 +259,7 @@ def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
                                dataset.test_x, dataset.test_y)
 
     records = [TimelineRecord(step=0, method=METHOD_FEDCIO, affected_unit="",
-                              status=status(), utility=utility(),
+                              surviving=len(alive), utility=utility(),
                               notes="baseline")]
     for step, req in enumerate(requests, start=1):
         record_removal(removed, sizes, req)
@@ -286,7 +274,7 @@ def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
             notes = "cluster marked dead"
         records.append(TimelineRecord(
             step=step, method=METHOD_FEDCIO, affected_unit=f"cluster:{cid}",
-            status=status(), utility=utility(), notes=notes))
+            surviving=len(alive), utility=utility(), notes=notes))
     return records
 
 
@@ -316,9 +304,9 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
                          cost_modules=adapter_stack)
         return matrix_accuracy([w], dataset.test_x, dataset.test_y)
 
-    status = ServiceStatus(surviving=1)  # never fails, it always retrains
+    # FedRetrain never fails: it always retrains, so one model always serves.
     records = [TimelineRecord(step=0, method=METHOD_FEDRETRAIN, affected_unit="",
-                              status=status, utility=refit(), notes="baseline")]
+                              surviving=1, utility=refit(), notes="baseline")]
     downtime = 0
     for step, req in enumerate(requests, start=1):
         record_removal(removed, sizes, req)
@@ -332,7 +320,7 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
         records.append(TimelineRecord(
             step=step, method=METHOD_FEDRETRAIN,
             affected_unit=f"slice:({req.target.client_id},{req.target.slice_idx})",
-            status=status, utility=utility, notes=notes))
+            surviving=1, utility=utility, notes=notes))
     return records
 
 
@@ -398,22 +386,20 @@ def race_failure_steps(plan: GroupingPlan, seqs: SequenceSet, clusters: int,
                        seed: int, record_count: int = 100,
                        cap: int = 1_000_000) -> tuple[int, int]:
     """Failure steps of FedSGT and FedCIO (no-retrain) under one shared
-    uniform request stream. No models involved: failure is structural."""
+    uniform request stream. No models involved: failure is structural, so
+    FedSGT is a structure-only system and FedCIO the clusters not yet hit."""
     catalog = [(ref, plan.sizes[ref]) for members in plan.groups for ref in members]
     catalog.sort()
-    heads = {perm[0] for perm in seqs.perms}
-    all_clusters = {cluster_of(c, clusters) for c in plan.clients()}
-    deleted: set[int] = set()
-    hit: set[int] = set()
+    system = fedsgt_system(plan, seqs)
+    alive = {cluster_of(c, clusters) for c in plan.clients()}
     sgt_step = cio_step = None
     stream = request_stream(catalog, seed, record_count)
     for step in range(1, cap + 1):
         req = next(stream)
-        deleted.add(group_of(plan, req.target))
-        hit.add(cluster_of(req.target.client_id, clusters))
-        if sgt_step is None and heads <= deleted:
+        if sgt_step is None and process_request(system, req).surviving == 0:
             sgt_step = step
-        if cio_step is None and hit >= all_clusters:
+        alive.discard(cluster_of(req.target.client_id, clusters))
+        if cio_step is None and not alive:
             cio_step = step
         if sgt_step is not None and cio_step is not None:
             return sgt_step, cio_step

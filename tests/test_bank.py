@@ -43,6 +43,19 @@ class TestRoundTrip:
         write_bank(p2, read_bank(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_sequence_set_round_trips(self, tmp_path):
+        # a nonzero seed and orders beyond the rotations: the loaded set is
+        # the trained one, not a copy with default fields filled in
+        ds = synth_dataset(clients=4, samples_per_client=40, dim=6, classes=3,
+                           alpha=None, seed=3, slices_per_client=2,
+                           test_samples=60)
+        plan = build_grouping(ds.slice_catalog(), 4, 3)
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=16, seed=3)
+        model = train_fedsgt(ds, plan, build_sequences(4, 7, 3), cfg)
+        path = tmp_path / "m.fsgt"
+        write_bank(path, model)
+        assert read_bank(path).sequences == model.sequences
+
     def test_header_fields(self, trained, tmp_path):
         path = tmp_path / "m.fsgt"
         write_bank(path, trained)

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -178,6 +179,14 @@ class TestValidate:
         for row in rows:
             float(row["mc_mean"])  # parses
 
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_confidence_k_is_config_error(self, tmp_path, capsys, k):
+        out = tmp_path / "v"
+        assert run("validate", "--trials", 1, "--confidence-k", k,
+                   "--out", out) == 2
+        assert capsys.readouterr().err.startswith("config error: --confidence-k")
+        assert not (out / "validation.json").exists()
+
     def test_bad_trials(self, tmp_path):
         assert run("validate", "--trials", 0, "--out", tmp_path / "v") == 2
 
@@ -219,6 +228,20 @@ class TestTrain:
         bad = tmp_path / "bad.json"
         bad.write_text('{"clients": -3, "strategy": "best"}')
         assert run("train", "--config", bad, "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize("change", [
+        {"groups": 3, "budget": 7},  # 3! = 6 distinct orders
+        {"dataset": {**CONFIG["dataset"], "alpha": math.nan}},
+        {"dataset": {**CONFIG["dataset"], "alpha": 10**400}},
+        {"trainer": {**CONFIG["trainer"], "lr": math.inf}},
+    ], ids=["budget-beyond-orders", "alpha-nan", "alpha-past-float-range",
+            "lr-inf"])
+    def test_config_rejected_at_load(self, tmp_path, capsys, change):
+        config = write_json(tmp_path / "config.json", {**CONFIG, **change})
+        out = tmp_path / "run"
+        assert run("train", "--config", config, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (out / "bank.fsgt").exists()
 
     def test_missing_config(self, tmp_path):
         assert run("train", "--config", tmp_path / "nope.json",
@@ -426,6 +449,30 @@ def shared_bank(tmp_path_factory):
     return root / "run" / "bank.fsgt"
 
 
+def contract_run(command, *argv, config=None):
+    """Run one subcommand with a fresh ``--out`` (and ``config``, when
+    given, as its ``--config`` file) and check the contract every
+    subcommand keeps: a documented exit code, never a traceback, and a
+    manifest on success. Returns the exit code, stderr and the written
+    files' bytes by name."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        if config is not None:
+            argv = ("--config", write_json(Path(tmp) / "config.json", config),
+                    *argv)
+        out = Path(tmp) / "out"
+        code = run(command, *argv, "--out", out)
+        written = ({p.name: p.read_bytes() for p in out.iterdir()}
+                   if out.exists() else {})
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "manifest.json" in written
+    return code, err.getvalue(), written
+
+
 @settings(max_examples=30, deadline=None)
 @given(count=st.integers(-2, 40), request_seed=st.integers(-2, 2**70),
        record_count=st.integers(-2, 10**6),
@@ -434,24 +481,106 @@ def test_unlearn_contract(shared_bank, count, request_seed, record_count,
                           strategy):
     """Any bounded request flags end in a documented exit code, never a
     traceback; success writes the run's files."""
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        out = Path(tmp) / "out"
-        code = run("unlearn", "--bank", shared_bank, "--count", count,
-                   "--request-seed", request_seed, "--record-count",
-                   record_count, "--strategy", strategy, "--out", out)
-        written = {p.name for p in out.iterdir()} if out.exists() else set()
-        rows = (len((out / "timeline.csv").read_text().splitlines())
-                if code == 0 else None)
-    assert code in {0, 2, 3, 4, 5}
-    assert "Traceback" not in err.getvalue()
+    code, err, written = contract_run(
+        "unlearn", "--bank", shared_bank, "--count", count,
+        "--request-seed", request_seed, "--record-count", record_count,
+        "--strategy", strategy)
     if code == 0:
-        assert {"manifest.json", "timeline.csv", "summary.json"} <= written
-        assert rows == count + 2  # header, baseline, one row per request
+        assert {"timeline.csv", "summary.json"} <= written.keys()
+        # header, baseline, one row per request
+        assert len(written["timeline.csv"].splitlines()) == count + 2
     else:
-        assert err.getvalue().startswith("config error:")
+        assert err.startswith("config error:")
+
+
+@st.composite
+def near_bounds(draw, ranges):
+    """One small integer per key inside its [low, high] range, where a
+    callable bound reads the values drawn before it. At most one key, drawn
+    too, sits just below its low end instead, so that draws reach both
+    success and each range check."""
+    values, lows = {}, {}
+    for key, bounds in ranges.items():
+        low, high = (b(values) if callable(b) else b for b in bounds)
+        lows[key] = low
+        values[key] = draw(st.integers(low, max(low, high)))
+    broken = draw(st.one_of(st.none(), st.sampled_from(sorted(ranges))))
+    if broken is not None:
+        values[broken] = lows[broken] - 1
+    return values
+
+
+# The floats include NaN and +-inf, which JSON and argparse both let through.
+REALS = st.one_of(st.floats(0.01, 2.0), st.floats())
+# Cross-field limits follow the fields drawn before them; budgets pass L
+# (seeded extra orders) but not L!.
+CONFIG_RANGES = {
+    "seed": (0, 3), "clients": (1, 6), "slices_per_client": (1, 3),
+    "groups": (1, lambda v: v["clients"] * v["slices_per_client"]),
+    "budget": (1, lambda v: math.factorial(min(v["groups"], 4))),
+    "clusters": (1, lambda v: v["clients"]),
+    "dataset.dim": (1, 6), "dataset.classes": (2, lambda v: v["dataset.dim"]),
+    "dataset.samples_per_client": (lambda v: v["slices_per_client"], 30),
+    "dataset.test_samples": (1, 20),
+    "trainer.epochs": (0, 2), "trainer.batch_size": (1, 8),
+    "trainer.rounds_per_phase": (1, 2), "trainer.fedavg_rounds": (1, 2),
+    "requests.count": (0, 6), "requests.seed": (0, 3),
+    "requests.record_count": (1, 50),
+}
+ANALYZE_RANGES = {
+    "groups": (1, 12), "budget": (1, 14), "clusters": (1, 8),
+    "data-size": (0, 10**6), "slices-per-client": (1, 5), "clients": (1, 12),
+    "rounds": (1, 12), "epochs": (0, 4), "adapter-params": (1, 100),
+    "t-cluster": (1, 4), "max-requests": (0, 40),
+}
+
+
+@st.composite
+def configs(draw):
+    config = {"strategy": draw(st.sampled_from(["allseq", "minseq", "longseq"])),
+              "dataset": {"alpha": draw(st.one_of(st.none(), REALS))},
+              "trainer": {"lr": draw(REALS)}, "requests": {}}
+    for key, value in draw(near_bounds(CONFIG_RANGES)).items():
+        section, _, name = key.rpartition(".")
+        (config[section] if section else config)[name] = value
+    return config
+
+
+def flag_argv(flags):
+    return [x for flag, value in flags.items() for x in (f"--{flag}", value)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(flags=near_bounds(ANALYZE_RANGES))
+def test_analyze_contract(flags):
+    contract_run("analyze", *flag_argv(flags))
+
+
+@settings(max_examples=20, deadline=None)
+@given(flags=near_bounds({"trials": (1, 40), "workers": (1, 3),
+                          "data-size": (0, 1000)}),
+       seed=st.integers(-2, 2**70), confidence_k=REALS)
+def test_validate_contract(flags, seed, confidence_k):
+    # --flag=value keeps argparse from reading "-inf" as an option
+    contract_run("validate", *flag_argv(flags), "--seed", seed,
+                 f"--confidence-k={confidence_k}")
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=configs())
+def test_train_contract(config):
+    code, _, written = contract_run("train", config=config)
+    if code == 0:
+        assert "bank.fsgt" in written
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=configs(), stride=st.integers(0, 4))
+def test_compare_contract(config, stride):
+    code, _, written = contract_run("compare", "--retrain-stride", stride,
+                                    config=config)
+    if code == 0:
+        assert "compare.json" in written
 
 
 class TestModuleEntryPoint:

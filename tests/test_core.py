@@ -3,8 +3,7 @@
 import pytest
 
 from fedsgt.core import (ConfigurationError, CsvSpec, RunConfig,
-                         ServiceStatus, ServiceTag, SyntheticSpec,
-                         default_config, validate_config)
+                         SyntheticSpec, default_config, validate_config)
 
 
 class TestDefaults:
@@ -138,17 +137,3 @@ class TestRequestSpecs:
         cfg = validate_config({"requests": {"count": 7, "seed": 4}})
         assert cfg.requests.count == 7
         assert cfg.requests.seed == 4
-
-
-class TestServiceStatus:
-    def test_tags(self):
-        up = ServiceStatus(surviving=3)
-        down = ServiceStatus(surviving=0, note="all sequences dead")
-        assert up.tag is ServiceTag.AVAILABLE
-        assert down.tag is ServiceTag.FAILED
-        assert not up.failed
-        assert down.failed
-
-    def test_tag_serializes_as_string(self):
-        assert ServiceStatus(surviving=1).tag.value == "available"
-        assert ServiceStatus(surviving=0).tag.value == "failed"

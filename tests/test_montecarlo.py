@@ -250,6 +250,12 @@ class TestEstimateSemantics:
         with pytest.raises(ValueError):
             MCConfig(trials=10, confidence_k=0.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_confidence_k_rejected(self, k):
+        # |z| > nan is never true, so a NaN bound would pass every row
+        with pytest.raises(ValueError):
+            MCConfig(trials=10, confidence_k=k)
+
 
 class TestValidationGrid:
     def test_grid_well_formed_and_passing(self):

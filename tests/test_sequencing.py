@@ -38,8 +38,7 @@ class TestConstruction:
 
     def test_budget_below_groups_truncates(self):
         seqs = build_sequences(8, 3)
-        assert len(seqs.perms) == 3
-        assert seqs.rotation_count == 3
+        assert seqs.perms == tuple(rotation(8, t) for t in range(3))
 
     def test_extras_beyond_rotations_are_distinct_and_seeded(self):
         a = build_sequences(4, 10, seed=1)

@@ -218,6 +218,22 @@ class TestTimeline:
         assert summary["failure_step"] == 4
         assert summary["mean_utility"] is not None
 
+    def test_status_column_follows_survivors(self, tmp_path):
+        ds, plan, seqs, cfg, model = build()
+        system = fedsgt_system(plan, seqs, "allseq", model, ds)
+        # one slice of every group kills every sequence at step 4; two more
+        # requests follow the failure
+        targets = [group[0] for group in plan.groups] + [plan.groups[0][0]] * 2
+        records = run_stream(system, [UnlearnRequest(t, 1) for t in targets])
+        path = tmp_path / "timeline.csv"
+        write_timeline(path, records)
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == ["available"] * 4 + ["failed"] * 3
+        assert [row["surviving"] for row in rows] == [str(r.surviving) for r in records]
+        first_dead = next(int(row["step"]) for row in rows if row["surviving"] == "0")
+        assert timeline_summary(records)["failure_step"] == first_dead == 4
+
     def test_no_failure_when_sequences_survive(self):
         ds, plan, seqs, cfg, model = build()
         system = fedsgt_system(plan, seqs, "allseq", model, ds)
@@ -326,3 +342,37 @@ class TestRace:
             if (lambda r: r[0] > r[1])(
                 race_failure_steps(plan, seqs, clusters=5, seed=seed)))
         assert wins >= 20, wins
+
+    @pytest.mark.parametrize("budget", [4, 10, 13])
+    def test_matches_set_oracle(self, budget):
+        ds = synth_dataset(clients=10, samples_per_client=40, dim=6, classes=3,
+                           alpha=None, seed=0, slices_per_client=2,
+                           test_samples=30)
+        plan = build_grouping(ds.slice_catalog(), 10, 0)
+        seqs = build_sequences(10, budget, 0)
+        for seed in range(50):
+            assert (race_failure_steps(plan, seqs, clusters=5, seed=seed)
+                    == race_oracle(plan, seqs, clusters=5, seed=seed)), seed
+
+
+def race_oracle(plan, seqs, clusters, seed, record_count=100):
+    """The race as set arithmetic: FedSGT fails once every sequence head is
+    deleted, FedCIO once every cluster has been hit."""
+    catalog = sorted((ref, plan.sizes[ref])
+                     for members in plan.groups for ref in members)
+    heads = {perm[0] for perm in seqs.perms}
+    all_clusters = {cluster_of(c, clusters) for c in plan.clients()}
+    deleted, hit = set(), set()
+    sgt_step = cio_step = None
+    stream = request_stream(catalog, seed, record_count)
+    step = 0
+    while sgt_step is None or cio_step is None:
+        step += 1
+        req = next(stream)
+        deleted.add(group_of(plan, req.target))
+        hit.add(cluster_of(req.target.client_id, clusters))
+        if sgt_step is None and heads <= deleted:
+            sgt_step = step
+        if cio_step is None and hit >= all_clusters:
+            cio_step = step
+    return sgt_step, cio_step
