@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 STRATEGIES = ("allseq", "minseq", "longseq")
@@ -47,25 +47,26 @@ class ClosedFormUnavailable(FedSGTError):
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
+# Each integer field declares its default and minimum once, via ``_count``;
+# validation, the unknown-key check and ``to_dict`` walk the fields.
+
+
+def _count(default: int, minimum: int) -> Any:
+    """An integer config field: ``default`` when the key is absent, and
+    values below ``minimum`` are rejected."""
+    return field(default=default, metadata={"minimum": minimum})
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    dim: int = 20
-    classes: int = 5
-    samples_per_client: int = 200
+    dim: int = _count(20, 1)
+    classes: int = _count(5, 2)
+    samples_per_client: int = _count(200, 1)
     alpha: float | None = 0.3  # Dirichlet concentration; None means IID
-    test_samples: int = 500
+    test_samples: int = _count(500, 1)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "synthetic",
-            "dim": self.dim,
-            "classes": self.classes,
-            "samples_per_client": self.samples_per_client,
-            "alpha": self.alpha,
-            "test_samples": self.test_samples,
-        }
+        return {"kind": "synthetic", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -74,34 +75,30 @@ class CsvSpec:
     manifest: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {"kind": "csv", "path": self.path, "manifest": self.manifest}
+        return {"kind": "csv", **asdict(self)}
 
 
 @dataclass(frozen=True)
 class TrainerSpec:
-    epochs: int = 3
+    # epochs = 0 is allowed on purpose: it yields all-zero modules and is a
+    # useful structure-only mode for fast service-dynamics experiments.
+    epochs: int = _count(3, 0)
     lr: float = 0.1
-    batch_size: int = 32
-    rounds_per_phase: int = 1
-    fedavg_rounds: int = 10  # T for the FedAvg / FedCIO / FedRetrain baselines
+    batch_size: int = _count(32, 1)
+    rounds_per_phase: int = _count(1, 1)
+    fedavg_rounds: int = _count(10, 1)  # T for the FedAvg / FedCIO / FedRetrain baselines
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "rounds_per_phase": self.rounds_per_phase,
-            "fedavg_rounds": self.fedavg_rounds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class RequestSpec:
     """Either a seeded uniform stream (count/seed) or an explicit script."""
 
-    count: int = 0
-    seed: int = 0
-    record_count: int = 100
+    count: int = _count(0, 0)
+    seed: int = _count(0, 0)
+    record_count: int = _count(100, 1)
     script: tuple[tuple[int, int, int], ...] | None = None  # (client, slice, records)
 
     def to_dict(self) -> dict[str, Any]:
@@ -117,12 +114,12 @@ class RequestSpec:
 @dataclass(frozen=True)
 class RunConfig:
     experiment: str = "default"
-    seed: int = 0
-    clients: int = 10
-    slices_per_client: int = 5
-    groups: int = 10
-    budget: int = 10
-    clusters: int = 5
+    seed: int = _count(0, 0)
+    clients: int = _count(10, 1)
+    slices_per_client: int = _count(5, 1)
+    groups: int = _count(10, 1)
+    budget: int = _count(10, 1)
+    clusters: int = _count(5, 1)
     strategy: str = "allseq"
     dataset: SyntheticSpec | CsvSpec = field(default_factory=SyntheticSpec)
     trainer: TrainerSpec = field(default_factory=TrainerSpec)
@@ -130,20 +127,8 @@ class RunConfig:
     out: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "clients": self.clients,
-            "slices_per_client": self.slices_per_client,
-            "groups": self.groups,
-            "budget": self.budget,
-            "clusters": self.clusters,
-            "strategy": self.strategy,
-            "dataset": self.dataset.to_dict(),
-            "trainer": self.trainer.to_dict(),
-            "requests": self.requests.to_dict(),
-            "out": self.out,
-        }
+        return {**asdict(self), "dataset": self.dataset.to_dict(),
+                "requests": self.requests.to_dict()}
 
 
 def default_config() -> dict[str, Any]:
@@ -153,8 +138,7 @@ def default_config() -> dict[str, Any]:
 
 
 def _expect_int(errors: list[str], raw: Mapping[str, Any], key: str, default: int,
-                minimum: int, label: str | None = None) -> int:
-    label = label or key
+                minimum: int, label: str) -> int:
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         errors.append(f"{label}: expected an integer, got {value!r}")
@@ -163,6 +147,33 @@ def _expect_int(errors: list[str], raw: Mapping[str, Any], key: str, default: in
         errors.append(f"{label}: must be >= {minimum}, got {value}")
         return default
     return value
+
+
+def _object(errors: list[str], raw: Any, label: str) -> Mapping[str, Any] | None:
+    """A config section as a mapping: an absent section is empty, and
+    anything but an object is reported and gives None."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, Mapping):
+        errors.append(f"{label}: expected an object")
+        return None
+    return raw
+
+
+def _unknown_keys(errors: list[str], raw: Mapping[str, Any], spec: type,
+                  prefix: str = "", extra: tuple[str, ...] = ()) -> None:
+    allowed = {f.name for f in fields(spec)}.union(extra)
+    for key in raw:
+        if key not in allowed:
+            errors.append(f"{prefix}{key}: unknown key")
+
+
+def _counts(errors: list[str], raw: Mapping[str, Any], spec: type,
+            prefix: str = "") -> dict[str, int]:
+    """Every ``_count`` field of ``spec`` read from ``raw``, in field order."""
+    return {f.name: _expect_int(errors, raw, f.name, f.default,
+                                f.metadata["minimum"], prefix + f.name)
+            for f in fields(spec) if "minimum" in f.metadata}
 
 
 def _positive_number(value: Any) -> bool:
@@ -184,38 +195,24 @@ def _orders_fewer_than(groups: int, budget: int) -> bool:
 
 
 def _validate_dataset(errors: list[str], raw: Any) -> SyntheticSpec | CsvSpec:
+    raw = _object(errors, raw, "dataset")
     if raw is None:
-        return SyntheticSpec()
-    if not isinstance(raw, Mapping):
-        errors.append("dataset: expected an object")
         return SyntheticSpec()
     kind = raw.get("kind", "synthetic")
     if kind == "synthetic":
-        allowed = {"kind", "dim", "classes", "samples_per_client", "alpha", "test_samples"}
-        for key in raw:
-            if key not in allowed:
-                errors.append(f"dataset.{key}: unknown key")
-        dim = _expect_int(errors, raw, "dim", 20, 1, "dataset.dim")
-        classes = _expect_int(errors, raw, "classes", 5, 2, "dataset.classes")
-        samples = _expect_int(errors, raw, "samples_per_client", 200, 1,
-                              "dataset.samples_per_client")
-        test_samples = _expect_int(errors, raw, "test_samples", 500, 1,
-                                   "dataset.test_samples")
-        alpha = raw.get("alpha", 0.3)
+        _unknown_keys(errors, raw, SyntheticSpec, "dataset.", extra=("kind",))
+        counts = _counts(errors, raw, SyntheticSpec, "dataset.")
+        alpha = raw.get("alpha", SyntheticSpec.alpha)
         if alpha is not None:
             if not _positive_number(alpha):
                 errors.append(
                     f"dataset.alpha: must be a finite positive number or null, got {alpha!r}")
-                alpha = 0.3
+                alpha = SyntheticSpec.alpha
             else:
                 alpha = float(alpha)
-        return SyntheticSpec(dim=dim, classes=classes, samples_per_client=samples,
-                             alpha=alpha, test_samples=test_samples)
+        return SyntheticSpec(alpha=alpha, **counts)
     if kind == "csv":
-        allowed = {"kind", "path", "manifest"}
-        for key in raw:
-            if key not in allowed:
-                errors.append(f"dataset.{key}: unknown key")
+        _unknown_keys(errors, raw, CsvSpec, "dataset.", extra=("kind",))
         path = raw.get("path")
         manifest = raw.get("manifest")
         if not isinstance(path, str) or not path:
@@ -230,27 +227,16 @@ def _validate_dataset(errors: list[str], raw: Any) -> SyntheticSpec | CsvSpec:
 
 
 def _validate_trainer(errors: list[str], raw: Any) -> TrainerSpec:
+    raw = _object(errors, raw, "trainer")
     if raw is None:
         return TrainerSpec()
-    if not isinstance(raw, Mapping):
-        errors.append("trainer: expected an object")
-        return TrainerSpec()
-    allowed = {"epochs", "lr", "batch_size", "rounds_per_phase", "fedavg_rounds"}
-    for key in raw:
-        if key not in allowed:
-            errors.append(f"trainer.{key}: unknown key")
-    # epochs = 0 is allowed on purpose: it yields all-zero modules and is a
-    # useful structure-only mode for fast service-dynamics experiments.
-    epochs = _expect_int(errors, raw, "epochs", 3, 0, "trainer.epochs")
-    batch = _expect_int(errors, raw, "batch_size", 32, 1, "trainer.batch_size")
-    rounds = _expect_int(errors, raw, "rounds_per_phase", 1, 1, "trainer.rounds_per_phase")
-    fedavg_rounds = _expect_int(errors, raw, "fedavg_rounds", 10, 1, "trainer.fedavg_rounds")
-    lr = raw.get("lr", 0.1)
+    _unknown_keys(errors, raw, TrainerSpec, "trainer.")
+    counts = _counts(errors, raw, TrainerSpec, "trainer.")
+    lr = raw.get("lr", TrainerSpec.lr)
     if not _positive_number(lr):
         errors.append(f"trainer.lr: must be a finite positive number, got {lr!r}")
-        lr = 0.1
-    return TrainerSpec(epochs=epochs, lr=float(lr), batch_size=batch,
-                       rounds_per_phase=rounds, fedavg_rounds=fedavg_rounds)
+        lr = TrainerSpec.lr
+    return TrainerSpec(lr=float(lr), **counts)
 
 
 def parse_script(errors: list[str], items: Any, label: str
@@ -289,26 +275,18 @@ def parse_script(errors: list[str], items: Any, label: str
 
 
 def _validate_requests(errors: list[str], raw: Any) -> RequestSpec:
+    raw = _object(errors, raw, "requests")
     if raw is None:
-        return RequestSpec()
-    if not isinstance(raw, Mapping):
-        errors.append("requests: expected an object")
         return RequestSpec()
     if "script" in raw:
         for key in raw:
             if key != "script":
                 errors.append(f"requests.{key}: unknown key when 'script' is given")
         script = parse_script(errors, raw["script"], "requests.script")
-        return RequestSpec(script=tuple((c, s, 100 if n is None else n)
-                                        for c, s, n in script))
-    allowed = {"count", "seed", "record_count"}
-    for key in raw:
-        if key not in allowed:
-            errors.append(f"requests.{key}: unknown key")
-    count = _expect_int(errors, raw, "count", 0, 0, "requests.count")
-    seed = _expect_int(errors, raw, "seed", 0, 0, "requests.seed")
-    records = _expect_int(errors, raw, "record_count", 100, 1, "requests.record_count")
-    return RequestSpec(count=count, seed=seed, record_count=records)
+        return RequestSpec(script=tuple(
+            (c, s, RequestSpec.record_count if n is None else n) for c, s, n in script))
+    _unknown_keys(errors, raw, RequestSpec, "requests.")
+    return RequestSpec(**_counts(errors, raw, RequestSpec, "requests."))
 
 
 def validate_config(raw: Mapping[str, Any]) -> RunConfig:
@@ -322,29 +300,19 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
     if not isinstance(raw, Mapping):
         raise ConfigurationError(["configuration root: expected an object"])
 
-    allowed = {"experiment", "seed", "clients", "slices_per_client", "groups",
-               "budget", "clusters", "strategy", "dataset", "trainer",
-               "requests", "out"}
-    for key in raw:
-        if key not in allowed:
-            errors.append(f"{key}: unknown key")
+    _unknown_keys(errors, raw, RunConfig)
 
-    experiment = raw.get("experiment", "default")
+    experiment = raw.get("experiment", RunConfig.experiment)
     if not isinstance(experiment, str) or not experiment:
         errors.append(f"experiment: expected a nonempty string, got {experiment!r}")
-        experiment = "default"
+        experiment = RunConfig.experiment
 
-    seed = _expect_int(errors, raw, "seed", 0, 0)
-    clients = _expect_int(errors, raw, "clients", 10, 1)
-    slices_per_client = _expect_int(errors, raw, "slices_per_client", 5, 1)
-    groups = _expect_int(errors, raw, "groups", 10, 1)
-    budget = _expect_int(errors, raw, "budget", 10, 1)
-    clusters = _expect_int(errors, raw, "clusters", 5, 1)
+    counts = _counts(errors, raw, RunConfig)
 
-    strategy = raw.get("strategy", "allseq")
+    strategy = raw.get("strategy", RunConfig.strategy)
     if not isinstance(strategy, str) or strategy.lower() not in STRATEGIES:
         errors.append(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
-        strategy = "allseq"
+        strategy = RunConfig.strategy
     strategy = strategy.lower()
 
     dataset = _validate_dataset(errors, raw.get("dataset"))
@@ -356,31 +324,31 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
         errors.append(f"out: expected a nonempty string or null, got {out!r}")
         out = None
 
+    cfg = RunConfig(experiment=experiment, strategy=strategy, dataset=dataset,
+                    trainer=trainer, requests=requests, out=out, **counts)
+
     # Cross-field constraints.
-    if groups > clients * slices_per_client:
+    slots = cfg.clients * cfg.slices_per_client
+    if cfg.groups > slots:
         errors.append(
             f"groups: need at least one slice per group "
-            f"(groups={groups} > clients*slices_per_client={clients * slices_per_client})")
-    if _orders_fewer_than(groups, budget):
+            f"(groups={cfg.groups} > clients*slices_per_client={slots})")
+    if _orders_fewer_than(cfg.groups, cfg.budget):
         errors.append(
-            f"budget: {budget} exceeds the {math.factorial(groups)} distinct "
-            f"orders of {groups} groups")
-    if clusters > clients:
-        errors.append(f"clusters: cannot exceed clients ({clusters} > {clients})")
+            f"budget: {cfg.budget} exceeds the {math.factorial(cfg.groups)} distinct "
+            f"orders of {cfg.groups} groups")
+    if cfg.clusters > cfg.clients:
+        errors.append(f"clusters: cannot exceed clients ({cfg.clusters} > {cfg.clients})")
     if isinstance(dataset, SyntheticSpec):
         if dataset.classes > dataset.dim:
             errors.append(
                 f"dataset.classes: class means need classes <= dim "
                 f"({dataset.classes} > {dataset.dim})")
-        if dataset.samples_per_client < slices_per_client:
+        if dataset.samples_per_client < cfg.slices_per_client:
             errors.append(
                 f"dataset.samples_per_client: need at least one sample per slice "
-                f"({dataset.samples_per_client} < slices_per_client={slices_per_client})")
+                f"({dataset.samples_per_client} < slices_per_client={cfg.slices_per_client})")
 
     if errors:
         raise ConfigurationError(errors)
-
-    return RunConfig(experiment=experiment, seed=seed, clients=clients,
-                     slices_per_client=slices_per_client, groups=groups,
-                     budget=budget, clusters=clusters, strategy=strategy,
-                     dataset=dataset, trainer=trainer, requests=requests, out=out)
+    return cfg

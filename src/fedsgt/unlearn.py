@@ -2,10 +2,10 @@
 
 FedSGT deactivates every module downstream of the deleted group; deletion is
 a metadata update and the exactness audit can certify, by retraining from
-scratch, that what is still served never saw the deleted data. FedCIO (in
-its default no-retrain mode) marks the whole affected cluster dead, which is
-what makes quantitative comparisons fair: neither side retrains. FedRetrain
-retrains a single global model and pays full downtime for every request.
+scratch, that what is still served never saw the deleted data. FedCIO marks
+the whole affected cluster dead, which is what makes quantitative
+comparisons fair: neither side retrains. FedRetrain retrains a single global
+model and pays full downtime for every request.
 
 Record-level requests are conservative: deleting any records from a slice
 invalidates everything dependent on the slice's group, while the
@@ -215,18 +215,14 @@ def cluster_of(client: int, clusters: int) -> int:
 
 def train_clusters(dataset: Dataset, clusters: int, cfg: TrainConfig,
                    rounds: int, meter: CostMeter | None = None,
-                   adapter_stack: int = 1,
-                   removed: dict[SliceRef, int] | None = None,
-                   only: Iterable[int] | None = None) -> dict[int, np.ndarray]:
+                   adapter_stack: int = 1) -> dict[int, np.ndarray]:
     """Per-cluster FedAvg models. ``adapter_stack`` books the cost of the
     jointly trained module stack the collapsed matrix stands in for."""
     refs = [ref for ref, _ in dataset.slice_catalog()]
-    targets = range(clusters) if only is None else only
     models = {}
-    for cid in targets:
+    for cid in range(clusters):
         data = client_data(dataset, (ref for ref in refs
-                                     if cluster_of(ref.client_id, clusters) == cid),
-                           removed)
+                                     if cluster_of(ref.client_id, clusters) == cid))
         if not data:
             raise TrainingError(f"cluster {cid} has no data")
         models[cid] = fedavg_train(data, dataset.classes, dataset.dim, rounds,
@@ -236,18 +232,12 @@ def train_clusters(dataset: Dataset, clusters: int, cfg: TrainConfig,
 
 
 def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
-                    requests: Iterable[UnlearnRequest], rounds: int = 10,
-                    retrain: bool = False, adapter_stack: int = 1,
-                    meter: CostMeter | None = None) -> list[TimelineRecord]:
-    """Clustered baseline under the same request stream.
-
-    Default mode never retrains: a request kills the containing cluster and
-    service fails once every cluster is hit. With ``retrain=True`` the
-    affected cluster is retrained on its remaining records instead, charging
-    ``rounds`` rounds of downtime per request.
-    """
-    models = train_clusters(dataset, clusters, cfg, rounds, meter=meter,
-                            adapter_stack=adapter_stack)
+                    requests: Iterable[UnlearnRequest],
+                    rounds: int = 10) -> list[TimelineRecord]:
+    """Clustered baseline under the same request stream. It never retrains:
+    a request kills the containing cluster and service fails once every
+    cluster is hit."""
+    models = train_clusters(dataset, clusters, cfg, rounds)
     alive = set(range(clusters))
     removed: dict[SliceRef, int] = {}
     sizes = dict(dataset.slice_catalog())
@@ -264,17 +254,10 @@ def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
     for step, req in enumerate(requests, start=1):
         record_removal(removed, sizes, req)
         cid = cluster_of(req.target.client_id, clusters)
-        if retrain:
-            models.update(train_clusters(dataset, clusters, cfg, rounds,
-                                         meter=meter, adapter_stack=adapter_stack,
-                                         removed=removed, only=[cid]))
-            notes = f"retrained cluster (downtime {rounds} rounds)"
-        else:
-            alive.discard(cid)
-            notes = "cluster marked dead"
+        alive.discard(cid)
         records.append(TimelineRecord(
             step=step, method=METHOD_FEDCIO, affected_unit=f"cluster:{cid}",
-            surviving=len(alive), utility=utility(), notes=notes))
+            surviving=len(alive), utility=utility(), notes="cluster marked dead"))
     return records
 
 
@@ -285,42 +268,46 @@ def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
 
 def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
                         requests: Iterable[UnlearnRequest], eval_every: int = 5,
-                        rounds: int = 10, adapter_stack: int = 1,
-                        meter: CostMeter | None = None) -> list[TimelineRecord]:
+                        rounds: int = 10) -> list[TimelineRecord]:
     """Full retraining baseline: every request charges a complete retraining
     (``rounds`` rounds of downtime); the model is re-fit and evaluated every
-    ``eval_every``-th request. Zero requests reduce to plain FedAvg."""
+    ``eval_every``-th request. Zero requests reduce to plain FedAvg.
+
+    One model serves while any record remains. From the first request that
+    leaves none, each row has ``surviving`` 0 and no utility, and nothing is
+    retrained or charged.
+    """
     if eval_every < 1:
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
     sizes = dict(dataset.slice_catalog())
+    total = sum(sizes.values())
     removed: dict[SliceRef, int] = {}
 
     def refit() -> float:
-        data = client_data(dataset, sizes, removed)
-        if not data:
-            raise TrainingError("no records left to retrain on")
-        w = fedavg_train(data, dataset.classes, dataset.dim, rounds, cfg,
-                         namespace=(0x2E7,), meter=meter,
-                         cost_modules=adapter_stack)
+        w = fedavg_train(client_data(dataset, sizes, removed), dataset.classes,
+                         dataset.dim, rounds, cfg, namespace=(0x2E7,))
         return matrix_accuracy([w], dataset.test_x, dataset.test_y)
 
-    # FedRetrain never fails: it always retrains, so one model always serves.
     records = [TimelineRecord(step=0, method=METHOD_FEDRETRAIN, affected_unit="",
                               surviving=1, utility=refit(), notes="baseline")]
     downtime = 0
     for step, req in enumerate(requests, start=1):
         record_removal(removed, sizes, req)
-        downtime += rounds
-        if step % eval_every == 0:
-            utility = refit()
-            notes = f"retrained (cumulative downtime {downtime} rounds)"
+        surviving = int(sum(removed.values()) < total)
+        utility = None
+        if not surviving:
+            notes = "no records left to retrain on"
         else:
-            utility = None
-            notes = f"retraining charged (cumulative downtime {downtime} rounds)"
+            downtime += rounds
+            if step % eval_every == 0:
+                utility = refit()
+                notes = f"retrained (cumulative downtime {downtime} rounds)"
+            else:
+                notes = f"retraining charged (cumulative downtime {downtime} rounds)"
         records.append(TimelineRecord(
             step=step, method=METHOD_FEDRETRAIN,
             affected_unit=f"slice:({req.target.client_id},{req.target.slice_idx})",
-            surviving=1, utility=utility, notes=notes))
+            surviving=surviving, utility=utility, notes=notes))
     return records
 
 

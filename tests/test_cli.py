@@ -364,6 +364,26 @@ class TestCompare:
         for key in ("fedsgt", "fedcio", "fedretrain"):
             assert "failure_step" in doc[key]
 
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_fedretrain_fails_when_no_record_remains(self, tmp_path, stride):
+        # One 10-record slice and a request for 50: the first request
+        # deletes every record, so FedRetrain has nothing left to serve.
+        config = write_json(tmp_path / "config.json", {
+            "clients": 1, "slices_per_client": 1, "groups": 1, "budget": 1,
+            "clusters": 1,
+            "dataset": {"samples_per_client": 10, "test_samples": 20},
+            "trainer": {"epochs": 1, "fedavg_rounds": 1},
+            "requests": {"count": 1, "record_count": 50}})
+        out = tmp_path / "c"
+        assert run("compare", "--config", config, "--out", out,
+                   "--retrain-stride", stride) == 0
+        with (out / "timeline.csv").open() as fh:
+            rows = [r for r in csv.DictReader(fh) if r["method"] == "FedRetrain"]
+        assert [(r["step"], r["status"], r["surviving"], r["utility"])
+                for r in rows][1:] == [("1", "failed", "0", "")]
+        doc = json.loads((out / "compare.json").read_text())
+        assert doc["fedretrain"]["failure_step"] == 1
+
 
 class TestRequestScripts:
     CATALOG = [(SliceRef(0, 0), 150), (SliceRef(1, 2), 40)]

@@ -1,9 +1,48 @@
 """Configuration schema: defaults, round trips, exhaustive error reporting."""
 
-import pytest
+import json
+import math
+import re
+from pathlib import Path
 
-from fedsgt.core import (ConfigurationError, CsvSpec, RunConfig,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedsgt.core import (STRATEGIES, ConfigurationError, CsvSpec, RunConfig,
                          SyntheticSpec, default_config, validate_config)
+
+# Every integer field as (section, key, default, minimum); section None is
+# the top level. Written out by hand so that it pins the schema
+# independently of how core.py declares it.
+INTEGER_FIELDS = [
+    (None, "seed", 0, 0),
+    (None, "clients", 10, 1),
+    (None, "slices_per_client", 5, 1),
+    (None, "groups", 10, 1),
+    (None, "budget", 10, 1),
+    (None, "clusters", 5, 1),
+    ("dataset", "dim", 20, 1),
+    ("dataset", "classes", 5, 2),
+    ("dataset", "samples_per_client", 200, 1),
+    ("dataset", "test_samples", 500, 1),
+    ("trainer", "epochs", 3, 0),
+    ("trainer", "batch_size", 32, 1),
+    ("trainer", "rounds_per_phase", 1, 1),
+    ("trainer", "fedavg_rounds", 10, 1),
+    ("requests", "count", 0, 0),
+    ("requests", "seed", 0, 0),
+    ("requests", "record_count", 100, 1),
+]
+FIELD_IDS = [f"{section or 'top'}.{key}" for section, key, _, _ in INTEGER_FIELDS]
+
+
+def errors_of(raw):
+    try:
+        validate_config(raw)
+    except ConfigurationError as err:
+        return err.errors
+    return []
 
 
 class TestDefaults:
@@ -23,6 +62,123 @@ class TestDefaults:
 
     def test_empty_dict_uses_defaults(self):
         assert validate_config({}) == validate_config(default_config())
+
+    def test_readme_example_shows_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Configuration file\n\n```json\n(.*?)```",
+                          readme, re.S).group(1)
+        example = json.loads(block)
+        validate_config(example)
+        example["requests"]["count"] = 0  # the example asks for 10 requests
+        assert example == default_config()
+
+
+@pytest.mark.parametrize("section, key, default, minimum", INTEGER_FIELDS,
+                         ids=FIELD_IDS)
+class TestIntegerFields:
+    @staticmethod
+    def config(section, key, value):
+        return {key: value} if section is None else {section: {key: value}}
+
+    @staticmethod
+    def label(section, key):
+        return key if section is None else f"{section}.{key}"
+
+    def test_absent_key_gives_default(self, section, key, default, minimum):
+        cfg = validate_config({})
+        assert getattr(cfg if section is None else getattr(cfg, section),
+                       key) == default
+
+    def test_minimum_accepted(self, section, key, default, minimum):
+        # The smallest config the cross-field rules allow, with this field
+        # at its minimum.
+        raw = {"clients": 1, "slices_per_client": 1, "groups": 1, "budget": 1,
+               "clusters": 1,
+               "dataset": {"dim": 2, "classes": 2, "samples_per_client": 1}}
+        (raw if section is None else raw.setdefault(section, {}))[key] = minimum
+        if (section, key) == ("dataset", "dim"):
+            # classes >= 2 > dim: only the cross-field rule objects.
+            assert errors_of(raw) == [
+                "dataset.classes: class means need classes <= dim (2 > 1)"]
+            return
+        cfg = validate_config(raw)
+        assert getattr(cfg if section is None else getattr(cfg, section),
+                       key) == minimum
+
+    def test_below_minimum_rejected(self, section, key, default, minimum):
+        label = self.label(section, key)
+        assert (f"{label}: must be >= {minimum}, got {minimum - 1}"
+                in errors_of(self.config(section, key, minimum - 1)))
+
+    def test_bool_rejected(self, section, key, default, minimum):
+        label = self.label(section, key)
+        assert (f"{label}: expected an integer, got True"
+                in errors_of(self.config(section, key, True)))
+
+
+@st.composite
+def valid_configs(draw):
+    """Raw configs that validate: synthetic or csv data, null alpha,
+    strategies in mixed case, and scripts with and without records. Keys
+    that no cross-field rule reads are sometimes left out."""
+    clients = draw(st.integers(1, 6))
+    slices = draw(st.integers(1, 4))
+    groups = draw(st.integers(1, clients * slices))
+    raw = {"clients": clients, "slices_per_client": slices, "groups": groups,
+           "budget": draw(st.integers(1, min(math.factorial(groups), 30))),
+           "clusters": draw(st.integers(1, clients))}
+    optional = {
+        "experiment": st.text(min_size=1, max_size=8),
+        "seed": st.integers(0, 2**40),
+        "strategy": st.sampled_from(STRATEGIES).flatmap(
+            lambda name: st.lists(st.booleans(), min_size=len(name),
+                                  max_size=len(name)).map(
+                lambda upper: "".join(c.upper() if u else c
+                                      for c, u in zip(name, upper)))),
+        "out": st.none() | st.text(min_size=1, max_size=8),
+    }
+    positive = (st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+                | st.integers(1, 10))
+    if draw(st.booleans()):
+        raw["dataset"] = {"kind": "csv", "path": draw(st.text(min_size=1)),
+                          "manifest": draw(st.text(min_size=1))}
+    else:
+        dim = draw(st.integers(2, 30))
+        raw["dataset"] = {"kind": "synthetic", "dim": dim,
+                          "classes": draw(st.integers(2, dim)),
+                          "samples_per_client": draw(st.integers(slices, 400))}
+        optional["dataset.alpha"] = st.none() | positive
+        optional["dataset.test_samples"] = st.integers(1, 1000)
+    optional.update({
+        "trainer.epochs": st.integers(0, 5),
+        "trainer.lr": positive,
+        "trainer.batch_size": st.integers(1, 64),
+        "trainer.rounds_per_phase": st.integers(1, 4),
+        "trainer.fedavg_rounds": st.integers(1, 20),
+    })
+    if draw(st.booleans()):
+        entry = st.fixed_dictionaries(
+            {"client": st.integers(0, 9), "slice": st.integers(0, 9)},
+            optional={"records": st.integers(1, 500)})
+        raw["requests"] = {"script": draw(st.lists(entry, max_size=4))}
+    else:
+        optional.update({"requests.count": st.integers(0, 50),
+                         "requests.seed": st.integers(0, 99),
+                         "requests.record_count": st.integers(1, 500)})
+    for path, values in optional.items():
+        if draw(st.booleans()):
+            section, _, key = path.rpartition(".")
+            target = raw.setdefault(section, {}) if section else raw
+            target[key] = draw(values)
+    return raw
+
+
+@settings(deadline=None, max_examples=200)
+@given(raw=valid_configs())
+def test_round_trip(raw):
+    cfg = validate_config(raw)
+    assert validate_config(cfg.to_dict()) == cfg
+    assert validate_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 class TestErrors:

@@ -268,13 +268,6 @@ class TestFedCIO:
         want = deletion_rate_fedcio(3)  # 5.5
         assert abs(mean - want) < 1.5, mean
 
-    def test_retrain_mode_keeps_cluster_alive(self):
-        ds, plan, seqs, cfg, model = build()
-        requests = [UnlearnRequest(SliceRef(0, 0), 1)]
-        records = fedcio_simulate(ds, 2, cfg, requests, rounds=2, retrain=True)
-        assert records[1].surviving == 2
-        assert "downtime" in records[1].notes
-
 
 class TestFedRetrain:
     def test_stride_and_downtime(self):
@@ -288,6 +281,19 @@ class TestFedRetrain:
         assert measured == [0, 3, 6]
         assert all(r.surviving == 1 for r in records)
         assert "downtime" in records[1].notes
+
+    def test_fails_once_no_record_remains(self):
+        ds, plan, seqs, cfg, model = build()
+        catalog = ds.slice_catalog()
+        # Empty every slice in turn, then ask for the first slice again.
+        requests = [UnlearnRequest(ref, size) for ref, size in catalog]
+        requests.append(requests[0])
+        records = fedretrain_simulate(ds, cfg, requests, eval_every=1, rounds=1)
+        last = len(catalog)
+        assert [r.surviving for r in records] == [1] * last + [0, 0]
+        assert [r.utility is None for r in records] == [False] * last + [True, True]
+        assert timeline_summary(records)["failure_step"] == last
+        assert "downtime" not in records[last].notes
 
 
 @pytest.mark.parametrize("simulate", [
