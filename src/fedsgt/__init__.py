@@ -11,12 +11,13 @@ The package has three layers:
   that retrains surviving prefixes and compares them byte for byte.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .analytics import (AnalyticParams, deletion_rate_fedcio,
                         deletion_rate_fedsgt, expected_comm_cost,
-                        expected_remaining_fedcio, expected_remaining_fedsgt,
-                        expected_span, expected_span_curve,
+                        expected_remaining_curve, expected_remaining_fedcio,
+                        expected_remaining_fedsgt, expected_span,
+                        expected_span_curve,
                         expected_span_given_m, matched_budget,
                         prob_m_distinct, prob_max_gap_le, training_cost)
 from .bank import read_bank, write_bank
@@ -48,8 +49,8 @@ __all__ = [
     # analytics
     "AnalyticParams", "deletion_rate_fedsgt", "deletion_rate_fedcio",
     "prob_m_distinct", "prob_max_gap_le", "expected_span_given_m",
-    "expected_span", "expected_span_curve", "expected_remaining_fedsgt",
-    "expected_remaining_fedcio",
+    "expected_span", "expected_span_curve", "expected_remaining_curve",
+    "expected_remaining_fedsgt", "expected_remaining_fedcio",
     "expected_comm_cost", "matched_budget", "training_cost",
     # combinatorics
     "harmonic", "binomial", "stirling2",

@@ -152,25 +152,32 @@ def expected_span(group_count: int, requests: int) -> float:
     return expected_span_curve(group_count, requests)[-1]
 
 
-def expected_remaining_fedsgt(total_samples: int, group_count: int,
-                              requests: int, budget: int | None = None) -> float:
-    """E[samples still covered by the best surviving prefix] after
-    ``requests`` uniform deletions, assuming balanced groups.
-
-    With the full rotation family the longest surviving prefix has length
-    L - U where U is the cyclic span of the deleted set, so the expectation
-    is (|D|/L) * (L - E[U]). The identity needs a rotation for every group;
-    pass ``budget`` to have regimes with budget < group_count rejected
-    (use the Monte Carlo estimator there instead).
+def expected_remaining_curve(total_samples: int, group_count: int,
+                             max_requests: int) -> list[float]:
+    """E[samples still covered by the best surviving prefix] after r uniform
+    deletions, r = 0..max_requests, assuming balanced groups. With the full
+    rotation family the longest surviving prefix has length L - U, where U is
+    the cyclic span of the deleted set, so each point is (|D|/L) * (L - E[U]).
     """
     if total_samples < 0:
         raise ValueError(f"total_samples must be >= 0, got {total_samples}")
-    _check_positive(group_count=group_count)
+    return [total_samples / group_count * (group_count - span)
+            for span in expected_span_curve(group_count, max_requests)]
+
+
+def expected_remaining_fedsgt(total_samples: int, group_count: int,
+                              requests: int, budget: int | None = None) -> float:
+    """E[samples still covered by the best surviving prefix] after
+    ``requests`` uniform deletions: the last point of
+    :func:`expected_remaining_curve`. The identity needs a rotation for every
+    group; pass ``budget`` to have regimes with budget < group_count rejected
+    (use the Monte Carlo estimator there instead).
+    """
     if budget is not None and budget < group_count:
         raise ClosedFormUnavailable(
             f"remaining-data closed form requires budget >= group_count "
             f"({budget} < {group_count}); use mc_expected_remaining")
-    return total_samples / group_count * (group_count - expected_span(group_count, requests))
+    return expected_remaining_curve(total_samples, group_count, requests)[-1]
 
 
 def expected_remaining_fedcio(total_samples: int, clusters: int, requests: int) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -33,9 +34,9 @@ import numpy as np
 
 from . import __version__, analytics, montecarlo
 from .bank import read_bank, write_bank
-from .core import (BankFormatError, ConfigurationError, CsvSpec, FedSGTError,
-                   RunConfig, SyntheticSpec, TrainingError, parse_script,
-                   validate_config)
+from .core import (STRATEGIES, BankFormatError, ConfigurationError, CsvSpec,
+                   FedSGTError, RunConfig, SyntheticSpec, TrainingError,
+                   parse_script, validate_config)
 from .dataset import Dataset, load_csv_dataset, synth_dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
                       sequence_logits, train_fedsgt)
@@ -69,6 +70,23 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
     _write_json(outdir / "manifest.json",
                 {"tool": "fedsgt", "version": __version__,
                  "command": command, "config": config})
+
+
+def _flag_config(args: argparse.Namespace, outdir: Path) -> dict:
+    """The parsed flags as a manifest config, with ``out`` resolved."""
+    flags = {name: value for name, value in vars(args).items()
+             if name not in ("command", "func", "minimums")}
+    return {**flags, "out": str(outdir)}
+
+
+def _check_flags(args: argparse.Namespace, errors: Sequence[str] = ()) -> None:
+    """Raise one ConfigurationError naming every integer flag below its
+    declared minimum, in declaration order, followed by ``errors``."""
+    errors = [*(f"{flag}: must be >= {minimum}"
+                for flag, dest, minimum in args.minimums
+                if getattr(args, dest) < minimum), *errors]
+    if errors:
+        raise ConfigurationError(errors)
 
 
 def _outdir(raw: str) -> Path:
@@ -149,20 +167,7 @@ def trainer_config(cfg: RunConfig) -> TrainConfig:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    errors = []
-    for name in ("groups", "budget", "clusters", "slices_per_client", "clients",
-                 "rounds", "adapter_params", "t_cluster"):
-        if getattr(args, name) < 1:
-            errors.append(f"--{name.replace('_', '-')}: must be >= 1")
-    if args.epochs < 0:
-        errors.append("--epochs: must be >= 0")
-    if args.data_size < 0:
-        errors.append("--data-size: must be >= 0")
-    if args.max_requests < 0:
-        errors.append("--max-requests: must be >= 0")
-    if errors:
-        raise ConfigurationError(errors)
-
+    _check_flags(args)
     start = time.perf_counter()
     outdir = _outdir(args.out)
     L, B, c, D, S = args.groups, args.budget, args.clusters, args.data_size, \
@@ -176,9 +181,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 ("FedCIO", f"c={c}", repr(rate_cio))])
 
     requests = range(args.max_requests + 1)
-    # expected_remaining_fedsgt from one span pass; it needs B >= L.
-    remaining_sgt = ([D / L * (L - span)
-                      for span in analytics.expected_span_curve(L, args.max_requests)]
+    # The FedSGT closed form needs a rotation for every group (B >= L).
+    remaining_sgt = (analytics.expected_remaining_curve(D, L, args.max_requests)
                      if B >= L else None)
     remaining_cio = [analytics.expected_remaining_fedcio(D, c, r) for r in requests]
     _write_csv(outdir / "remaining_curve.csv",
@@ -213,12 +217,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "matched_budget": analytics.matched_budget(args.rounds, L),
     }
     _write_json(outdir / "analyze.json", doc)
-    _write_manifest(outdir, "analyze", {
-        "groups": L, "budget": B, "clusters": c, "data_size": D,
-        "slices_per_client": S, "clients": args.clients, "rounds": args.rounds,
-        "epochs": args.epochs, "adapter_params": args.adapter_params,
-        "t_cluster": args.t_cluster, "max_requests": args.max_requests,
-        "out": str(outdir)})
+    _write_manifest(outdir, "analyze", _flag_config(args, outdir))
     elapsed = time.perf_counter() - start
     print(f"analyze: FedSGT sustains {rate_sgt:.4f} expected requests, "
           f"FedCIO {rate_cio:.4f} ({rate_sgt / rate_cio:.2f}x); "
@@ -232,16 +231,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigurationError(["--trials: must be >= 1"])
-    if args.seed < 0:
-        raise ConfigurationError(["--seed: must be >= 0"])
-    if not (math.isfinite(args.confidence_k) and args.confidence_k > 0):
-        raise ConfigurationError(["--confidence-k: must be finite and positive"])
-    if args.workers < 1:
-        raise ConfigurationError(["--workers: must be >= 1"])
-    if args.data_size < 0:
-        raise ConfigurationError(["--data-size: must be >= 0"])
+    k = args.confidence_k
+    _check_flags(args, [] if math.isfinite(k) and k > 0 else
+                 ["--confidence-k: must be finite and positive"])
     outdir = _outdir(args.out)
     cfg = MCConfig(trials=args.trials, seed=args.seed,
                    confidence_k=args.confidence_k)
@@ -267,9 +259,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "passed": not failures, "elapsed_seconds": elapsed,
     }
     _write_json(outdir / "validation.json", doc)
-    _write_manifest(outdir, "validate", {
-        "trials": cfg.trials, "seed": cfg.seed, "confidence_k": cfg.confidence_k,
-        "workers": args.workers, "data_size": args.data_size, "out": str(outdir)})
+    _write_manifest(outdir, "validate", _flag_config(args, outdir))
     verdict = "ok" if not failures else f"{len(failures)} quantities off"
     print(f"validate: {len(rows)} quantities at {cfg.trials} trials, "
           f"max |z| = {worst:.3f} ({verdict}, {elapsed:.1f}s)")
@@ -382,6 +372,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
         raise ConfigurationError([f"manifest not found: {manifest_path}"])
     plan = _load_plan(plan_path, model)
     cfg = load_config_file(manifest_path)
+    _check_flags(args)
     dataset = build_dataset(cfg)
     strategy = args.strategy or cfg.strategy
 
@@ -389,12 +380,6 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     if args.requests_file:
         requests = _load_requests_file(args.requests_file, catalog)
     else:
-        if args.count < 0:
-            raise ConfigurationError(["--count: must be >= 0"])
-        if args.request_seed < 0:
-            raise ConfigurationError(["--request-seed: must be >= 0"])
-        if args.record_count < 1:
-            raise ConfigurationError(["--record-count: must be >= 1"])
         requests = uniform_requests(catalog, args.count, args.request_seed,
                                     args.record_count)
 
@@ -408,12 +393,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     if args.audit:
         report = exactness_audit(model, plan, trainer_config(cfg), dataset,
                                  system.state.deleted)
-        summary["audit"] = {
-            "passed": report.passed,
-            "sequences_checked": report.sequences_checked,
-            "modules_checked": report.modules_checked,
-            "first_mismatch": report.first_mismatch,
-        }
+        summary["audit"] = dataclasses.asdict(report)
         if not report.passed:
             print(f"unlearn: exactness audit FAILED at sequence/phase "
                   f"{report.first_mismatch}", file=sys.stderr)
@@ -443,8 +423,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.retrain_stride < 1:
-        raise ConfigurationError(["--retrain-stride: must be >= 1"])
+    _check_flags(args)
     cfg = load_config_file(args.config)
     outdir = _outdir(args.out or cfg.out or "compare")
     start = time.perf_counter()
@@ -490,6 +469,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_flag(parser: argparse.ArgumentParser, flag: str, default: int,
+              minimum: int, **kwargs: Any) -> None:
+    """Declare an integer flag with its default and its minimum, which
+    ``_check_flags`` enforces."""
+    dest = parser.add_argument(flag, type=int, default=default, **kwargs).dest
+    parser.set_defaults(minimums=(*(parser.get_default("minimums") or ()),
+                                  (flag, dest, minimum)))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsgt",
@@ -499,27 +487,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="emit closed-form tables")
-    p.add_argument("--groups", type=int, default=10)
-    p.add_argument("--budget", type=int, default=10)
-    p.add_argument("--clusters", type=int, default=5)
-    p.add_argument("--data-size", type=int, default=50_000)
-    p.add_argument("--slices-per-client", type=int, default=2)
-    p.add_argument("--clients", type=int, default=10)
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--adapter-params", type=int, default=1)
-    p.add_argument("--t-cluster", type=int, default=2,
-                   help="clustering overhead rounds charged to FedCIO")
-    p.add_argument("--max-requests", type=int, default=25)
+    _int_flag(p, "--groups", 10, 1)
+    _int_flag(p, "--budget", 10, 1)
+    _int_flag(p, "--clusters", 5, 1)
+    _int_flag(p, "--data-size", 50_000, 0)
+    _int_flag(p, "--slices-per-client", 2, 1)
+    _int_flag(p, "--rounds", 10, 1)
+    _int_flag(p, "--epochs", 3, 0)
+    _int_flag(p, "--adapter-params", 1, 1)
+    _int_flag(p, "--t-cluster", 2, 1,
+              help="clustering overhead rounds charged to FedCIO")
+    _int_flag(p, "--max-requests", 25, 0)
     p.add_argument("--out", default="analyze-out")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("validate", help="Monte Carlo cross-check of closed forms")
-    p.add_argument("--trials", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    _int_flag(p, "--trials", 200_000, 1)
+    _int_flag(p, "--seed", 0, 0)
     p.add_argument("--confidence-k", type=float, default=3.0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--data-size", type=int, default=50_000)
+    _int_flag(p, "--workers", 1, 1)
+    _int_flag(p, "--data-size", 50_000, 0)
     p.add_argument("--out", default="validate-out")
     p.set_defaults(func=cmd_validate)
 
@@ -532,11 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", required=True)
     p.add_argument("--plan", default=None)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--strategy", choices=("allseq", "minseq", "longseq"),
-                   default=None)
-    p.add_argument("--count", type=int, default=0)
-    p.add_argument("--request-seed", type=int, default=0)
-    p.add_argument("--record-count", type=int, default=100)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
+    _int_flag(p, "--count", 0, 0)
+    _int_flag(p, "--request-seed", 0, 0)
+    _int_flag(p, "--record-count", 100, 1)
     p.add_argument("--requests-file", default=None,
                    help="JSON list of {client, slice, records}")
     p.add_argument("--audit", action="store_true",
@@ -547,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="FedSGT vs FedCIO vs FedRetrain")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--retrain-stride", type=int, default=5)
+    _int_flag(p, "--retrain-stride", 5, 1)
     p.set_defaults(func=cmd_compare)
     return parser
 

@@ -59,7 +59,7 @@ def _count(default: int, minimum: int) -> Any:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    dim: int = _count(20, 1)
+    dim: int = _count(20, 2)  # classes <= dim and classes >= 2
     classes: int = _count(5, 2)
     samples_per_client: int = _count(200, 1)
     alpha: float | None = 0.3  # Dirichlet concentration; None means IID

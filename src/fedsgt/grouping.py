@@ -80,10 +80,6 @@ class GroupingPlan:
         object.__setattr__(self, "_group_lookup", lookup)
 
     @property
-    def slice_count(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    @property
     def total_samples(self) -> int:
         return sum(self.sizes.values())
 

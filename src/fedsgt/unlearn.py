@@ -144,6 +144,12 @@ class FedSGTSystem:
     _scored: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
+    def __post_init__(self):
+        # The state's prefixes come from ``seqs``, the served modules from
+        # ``model.sequences``: another family serves deleted groups' modules.
+        if self.model is not None and self.model.sequences != self.seqs:
+            raise ValueError("the model was trained on another sequence family")
+
     @property
     def remaining_samples(self) -> int:
         return self.plan.total_samples - sum(self.removed.values())
@@ -370,8 +376,7 @@ def exactness_audit(model: ToyModel, plan: GroupingPlan, cfg: TrainConfig,
 
 
 def race_failure_steps(plan: GroupingPlan, seqs: SequenceSet, clusters: int,
-                       seed: int, record_count: int = 100,
-                       cap: int = 1_000_000) -> tuple[int, int]:
+                       seed: int, cap: int = 1_000_000) -> tuple[int, int]:
     """Failure steps of FedSGT and FedCIO (no-retrain) under one shared
     uniform request stream. No models involved: failure is structural, so
     FedSGT is a structure-only system and FedCIO the clusters not yet hit."""
@@ -380,7 +385,7 @@ def race_failure_steps(plan: GroupingPlan, seqs: SequenceSet, clusters: int,
     system = fedsgt_system(plan, seqs)
     alive = {cluster_of(c, clusters) for c in plan.clients()}
     sgt_step = cio_step = None
-    stream = request_stream(catalog, seed, record_count)
+    stream = request_stream(catalog, seed)
     for step in range(1, cap + 1):
         req = next(stream)
         if sgt_step is None and process_request(system, req).surviving == 0:

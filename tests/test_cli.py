@@ -539,7 +539,7 @@ CONFIG_RANGES = {
     "groups": (1, lambda v: v["clients"] * v["slices_per_client"]),
     "budget": (1, lambda v: math.factorial(min(v["groups"], 4))),
     "clusters": (1, lambda v: v["clients"]),
-    "dataset.dim": (1, 6), "dataset.classes": (2, lambda v: v["dataset.dim"]),
+    "dataset.dim": (2, 6), "dataset.classes": (2, lambda v: v["dataset.dim"]),
     "dataset.samples_per_client": (lambda v: v["slices_per_client"], 30),
     "dataset.test_samples": (1, 20),
     "trainer.epochs": (0, 2), "trainer.batch_size": (1, 8),
@@ -549,7 +549,7 @@ CONFIG_RANGES = {
 }
 ANALYZE_RANGES = {
     "groups": (1, 12), "budget": (1, 14), "clusters": (1, 8),
-    "data-size": (0, 10**6), "slices-per-client": (1, 5), "clients": (1, 12),
+    "data-size": (0, 10**6), "slices-per-client": (1, 5),
     "rounds": (1, 12), "epochs": (0, 4), "adapter-params": (1, 100),
     "t-cluster": (1, 4), "max-requests": (0, 40),
 }
@@ -601,6 +601,80 @@ def test_compare_contract(config, stride):
                                     config=config)
     if code == 0:
         assert "compare.json" in written
+
+
+# Every integer flag as (command, flag, minimum). Written out by hand so
+# that it pins the flags independently of how build_parser declares them.
+INT_FLAGS = [
+    ("analyze", "--groups", 1), ("analyze", "--budget", 1),
+    ("analyze", "--clusters", 1), ("analyze", "--data-size", 0),
+    ("analyze", "--slices-per-client", 1), ("analyze", "--rounds", 1),
+    ("analyze", "--epochs", 0), ("analyze", "--adapter-params", 1),
+    ("analyze", "--t-cluster", 1), ("analyze", "--max-requests", 0),
+    ("validate", "--trials", 1), ("validate", "--seed", 0),
+    ("validate", "--workers", 1), ("validate", "--data-size", 0),
+    ("unlearn", "--count", 0), ("unlearn", "--request-seed", 0),
+    ("unlearn", "--record-count", 1),
+    ("compare", "--retrain-stride", 1),
+]
+
+
+@pytest.mark.parametrize("command, flag, minimum", INT_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in INT_FLAGS])
+def test_flag_below_minimum_is_one_config_error(shared_bank, command, flag,
+                                                minimum):
+    source = ["--bank", shared_bank] if command == "unlearn" else []
+    code, err, written = contract_run(
+        command, *source, flag, minimum - 1,
+        config=CONFIG if command == "compare" else None)
+    assert (code, err, written) == (
+        2, f"config error: {flag}: must be >= {minimum}\n", {})
+
+
+def test_every_bad_flag_reported_in_one_pass(tmp_path, capsys):
+    assert run("validate", "--trials", 0, "--seed", -1, "--workers", 0,
+               "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == (
+        "config error: --trials: must be >= 1\n"
+        "config error: --seed: must be >= 0\n"
+        "config error: --workers: must be >= 1\n")
+    assert not (tmp_path / "v").exists()
+
+
+def test_unlearn_checks_flags_with_requests_file(tmp_path, shared_bank,
+                                                 capsys):
+    reqs = write_json(tmp_path / "reqs.json",
+                      [{"client": 0, "slice": 0, "records": 5}])
+    flags = ["--requests-file", reqs, "--count", -7, "--record-count", 0,
+             "--request-seed", -3, "--out", tmp_path / "u"]
+    assert run("unlearn", "--bank", shared_bank, *flags) == 2
+    assert capsys.readouterr().err == (
+        "config error: --count: must be >= 0\n"
+        "config error: --request-seed: must be >= 0\n"
+        "config error: --record-count: must be >= 1\n")
+    assert not (tmp_path / "u").exists()
+    # The bank is read first: a missing one still exits 4.
+    assert run("unlearn", "--bank", tmp_path / "none.fsgt", *flags) == 4
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["analyze", "--groups", 6, "--budget", 8, "--max-requests", 3],
+     {"groups": 6, "budget": 8, "clusters": 5, "data_size": 50_000,
+      "slices_per_client": 2, "rounds": 10, "epochs": 3, "adapter_params": 1,
+      "t_cluster": 2, "max_requests": 3}),
+    (["validate", "--trials", 200, "--seed", 4, "--confidence-k", 50,
+      "--data-size", 1000],
+     {"trials": 200, "seed": 4, "confidence_k": 50.0, "workers": 1,
+      "data_size": 1000}),
+], ids=["analyze", "validate"])
+def test_manifest_config_is_the_parsed_flags(tmp_path, argv, config):
+    # "out" is recorded as the directory written, not as spelled. A short
+    # validate may exceed its bound (exit 3); the manifest is written anyway.
+    out = tmp_path / "out"
+    assert run(*argv, "--out", f"{out}/") in (0, 3)
+    assert json.loads((out / "manifest.json").read_text()) == {
+        "tool": "fedsgt", "version": fedsgt.__version__, "command": argv[0],
+        "config": {**config, "out": str(out)}}
 
 
 class TestModuleEntryPoint:

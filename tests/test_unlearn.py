@@ -101,6 +101,18 @@ class TestProcessRequest:
         # record accounting still advances, capped at the slice size
         assert system.removed[SliceRef(1, 0)] == 6
 
+    def test_other_sequence_family_rejected(self):
+        # Past the four rotations the extra orders are drawn from the seed.
+        # The state's prefixes come from the family passed in and the served
+        # modules from the model's, so a mismatch would serve modules
+        # trained on deleted groups.
+        ds, plan, seqs, cfg, model = build(budget=8)
+        other = build_sequences(4, 8, seed=1)
+        assert other != seqs
+        with pytest.raises(ValueError, match="another sequence family"):
+            fedsgt_system(plan, other, "allseq", model, ds)
+        fedsgt_system(plan, build_sequences(4, 8, seed=0), "allseq", model, ds)
+
     def test_remaining_samples_accounting(self):
         ds, plan, seqs, cfg, model = build()
         system = fedsgt_system(plan, seqs, "allseq", model, ds)
