@@ -18,7 +18,7 @@ print(f"ratio: {sgt / cio:.2f}x")
 print()
 print("=== Occupancy: how many groups have been hit after r requests ===")
 for r in (1, 3, 5, 10):
-    dist = [(m, analytics.prob_m_distinct(L, r, m)) for m in range(L + 1)]
+    dist = list(enumerate(analytics.distinct_count_law(L, r)))
     mode = max(dist, key=lambda t: t[1])
     mean = sum(m * p for m, p in dist)
     print(f"r={r:>2}: E[distinct groups] = {float(mean):.3f}, "

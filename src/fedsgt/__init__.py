@@ -14,7 +14,8 @@ The package has three layers:
 __version__ = "0.5.0"
 
 from .analytics import (AnalyticParams, deletion_rate_fedcio,
-                        deletion_rate_fedsgt, expected_comm_cost,
+                        deletion_rate_fedsgt, distinct_count_law,
+                        expected_comm_cost,
                         expected_remaining_curve, expected_remaining_fedcio,
                         expected_remaining_fedsgt, expected_span,
                         expected_span_curve,
@@ -48,10 +49,11 @@ __all__ = [
     "__version__",
     # analytics
     "AnalyticParams", "deletion_rate_fedsgt", "deletion_rate_fedcio",
-    "prob_m_distinct", "prob_max_gap_le", "expected_span_given_m",
-    "expected_span", "expected_span_curve", "expected_remaining_curve",
-    "expected_remaining_fedsgt", "expected_remaining_fedcio",
-    "expected_comm_cost", "matched_budget", "training_cost",
+    "distinct_count_law", "prob_m_distinct", "prob_max_gap_le",
+    "expected_span_given_m", "expected_span", "expected_span_curve",
+    "expected_remaining_curve", "expected_remaining_fedsgt",
+    "expected_remaining_fedcio", "expected_comm_cost", "matched_budget",
+    "training_cost",
     # combinatorics
     "harmonic", "binomial", "stirling2",
     # core

@@ -84,15 +84,24 @@ def _distinct_counts(group_count: int, requests: int) -> Iterator[list[int]]:
         yield counts
 
 
-def prob_m_distinct(group_count: int, requests: int, distinct: int) -> Fraction:
-    """P(exactly ``distinct`` groups are hit by ``requests`` uniform draws).
-
-    N_r(m) / L^r from the occupancy chain. Out-of-range ``distinct`` has
-    probability zero; zero requests put all mass on zero distinct groups.
-    """
+def distinct_count_law(group_count: int, requests: int) -> list[Fraction]:
+    """The law of the number of distinct groups hit by ``requests`` uniform
+    draws: entry m is N_r(m) / L^r, m = 0..group_count, from one pass of the
+    occupancy chain. Callers that need every m read this once instead of
+    paying a chain pass per m."""
     *_, counts = _distinct_counts(group_count, requests)
-    return Fraction(counts[distinct] if 0 <= distinct <= group_count else 0,
-                    group_count ** requests)
+    total = group_count ** requests
+    return [Fraction(n, total) for n in counts]
+
+
+def prob_m_distinct(group_count: int, requests: int, distinct: int) -> Fraction:
+    """P(exactly ``distinct`` groups are hit by ``requests`` uniform draws):
+    entry ``distinct`` of :func:`distinct_count_law`. Out-of-range
+    ``distinct`` has probability zero; zero requests put all mass on zero
+    distinct groups.
+    """
+    law = distinct_count_law(group_count, requests)
+    return law[distinct] if 0 <= distinct <= group_count else Fraction(0)
 
 
 def prob_max_gap_le(group_count: int, occupied: int, gap_bound: int) -> Fraction:

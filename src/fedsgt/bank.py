@@ -16,7 +16,10 @@ Layout (all integers and floats little-endian):
 
 Weights round-trip bit-exactly; the per-position group ids reconstruct the
 sequence permutations, so a bank plus its grouping plan is enough to resume
-serving and to audit exactness.
+serving and to audit exactness. A bank that contradicts itself is rejected
+when read: a non-finite weight, a stored order that is not a permutation,
+or sample counts that do not strictly rise from zero along a sequence
+(every group holds at least one nonempty slice).
 """
 
 from __future__ import annotations
@@ -71,25 +74,35 @@ def read_bank(path: str | Path) -> ToyModel:
         raise BankFormatError(
             f"bank length {len(raw)} does not match header (expected {expected})")
 
+    def matrix(offset: int, where: str) -> np.ndarray:
+        values = np.frombuffer(raw, dtype="<f8", count=k * d,
+                               offset=offset).reshape(k, d).copy()
+        if not np.isfinite(values).all():
+            raise BankFormatError(f"{where} holds a non-finite weight")
+        return values
+
     offset = _HEADER.size
-    backbone = np.frombuffer(raw, dtype="<f8", count=k * d,
-                             offset=offset).reshape(k, d).copy()
+    backbone = matrix(offset, "backbone")
     offset += matrix_bytes
     modules: list[list[AdapterModule]] = []
     perms: list[tuple[int, ...]] = []
-    for _ in range(budget):
+    for sid in range(budget):
         stack = []
-        for _ in range(group_count):
+        for phase in range(group_count):
             group, samples = _MODULE_HEAD.unpack_from(raw, offset)
             offset += _MODULE_HEAD.size
-            weights = np.frombuffer(raw, dtype="<f8", count=k * d,
-                                    offset=offset).reshape(k, d).copy()
+            weights = matrix(offset, f"sequence {sid}, phase {phase}")
             offset += matrix_bytes
             stack.append(AdapterModule(group=group, samples=samples,
                                        weights=weights))
         perm = tuple(m.group for m in stack)
         if sorted(perm) != list(range(group_count)):
             raise BankFormatError(f"stored order {perm} is not a permutation")
+        counts = [0] + [m.samples for m in stack]
+        if any(b <= a for a, b in zip(counts, counts[1:])):
+            raise BankFormatError(
+                f"sequence {sid}: sample counts {counts[1:]} do not strictly "
+                f"rise from zero")
         perms.append(perm)
         modules.append(stack)
     seqs = SequenceSet(group_count=group_count, perms=tuple(perms))

@@ -14,7 +14,8 @@ import pytest
 
 from fedsgt import analytics
 from fedsgt.analytics import (AnalyticParams, deletion_rate_fedcio,
-                              deletion_rate_fedsgt, expected_comm_cost,
+                              deletion_rate_fedsgt, distinct_count_law,
+                              expected_comm_cost,
                               expected_remaining_fedcio,
                               expected_remaining_fedsgt, expected_span,
                               expected_span_curve, expected_span_given_m,
@@ -105,6 +106,26 @@ class TestOccupancyDistribution:
     def test_sums_to_one(self):
         for L, r in [(4, 6), (7, 3), (10, 10)]:
             assert sum(prob_m_distinct(L, r, m) for m in range(L + 1)) == 1
+
+    def test_law_is_the_per_m_probability(self):
+        # the whole row in one pass equals C(L, m) m! S(r, m) / L^r, the
+        # value prob_m_distinct gave one m at a time
+        for L in range(1, 9):
+            for r in range(9):
+                law = distinct_count_law(L, r)
+                assert len(law) == L + 1
+                assert sum(law) == 1
+                for m, p in enumerate(law):
+                    want = Fraction(math.comb(L, m) * math.factorial(m) *
+                                    stirling2(r, m), L ** r)
+                    assert p == want, (L, r, m)
+                    assert prob_m_distinct(L, r, m) == p, (L, r, m)
+
+    def test_law_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            distinct_count_law(0, 3)
+        with pytest.raises(ValueError):
+            distinct_count_law(4, -1)
 
 
 class TestMaxGap:

@@ -118,3 +118,55 @@ class TestCorruption:
         path.write_bytes(b"")
         with pytest.raises(BankFormatError):
             read_bank(path)
+
+
+class TestContradictions:
+    """A bank whose bytes parse but contradict how banks are made is
+    rejected on load: non-finite weights, and sample counts that do not
+    strictly rise along a sequence (every group holds samples)."""
+
+    K, D, L = 3, 6, 4
+    MATRIX = 8 * K * D
+    MODULE = 12 + MATRIX
+
+    def module_at(self, sid, phase):
+        return 24 + self.MATRIX + (sid * self.L + phase) * self.MODULE
+
+    def patched(self, trained, tmp_path, fmt, offset, value):
+        path = tmp_path / "m.fsgt"
+        write_bank(path, trained)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        return path
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_backbone(self, trained, tmp_path, value):
+        path = self.patched(trained, tmp_path, "<d", 24 + 8 * 5, value)
+        with pytest.raises(BankFormatError,
+                           match="backbone holds a non-finite"):
+            read_bank(path)
+
+    @pytest.mark.parametrize("sid, phase", [(0, 0), (2, 1), (4, 3)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_module(self, trained, tmp_path, sid, phase, value):
+        last = self.module_at(sid, phase) + self.MODULE - 8
+        path = self.patched(trained, tmp_path, "<d", last, value)
+        with pytest.raises(BankFormatError,
+                           match=f"sequence {sid}, phase {phase} holds"):
+            read_bank(path)
+
+    @pytest.mark.parametrize("sid, phase, delta", [
+        (0, 0, None),   # the first module saw no samples
+        (1, 2, 0),      # equal to the phase before
+        (3, 3, -1),     # below the phase before
+    ])
+    def test_sample_counts_must_rise(self, trained, tmp_path, sid, phase,
+                                     delta):
+        before = trained.modules[sid][phase - 1].samples if phase else 0
+        value = 0 if delta is None else before + delta
+        path = self.patched(trained, tmp_path, "<Q",
+                            self.module_at(sid, phase) + 4, value)
+        with pytest.raises(BankFormatError,
+                           match=f"sequence {sid}: sample counts"):
+            read_bank(path)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -294,6 +295,29 @@ class TestUnlearn:
     def test_missing_bank(self, tmp_path):
         assert run("unlearn", "--bank", tmp_path / "none.fsgt",
                    "--out", tmp_path / "u") == 4
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("weight", math.nan, "sequence 0, phase 0 holds a non-finite weight"),
+        ("weight", -math.inf, "sequence 0, phase 0 holds a non-finite weight"),
+        ("samples", 0, "sequence 0: sample counts [0, "),
+    ], ids=["nan-weight", "inf-weight", "zero-samples"])
+    def test_contradictory_bank(self, tmp_path, trained, capsys, field, value,
+                                message):
+        # The bank parses and matches its plan's shape, but no training run
+        # writes these bytes; unlearn must refuse it, not serve it.
+        bank = trained / "bank.fsgt"
+        raw = bytearray(bank.read_bytes())
+        _, _, _, _, d, k = struct.unpack_from("<4sIIIII", raw)
+        module = 24 + 8 * k * d
+        if field == "weight":
+            struct.pack_into("<d", raw, module + 12, value)
+        else:
+            struct.pack_into("<Q", raw, module + 4, value)
+        bank.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run("unlearn", "--bank", bank, "--out", tmp_path / "u") == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "u").exists()
 
     @pytest.mark.parametrize("text", ['{"format": "nope"}', "not json", "[]",
                                       '{"format": "fedsgt-plan", "version": 1}'],

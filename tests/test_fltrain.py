@@ -11,6 +11,7 @@ from fedsgt.fltrain import (CostMeter, TrainConfig, _round_rng, _softmax,
                             predict_proba, train_fedsgt, train_sequence)
 from fedsgt.grouping import SliceRef, build_grouping
 from fedsgt.sequencing import (apply_deletion, build_sequences, fresh_state,
+                               select_allseq, select_longseq, select_minseq,
                                state_from_deleted)
 
 
@@ -188,6 +189,67 @@ class TestStackedRound:
                             np.zeros((self.K, self.D)), data, cfg, (0, 0, 0))
 
 
+def textbook_softmax(z):
+    e = np.exp(z - z.max(-1, keepdims=True))
+    return e / e.sum(-1, keepdims=True)
+
+
+class TestSoftmax:
+    """_softmax is byte-identical to the textbook formula at every class
+    count, and leaves its input alone. Training, the audit, the baselines and
+    serving share it, so its bytes are the bank bytes."""
+
+    def assert_textbook(self, z):
+        before = z.copy()
+        got = _softmax(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == textbook_softmax(z).tobytes()
+        assert z.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_matches_textbook(self, k):
+        rng = np.random.default_rng(k)
+        self.assert_textbook(rng.normal(scale=4.0, size=k))
+        self.assert_textbook(rng.normal(scale=4.0, size=(37, k)))
+        self.assert_textbook(rng.normal(scale=4.0, size=(3, 11, k)))
+        wide = rng.normal(scale=4.0, size=(29, 2 * k + 1))
+        view = wide[::2, 1::2]  # strided in both axes
+        assert not view.flags.c_contiguous
+        self.assert_textbook(view)
+        self.assert_textbook(rng.normal(scale=4.0, size=(k, 23)).T)
+
+    @pytest.mark.parametrize("k", (1, 2, 5, 7, 8, 9, 16, 33, 64))
+    def test_special_values_match_textbook(self, k):
+        rng = np.random.default_rng(100 + k)
+        rows = []
+        for special in (np.nan, np.inf, -np.inf, 0.0, -0.0):
+            for col in {0, k // 2, k - 1}:
+                row = rng.normal(size=k)
+                row[col] = special
+                rows.append(row)
+            rows.append(np.full(k, special))
+        zeros = np.zeros(k)
+        zeros[::2] = -0.0
+        rows.append(zeros)
+        mixed = rng.normal(size=k)
+        mixed[::3] = np.inf
+        mixed[1::3] = -np.inf
+        rows.append(mixed)
+        with np.errstate(all="ignore"):
+            self.assert_textbook(np.array(rows))
+
+    def test_nan_signs_keep_positions(self):
+        # a row holding a NaN with its sign bit set may come out with either
+        # sign bit (IEEE 754 leaves it open); where a NaN sits does not change
+        z = np.array([[-np.nan, 1.0, 2.0, 3.0, np.nan],
+                      [1.0, -np.nan, 2.0, 3.0, 4.0],
+                      [0.5, 1.0, 2.0, 3.0, 4.0]])
+        with np.errstate(all="ignore"):
+            got, want = _softmax(z), textbook_softmax(z)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[2].tobytes() == want[2].tobytes()
+
+
 class TestClientData:
     def test_order_removed_prefix_and_emptied_clients(self):
         ds = data(clients=3)  # two slices of 30 samples per client
@@ -301,6 +363,67 @@ class TestServing:
         with pytest.raises(ValueError):
             predict_proba(self.model, fresh_state(self.seqs), "best",
                           self.ds.test_x[:1])
+
+
+def reference_proba(model, state, strategy, x):
+    """Serving written out: each chosen sequence's backbone-plus-prefix
+    logits through the textbook softmax, then the prefix-weighted (allseq)
+    or uniform (minseq) sum in ascending sequence id."""
+    def probs(sid):
+        w = model.backbone.copy()
+        for module in model.modules[sid][:state.active_len[sid]]:
+            w = w + module.weights
+        return textbook_softmax(x @ w.T)
+
+    seqs = model.sequences
+    if strategy == "longseq":
+        return probs(select_longseq(state, seqs))
+    if strategy == "minseq":
+        chosen = sorted(select_minseq(state, seqs))
+        acc = probs(chosen[0])
+        for sid in chosen[1:]:
+            acc = acc + probs(sid)
+        return acc / len(chosen)
+    acc = None
+    for sid, weight in select_allseq(state, seqs):
+        p = weight * probs(sid)
+        acc = p if acc is None else acc + p
+    return acc
+
+
+class TestServingBytes:
+    """predict_proba and matrix_accuracy give the bytes of serving written
+    out by hand, at several deletion states."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        ds = data(seed=4, clients=6, classes=5, dim=7)
+        plan = build_grouping(ds.slice_catalog(), 6, 4)
+        seqs = build_sequences(6, 8, 4)
+        cfg = TrainConfig(epochs=2, lr=0.1, batch_size=16, seed=4)
+        return ds, train_fedsgt(ds, plan, seqs, cfg)
+
+    @pytest.mark.parametrize("deleted", [(), (2,), (0, 3), (1, 4, 5)])
+    @pytest.mark.parametrize("strategy", ["allseq", "minseq", "longseq"])
+    def test_predict_proba(self, trained, strategy, deleted):
+        ds, model = trained
+        state = state_from_deleted(model.sequences, deleted)
+        assert not state.all_dead
+        got = predict_proba(model, state, strategy, ds.test_x)
+        want = reference_proba(model, state, strategy, ds.test_x)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_matrix_accuracy(self, count):
+        rng = np.random.default_rng(count)
+        x = rng.normal(size=(400, 7))
+        y = rng.integers(0, 5, 400)
+        weights = [rng.normal(size=(5, 7)) for _ in range(count)]
+        acc = textbook_softmax(x @ weights[0].T)
+        for w in weights[1:]:
+            acc = acc + textbook_softmax(x @ w.T)
+        want = float(np.mean(np.argmax(acc / count, axis=1) == y))
+        assert matrix_accuracy(weights, x, y) == want
 
 
 class TestCostAccounting:
