@@ -18,7 +18,10 @@ for bit on the same platform (cross-platform equality is not promised).
 A round steps all its participants together: at each batch offset the
 clients that share a batch length take one stacked step, whose per-client
 matmuls and reductions are the ones a client-by-client loop would make.
-Training runs on one thread.
+Independent rounds may step in one stack the same way (the FedCIO clusters'
+FedAvg runs do): each round keeps its own batch-order streams, frozen
+weights and average, and gets the bytes it has alone. Training runs on one
+thread.
 """
 
 from __future__ import annotations
@@ -166,6 +169,93 @@ def _batch_plan(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, 
     return steps
 
 
+_Round = tuple[np.ndarray, np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]],
+               tuple[int, ...]]
+
+
+def _lockstep_rounds(rounds: list[_Round], cfg: TrainConfig,
+                     meter: CostMeter | None = None,
+                     cost_modules: int = 1) -> list[np.ndarray]:
+    """Step independent rounds ``(active, frozen, data, round_key)``
+    together and return each round's averaged update, each with the bytes
+    ``federated_round`` gives it alone.
+
+    Every participant of every round is one member of the stack, ranked
+    largest first with ties in (round, client id) order, so the members
+    still stepping at any batch offset are a prefix, grouped by batch
+    length. Each member steps against its own round's ``frozen``; per-member
+    matmuls and softmax rows do not depend on the rest of the stack.
+    """
+    if not rounds:
+        return []
+    owners: list[int] = []
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    for r, (_, _, data, _) in enumerate(rounds):
+        if not data:
+            raise TrainingError("federated_round: no participants")
+        owners += [r] * len(data)
+        parts += [data[c] for c in sorted(data)]
+    counts = np.array([len(y) for _, y in parts], dtype=np.float64)
+    if np.any(counts == 0):
+        raise TrainingError("federated_round: participant with empty data")
+    # Largest first; the stable sort keeps ties in (round, client id) order.
+    rank = np.argsort(-counts, kind="stable")
+    sizes = [int(counts[i]) for i in rank]
+    owner = [owners[i] for i in rank]
+    xs = np.concatenate([parts[i][0] for i in rank])
+    ys = np.concatenate([parts[i][1] for i in rank])
+    # Contiguous per-member copies: adding two contiguous stacks costs about
+    # half of broadcasting one matrix over the stack.
+    modules = np.array([a for a, _, _, _ in rounds])[owner]
+    frozen = np.array([f for _, f, _, _ in rounds])[owner]
+    onehot = np.zeros((len(ys), modules.shape[1]))
+    onehot[np.arange(len(ys)), ys] = 1.0
+    offsets = np.cumsum([0] + sizes)
+
+    # order[e, i, :n_i] holds the rows of xs that member i visits in epoch
+    # e. The stream depends only on the round key and n_i, so draw it once
+    # per (size, round) run.
+    order = np.zeros((cfg.epochs, len(sizes), sizes[0]), dtype=np.intp)
+    first = 0
+    for (n, r), run in groupby(zip(sizes, owner)):
+        stop = first + len(list(run))
+        rng = _round_rng(cfg, rounds[r][3])
+        perms = np.array([rng.permutation(n) for _ in range(cfg.epochs)],
+                         dtype=np.intp).reshape(cfg.epochs, 1, n)
+        order[:, first:stop, :n] = perms + offsets[first:stop, None]
+        first = stop
+
+    steps = [(start, first, stop, length, frozen[first:stop])
+             for start, first, stop, length in _batch_plan(sizes, cfg.batch_size)]
+    for epoch in range(cfg.epochs):
+        for start, first, stop, length, fz in steps:
+            idx = order[epoch, first:stop, start:start + length]
+            xb = xs[idx]
+            a = modules[first:stop]
+            probs = _softmax(xb @ (fz + a).transpose(0, 2, 1))
+            if not np.isfinite(probs).all():
+                raise TrainingError(
+                    f"non-finite loss (lr={cfg.lr}, batch={length} samples)")
+            grad = (probs - onehot[idx]).transpose(0, 2, 1) @ xb / length
+            a -= cfg.lr * grad
+
+    # Each round averages its own members in ascending client id.
+    position = np.argsort(rank)
+    results = []
+    first = 0
+    for _, _, data, _ in rounds:
+        stop = first + len(data)
+        mine = counts[first:stop]
+        if meter is not None:
+            meter.charge(samples=int(mine.sum()), params=modules[0].size,
+                         modules=cost_modules, epochs=cfg.epochs)
+        weights = mine / mine.sum()
+        updates = modules[position[first:stop]]
+        results.append(np.sum(weights[:, None, None] * updates, axis=0))
+        first = stop
+    return results
+
+
 def federated_round(active: np.ndarray, frozen: np.ndarray,
                     data: dict[int, tuple[np.ndarray, np.ndarray]],
                     cfg: TrainConfig, round_key: tuple[int, ...],
@@ -180,56 +270,11 @@ def federated_round(active: np.ndarray, frozen: np.ndarray,
     fresh stream keyed by (seed, *round_key); participants with identical
     data therefore produce identical updates. All participants step
     together: each step is one stacked matmul over the clients that share a
-    batch length, and gives the same bytes as stepping them one by one.
+    batch length, and gives the same bytes as stepping them one by one. This
+    is the one-round call of the lockstep kernel.
     """
-    if not data:
-        raise TrainingError("federated_round: no participants")
-    participants = sorted(data)
-    counts = np.array([len(data[c][1]) for c in participants], dtype=np.float64)
-    if np.any(counts == 0):
-        raise TrainingError("federated_round: participant with empty data")
-    # Largest first (ties in id order): the clients stepping at any batch
-    # offset are then a prefix, grouped by batch length.
-    rank = np.argsort(-counts, kind="stable")
-    sizes = [int(counts[i]) for i in rank]
-    xs = np.concatenate([data[participants[i]][0] for i in rank])
-    ys = np.concatenate([data[participants[i]][1] for i in rank])
-    onehot = np.zeros((len(ys), active.shape[0]))
-    onehot[np.arange(len(ys)), ys] = 1.0
-    offsets = np.cumsum([0] + sizes)
-
-    # order[e, i, :n_i] holds the rows of xs that participant i visits in
-    # epoch e. The stream depends only on n_i, so draw it once per size.
-    order = np.zeros((cfg.epochs, len(sizes), sizes[0]), dtype=np.intp)
-    first = 0
-    for n, run in groupby(sizes):
-        stop = first + len(list(run))
-        rng = _round_rng(cfg, round_key)
-        perms = np.array([rng.permutation(n) for _ in range(cfg.epochs)],
-                         dtype=np.intp).reshape(cfg.epochs, 1, n)
-        order[:, first:stop, :n] = perms + offsets[first:stop, None]
-        first = stop
-
-    modules = np.repeat(active[None], len(sizes), axis=0)
-    steps = _batch_plan(sizes, cfg.batch_size)
-    for epoch in range(cfg.epochs):
-        for start, first, stop, length in steps:
-            idx = order[epoch, first:stop, start:start + length]
-            xb = xs[idx]
-            a = modules[first:stop]
-            probs = _softmax(xb @ (frozen + a).transpose(0, 2, 1))
-            if not np.isfinite(probs).all():
-                raise TrainingError(
-                    f"non-finite loss (lr={cfg.lr}, batch={length} samples)")
-            grad = (probs - onehot[idx]).transpose(0, 2, 1) @ xb / length
-            a -= cfg.lr * grad
-    if meter is not None:
-        meter.charge(samples=int(counts.sum()), params=active.size,
-                     modules=cost_modules, epochs=cfg.epochs)
-    updates = np.empty_like(modules)
-    updates[rank] = modules
-    weights = counts / counts.sum()
-    return np.sum(weights[:, None, None] * updates, axis=0)
+    return _lockstep_rounds([(active, frozen, data, round_key)], cfg, meter,
+                            cost_modules)[0]
 
 
 def client_data(dataset: Dataset, refs: Iterable[SliceRef],
@@ -373,14 +418,28 @@ def fedavg_train(data: dict[int, tuple[np.ndarray, np.ndarray]], classes: int,
     ``namespace`` keys the RNG streams so concurrent baselines (for example
     per-cluster models) stay independent and reproducible.
     """
+    return fedavg_lockstep([(data, namespace)], classes, dim, rounds, cfg,
+                           meter, cost_modules)[0]
+
+
+def fedavg_lockstep(runs: list[tuple[dict[int, tuple[np.ndarray, np.ndarray]],
+                                     tuple[int, ...]]],
+                    classes: int, dim: int, rounds: int, cfg: TrainConfig,
+                    meter: CostMeter | None = None,
+                    cost_modules: int = 1) -> list[np.ndarray]:
+    """``fedavg_train`` for several independent ``(data, namespace)`` runs
+    at once. Round t of every run steps in one stack, and each model has the
+    bytes ``fedavg_train`` gives it alone."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    w = np.zeros((classes, dim))
     frozen = np.zeros((classes, dim))
+    models = [np.zeros((classes, dim)) for _ in runs]
     for t in range(rounds):
-        w = federated_round(w, frozen, data, cfg, (*namespace, t), meter,
-                            cost_modules=cost_modules)
-    return w
+        models = _lockstep_rounds(
+            [(w, frozen, data, (*namespace, t))
+             for w, (data, namespace) in zip(models, runs)],
+            cfg, meter, cost_modules)
+    return models
 
 
 def matrix_accuracy(weights: list[np.ndarray], x: np.ndarray,

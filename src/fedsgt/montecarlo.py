@@ -21,6 +21,7 @@ from . import analytics
 
 CHUNK_TRIALS = 8192
 _BLOCK = 64  # draws per vectorized coverage step
+ZERO_VARIANCE_ULPS = 4  # rounding slack of a deterministic row (MCEstimate.zscore)
 
 _TAG_DELETION_SGT = 1
 _TAG_DELETION_CIO = 2
@@ -50,13 +51,19 @@ class MCEstimate:
     trials: int
 
     def zscore(self, reference: float) -> float:
-        """Standardized distance to a reference value; 0 when the estimate
-        matches a zero-variance quantity exactly, inf when it cannot."""
+        """Standardized distance to a reference value. An estimate without
+        a finite stderr (one trial) is uninformative and scores 0. A
+        zero-variance estimate scores 0 when it is within
+        ``ZERO_VARIANCE_ULPS`` ulps of the reference and inf otherwise: the
+        Monte Carlo mean and the closed form round a deterministic value
+        along different paths (833.3333333333335 against 833.3333333333333
+        for the remaining data at L=6, r=1 and 1,000 samples)."""
         diff = self.mean - reference
-        if self.stderr == 0 or not np.isfinite(self.stderr):
-            if diff == 0:
-                return 0.0
-            return float("inf") if self.stderr == 0 else 0.0
+        if not np.isfinite(self.stderr):
+            return 0.0
+        if self.stderr == 0:
+            slack = ZERO_VARIANCE_ULPS * np.spacing(abs(float(reference)))
+            return 0.0 if abs(diff) <= slack else float("inf")
         return diff / self.stderr
 
     def consistent_with(self, reference: float, k: float = 3.0) -> bool:

@@ -24,7 +24,8 @@ import numpy as np
 from .core import TrainingError
 from .dataset import Dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, client_data, evaluate,
-                      fedavg_train, matrix_accuracy, train_sequence)
+                      fedavg_lockstep, fedavg_train, matrix_accuracy,
+                      train_sequence)
 from .grouping import GroupingPlan, SliceRef, group_of
 from .sequencing import (SequenceSet, SequenceState, apply_deletion,
                          fresh_state, state_from_deleted)
@@ -225,16 +226,15 @@ def train_clusters(dataset: Dataset, clusters: int, cfg: TrainConfig,
     """Per-cluster FedAvg models. ``adapter_stack`` books the cost of the
     jointly trained module stack the collapsed matrix stands in for."""
     refs = [ref for ref, _ in dataset.slice_catalog()]
-    models = {}
+    runs = []
     for cid in range(clusters):
         data = client_data(dataset, (ref for ref in refs
                                      if cluster_of(ref.client_id, clusters) == cid))
         if not data:
             raise TrainingError(f"cluster {cid} has no data")
-        models[cid] = fedavg_train(data, dataset.classes, dataset.dim, rounds,
-                                   cfg, namespace=(0xC10, cid), meter=meter,
-                                   cost_modules=adapter_stack)
-    return models
+        runs.append((data, (0xC10, cid)))
+    return dict(enumerate(fedavg_lockstep(runs, dataset.classes, dataset.dim,
+                                          rounds, cfg, meter, adapter_stack)))
 
 
 def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
@@ -242,28 +242,36 @@ def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
                     rounds: int = 10) -> list[TimelineRecord]:
     """Clustered baseline under the same request stream. It never retrains:
     a request kills the containing cluster and service fails once every
-    cluster is hit."""
+    cluster is hit.
+
+    The ensemble is scored again only when a request kills a cluster that
+    was still alive; every other request leaves the served function as it
+    was.
+    """
     models = train_clusters(dataset, clusters, cfg, rounds)
     alive = set(range(clusters))
     removed: dict[SliceRef, int] = {}
     sizes = dict(dataset.slice_catalog())
 
-    def utility() -> float | None:
+    def score() -> float | None:
         if not alive:
             return None
         return matrix_accuracy([models[c] for c in sorted(alive)],
                                dataset.test_x, dataset.test_y)
 
+    utility = score()
     records = [TimelineRecord(step=0, method=METHOD_FEDCIO, affected_unit="",
-                              surviving=len(alive), utility=utility(),
+                              surviving=len(alive), utility=utility,
                               notes="baseline")]
     for step, req in enumerate(requests, start=1):
         record_removal(removed, sizes, req)
         cid = cluster_of(req.target.client_id, clusters)
-        alive.discard(cid)
+        if cid in alive:
+            alive.remove(cid)
+            utility = score()
         records.append(TimelineRecord(
             step=step, method=METHOD_FEDCIO, affected_unit=f"cluster:{cid}",
-            surviving=len(alive), utility=utility(), notes="cluster marked dead"))
+            surviving=len(alive), utility=utility, notes="cluster marked dead"))
     return records
 
 

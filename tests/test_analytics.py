@@ -86,13 +86,17 @@ class TestOccupancyDistribution:
 
     def test_matches_stirling_surjection_count(self):
         # C(L, m) * m! * S(r, m) / L^r: choose the m groups hit, then map
-        # the r requests onto them
+        # the r requests onto them. One chain pass per (L, r); m = L + 1
+        # checks the out-of-range zero.
         for L in (1, 10, 64):
             for r in (0, 1, 50, 300):
+                law = distinct_count_law(L, r)
+                assert len(law) == L + 1
                 for m in range(L + 2):
                     want = Fraction(math.comb(L, m) * math.factorial(m) *
                                     stirling2(r, m), L ** r)
-                    assert prob_m_distinct(L, r, m) == want, (L, r, m)
+                    got = law[m] if m <= L else prob_m_distinct(L, r, m)
+                    assert got == want, (L, r, m)
 
     def test_reference_values(self):
         # L=6, r=2: both requests in one group w.p. 1/6

@@ -191,6 +191,19 @@ class TestValidate:
     def test_bad_trials(self, tmp_path):
         assert run("validate", "--trials", 0, "--out", tmp_path / "v") == 2
 
+    def test_deterministic_row_rounding_passes(self, tmp_path):
+        # At 1,000 samples the L=6, r=1 remaining-data row has stderr 0 and
+        # a mean two ulps from the closed form.
+        out = tmp_path / "v"
+        assert run("validate", "--trials", 2000, "--data-size", 1000,
+                   "--out", out) == 0
+        with (out / "validation.csv").open() as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if r["quantity"] == "expected_remaining_fedsgt"
+                    and float(r["mc_stderr"]) == 0.0
+                    and r["mc_mean"] != r["closed_form"]]
+        assert rows and all(float(r["zscore"]) == 0.0 for r in rows)
+
     def test_negative_data_size(self, tmp_path, capsys):
         assert run("validate", "--data-size", -5, "--out", tmp_path / "v") == 2
         assert capsys.readouterr().err.startswith("config error: --data-size")

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from fedsgt.analytics import prob_m_distinct
+from fedsgt.analytics import distinct_count_law
 from fedsgt.combinatorics import binomial, harmonic, stirling2
 
 
@@ -119,8 +119,7 @@ class TestStirling2:
 
     def test_occupancy_sums_to_one_at_large_r(self):
         for L in (1, 10, 64):
-            total = sum(prob_m_distinct(L, 300, m) for m in range(L + 1))
-            assert total == Fraction(1), L
+            assert sum(distinct_count_law(L, 300)) == Fraction(1), L
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

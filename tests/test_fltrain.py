@@ -5,8 +5,9 @@ import pytest
 
 from fedsgt.core import ServiceUnavailable, TrainingError
 from fedsgt.dataset import synth_dataset
-from fedsgt.fltrain import (CostMeter, TrainConfig, _round_rng, _softmax,
-                            client_data, evaluate, fedavg_train,
+from fedsgt.fltrain import (CostMeter, TrainConfig, _lockstep_rounds,
+                            _round_rng, _softmax, client_data, evaluate,
+                            fedavg_train,
                             federated_round, matrix_accuracy, predict,
                             predict_proba, train_fedsgt, train_sequence)
 from fedsgt.grouping import SliceRef, build_grouping
@@ -187,6 +188,76 @@ class TestStackedRound:
         with pytest.raises(TrainingError, match="non-finite"):
             federated_round(np.zeros((self.K, self.D)),
                             np.zeros((self.K, self.D)), data, cfg, (0, 0, 0))
+
+
+class TestLockstepRounds:
+    """Independent rounds stepped in one stack must each give the bytes and
+    the cost of the client-by-client reference round run alone."""
+
+    K, D = 3, 6
+
+    def clients(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        return {c: (rng.normal(size=(n, self.D)), rng.integers(0, self.K, n))
+                for c, n in enumerate(sizes)}
+
+    def rounds(self, sizes_per_round, keys=None, nonzero=False):
+        rng = np.random.default_rng(7)
+        out = []
+        for r, sizes in enumerate(sizes_per_round):
+            active, frozen = (rng.normal(size=(2, self.K, self.D)) if nonzero
+                              else np.zeros((2, self.K, self.D)))
+            key = (5, r, 0) if keys is None else keys[r]
+            out.append((active, frozen, self.clients(sizes, seed=r), key))
+        return out
+
+    def assert_same_rounds(self, rounds, cfg, cost_modules=1):
+        got_meter = CostMeter()
+        got = _lockstep_rounds(rounds, cfg, got_meter, cost_modules)
+        assert len(got) == len(rounds)
+        total = 0
+        for result, (active, frozen, data, key) in zip(got, rounds):
+            meter = CostMeter()
+            want = reference_round(active, frozen, data, cfg, key, meter,
+                                   cost_modules=cost_modules)
+            assert result.tobytes() == want.tobytes()
+            total += meter.updates
+        assert got_meter.updates == total
+
+    def test_ragged_sizes_over_three_rounds(self):
+        cfg = TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=4)
+        self.assert_same_rounds(self.rounds([(70, 33, 16, 5), (64, 1, 33),
+                                             (40, 9)]), cfg, cost_modules=3)
+
+    @pytest.mark.parametrize("keys", [((1, 2, 3), (1, 2, 3)),
+                                      ((1, 2, 3), (1, 2, 4))],
+                             ids=["equal-keys", "different-keys"])
+    def test_rounds_sharing_a_size(self, keys):
+        cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8, seed=1)
+        self.assert_same_rounds(self.rounds([(40, 23), (12, 40)], keys=keys),
+                                cfg)
+
+    def test_nonzero_active_and_frozen_per_round(self):
+        cfg = TrainConfig(epochs=2, lr=0.3, batch_size=7, seed=5)
+        rounds = self.rounds([(30, 18, 7), (18, 25), (7,)], nonzero=True)
+        actives = [a.tobytes() for a, *_ in rounds]
+        assert len(set(actives)) == len(rounds)
+        self.assert_same_rounds(rounds, cfg)
+
+    def test_round_with_one_client(self):
+        cfg = TrainConfig(epochs=3, lr=0.2, batch_size=10, seed=2)
+        self.assert_same_rounds(self.rounds([(37,), (20, 20, 5)]), cfg)
+
+    def test_zero_epochs(self):
+        cfg = TrainConfig(epochs=0, lr=0.1, batch_size=8, seed=0)
+        self.assert_same_rounds(self.rounds([(10, 3), (7,)], nonzero=True), cfg)
+
+    def test_non_finite_feature_in_one_round_raises(self):
+        rounds = self.rounds([(20, 12), (16, 9)])
+        rounds[1][2][1][0][4, 2] = np.nan
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8, seed=0)
+        with pytest.raises(TrainingError, match="non-finite"):
+            _lockstep_rounds(rounds, cfg)
 
 
 def textbook_softmax(z):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedsgt import analytics
-from fedsgt.montecarlo import (_BLOCK, MCConfig, MCEstimate,
-                               _coverage_times, _finite_coverage_times,
-                               _span_samples, mc_comm_cost,
+from fedsgt.montecarlo import (_BLOCK, ZERO_VARIANCE_ULPS, MCConfig,
+                               MCEstimate, _coverage_times,
+                               _finite_coverage_times, _span_samples,
+                               mc_comm_cost,
                                mc_deletion_rate_fedcio,
                                mc_deletion_rate_fedsgt,
                                mc_expected_remaining, mc_expected_span,
@@ -237,6 +238,22 @@ class TestEstimateSemantics:
         est = MCEstimate(mean=5.0, stderr=0.0, trials=1000)
         assert math.isinf(est.zscore(5.1))
         assert not est.consistent_with(5.1)
+
+    def test_zero_variance_rounding_is_a_match(self):
+        # The L=6, r=1 remaining-data row at 1,000 samples: a deterministic
+        # value rounded along two paths, two ulps apart.
+        est = MCEstimate(mean=833.3333333333335, stderr=0.0, trials=1000)
+        assert est.zscore(833.3333333333333) == 0.0
+        assert est.consistent_with(833.3333333333333)
+
+    @pytest.mark.parametrize("ulps", [ZERO_VARIANCE_ULPS + 1, 8, 64])
+    def test_zero_variance_several_ulps_off_is_inf(self, ulps):
+        reference = 833.3333333333333
+        mean = reference + ulps * np.spacing(reference)
+        for value in (mean, reference - (mean - reference)):
+            est = MCEstimate(mean=value, stderr=0.0, trials=1000)
+            assert math.isinf(est.zscore(reference))
+            assert not est.consistent_with(reference, k=1e300)
 
     def test_single_trial_is_uninformative(self):
         est = mc_expected_span(6, 2, MCConfig(trials=1, seed=0))

@@ -9,15 +9,16 @@ import pytest
 import fedsgt.unlearn
 from fedsgt.analytics import deletion_rate_fedcio
 from fedsgt.dataset import synth_dataset
-from fedsgt.fltrain import TrainConfig, evaluate, train_fedsgt
+from fedsgt.fltrain import (CostMeter, TrainConfig, client_data, evaluate,
+                            fedavg_train, matrix_accuracy, train_fedsgt)
 from fedsgt.grouping import SliceRef, build_grouping, group_of
 from fedsgt.sequencing import build_sequences, state_from_deleted
 from fedsgt.unlearn import (UnlearnRequest, cluster_of, exactness_audit,
                             fedcio_simulate, fedretrain_simulate,
                             fedsgt_system, process_request,
                             race_failure_steps, request_stream, run_stream,
-                            timeline_summary, uniform_requests,
-                            write_timeline)
+                            timeline_summary, train_clusters,
+                            uniform_requests, write_timeline)
 
 
 def build(seed=0, epochs=1, clients=4, groups=4, budget=4):
@@ -261,6 +262,59 @@ class TestFedCIO:
         assert records[0].notes == "baseline"
         assert records[1].affected_unit == f"cluster:{cluster_of(2, 2)}"
         assert records[1].surviving == 1
+
+    def test_clusters_match_per_cluster_fedavg(self):
+        # 7 clients in 3 clusters of 3, 2 and 2 clients train in one stack;
+        # each model and the booked cost must be those of its own run.
+        ds = synth_dataset(clients=7, samples_per_client=30, dim=6, classes=3,
+                           alpha=0.5, seed=4, slices_per_client=2,
+                           test_samples=30)
+        cfg = TrainConfig(epochs=2, lr=0.2, batch_size=8, seed=4)
+        meter, want_meter = CostMeter(), CostMeter()
+        got = train_clusters(ds, 3, cfg, rounds=4, meter=meter, adapter_stack=5)
+        assert list(got) == [0, 1, 2]
+        refs = [ref for ref, _ in ds.slice_catalog()]
+        for cid in range(3):
+            data = client_data(ds, [r for r in refs
+                                    if cluster_of(r.client_id, 3) == cid])
+            want = fedavg_train(data, ds.classes, ds.dim, 4, cfg,
+                                namespace=(0xC10, cid), meter=want_meter,
+                                cost_modules=5)
+            assert got[cid].tobytes() == want.tobytes(), cid
+        assert meter.updates == want_meter.updates
+        assert train_clusters(ds, 0, cfg, rounds=4) == {}
+
+    def test_scores_only_when_the_alive_set_changes(self, monkeypatch,
+                                                     tmp_path):
+        ds, *_ = build(clients=6)
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=16, seed=0)
+        requests = uniform_requests(ds.slice_catalog(), 15, 2, 1)
+        scored = []
+
+        def counted(weights, x, y):
+            scored.append(len(weights))
+            return matrix_accuracy(weights, x, y)
+
+        monkeypatch.setattr(fedsgt.unlearn, "matrix_accuracy", counted)
+        records = fedcio_simulate(ds, 3, cfg, requests, rounds=2)
+
+        # The score-every-time form of the same timeline.
+        models = train_clusters(ds, 3, cfg, rounds=2)
+        alive, fresh, reached = set(range(3)), [], []
+        for step, record in enumerate(records):
+            if step:
+                alive.discard(cluster_of(requests[step - 1].target.client_id, 3))
+            utility = None
+            if alive:
+                reached.append(frozenset(alive))
+                utility = matrix_accuracy([models[c] for c in sorted(alive)],
+                                          ds.test_x, ds.test_y)
+            fresh.append(dataclasses.replace(record, utility=utility))
+        assert len(scored) == len(set(reached)) < len(reached)
+        write_timeline(tmp_path / "served.csv", records)
+        write_timeline(tmp_path / "fresh.csv", fresh)
+        assert ((tmp_path / "served.csv").read_bytes()
+                == (tmp_path / "fresh.csv").read_bytes())
 
     def test_mean_failure_step_matches_coupon_collector(self):
         # structure only (epochs=0): expected requests to kill all c=3
