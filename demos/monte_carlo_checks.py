@@ -10,7 +10,7 @@ Run: python demos/monte_carlo_checks.py
 
 import time
 
-from fedsgt.montecarlo import MCConfig, mc_deletion_rate_fedsgt, validation_grid
+from fedsgt.montecarlo import MCConfig, validation_grid
 
 cfg = MCConfig(trials=100_000, seed=42)
 
@@ -29,14 +29,3 @@ worst = max(rows, key=lambda r: abs(r.zscore))
 print(f"\n{len(rows)} quantities in {elapsed:.1f}s; worst |z| = "
       f"{abs(worst.zscore):.2f} ({worst.quantity} {worst.params})")
 
-print("\n=== Finite population vs the analysis model ===")
-print("The closed forms assume requests draw groups independently (a slice")
-print("can be 'hit' twice). With a real finite catalog each request removes")
-print("a distinct slice, so coverage comes strictly sooner:")
-for spg in (1, 2, 5):
-    finite = mc_deletion_rate_fedsgt(6, 6, cfg, slices_per_group=spg)
-    print(f"  6 groups x {spg} slices: E[requests to kill all] = "
-          f"{finite.mean:.3f} +- {finite.stderr:.3f}")
-infinite = mc_deletion_rate_fedsgt(6, 6, cfg)
-print(f"  with replacement (model): {infinite.mean:.3f} "
-      f"(closed form 14.7000)")

@@ -8,9 +8,11 @@ the system lasts and how much data the surviving prefixes still cover.
 
 All probability computations run on exact rationals (arbitrary-precision
 integers underneath) and are converted to float only at the API boundary.
-Request targets are modeled as uniform over groups, the infinite-population
-limit of uniform-over-slices; the Monte Carlo module cross-checks every
-formula here and also offers a finite-population mode.
+Request targets are modeled as uniform over groups. This is what
+``unlearn.request_stream`` (uniform over slices, with replacement) induces
+when every group holds the same number of slices; plans whose groups hold
+unequal slice counts are outside these closed forms. The Monte Carlo module
+cross-checks every formula here by sampling the same model.
 """
 
 from __future__ import annotations

@@ -57,7 +57,17 @@ def write_bank(path: str | Path, model: ToyModel) -> None:
 
 
 def read_bank(path: str | Path) -> ToyModel:
-    raw = Path(path).read_bytes()
+    """The model stored at ``path``. A file that cannot be read and one that
+    is not a consistent bank both raise BankFormatError naming the file."""
+    try:
+        return _decode_bank(Path(path).read_bytes())
+    except OSError as exc:
+        raise BankFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except BankFormatError as exc:
+        raise BankFormatError(f"{path}: {exc}") from exc
+
+
+def _decode_bank(raw: bytes) -> ToyModel:
     if len(raw) < _HEADER.size:
         raise BankFormatError("bank file shorter than its header")
     magic, version, group_count, budget, d, k = _HEADER.unpack_from(raw, 0)

@@ -28,7 +28,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -98,16 +98,22 @@ def _outdir(raw: str) -> Path:
     return path
 
 
+def _load(path: Path, label: str, parse: Callable[[str], Any]) -> Any:
+    """``parse`` applied to the text of the input file at ``path``. A file
+    that cannot be read or is not UTF-8, and a document ``parse`` rejects,
+    are one config error naming ``label`` and the file."""
+    try:
+        return parse(path.read_text())
+    except OSError as exc:
+        raise ConfigurationError([f"{label} {path}: {exc.strerror or exc}"]) from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError([f"{label} {path}: {exc}"]) from exc
+
+
 def load_config_file(path: str | Path) -> RunConfig:
     """Read a config file; a manifest written by this tool is accepted too
     (its embedded config is used)."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError([f"config file not found: {path}"])
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError([f"config file is not valid JSON: {exc}"]) from exc
+    doc = _load(Path(path), "config file", json.loads)
     if isinstance(doc, dict) and doc.get("tool") == "fedsgt" and "config" in doc:
         doc = doc["config"]
     return validate_config(doc)
@@ -124,9 +130,16 @@ def build_dataset(cfg: RunConfig) -> Dataset:
                              test_samples=spec.test_samples)
     if isinstance(spec, CsvSpec):
         try:
-            return load_csv_dataset(spec.path, spec.manifest)
-        except FileNotFoundError as exc:
-            raise ConfigurationError([str(exc)]) from exc
+            dataset = load_csv_dataset(spec.path, spec.manifest)
+        except OSError as exc:
+            raise ConfigurationError(
+                [f"dataset file {exc.filename}: {exc.strerror or exc}"]) from exc
+        slices = len(dataset.slice_catalog())
+        if cfg.groups > slices:
+            raise ConfigurationError([
+                f"groups: need at least one slice per group (groups="
+                f"{cfg.groups} > the {slices} slices of dataset {spec.manifest})"])
+        return dataset
     raise ConfigurationError([f"unsupported dataset spec {spec!r}"])
 
 
@@ -235,8 +248,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _check_flags(args, [] if math.isfinite(k) and k > 0 else
                  ["--confidence-k: must be finite and positive"])
     outdir = _outdir(args.out)
-    cfg = MCConfig(trials=args.trials, seed=args.seed,
-                   confidence_k=args.confidence_k)
+    cfg = MCConfig(trials=args.trials, seed=args.seed)
     start = time.perf_counter()
     rows = montecarlo.validation_grid(cfg, workers=args.workers,
                                       total_samples=args.data_size)
@@ -248,10 +260,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
                [(r.quantity, r.params, repr(r.closed_form), repr(r.estimate.mean),
                  repr(r.estimate.stderr), repr(r.zscore)) for r in rows])
     worst = max((abs(r.zscore) for r in rows), default=0.0)
-    failures = [r for r in rows if abs(r.zscore) > cfg.confidence_k]
+    failures = [r for r in rows if abs(r.zscore) > k]
     doc = {
         "trials": cfg.trials, "seed": cfg.seed,
-        "confidence_k": cfg.confidence_k, "rows": len(rows),
+        "confidence_k": k, "rows": len(rows),
         "max_abs_z": worst, "failures": [
             {"quantity": r.quantity, "params": r.params,
              "closed_form": r.closed_form, "mc_mean": r.estimate.mean,
@@ -322,10 +334,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_requests_file(path: str, catalog: list[tuple[SliceRef, int]]
                         ) -> list[UnlearnRequest]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError([f"requests file: {exc}"]) from exc
+    doc = _load(Path(path), "requests file", json.loads)
     errors: list[str] = []
     script = parse_script(errors, doc, "requests file")
     if errors:
@@ -337,10 +346,7 @@ def _load_plan(path: Path, model: ToyModel) -> GroupingPlan:
     """The plan at ``path``, checked against the bank it will serve: the
     same group count, and every module's sample count equal to the plan's
     running total along its sequence."""
-    try:
-        plan = plan_from_json(path.read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigurationError([f"plan {path}: {exc}"]) from exc
+    plan = _load(path, "plan", plan_from_json)
     if plan.group_count != model.sequences.group_count:
         raise ConfigurationError([
             f"plan {path} has {plan.group_count} groups but the bank has "
@@ -359,17 +365,11 @@ def _load_plan(path: Path, model: ToyModel) -> GroupingPlan:
 
 def cmd_unlearn(args: argparse.Namespace) -> int:
     bank_path = Path(args.bank)
-    if not bank_path.exists():
-        raise BankFormatError(f"bank not found: {bank_path}")
     model = read_bank(bank_path)
 
     rundir = bank_path.parent
     plan_path = Path(args.plan) if args.plan else rundir / "plan.json"
     manifest_path = Path(args.manifest) if args.manifest else rundir / "manifest.json"
-    if not plan_path.exists():
-        raise ConfigurationError([f"plan not found: {plan_path}"])
-    if not manifest_path.exists():
-        raise ConfigurationError([f"manifest not found: {manifest_path}"])
     plan = _load_plan(plan_path, model)
     cfg = load_config_file(manifest_path)
     _check_flags(args)

@@ -88,9 +88,6 @@ class TrainerSpec:
     rounds_per_phase: int = _count(1, 1)
     fedavg_rounds: int = _count(10, 1)  # T for the FedAvg / FedCIO / FedRetrain baselines
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RequestSpec:
@@ -327,9 +324,10 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
     cfg = RunConfig(experiment=experiment, strategy=strategy, dataset=dataset,
                     trainer=trainer, requests=requests, out=out, **counts)
 
-    # Cross-field constraints.
+    # Cross-field constraints. A csv dataset brings its own slices, so its
+    # slice count is checked against ``groups`` when it is loaded.
     slots = cfg.clients * cfg.slices_per_client
-    if cfg.groups > slots:
+    if isinstance(dataset, SyntheticSpec) and cfg.groups > slots:
         errors.append(
             f"groups: need at least one slice per group "
             f"(groups={cfg.groups} > clients*slices_per_client={slots})")

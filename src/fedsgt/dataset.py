@@ -170,57 +170,69 @@ def save_csv_dataset(dataset: Dataset, csv_path: str | Path,
 
 def load_csv_dataset(csv_path: str | Path, manifest_path: str | Path) -> Dataset:
     """Load a dataset saved by save_csv_dataset. Structural problems in the
-    csv or manifest raise TrainingError; missing files raise FileNotFoundError."""
+    csv or manifest raise TrainingError; a file that cannot be opened raises
+    OSError."""
     csv_path = Path(csv_path)
     manifest_path = Path(manifest_path)
-    if not csv_path.exists():
-        raise FileNotFoundError(f"dataset csv not found: {csv_path}")
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "fedsgt-dataset" or manifest.get("version") != 1:
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise TrainingError(f"dataset manifest {manifest_path}: {exc}") from exc
+    if (not isinstance(manifest, dict) or manifest.get("format") != "fedsgt-dataset"
+            or manifest.get("version") != 1):
         raise TrainingError("not a version-1 fedsgt dataset manifest")
-    dim = int(manifest["dim"])
-    classes = int(manifest["classes"])
+    try:
+        dim, classes = int(manifest["dim"]), int(manifest["classes"])
+        client_spans = [list(entry["slices"]) for entry in manifest["clients"]]
+        test_span = manifest["test"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TrainingError(f"dataset manifest {manifest_path}: missing or "
+                            f"malformed field ({exc!r})") from exc
 
     labels = []
     feats = []
-    with csv_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:1] != ["label"] or len(header) != dim + 1:
-            raise TrainingError(f"csv header must be label,f0..f{dim - 1}")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise TrainingError(f"csv row {line}: expected {dim + 1} fields")
-            try:
-                labels.append(int(row[0]))
-                feats.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise TrainingError(f"csv row {line}: {exc}") from exc
+    try:
+        with csv_path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header[:1] != ["label"] or len(header) != dim + 1:
+                raise TrainingError(f"csv header must be label,f0..f{dim - 1}")
+            for line, row in enumerate(reader, start=2):
+                if len(row) != dim + 1:
+                    raise TrainingError(f"csv row {line}: expected {dim + 1} fields")
+                try:
+                    labels.append(int(row[0]))
+                    feats.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise TrainingError(f"csv row {line}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise TrainingError(f"dataset csv {csv_path}: {exc}") from exc
     all_y = np.asarray(labels, dtype=np.int64)
     all_x = np.asarray(feats, dtype=np.float64).reshape(len(labels), dim)
     if all_y.size and (all_y.min() < 0 or all_y.max() >= classes):
         raise TrainingError("csv labels outside [0, classes)")
 
     def rows(span):
-        lo, hi = int(span[0]), int(span[1])
+        try:
+            lo, hi = (int(v) for v in span)
+        except (TypeError, ValueError) as exc:
+            raise TrainingError(f"manifest row span {span!r} is not [start, end]") from exc
         if not (0 <= lo <= hi <= len(all_y)):
             raise TrainingError(f"manifest row span {span} out of bounds")
         return all_x[lo:hi], all_y[lo:hi]
 
     train_x: list[list[np.ndarray]] = []
     train_y: list[list[np.ndarray]] = []
-    for entry in manifest["clients"]:
+    for client, spans in enumerate(client_spans):
         xs, ys = [], []
-        for span in entry["slices"]:
+        for span in spans:
             x, y = rows(span)
             if len(y) == 0:
-                raise TrainingError(f"empty slice in manifest for client {entry['client']}")
+                raise TrainingError(f"empty slice in manifest for client {client}")
             xs.append(x)
             ys.append(y)
         train_x.append(xs)
         train_y.append(ys)
-    test_x, test_y = rows(manifest["test"])
+    test_x, test_y = rows(test_span)
     return Dataset(dim=dim, classes=classes, train_x=train_x, train_y=train_y,
                    test_x=test_x, test_y=test_y)

@@ -34,14 +34,10 @@ _TAG_COMM = 5
 class MCConfig:
     trials: int = 200_000
     seed: int = 0
-    confidence_k: float = 3.0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not (np.isfinite(self.confidence_k) and self.confidence_k > 0):
-            raise ValueError(
-                f"confidence_k must be finite and positive, got {self.confidence_k}")
 
 
 @dataclass(frozen=True)
@@ -116,35 +112,28 @@ def _head_words(universe: int, heads: list[int]) -> np.ndarray:
     return words
 
 
-def _covered_prefix(words: np.ndarray, positions: np.ndarray,
-                    seen: np.ndarray) -> np.ndarray:
-    """Whether every head is covered after each column of ``positions``,
-    counting the heads already in ``seen`` (one row of words per row of
-    ``positions``, advanced in place to the last column)."""
-    covered = None
-    for w, word in enumerate(words):
-        bits = word[positions]
-        np.bitwise_or.accumulate(bits, axis=1, out=bits)
-        bits |= seen[:, w, None]
-        seen[:, w] = bits[:, -1]
-        full = bits == np.bitwise_or.reduce(word)
-        covered = full if covered is None else np.logical_and(covered, full,
-                                                              out=covered)
-    return covered
-
-
 def _coverage_times(rng: np.random.Generator, n: int, universe: int,
                     heads: list[int]) -> np.ndarray:
     """Per trial: uniform draws over [0, universe) until every head has been
-    seen; returns the number of draws needed."""
+    seen; returns the number of draws needed. Each block of draws is folded
+    into the trial's seen-heads words with a running OR, one word at a time."""
     words = _head_words(universe, heads)
+    full = np.bitwise_or.reduce(words, axis=1)
     times = np.zeros(n, dtype=np.int64)
     seen = np.zeros((n, len(words)), dtype=np.uint64)
     active = np.arange(n)
     base = 0
     while active.size:
         draws = rng.integers(0, universe, size=(active.size, _BLOCK))
-        covered = _covered_prefix(words, draws, seen)
+        covered = None
+        for w, word in enumerate(words):
+            bits = word[draws]
+            np.bitwise_or.accumulate(bits, axis=1, out=bits)
+            bits |= seen[:, w, None]
+            seen[:, w] = bits[:, -1]
+            hit = bits == full[w]
+            covered = hit if covered is None else np.logical_and(covered, hit,
+                                                                 out=covered)
         done = covered[:, -1]
         first = covered.argmax(axis=1)
         times[active[done]] = base + first[done] + 1
@@ -154,37 +143,21 @@ def _coverage_times(rng: np.random.Generator, n: int, universe: int,
     return times.astype(np.float64)
 
 
-def _finite_coverage_times(rng: np.random.Generator, n: int, group_count: int,
-                           slices_per_group: int, heads: list[int]) -> np.ndarray:
-    """Finite-population variant: draw slices without replacement; a head is
-    covered once any of its slices is drawn."""
-    m = group_count * slices_per_group
-    order = np.tile(np.arange(m), (n, 1))
-    order = rng.permuted(order, axis=1)
-    words = _head_words(group_count, heads)
-    seen = np.zeros((n, len(words)), dtype=np.uint64)
-    covered = _covered_prefix(words, order // slices_per_group, seen)
-    return covered.argmax(axis=1).astype(np.float64) + 1.0
-
-
 def _rotation_heads(group_count: int, budget: int) -> list[int]:
     return [(-t) % group_count for t in range(min(group_count, budget))]
 
 
 def mc_deletion_rate_fedsgt(group_count: int, budget: int, cfg: MCConfig,
-                            workers: int = 1,
-                            slices_per_group: int | None = None) -> MCEstimate:
-    """Requests until every rotation-head group is hit. The default draws
-    groups uniformly (infinite-population model); ``slices_per_group``
-    switches to drawing that many slices per group without replacement."""
+                            workers: int = 1) -> MCEstimate:
+    """Requests until every rotation-head group is hit, each request drawing
+    a group uniformly: what ``unlearn.request_stream`` (uniform over slices,
+    with replacement) induces when every group holds the same number of
+    slices."""
     heads = _rotation_heads(group_count, budget)
-    if slices_per_group is None:
-        sampler = lambda rng, n: _coverage_times(rng, n, group_count, heads)
-    else:
-        sampler = lambda rng, n: _finite_coverage_times(
-            rng, n, group_count, slices_per_group, heads)
-    return _estimate((_TAG_DELETION_SGT, group_count, budget,
-                      slices_per_group or 0), cfg, workers, sampler)
+    # The trailing 0 is part of the key every estimate's chunk streams were
+    # seeded with; dropping it would change the bytes of every estimate.
+    return _estimate((_TAG_DELETION_SGT, group_count, budget, 0), cfg, workers,
+                     lambda rng, n: _coverage_times(rng, n, group_count, heads))
 
 
 def mc_deletion_rate_fedcio(clusters: int, cfg: MCConfig,

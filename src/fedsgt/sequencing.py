@@ -180,7 +180,8 @@ def state_to_json(state: SequenceState) -> str:
 
 def state_from_json(text: str, seqs: SequenceSet) -> SequenceState:
     doc = json.loads(text)
-    if doc.get("format") != "fedsgt-state" or doc.get("version") != 1:
+    if (not isinstance(doc, dict) or doc.get("format") != "fedsgt-state"
+            or doc.get("version") != 1):
         raise ValueError("not a version-1 fedsgt state document")
     state = state_from_deleted(seqs, doc["deleted"])
     if list(state.active_len) != list(doc["active_len"]):

@@ -22,6 +22,7 @@ from fedsgt.bank import read_bank
 from fedsgt.cli import (_load_requests_file, build_dataset, build_requests,
                         load_config_file, main)
 from fedsgt.core import ConfigurationError, validate_config
+from fedsgt.dataset import save_csv_dataset, synth_dataset
 from fedsgt.grouping import SliceRef, build_grouping, plan_to_json
 from fedsgt.unlearn import UnlearnRequest
 
@@ -420,6 +421,90 @@ class TestCompare:
                 for r in rows][1:] == [("1", "failed", "0", "")]
         doc = json.loads((out / "compare.json").read_text())
         assert doc["fedretrain"]["failure_step"] == 1
+
+
+class TestCsvDataset:
+    """Train and compare from a ``dataset.kind: csv`` config."""
+
+    CONFIG = {**CONFIG, "seed": 3, "clients": 4, "slices_per_client": 3,
+              "groups": 4, "budget": 4}
+
+    @staticmethod
+    def as_csv(tmp_path, config, dataset):
+        save_csv_dataset(dataset, tmp_path / "data.csv", tmp_path / "data.json")
+        return write_json(tmp_path / "csv-config.json", {
+            **config, "dataset": {"kind": "csv", "path": str(tmp_path / "data.csv"),
+                                  "manifest": str(tmp_path / "data.json")}})
+
+    def test_train_matches_the_synthetic_run(self, tmp_path):
+        synthetic = write_json(tmp_path / "config.json", self.CONFIG)
+        dataset = build_dataset(validate_config(self.CONFIG))
+        csv_config = self.as_csv(tmp_path, self.CONFIG, dataset)
+        assert run("train", "--config", synthetic, "--out", tmp_path / "a") == 0
+        assert run("train", "--config", csv_config, "--out", tmp_path / "b") == 0
+        for name in ("bank.fsgt", "plan.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_more_groups_than_dataset_slices(self, tmp_path, capsys, command):
+        one_slice = synth_dataset(clients=1, samples_per_client=60, dim=8,
+                                  classes=3, alpha=None, seed=0)
+        config = self.as_csv(tmp_path, {**CONFIG, "groups": 2, "budget": 2},
+                             one_slice)
+        assert run(command, "--config", config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: groups: ") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("text, code", [
+        ("{not json", 5), ("[]", 5), ('{"format": "fedsgt-dataset", "version": 1}', 5),
+        (None, 2), ("", 2)], ids=["not-json", "list", "no-dim", "missing",
+                                  "directory"])
+    def test_bad_dataset_manifest(self, tmp_path, capsys, text, code):
+        dataset = build_dataset(validate_config(self.CONFIG))
+        config = self.as_csv(tmp_path, self.CONFIG, dataset)
+        manifest = tmp_path / "data.json"
+        manifest.unlink()
+        if text == "":
+            manifest.mkdir()
+        elif text is not None:
+            manifest.write_text(text)
+        assert run("train", "--config", config, "--out", tmp_path / "o") == code
+        err = capsys.readouterr().err
+        assert err.startswith("training error: " if code == 5 else
+                              "config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+UNREADABLE = {"missing": None, "directory": None,
+              "non-utf8": b"\xff\xfe{\"client\": 0}", "not-json": b"{not json"}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+@pytest.mark.parametrize("command, flag, code", [
+    ("train", "--config", 2), ("compare", "--config", 2),
+    ("unlearn", "--manifest", 2), ("unlearn", "--plan", 2),
+    ("unlearn", "--requests-file", 2), ("unlearn", "--bank", 4)])
+def test_unreadable_input_file(tmp_path, request, capsys, command, flag, code,
+                               kind):
+    # Each input file the CLI reads fails with its documented exit code and
+    # one error line naming the file, never a traceback.
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif UNREADABLE[kind] is not None:
+        path.write_bytes(UNREADABLE[kind])
+    argv = [command, flag, path]
+    if command == "unlearn" and flag != "--bank":
+        argv += ["--bank", request.getfixturevalue("trained") / "bank.fsgt"]
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "out") == code
+    err = capsys.readouterr().err
+    assert err.startswith("bank error: " if code == 4 else "config error: ")
+    assert err.count("\n") == 1 and str(path) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestRequestScripts:

@@ -240,6 +240,15 @@ class TestDatasetSpecs:
         assert isinstance(cfg.dataset, CsvSpec)
         assert cfg.dataset.path == "d.csv"
 
+    def test_csv_groups_not_checked_against_synthetic_fields(self):
+        # clients * slices_per_client describes synthetic data only; a csv
+        # dataset's own slice count is checked when it is loaded
+        cfg = validate_config({"clients": 1, "slices_per_client": 1,
+                               "groups": 3, "budget": 3, "clusters": 1,
+                               "dataset": {"kind": "csv", "path": "d.csv",
+                                           "manifest": "m.json"}})
+        assert cfg.groups == 3
+
     def test_csv_requires_paths(self):
         with pytest.raises(ConfigurationError):
             validate_config({"dataset": {"kind": "csv"}})

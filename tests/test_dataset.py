@@ -1,5 +1,7 @@
 """Synthetic data: determinism, slicing, label skew, CSV round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,73 @@ class TestCsvRoundTrip:
         (tmp_path / "d.csv").write_text("\n".join(lines[:-5]) + "\n")
         with pytest.raises(TrainingError):
             load_csv_dataset(tmp_path / "d.csv", tmp_path / "m.json")
+
+
+class TestCsvStructure:
+    """Every structural problem in a saved dataset raises TrainingError;
+    only a file that cannot be opened raises OSError."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        save_csv_dataset(small(seed=2), tmp_path / "d.csv", tmp_path / "m.json")
+        return tmp_path / "d.csv", tmp_path / "m.json"
+
+    @staticmethod
+    def edit_manifest(path, change):
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '"fedsgt-dataset"',
+                                      "null"],
+                             ids=["not-json", "list", "string", "null"])
+    def test_manifest_not_an_object(self, saved, text):
+        saved[1].write_text(text)
+        with pytest.raises(TrainingError):
+            load_csv_dataset(*saved)
+
+    def test_manifest_not_utf8(self, saved):
+        saved[1].write_bytes(b"\xff\xfe{}")
+        with pytest.raises(TrainingError):
+            load_csv_dataset(*saved)
+
+    @pytest.mark.parametrize("change", [
+        lambda doc: doc.pop("dim"),
+        lambda doc: doc.pop("classes"),
+        lambda doc: doc.update(dim=[8]),
+        lambda doc: doc.update(dim="eight"),
+        lambda doc: doc.pop("clients"),
+        lambda doc: doc.pop("test"),
+        lambda doc: doc["clients"][0].pop("slices"),
+        lambda doc: doc.update(clients=[3]),
+        lambda doc: doc["clients"][0].update(slices=5),
+        lambda doc: doc["clients"][0].update(slices=[[0]]),
+        lambda doc: doc.update(test="all"),
+    ], ids=["no-dim", "no-classes", "dim-list", "dim-text", "no-clients",
+            "no-test", "no-slices", "client-not-object", "slices-not-list",
+            "short-span", "test-not-span"])
+    def test_malformed_manifest(self, saved, change):
+        self.edit_manifest(saved[1], change)
+        with pytest.raises(TrainingError):
+            load_csv_dataset(*saved)
+
+    @pytest.mark.parametrize("data", [b"", b"\xff\xfelabel,f0\n",
+                                      b"label," + b"9" * 200_000],
+                             ids=["empty", "not-utf8", "field-over-csv-limit"])
+    def test_unreadable_csv(self, saved, data):
+        saved[0].write_bytes(data)
+        with pytest.raises(TrainingError):
+            load_csv_dataset(*saved)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["csv", "manifest"])
+    def test_unopenable_file_raises_oserror(self, saved, which):
+        paths = list(saved)
+        paths[which].unlink()
+        with pytest.raises(FileNotFoundError):
+            load_csv_dataset(*paths)
+        paths[which].mkdir()
+        with pytest.raises(OSError):
+            load_csv_dataset(*paths)
 
 
 class TestValidation:

@@ -223,3 +223,8 @@ class TestStateSerialization:
         doc["active_len"][0] = 5
         with pytest.raises(ValueError):
             state_from_json(json.dumps(doc), seqs)
+
+    @pytest.mark.parametrize("text", ["[]", '"fedsgt-state"', "3", "null"])
+    def test_non_object_document_rejected(self, text):
+        with pytest.raises(ValueError, match="not a version-1 fedsgt state"):
+            state_from_json(text, build_sequences(6, 6))
