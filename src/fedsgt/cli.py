@@ -134,11 +134,20 @@ def build_dataset(cfg: RunConfig) -> Dataset:
         except OSError as exc:
             raise ConfigurationError(
                 [f"dataset file {exc.filename}: {exc.strerror or exc}"]) from exc
+        # A csv dataset brings its own clients and slices, so the cross-field
+        # checks validate_config makes on synthetic data are made here.
+        errors = []
         slices = len(dataset.slice_catalog())
         if cfg.groups > slices:
-            raise ConfigurationError([
+            errors.append(
                 f"groups: need at least one slice per group (groups="
-                f"{cfg.groups} > the {slices} slices of dataset {spec.manifest})"])
+                f"{cfg.groups} > the {slices} slices of dataset {spec.manifest})")
+        if cfg.clusters > dataset.client_count:
+            errors.append(
+                f"clusters: cannot exceed clients (clusters={cfg.clusters} > "
+                f"the {dataset.client_count} clients of dataset {spec.manifest})")
+        if errors:
+            raise ConfigurationError(errors)
         return dataset
     raise ConfigurationError([f"unsupported dataset spec {spec!r}"])
 
@@ -283,20 +292,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _train_system(cfg: RunConfig):
-    dataset = build_dataset(cfg)
+def _train_system(cfg: RunConfig, dataset: Dataset):
     plan = build_grouping(dataset.slice_catalog(), cfg.groups, cfg.seed)
     seqs = build_sequences(cfg.groups, cfg.budget, cfg.seed)
     meter = CostMeter()
     model = train_fedsgt(dataset, plan, seqs, trainer_config(cfg), meter=meter)
-    return dataset, plan, seqs, model, meter
+    return plan, seqs, model, meter
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config_file(args.config)
-    outdir = _outdir(args.out or cfg.out or "run")
     start = time.perf_counter()
-    dataset, plan, seqs, model, meter = _train_system(cfg)
+    dataset = build_dataset(cfg)
+    outdir = _outdir(args.out or cfg.out or "run")
+    plan, seqs, model, meter = _train_system(cfg, dataset)
 
     write_bank(outdir / "bank.fsgt", model)
     (outdir / "plan.json").write_text(plan_to_json(plan))
@@ -425,9 +434,10 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     _check_flags(args)
     cfg = load_config_file(args.config)
-    outdir = _outdir(args.out or cfg.out or "compare")
     start = time.perf_counter()
-    dataset, plan, seqs, model, _ = _train_system(cfg)
+    dataset = build_dataset(cfg)
+    outdir = _outdir(args.out or cfg.out or "compare")
+    plan, seqs, model, _ = _train_system(cfg, dataset)
     requests = build_requests(cfg, dataset.slice_catalog())
     tcfg = trainer_config(cfg)
 

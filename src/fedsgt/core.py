@@ -324,8 +324,9 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
     cfg = RunConfig(experiment=experiment, strategy=strategy, dataset=dataset,
                     trainer=trainer, requests=requests, out=out, **counts)
 
-    # Cross-field constraints. A csv dataset brings its own slices, so its
-    # slice count is checked against ``groups`` when it is loaded.
+    # Cross-field constraints. A csv dataset brings its own clients and
+    # slices, so they are checked against ``groups`` and ``clusters`` when it
+    # is loaded.
     slots = cfg.clients * cfg.slices_per_client
     if isinstance(dataset, SyntheticSpec) and cfg.groups > slots:
         errors.append(
@@ -335,9 +336,10 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
         errors.append(
             f"budget: {cfg.budget} exceeds the {math.factorial(cfg.groups)} distinct "
             f"orders of {cfg.groups} groups")
-    if cfg.clusters > cfg.clients:
-        errors.append(f"clusters: cannot exceed clients ({cfg.clusters} > {cfg.clients})")
     if isinstance(dataset, SyntheticSpec):
+        if cfg.clusters > cfg.clients:
+            errors.append(
+                f"clusters: cannot exceed clients ({cfg.clusters} > {cfg.clients})")
         if dataset.classes > dataset.dim:
             errors.append(
                 f"dataset.classes: class means need classes <= dim "

@@ -5,15 +5,19 @@ coverage) and never reuses the formula it is checking. Trials are split into
 fixed-size chunks; chunk i draws from a PCG64 stream keyed by (seed, tag,
 params, i) and chunk statistics are merged in index order, so estimates are
 bit-reproducible for a given (seed, trials) no matter how many workers ran
-the chunks. Every sampler is vectorized over the trials of a chunk; none
-loops over trials in Python.
+the chunks. One runner, ``_estimates``, takes a list of (key, sampler) jobs
+and sends every chunk of every job through one thread pool; each public
+estimator is its one-job call, and ``validation_grid`` (what ``fedsgt
+validate`` runs) passes all of its rows at once, so its bytes do not depend
+on ``--workers`` either. Every sampler is vectorized over the trials of a
+chunk; none loops over trials in Python.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,36 +70,45 @@ class MCEstimate:
         return abs(self.zscore(reference)) <= k
 
 
-def _estimate(key: tuple[int, ...], cfg: MCConfig, workers: int,
-              sampler: Callable[[np.random.Generator, int], np.ndarray]) -> MCEstimate:
-    chunks = []
-    done = 0
-    while done < cfg.trials:
-        n = min(CHUNK_TRIALS, cfg.trials - done)
-        chunks.append((len(chunks), n))
-        done += n
+Sampler = Callable[[np.random.Generator, int], np.ndarray]
+Job = tuple[tuple[int, ...], Sampler]
 
-    def run(spec: tuple[int, int]) -> tuple[float, float, int]:
-        index, n = spec
+
+def _estimates(jobs: Sequence[Job], cfg: MCConfig,
+               workers: int) -> list[MCEstimate]:
+    """One estimate per ``(key, sampler)`` job. Every chunk of every job goes
+    through one pool; chunk i of a job draws from the stream keyed by
+    (seed, *key, i), and each job's chunk stats are summed in index order."""
+    sizes = [min(CHUNK_TRIALS, cfg.trials - start)
+             for start in range(0, cfg.trials, CHUNK_TRIALS)]
+    specs = [(key, sampler, index, n) for key, sampler in jobs
+             for index, n in enumerate(sizes)]
+
+    def run(spec: tuple[tuple[int, ...], Sampler, int, int]) -> tuple[float, float]:
+        key, sampler, index, n = spec
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((cfg.seed, *key, index))))
         values = np.asarray(sampler(rng, n), dtype=np.float64)
-        return float(values.sum()), float(np.square(values).sum()), n
+        return float(values.sum()), float(np.square(values).sum())
 
-    if workers > 1 and len(chunks) > 1:
+    if workers > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(run, chunks))
+            stats = list(pool.map(run, specs))
     else:
-        stats = [run(c) for c in chunks]
+        stats = [run(spec) for spec in specs]
 
-    total = sum(s for s, _, _ in stats)
-    total_sq = sum(q for _, q, _ in stats)
-    n = sum(m for _, _, m in stats)
-    mean = total / n
-    if n < 2:
-        return MCEstimate(mean=mean, stderr=float("inf"), trials=n)
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    return MCEstimate(mean=mean, stderr=float(np.sqrt(var / n)), trials=n)
+    n = cfg.trials
+    estimates = []
+    for start in range(0, len(stats), len(sizes)):
+        chunks = stats[start:start + len(sizes)]
+        mean = sum(s for s, _ in chunks) / n
+        stderr = float("inf")
+        if n > 1:
+            total_sq = sum(q for _, q in chunks)
+            var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+            stderr = float(np.sqrt(var / n))
+        estimates.append(MCEstimate(mean=mean, stderr=stderr, trials=n))
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +160,33 @@ def _rotation_heads(group_count: int, budget: int) -> list[int]:
     return [(-t) % group_count for t in range(min(group_count, budget))]
 
 
+def _deletion_fedsgt_job(group_count: int, budget: int) -> Job:
+    heads = _rotation_heads(group_count, budget)
+    # The trailing 0 is part of the key every estimate's chunk streams were
+    # seeded with; dropping it would change the bytes of every estimate.
+    return ((_TAG_DELETION_SGT, group_count, budget, 0),
+            lambda rng, n: _coverage_times(rng, n, group_count, heads))
+
+
+def _deletion_fedcio_job(clusters: int) -> Job:
+    heads = list(range(clusters))
+    return ((_TAG_DELETION_CIO, clusters),
+            lambda rng, n: _coverage_times(rng, n, clusters, heads))
+
+
 def mc_deletion_rate_fedsgt(group_count: int, budget: int, cfg: MCConfig,
                             workers: int = 1) -> MCEstimate:
     """Requests until every rotation-head group is hit, each request drawing
     a group uniformly: what ``unlearn.request_stream`` (uniform over slices,
     with replacement) induces when every group holds the same number of
     slices."""
-    heads = _rotation_heads(group_count, budget)
-    # The trailing 0 is part of the key every estimate's chunk streams were
-    # seeded with; dropping it would change the bytes of every estimate.
-    return _estimate((_TAG_DELETION_SGT, group_count, budget, 0), cfg, workers,
-                     lambda rng, n: _coverage_times(rng, n, group_count, heads))
+    return _estimates([_deletion_fedsgt_job(group_count, budget)], cfg, workers)[0]
 
 
 def mc_deletion_rate_fedcio(clusters: int, cfg: MCConfig,
                             workers: int = 1) -> MCEstimate:
     """Requests until every cluster is hit: full coupon collection."""
-    heads = list(range(clusters))
-    return _estimate((_TAG_DELETION_CIO, clusters), cfg, workers,
-                     lambda rng, n: _coverage_times(rng, n, clusters, heads))
+    return _estimates([_deletion_fedcio_job(clusters)], cfg, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +206,26 @@ def _span_samples(rng: np.random.Generator, n: int, group_count: int,
     return (group_count - gap + 1).astype(np.float64)
 
 
+def _check_requests(requests: int) -> None:
+    if requests < 1:
+        raise ValueError(f"requests must be >= 1, got {requests}")
+
+
+def _span_job(group_count: int, requests: int) -> Job:
+    _check_requests(requests)
+    return ((_TAG_SPAN, group_count, requests),
+            lambda rng, n: _span_samples(rng, n, group_count, requests))
+
+
 def mc_expected_span(group_count: int, requests: int, cfg: MCConfig,
                      workers: int = 1) -> MCEstimate:
     """Cyclic span of the set hit by uniform requests, for any L."""
-    if requests < 1:
-        raise ValueError(f"requests must be >= 1, got {requests}")
-    return _estimate((_TAG_SPAN, group_count, requests), cfg, workers,
-                     lambda rng, n: _span_samples(rng, n, group_count, requests))
+    return _estimates([_span_job(group_count, requests)], cfg, workers)[0]
 
 
-def mc_expected_remaining(method: str, total_samples: int, units: int,
-                          requests: int, cfg: MCConfig,
-                          workers: int = 1) -> MCEstimate:
-    """Remaining serviceable data after ``requests`` uniform deletions.
-
-    FedSGT: best surviving prefix covers L - span groups of |D|/L samples.
-    FedCIO: untouched clusters keep their full |D|/c shares.
-    """
-    if requests < 1:
-        raise ValueError(f"requests must be >= 1, got {requests}")
+def _remaining_job(method: str, total_samples: int, units: int,
+                   requests: int) -> Job:
+    _check_requests(requests)
     name = method.strip().lower()
     if name == analytics.METHOD_FEDSGT.lower():
         def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -217,29 +239,54 @@ def mc_expected_remaining(method: str, total_samples: int, units: int,
             return total_samples / units * (units - hit.sum(axis=1))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _estimate((_TAG_REMAINING, 1 if name == "fedsgt" else 2, units,
-                      requests, total_samples), cfg, workers, sampler)
+    return ((_TAG_REMAINING, 1 if name == "fedsgt" else 2, units, requests,
+             total_samples), sampler)
+
+
+def mc_expected_remaining(method: str, total_samples: int, units: int,
+                          requests: int, cfg: MCConfig,
+                          workers: int = 1) -> MCEstimate:
+    """Remaining serviceable data after ``requests`` uniform deletions.
+
+    FedSGT: best surviving prefix covers L - span groups of |D|/L samples.
+    FedCIO: untouched clusters keep their full |D|/c shares.
+    """
+    return _estimates([_remaining_job(method, total_samples, units, requests)],
+                      cfg, workers)[0]
+
+
+def _comm_cost_samples(rng: np.random.Generator, n: int, group_count: int,
+                       slices_per_client: int) -> np.ndarray:
+    """Each trial's rounds over all L rotations, L^2 - sum g(g-1)/2 over the
+    cyclic gaps g between the sorted draws (see ``mc_comm_cost``)."""
+    s = np.sort(rng.integers(0, group_count, size=(n, slices_per_client)), axis=1)
+    wrap = s[:, 0] + group_count - s[:, -1]
+    gaps = np.diff(s, axis=1)
+    idle = wrap * (wrap - 1) // 2 + (gaps * (gaps - 1) // 2).sum(axis=1)
+    return (group_count * group_count - idle).astype(np.float64)
+
+
+def _comm_cost_job(group_count: int, slices_per_client: int) -> Job:
+    return ((_TAG_COMM, group_count, slices_per_client),
+            lambda rng, n: _comm_cost_samples(rng, n, group_count,
+                                              slices_per_client))
 
 
 def mc_comm_cost(group_count: int, slices_per_client: int, cfg: MCConfig,
                  workers: int = 1) -> MCEstimate:
     """Per-client rounds across all rotations: a client with slices assigned
-    independently uniformly joins each rotation at its first owned group."""
+    independently uniformly joins each rotation at its first owned group.
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = rng.integers(0, group_count, size=(n, slices_per_client))
-        owned = np.zeros((n, group_count), dtype=bool)
-        owned[np.arange(n)[:, None], draws] = True
-        total = np.zeros(n, dtype=np.float64)
-        positions = np.arange(group_count)
-        for t in range(group_count):
-            entry = np.where(owned, (positions[None, :] + t) % group_count + 1,
-                             group_count + 1).min(axis=1)
-            total += group_count - entry + 1
-        return total
-
-    return _estimate((_TAG_COMM, group_count, slices_per_client), cfg, workers,
-                     sampler)
+    In rotation t the client trains from its first owned group on, L - d
+    rounds where d is the distance from the rotation's start to that group.
+    Over the L starts, the starts just past an owned group p and up to the
+    next owned group q = p + g see d = g - 1, ..., 0, so the trial's total
+    is exactly L^2 - sum g(g-1)/2 over the cyclic gaps g of its sorted
+    draws (a repeated draw leaves a gap of 0, which adds nothing). That is
+    the per-trial rotation sum in integers, not ``expected_comm_cost``,
+    which averages over the occupancy law instead of simulating draws."""
+    return _estimates([_comm_cost_job(group_count, slices_per_client)], cfg,
+                      workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +309,13 @@ class GridRow:
 def validation_grid(cfg: MCConfig, workers: int = 1,
                     total_samples: int = 50_000) -> list[GridRow]:
     """The standard closed-form-versus-simulation sweep: deletion rates,
-    spans, remaining data, and communication cost over a small grid."""
-    rows: list[GridRow] = []
+    spans, remaining data, and communication cost over a small grid. Every
+    row's chunks run through one pool; each row's estimate is the one its
+    public estimator returns alone."""
+    specs: list[tuple[str, str, float, Job]] = []
 
-    def add(quantity: str, params: str, closed: float, est: MCEstimate) -> None:
-        rows.append(GridRow(quantity=quantity, params=params,
-                            closed_form=closed, estimate=est))
+    def add(quantity: str, params: str, closed: float, job: Job) -> None:
+        specs.append((quantity, params, closed, job))
 
     group_counts = (4, 6, 10)
     request_counts = (1, 3, 5, 10, 20)
@@ -278,21 +326,19 @@ def validation_grid(cfg: MCConfig, workers: int = 1,
         for B in sorted({2, L}):
             add("deletion_rate_fedsgt", f"L={L};B={B}",
                 analytics.deletion_rate_fedsgt(L, B),
-                mc_deletion_rate_fedsgt(L, B, cfg, workers))
+                _deletion_fedsgt_job(L, B))
     for c in cluster_counts:
         add("deletion_rate_fedcio", f"c={c}",
-            analytics.deletion_rate_fedcio(c),
-            mc_deletion_rate_fedcio(c, cfg, workers))
+            analytics.deletion_rate_fedcio(c), _deletion_fedcio_job(c))
     for L in group_counts:
         for r in request_counts:
             add("expected_span", f"L={L};r={r}",
-                analytics.expected_span(L, r),
-                mc_expected_span(L, r, cfg, workers))
+                analytics.expected_span(L, r), _span_job(L, r))
     for L in group_counts:
         for r in request_counts:
             add("expected_remaining_fedsgt", f"D={total_samples};L={L};r={r}",
                 analytics.expected_remaining_fedsgt(total_samples, L, r),
-                mc_expected_remaining("FedSGT", total_samples, L, r, cfg, workers))
+                _remaining_job("FedSGT", total_samples, L, r))
     for c in cluster_counts:
         for r in request_counts:
             # The z-test needs the sample mean to be approximately normal.
@@ -302,10 +348,12 @@ def validation_grid(cfg: MCConfig, workers: int = 1,
                 continue
             add("expected_remaining_fedcio", f"D={total_samples};c={c};r={r}",
                 analytics.expected_remaining_fedcio(total_samples, c, r),
-                mc_expected_remaining("FedCIO", total_samples, c, r, cfg, workers))
+                _remaining_job("FedCIO", total_samples, c, r))
     for L in group_counts:
         for S in slice_counts:
             add("expected_comm_cost", f"L={L};S={S}",
-                analytics.expected_comm_cost(L, S),
-                mc_comm_cost(L, S, cfg, workers))
-    return rows
+                analytics.expected_comm_cost(L, S), _comm_cost_job(L, S))
+    estimates = _estimates([job for *_, job in specs], cfg, workers)
+    return [GridRow(quantity=quantity, params=params, closed_form=closed,
+                    estimate=est)
+            for (quantity, params, closed, _), est in zip(specs, estimates)]

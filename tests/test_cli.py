@@ -450,12 +450,36 @@ class TestCsvDataset:
     def test_more_groups_than_dataset_slices(self, tmp_path, capsys, command):
         one_slice = synth_dataset(clients=1, samples_per_client=60, dim=8,
                                   classes=3, alpha=None, seed=0)
-        config = self.as_csv(tmp_path, {**CONFIG, "groups": 2, "budget": 2},
-                             one_slice)
+        config = self.as_csv(tmp_path, {**CONFIG, "groups": 2, "budget": 2,
+                                        "clusters": 1}, one_slice)
         assert run(command, "--config", config, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: groups: ") and err.count("\n") == 1
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_more_clusters_than_dataset_clients(self, tmp_path, capsys, command):
+        # The config's own clients field would allow 3 clusters; the
+        # dataset's 2 clients do not.
+        two_clients = synth_dataset(clients=2, samples_per_client=60, dim=8,
+                                    classes=3, alpha=None, seed=0,
+                                    slices_per_client=2)
+        config = self.as_csv(tmp_path, {**CONFIG, "groups": 2, "budget": 2,
+                                        "clusters": 3}, two_clients)
+        assert run(command, "--config", config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: clusters: ") and err.count("\n") == 1
+        assert "the 2 clients of dataset" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_clusters_checked_against_dataset_not_config_clients(self, tmp_path):
+        # A config clients field below clusters says nothing about a csv
+        # dataset, which brings its own 4 clients.
+        dataset = build_dataset(validate_config(self.CONFIG))
+        config = self.as_csv(tmp_path, {**self.CONFIG, "clients": 1,
+                                        "clusters": 3}, dataset)
+        assert run("compare", "--config", config, "--out", tmp_path / "o") == 0
+        assert json.loads((tmp_path / "o" / "compare.json").read_text())["fedcio"]
 
     @pytest.mark.parametrize("text, code", [
         ("{not json", 5), ("[]", 5), ('{"format": "fedsgt-dataset", "version": 1}', 5),

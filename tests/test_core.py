@@ -249,6 +249,19 @@ class TestDatasetSpecs:
                                            "manifest": "m.json"}})
         assert cfg.groups == 3
 
+    def test_csv_clusters_not_checked_against_synthetic_fields(self):
+        # the config's clients field describes synthetic data only; a csv
+        # dataset's own client count is checked when it is loaded
+        cfg = validate_config({"clients": 2, "clusters": 5,
+                               "dataset": {"kind": "csv", "path": "d.csv",
+                                           "manifest": "m.json"}})
+        assert cfg.clusters == 5
+
+    def test_synthetic_clusters_checked_against_clients(self):
+        with pytest.raises(ConfigurationError, match="clusters: cannot exceed"):
+            validate_config({"clients": 2, "slices_per_client": 5,
+                             "clusters": 5})
+
     def test_csv_requires_paths(self):
         with pytest.raises(ConfigurationError):
             validate_config({"dataset": {"kind": "csv"}})

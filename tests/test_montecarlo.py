@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedsgt import analytics
-from fedsgt.montecarlo import (_BLOCK, ZERO_VARIANCE_ULPS, MCConfig,
-                               MCEstimate, _coverage_times, _span_samples,
-                               mc_comm_cost,
-                               mc_deletion_rate_fedcio,
+from fedsgt.montecarlo import (_BLOCK, CHUNK_TRIALS, ZERO_VARIANCE_ULPS,
+                               MCConfig, MCEstimate, _comm_cost_job,
+                               _comm_cost_samples, _coverage_times,
+                               _deletion_fedsgt_job, _estimates,
+                               _remaining_job, _span_job, _span_samples,
+                               mc_comm_cost, mc_deletion_rate_fedcio,
                                mc_deletion_rate_fedsgt,
                                mc_expected_remaining, mc_expected_span,
                                validation_grid)
@@ -115,6 +117,43 @@ class TestSpanKernel:
         assert got.tolist() == [cyclic_span(group_count, row) for row in draws]
 
 
+def oracle_comm_cost(group_count, rows):
+    """Reference: per row, each of the L rotations entered at the first
+    owned group, summed rotation by rotation."""
+    totals = []
+    for row in rows:
+        owned = {int(g) for g in row}
+        totals.append(float(sum(
+            group_count - min((p + t) % group_count + 1 for p in owned) + 1
+            for t in range(group_count))))
+    return np.array(totals, dtype=np.float64)
+
+
+class TestCommCostKernel:
+    @pytest.mark.parametrize("group_count", [1, 2, 4, 10, 32, 64])
+    @pytest.mark.parametrize("slices", [1, 2, 5, "more-than-L"])
+    def test_matches_rotation_oracle(self, group_count, slices):
+        slices = group_count + 3 if slices == "more-than-L" else slices
+        seed = 1000 * group_count + slices
+        got = _comm_cost_samples(np.random.default_rng(seed), 500,
+                                 group_count, slices)
+        draws = np.random.default_rng(seed).integers(
+            0, group_count, size=(500, slices))
+        assert got.dtype == np.float64
+        assert got.tobytes() == oracle_comm_cost(group_count, draws).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_matrix_matches_rotation_oracle(self, data):
+        group_count = data.draw(st.integers(1, 40))
+        shape = data.draw(st.tuples(st.integers(1, 12), st.integers(1, 25)))
+        draws = data.draw(arrays(np.int64, shape,
+                                 elements=st.integers(0, group_count - 1)))
+        got = _comm_cost_samples(_FixedDraws(draws), shape[0], group_count,
+                                 shape[1])
+        assert got.tobytes() == oracle_comm_cost(group_count, draws).tobytes()
+
+
 def oracle_coverage_times(rows, heads):
     """Reference: per row, one Python set of the heads drawn so far; the
     time is the first draw after which it holds every head."""
@@ -181,6 +220,84 @@ class TestReproducibility:
         a = mc_expected_span(6, 2, MCConfig(trials=10_000, seed=1))
         b = mc_expected_span(6, 2, MCConfig(trials=10_000, seed=2))
         assert a.mean != b.mean
+
+
+def oracle_estimate(job, cfg):
+    """Reference: chunk i of ``cfg.trials`` draws from the stream keyed by
+    (seed, *key, i); chunk sums are added in index order."""
+    key, sampler = job
+    sums, squares = [], []
+    for index, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS)):
+        n = min(CHUNK_TRIALS, cfg.trials - start)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((cfg.seed, *key, index))))
+        values = sampler(rng, n)
+        sums.append(float(values.sum()))
+        squares.append(float(np.square(values).sum()))
+    n = cfg.trials
+    mean = sum(sums) / n
+    if n < 2:
+        return mean, float("inf")
+    var = max(0.0, (sum(squares) - n * mean * mean) / (n - 1))
+    return mean, float(np.sqrt(var / n))
+
+
+def public_estimate(row, cfg, workers):
+    """The row's estimate from its public estimator run alone."""
+    p = {k: int(v) for k, v in (kv.split("=") for kv in row.params.split(";"))}
+    if row.quantity == "deletion_rate_fedsgt":
+        return mc_deletion_rate_fedsgt(p["L"], p["B"], cfg, workers)
+    if row.quantity == "deletion_rate_fedcio":
+        return mc_deletion_rate_fedcio(p["c"], cfg, workers)
+    if row.quantity == "expected_span":
+        return mc_expected_span(p["L"], p["r"], cfg, workers)
+    if row.quantity == "expected_remaining_fedsgt":
+        return mc_expected_remaining("FedSGT", p["D"], p["L"], p["r"], cfg,
+                                     workers)
+    if row.quantity == "expected_remaining_fedcio":
+        return mc_expected_remaining("FedCIO", p["D"], p["c"], p["r"], cfg,
+                                     workers)
+    assert row.quantity == "expected_comm_cost"
+    return mc_comm_cost(p["L"], p["S"], cfg, workers)
+
+
+def hexes(est):
+    return est.mean.hex(), est.stderr.hex(), est.trials
+
+
+# One chunk, a full chunk less one, a partial last chunk, several chunks.
+TRIAL_COUNTS = [1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 30_000]
+
+
+class TestChunkRunner:
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_grid_rows_equal_their_estimators_alone(self, trials, workers):
+        cfg = MCConfig(trials=trials, seed=5)
+        rows = validation_grid(cfg, workers=workers)
+        assert len(rows) == 55
+        for row in rows:
+            assert hexes(row.estimate) == hexes(
+                public_estimate(row, cfg, workers)), (row.quantity, row.params)
+
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_merge_in_index_order(self, trials, workers):
+        # Integer-valued samples sum exactly in any order; the remaining-data
+        # job at D=1000, L=7 and the normal draws give float sums whose bytes
+        # depend on the order in which the chunks are added.
+        cfg = MCConfig(trials=trials, seed=9)
+        jobs = [_deletion_fedsgt_job(6, 6), _span_job(10, 5),
+                _remaining_job("FedCIO", 50_000, 5, 3), _comm_cost_job(10, 2),
+                _remaining_job("FedSGT", 1_000, 7, 3),
+                *(((99, k), lambda rng, n: rng.standard_normal(n) / 3)
+                  for k in range(8))]
+        got = _estimates(jobs, cfg, workers)
+        for job, est in zip(jobs, got):
+            assert est.trials == trials
+            mean, stderr = oracle_estimate(job, cfg)
+            assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(),
+                                                          stderr.hex()), job[0]
 
 
 class TestEstimateSemantics:
