@@ -11,7 +11,7 @@ The package has three layers:
   that retrains surviving prefixes and compares them byte for byte.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .analytics import (AnalyticParams, deletion_rate_fedcio,
                         deletion_rate_fedsgt, distinct_count_law,
@@ -23,8 +23,8 @@ from .analytics import (AnalyticParams, deletion_rate_fedcio,
                         prob_m_distinct, prob_max_gap_le, training_cost)
 from .bank import read_bank, write_bank
 from .combinatorics import binomial, harmonic, stirling2
-from .core import (BankFormatError, ClosedFormUnavailable, ConfigurationError,
-                   FedSGTError, RunConfig, ServiceUnavailable, TrainingError,
+from .core import (BankFormatError, ConfigurationError, FedSGTError,
+                   RunConfig, ServiceUnavailable, TrainingError,
                    default_config, validate_config)
 from .dataset import Dataset, load_csv_dataset, save_csv_dataset, synth_dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
@@ -58,7 +58,7 @@ __all__ = [
     "harmonic", "binomial", "stirling2",
     # core
     "FedSGTError", "ConfigurationError", "TrainingError", "BankFormatError",
-    "ServiceUnavailable", "ClosedFormUnavailable",
+    "ServiceUnavailable",
     "RunConfig", "default_config", "validate_config",
     # dataset
     "Dataset", "synth_dataset", "save_csv_dataset", "load_csv_dataset",

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Iterator
 
 from .combinatorics import binomial, harmonic
-from .core import ClosedFormUnavailable
 
 METHOD_FEDAVG = "FedAvg"
 METHOD_FEDCIO = "FedCIO"
@@ -50,6 +49,11 @@ def _check_positive(**kwargs: int) -> None:
     for name, value in kwargs.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _check_total_samples(total_samples: int) -> None:
+    if total_samples < 0:
+        raise ValueError(f"total_samples must be >= 0, got {total_samples}")
 
 
 def deletion_rate_fedsgt(group_count: int, budget: int) -> float:
@@ -170,32 +174,27 @@ def expected_remaining_curve(total_samples: int, group_count: int,
     rotation family the longest surviving prefix has length L - U, where U is
     the cyclic span of the deleted set, so each point is (|D|/L) * (L - E[U]).
     """
-    if total_samples < 0:
-        raise ValueError(f"total_samples must be >= 0, got {total_samples}")
+    _check_total_samples(total_samples)
     return [total_samples / group_count * (group_count - span)
             for span in expected_span_curve(group_count, max_requests)]
 
 
 def expected_remaining_fedsgt(total_samples: int, group_count: int,
-                              requests: int, budget: int | None = None) -> float:
+                              requests: int) -> float:
     """E[samples still covered by the best surviving prefix] after
     ``requests`` uniform deletions: the last point of
-    :func:`expected_remaining_curve`. The identity needs a rotation for every
-    group; pass ``budget`` to have regimes with budget < group_count rejected
-    (use the Monte Carlo estimator there instead).
+    :func:`expected_remaining_curve`. The identity holds for the full
+    rotation family, one rotation per group (budget >= group_count); it does
+    not give the remaining data of a smaller budget, for which ``analyze``
+    leaves the column empty.
     """
-    if budget is not None and budget < group_count:
-        raise ClosedFormUnavailable(
-            f"remaining-data closed form requires budget >= group_count "
-            f"({budget} < {group_count}); use mc_expected_remaining")
     return expected_remaining_curve(total_samples, group_count, requests)[-1]
 
 
 def expected_remaining_fedcio(total_samples: int, clusters: int, requests: int) -> float:
     """E[data mass of untouched clusters] after ``requests`` uniform
     deletions with balanced clusters: |D| * (1 - 1/c)^r."""
-    if total_samples < 0:
-        raise ValueError(f"total_samples must be >= 0, got {total_samples}")
+    _check_total_samples(total_samples)
     _check_positive(clusters=clusters)
     if requests < 0:
         raise ValueError(f"requests must be >= 0, got {requests}")

@@ -15,11 +15,12 @@ Layout (all integers and floats little-endian):
         f64[k*d] adapter weights, row-major
 
 Weights round-trip bit-exactly; the per-position group ids reconstruct the
-sequence permutations, so a bank plus its grouping plan is enough to resume
-serving and to audit exactness. A bank that contradicts itself is rejected
-when read: a non-finite weight, a stored order that is not a permutation,
-or sample counts that do not strictly rise from zero along a sequence
-(every group holds at least one nonempty slice).
+sequence permutations, so a bank plus its run manifest (which determines
+the grouping plan) is enough to resume serving and to audit exactness. A
+bank that contradicts itself is rejected when read: a non-finite weight, a
+stored order that is not a permutation, or sample counts that do not
+strictly rise from zero along a sequence (every group holds at least one
+nonempty slice).
 """
 
 from __future__ import annotations

@@ -40,8 +40,7 @@ from .core import (STRATEGIES, BankFormatError, ConfigurationError, CsvSpec,
 from .dataset import Dataset, load_csv_dataset, synth_dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
                       sequence_logits, train_fedsgt)
-from .grouping import (GroupingPlan, SliceRef, build_grouping, plan_from_json,
-                       plan_to_json)
+from .grouping import GroupingPlan, SliceRef, build_grouping, plan_to_json
 from .montecarlo import MCConfig
 from .sequencing import build_sequences, fresh_state, state_to_json
 from .unlearn import (UnlearnRequest, exactness_audit, fedcio_simulate,
@@ -292,8 +291,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def build_plan(cfg: RunConfig, dataset: Dataset) -> GroupingPlan:
+    """The run's slice-to-group plan: a pure function of the dataset's slice
+    catalog, ``groups`` and ``seed``, so a run's manifest determines it."""
+    return build_grouping(dataset.slice_catalog(), cfg.groups, cfg.seed)
+
+
 def _train_system(cfg: RunConfig, dataset: Dataset):
-    plan = build_grouping(dataset.slice_catalog(), cfg.groups, cfg.seed)
+    plan = build_plan(cfg, dataset)
     seqs = build_sequences(cfg.groups, cfg.budget, cfg.seed)
     meter = CostMeter()
     model = train_fedsgt(dataset, plan, seqs, trainer_config(cfg), meter=meter)
@@ -351,38 +356,38 @@ def _load_requests_file(path: str, catalog: list[tuple[SliceRef, int]]
     return resolve_script(script, catalog, "requests file")
 
 
-def _load_plan(path: Path, model: ToyModel) -> GroupingPlan:
-    """The plan at ``path``, checked against the bank it will serve: the
+def _check_bank(model: ToyModel, bank_path: Path, plan: GroupingPlan,
+                manifest_path: Path) -> None:
+    """Reject a bank that the manifest's plan could not have trained: the
     same group count, and every module's sample count equal to the plan's
     running total along its sequence."""
-    plan = _load(path, "plan", plan_from_json)
+    where = f"manifest {manifest_path} and bank {bank_path} disagree"
     if plan.group_count != model.sequences.group_count:
         raise ConfigurationError([
-            f"plan {path} has {plan.group_count} groups but the bank has "
-            f"{model.sequences.group_count}"])
+            f"{where}: the manifest gives {plan.group_count} groups, the bank "
+            f"has {model.sequences.group_count}"])
     for sid, stack in enumerate(model.modules):
         total = 0
         for phase, module in enumerate(stack):
             total += plan.group_samples(module.group)
             if module.samples != total:
                 raise ConfigurationError([
-                    f"plan {path} does not match the bank at sequence "
-                    f"{sid}, phase {phase}: the bank module saw "
-                    f"{module.samples} samples, the plan gives {total}"])
-    return plan
+                    f"{where} at sequence {sid}, phase {phase}: the bank "
+                    f"module saw {module.samples} samples, the manifest's "
+                    f"plan gives {total}"])
 
 
 def cmd_unlearn(args: argparse.Namespace) -> int:
     bank_path = Path(args.bank)
     model = read_bank(bank_path)
 
-    rundir = bank_path.parent
-    plan_path = Path(args.plan) if args.plan else rundir / "plan.json"
-    manifest_path = Path(args.manifest) if args.manifest else rundir / "manifest.json"
-    plan = _load_plan(plan_path, model)
+    manifest_path = (Path(args.manifest) if args.manifest
+                     else bank_path.parent / "manifest.json")
     cfg = load_config_file(manifest_path)
     _check_flags(args)
     dataset = build_dataset(cfg)
+    plan = build_plan(cfg, dataset)
+    _check_bank(model, bank_path, plan, manifest_path)
     strategy = args.strategy or cfg.strategy
 
     catalog = dataset.slice_catalog()
@@ -409,8 +414,8 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     _write_json(outdir / "summary.json", summary)
     (outdir / "final_state.json").write_text(state_to_json(system.state))
     _write_manifest(outdir, "unlearn", {
-        "bank": str(bank_path), "plan": str(plan_path),
-        "manifest": str(manifest_path), "strategy": strategy,
+        "bank": str(bank_path), "manifest": str(manifest_path),
+        "strategy": strategy,
         "requests": {"file": args.requests_file} if args.requests_file else
         {"count": args.count, "seed": args.request_seed,
          "record_count": args.record_count},
@@ -527,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unlearn", help="stream deletion requests at a bank")
     p.add_argument("--bank", required=True)
-    p.add_argument("--plan", default=None)
     p.add_argument("--manifest", default=None)
     p.add_argument("--strategy", choices=STRATEGIES, default=None)
     _int_flag(p, "--count", 0, 0)

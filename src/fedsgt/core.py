@@ -40,10 +40,6 @@ class ServiceUnavailable(FedSGTError):
     """Every sequence is dead; no model can be served."""
 
 
-class ClosedFormUnavailable(FedSGTError):
-    """The requested closed form does not cover this parameter regime."""
-
-
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------

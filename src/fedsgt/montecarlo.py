@@ -10,7 +10,8 @@ and sends every chunk of every job through one thread pool; each public
 estimator is its one-job call, and ``validation_grid`` (what ``fedsgt
 validate`` runs) passes all of its rows at once, so its bytes do not depend
 on ``--workers`` either. Every sampler is vectorized over the trials of a
-chunk; none loops over trials in Python.
+chunk; none loops over trials in Python. A job builder checks its sizes
+once, with the ValueError its closed form raises, before any chunk runs.
 """
 
 from __future__ import annotations
@@ -161,6 +162,7 @@ def _rotation_heads(group_count: int, budget: int) -> list[int]:
 
 
 def _deletion_fedsgt_job(group_count: int, budget: int) -> Job:
+    analytics._check_positive(group_count=group_count, budget=budget)
     heads = _rotation_heads(group_count, budget)
     # The trailing 0 is part of the key every estimate's chunk streams were
     # seeded with; dropping it would change the bytes of every estimate.
@@ -169,6 +171,7 @@ def _deletion_fedsgt_job(group_count: int, budget: int) -> Job:
 
 
 def _deletion_fedcio_job(clusters: int) -> Job:
+    analytics._check_positive(clusters=clusters)
     heads = list(range(clusters))
     return ((_TAG_DELETION_CIO, clusters),
             lambda rng, n: _coverage_times(rng, n, clusters, heads))
@@ -206,13 +209,8 @@ def _span_samples(rng: np.random.Generator, n: int, group_count: int,
     return (group_count - gap + 1).astype(np.float64)
 
 
-def _check_requests(requests: int) -> None:
-    if requests < 1:
-        raise ValueError(f"requests must be >= 1, got {requests}")
-
-
 def _span_job(group_count: int, requests: int) -> Job:
-    _check_requests(requests)
+    analytics._check_positive(group_count=group_count, requests=requests)
     return ((_TAG_SPAN, group_count, requests),
             lambda rng, n: _span_samples(rng, n, group_count, requests))
 
@@ -225,7 +223,8 @@ def mc_expected_span(group_count: int, requests: int, cfg: MCConfig,
 
 def _remaining_job(method: str, total_samples: int, units: int,
                    requests: int) -> Job:
-    _check_requests(requests)
+    analytics._check_total_samples(total_samples)
+    analytics._check_positive(units=units, requests=requests)
     name = method.strip().lower()
     if name == analytics.METHOD_FEDSGT.lower():
         def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -267,6 +266,8 @@ def _comm_cost_samples(rng: np.random.Generator, n: int, group_count: int,
 
 
 def _comm_cost_job(group_count: int, slices_per_client: int) -> Job:
+    analytics._check_positive(group_count=group_count,
+                              slices_per_client=slices_per_client)
     return ((_TAG_COMM, group_count, slices_per_client),
             lambda rng, n: _comm_cost_samples(rng, n, group_count,
                                               slices_per_client))

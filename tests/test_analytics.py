@@ -22,7 +22,6 @@ from fedsgt.analytics import (AnalyticParams, deletion_rate_fedcio,
                               matched_budget, prob_m_distinct,
                               prob_max_gap_le, training_cost)
 from fedsgt.combinatorics import stirling2
-from fedsgt.core import ClosedFormUnavailable
 
 # Every (L, r) with L <= 6 and r <= 6: small enough to enumerate all L^r
 # equally likely request sequences.
@@ -262,10 +261,6 @@ class TestExpectedRemaining:
             sgt = expected_remaining_fedsgt(50_000, 10, r)
             cio = expected_remaining_fedcio(50_000, 5, r)
             assert sgt >= cio, r
-
-    def test_budget_below_groups_unavailable(self):
-        with pytest.raises(ClosedFormUnavailable):
-            expected_remaining_fedsgt(50_000, 10, 3, budget=5)
 
     def test_zero_requests(self):
         assert expected_remaining_fedsgt(1000, 4, 0) == pytest.approx(1000.0)

@@ -18,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsgt.analytics
-from fedsgt.bank import read_bank
 from fedsgt.cli import (_load_requests_file, build_dataset, build_requests,
-                        load_config_file, main)
+                        main)
 from fedsgt.core import ConfigurationError, validate_config
 from fedsgt.dataset import save_csv_dataset, synth_dataset
-from fedsgt.grouping import SliceRef, build_grouping, plan_to_json
+from fedsgt.grouping import SliceRef
 from fedsgt.unlearn import UnlearnRequest
 
 
@@ -333,43 +332,82 @@ class TestUnlearn:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "u").exists()
 
-    @pytest.mark.parametrize("text", ['{"format": "nope"}', "not json", "[]",
-                                      '{"format": "fedsgt-plan", "version": 1}'],
-                             ids=["wrong-format", "not-json", "list",
-                                  "no-groups"])
-    def test_unreadable_plan_is_config_error(self, tmp_path, trained, capsys,
-                                             text):
-        plan = tmp_path / "plan.json"
-        plan.write_text(text)
-        assert run("unlearn", "--bank", trained / "bank.fsgt", "--plan", plan,
-                   "--count", 1, "--out", tmp_path / "u") == 2
-        assert capsys.readouterr().err.startswith(f"config error: plan {plan}")
+    @staticmethod
+    def manifest_with(trained, tmp_path, **changes):
+        """The run's manifest with ``changes`` applied to its config (a key
+        ``section__field`` reaches into a section), written in ``tmp_path``."""
+        doc = json.loads((trained / "manifest.json").read_text())
+        for key, value in changes.items():
+            *sections, field = key.split("__")
+            target = doc["config"]
+            for section in sections:
+                target = target[section]
+            target[field] = value
+        return write_json(tmp_path / "other-manifest.json", doc)
 
     @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["serve", "audit"])
     def test_plan_with_other_group_count_is_config_error(self, tmp_path, trained,
                                                          capsys, audit):
-        dataset = build_dataset(load_config_file(trained / "manifest.json"))
-        plan = tmp_path / "plan.json"
-        plan.write_text(plan_to_json(build_grouping(dataset.slice_catalog(), 4,
-                                                    seed=3)))
-        assert run("unlearn", "--bank", trained / "bank.fsgt", "--plan", plan,
+        # The plan unlearn serves is the one the manifest determines; a
+        # manifest with other groups gives a plan the bank contradicts.
+        manifest = self.manifest_with(trained, tmp_path, groups=4)
+        bank = trained / "bank.fsgt"
+        capsys.readouterr()
+        assert run("unlearn", "--bank", bank, "--manifest", manifest,
                    "--count", 3, *audit, "--out", tmp_path / "u") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert "has 4 groups but the bank has 5" in err
+        assert capsys.readouterr().err == (
+            f"config error: manifest {manifest} and bank {bank} disagree: the "
+            f"manifest gives 4 groups, the bank has 5\n")
+        assert not (tmp_path / "u").exists()
 
     def test_plan_with_other_group_totals_is_config_error(self, tmp_path,
                                                           trained, capsys):
-        doc = json.loads((trained / "plan.json").read_text())
-        doc["groups"][1].append(doc["groups"][0].pop())
-        plan = write_json(tmp_path / "plan.json", doc)
-        first = read_bank(trained / "bank.fsgt").sequences.perms[0]
-        phase = min(first.index(0), first.index(1))
-        assert run("unlearn", "--bank", trained / "bank.fsgt", "--plan", plan,
-                   "--count", 3, "--audit", "--out", tmp_path / "u") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert f"sequence 0, phase {phase}:" in err
+        # Other clients or slice sizes give a plan of the bank's shape whose
+        # running sample totals the bank's modules did not see. At 40
+        # records a request exceeds every slice of the bank's own plan.
+        bank = trained / "bank.fsgt"
+        for change in ({"clients": 6}, {"dataset__samples_per_client": 120}):
+            manifest = self.manifest_with(trained, tmp_path, **change)
+            capsys.readouterr()
+            assert run("unlearn", "--bank", bank, "--manifest", manifest,
+                       "--count", 3, "--record-count", 40, "--audit",
+                       "--out", tmp_path / "u") == 2, change
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"config error: manifest {manifest} and bank {bank} disagree "
+                f"at sequence 0, phase "), change
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not (tmp_path / "u").exists()
+        assert err.endswith(
+            "phase 0: the bank module saw 60 samples, the manifest's plan "
+            "gives 120\n")
+
+    def test_plan_file_is_not_read(self, tmp_path, trained):
+        # plan.json is an output of train; unlearn derives the same plan
+        # from the manifest, so a run directory without it (or with a
+        # document that is not a plan) serves and audits unchanged.
+        argv = ["--count", 4, "--request-seed", 5, "--record-count", 10,
+                "--audit"]
+        assert run("unlearn", "--bank", trained / "bank.fsgt", *argv,
+                   "--out", tmp_path / "with") == 0
+        (trained / "plan.json").unlink()
+        assert run("unlearn", "--bank", trained / "bank.fsgt", *argv,
+                   "--out", tmp_path / "without") == 0
+        (trained / "plan.json").write_text("not a plan")
+        assert run("unlearn", "--bank", trained / "bank.fsgt", *argv,
+                   "--out", tmp_path / "garbage") == 0
+        for name in ("timeline.csv", "summary.json", "final_state.json"):
+            expected = (tmp_path / "with" / name).read_bytes()
+            assert (tmp_path / "without" / name).read_bytes() == expected
+            assert (tmp_path / "garbage" / name).read_bytes() == expected
+
+    def test_plan_flag_is_usage_error(self, tmp_path, trained, capsys):
+        # --plan was removed with the plan input; like analyze --clients,
+        # passing it is a usage error.
+        assert run("unlearn", "--bank", trained / "bank.fsgt", "--plan",
+                   trained / "plan.json", "--out", tmp_path / "u") == 2
+        assert "unrecognized arguments: --plan" in capsys.readouterr().err
+        assert not (tmp_path / "u").exists()
 
     def test_tampered_bank_fails_audit(self, tmp_path, trained):
         raw = bytearray((trained / "bank.fsgt").read_bytes())
@@ -508,7 +546,7 @@ UNREADABLE = {"missing": None, "directory": None,
 @pytest.mark.parametrize("kind", UNREADABLE)
 @pytest.mark.parametrize("command, flag, code", [
     ("train", "--config", 2), ("compare", "--config", 2),
-    ("unlearn", "--manifest", 2), ("unlearn", "--plan", 2),
+    ("unlearn", "--manifest", 2),
     ("unlearn", "--requests-file", 2), ("unlearn", "--bank", 4)])
 def test_unreadable_input_file(tmp_path, request, capsys, command, flag, code,
                                kind):

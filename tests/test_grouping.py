@@ -110,6 +110,36 @@ class TestSerialization:
         with pytest.raises(ValueError):
             plan_from_json(json.dumps(doc))
 
+    def contradict(self, change):
+        doc = json.loads(plan_to_json(build_grouping(catalog(4, 2), 4, seed=0)))
+        change(doc)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d["groups"].pop(), "declares 4 groups but lists 3"),
+        (lambda d: d.update(group_count=5), "declares 5 groups but lists 4"),
+        (lambda d: d["groups"][2].clear(), "group 2 is empty"),
+        (lambda d: d["groups"][1].append(dict(d["groups"][0][0])), "twice"),
+        (lambda d: d["groups"][3][1].update(samples=0), "nonpositive sample"),
+        (lambda d: d["groups"][0][0].update(samples=-4), "nonpositive sample"),
+    ], ids=["missing-group", "extra-count", "empty-group", "duplicate-slice",
+            "zero-samples", "negative-samples"])
+    def test_self_contradicting_document_rejected(self, change, message):
+        # Each document parses, but build_grouping never makes such a plan;
+        # loading it used to succeed and fail later (group_samples(3) raised
+        # IndexError on the missing group).
+        with pytest.raises(ValueError, match=message):
+            plan_from_json(self.contradict(change))
+
+    def test_only_groups_must_agree_with_the_count(self):
+        # Unequal group sizes are a legal plan (the first slices % L groups
+        # take one extra slice), so moving a slice is not a contradiction.
+        text = self.contradict(
+            lambda d: d["groups"][1].append(d["groups"][0].pop()))
+        plan = plan_from_json(text)
+        assert [len(g) for g in plan.groups] == [1, 3, 2, 2]
+        assert json.loads(plan_to_json(plan)) == json.loads(text)
+
 
 class TestShuffleQuality:
     def test_fisher_yates_is_permutation_and_deterministic(self):

@@ -1,5 +1,6 @@
 """Monte Carlo estimators versus the closed forms they certify."""
 
+import functools
 import math
 
 import numpy as np
@@ -336,6 +337,76 @@ class TestEstimateSemantics:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MCConfig(trials=0)
+
+
+SGT_REMAINING = functools.partial(mc_expected_remaining, "FedSGT")
+CIO_REMAINING = functools.partial(mc_expected_remaining, "FedCIO")
+
+
+class TestSizeChecks:
+    """Each estimator rejects a size below its minimum with the ValueError
+    of its closed form, before it samples (one check per job: with one
+    chunk or several, with one worker or two)."""
+
+    RUNS = [(MCConfig(trials=1, seed=0), 1),
+            (MCConfig(trials=3 * CHUNK_TRIALS, seed=0), 2)]
+
+    @pytest.mark.parametrize("estimator, closed, args, message", [
+        (mc_deletion_rate_fedsgt, analytics.deletion_rate_fedsgt, (4, 0),
+         "budget must be >= 1, got 0"),
+        (mc_deletion_rate_fedsgt, analytics.deletion_rate_fedsgt, (0, 4),
+         "group_count must be >= 1, got 0"),
+        (mc_deletion_rate_fedcio, analytics.deletion_rate_fedcio, (0,),
+         "clusters must be >= 1, got 0"),
+        (mc_deletion_rate_fedcio, analytics.deletion_rate_fedcio, (-3,),
+         "clusters must be >= 1, got -3"),
+        (mc_expected_span, analytics.expected_span, (0, 3),
+         "group_count must be >= 1, got 0"),
+        (SGT_REMAINING, analytics.expected_remaining_fedsgt, (-1, 4, 3),
+         "total_samples must be >= 0, got -1"),
+        (CIO_REMAINING, analytics.expected_remaining_fedcio, (-1, 4, 3),
+         "total_samples must be >= 0, got -1"),
+        (mc_comm_cost, analytics.expected_comm_cost, (4, 0),
+         "slices_per_client must be >= 1, got 0"),
+        (mc_comm_cost, analytics.expected_comm_cost, (0, 2),
+         "group_count must be >= 1, got 0"),
+    ], ids=["sgt-budget", "sgt-groups", "cio-zero", "cio-negative",
+            "span-groups", "remaining-sgt-samples", "remaining-cio-samples",
+            "comm-slices", "comm-groups"])
+    def test_rejected_like_the_closed_form(self, estimator, closed, args,
+                                           message):
+        with pytest.raises(ValueError, match=message):
+            closed(*args)
+        for cfg, workers in self.RUNS:
+            with pytest.raises(ValueError, match=message):
+                estimator(*args, cfg, workers)
+
+    @pytest.mark.parametrize("estimator, closed", [
+        (SGT_REMAINING, analytics.expected_remaining_fedsgt),
+        (CIO_REMAINING, analytics.expected_remaining_fedcio),
+    ], ids=["sgt", "cio"])
+    def test_remaining_rejects_no_units(self, estimator, closed):
+        # The closed forms name the units group_count and clusters.
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            closed(100, 0, 3)
+        for cfg, workers in self.RUNS:
+            with pytest.raises(ValueError, match="units must be >= 1, got 0"):
+                estimator(100, 0, 3, cfg, workers)
+
+    @pytest.mark.parametrize("estimator, args", [
+        (mc_expected_span, (4, 0)), (SGT_REMAINING, (100, 4, 0)),
+        (CIO_REMAINING, (100, 4, -2))], ids=["span", "sgt", "cio"])
+    def test_sampler_needs_one_request(self, estimator, args):
+        # Unlike the closed forms, which accept requests = 0, a sampler
+        # needs at least one draw.
+        with pytest.raises(ValueError, match="requests must be >= 1"):
+            estimator(*args, self.RUNS[0][0])
+
+    def test_zero_samples_is_a_size(self):
+        # total_samples = 0 is accepted by both layers: nothing remains.
+        est = SGT_REMAINING(0, 4, 3, MCConfig(trials=50, seed=0))
+        assert (est.mean, est.stderr) == (0.0, 0.0)
+        assert analytics.expected_remaining_fedsgt(0, 4, 3) == 0.0
 
 
 class TestValidationGrid:
