@@ -147,11 +147,6 @@ def _expected_span_given_m_exact(group_count: int, occupied: int) -> Fraction:
     return acc
 
 
-def expected_span_given_m(group_count: int, occupied: int) -> float:
-    """E[cyclic span of the deleted set | ``occupied`` distinct groups hit]."""
-    return float(_expected_span_given_m_exact(group_count, occupied))
-
-
 def expected_span_curve(group_count: int, max_requests: int) -> list[float]:
     """E[cyclic span of the hit set] after r uniform draws, r = 0..max_requests:
     E[U | M=m], computed once per m, mixed over the occupancy chain's law at

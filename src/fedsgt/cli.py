@@ -28,7 +28,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -97,22 +97,22 @@ def _outdir(raw: str) -> Path:
     return path
 
 
-def _load(path: Path, label: str, parse: Callable[[str], Any]) -> Any:
-    """``parse`` applied to the text of the input file at ``path``. A file
-    that cannot be read or is not UTF-8, and a document ``parse`` rejects,
-    are one config error naming ``label`` and the file."""
+def _load_json(path: Path, label: str) -> Any:
+    """The JSON document in the input file at ``path``. A file that cannot
+    be read or is not UTF-8, and text that is not JSON or nests too deeply
+    to parse, are one config error naming ``label`` and the file."""
     try:
-        return parse(path.read_text())
+        return json.loads(path.read_text())
     except OSError as exc:
         raise ConfigurationError([f"{label} {path}: {exc.strerror or exc}"]) from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError([f"{label} {path}: {exc}"]) from exc
 
 
 def load_config_file(path: str | Path) -> RunConfig:
     """Read a config file; a manifest written by this tool is accepted too
     (its embedded config is used)."""
-    doc = _load(Path(path), "config file", json.loads)
+    doc = _load_json(Path(path), "config file")
     if isinstance(doc, dict) and doc.get("tool") == "fedsgt" and "config" in doc:
         doc = doc["config"]
     return validate_config(doc)
@@ -174,6 +174,10 @@ def build_requests(cfg: RunConfig, catalog: list[tuple[SliceRef, int]]
     if spec.script is not None:
         return resolve_script(spec.script, catalog, "requests.script")
     return uniform_requests(catalog, spec.count, spec.seed, spec.record_count)
+
+
+def _order(perm: Sequence[int]) -> str:
+    return "-".join(str(g) for g in perm)
 
 
 def trainer_config(cfg: RunConfig) -> TrainConfig:
@@ -320,7 +324,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for sid, perm in enumerate(seqs.perms):
         preds = np.argmax(sequence_logits(model, sid, len(perm), dataset.test_x),
                           axis=1)
-        per_seq.append((sid, "-".join(str(g) for g in perm),
+        per_seq.append((sid, _order(perm),
                         float(np.mean(preds == dataset.test_y))))
     _write_csv(outdir / "training_report.csv",
                ("sequence", "order", "test_accuracy"),
@@ -348,7 +352,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_requests_file(path: str, catalog: list[tuple[SliceRef, int]]
                         ) -> list[UnlearnRequest]:
-    doc = _load(Path(path), "requests file", json.loads)
+    doc = _load_json(Path(path), "requests file")
     errors: list[str] = []
     script = parse_script(errors, doc, "requests file")
     if errors:
@@ -356,16 +360,28 @@ def _load_requests_file(path: str, catalog: list[tuple[SliceRef, int]]
     return resolve_script(script, catalog, "requests file")
 
 
-def _check_bank(model: ToyModel, bank_path: Path, plan: GroupingPlan,
-                manifest_path: Path) -> None:
-    """Reject a bank that the manifest's plan could not have trained: the
-    same group count, and every module's sample count equal to the plan's
-    running total along its sequence."""
+def _check_bank(model: ToyModel, bank_path: Path, cfg: RunConfig,
+                plan: GroupingPlan, manifest_path: Path) -> None:
+    """Reject a bank that the manifest could not have trained: the same group
+    count, the sequences ``train`` builds from the manifest's ``groups``,
+    ``budget`` and ``seed``, and every module's sample count equal to the
+    plan's running total along its sequence."""
     where = f"manifest {manifest_path} and bank {bank_path} disagree"
     if plan.group_count != model.sequences.group_count:
         raise ConfigurationError([
             f"{where}: the manifest gives {plan.group_count} groups, the bank "
             f"has {model.sequences.group_count}"])
+    perms = build_sequences(cfg.groups, cfg.budget, cfg.seed).perms
+    banked = model.sequences.perms
+    if len(perms) != len(banked):
+        raise ConfigurationError([
+            f"{where}: the manifest gives budget {cfg.budget}, the bank has "
+            f"{len(banked)} sequences"])
+    for sid, (perm, stored) in enumerate(zip(perms, banked)):
+        if perm != stored:
+            raise ConfigurationError([
+                f"{where} at sequence {sid}: the manifest gives order "
+                f"{_order(perm)}, the bank has {_order(stored)}"])
     for sid, stack in enumerate(model.modules):
         total = 0
         for phase, module in enumerate(stack):
@@ -387,7 +403,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     _check_flags(args)
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset)
-    _check_bank(model, bank_path, plan, manifest_path)
+    _check_bank(model, bank_path, cfg, plan, manifest_path)
     strategy = args.strategy or cfg.strategy
 
     catalog = dataset.slice_catalog()

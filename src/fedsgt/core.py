@@ -124,12 +124,6 @@ class RunConfig:
                 "requests": self.requests.to_dict()}
 
 
-def default_config() -> dict[str, Any]:
-    """Baseline configuration: 10 clients, 5 slices each, 10 groups, 10
-    sequences, 5 clusters, AllSeq serving, Dirichlet(0.3) synthetic data."""
-    return RunConfig().to_dict()
-
-
 def _expect_int(errors: list[str], raw: Mapping[str, Any], key: str, default: int,
                 minimum: int, label: str) -> int:
     value = raw.get(key, default)

@@ -59,10 +59,6 @@ class Dataset:
     def total_samples(self) -> int:
         return sum(n for _, n in self.slice_catalog())
 
-    def client_label_histogram(self, client: int) -> np.ndarray:
-        labels = np.concatenate(self.train_y[client])
-        return np.bincount(labels, minlength=self.classes)
-
 
 def _class_means(dim: int, classes: int) -> np.ndarray:
     if classes > dim:
@@ -176,7 +172,7 @@ def load_csv_dataset(csv_path: str | Path, manifest_path: str | Path) -> Dataset
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TrainingError(f"dataset manifest {manifest_path}: {exc}") from exc
     if (not isinstance(manifest, dict) or manifest.get("format") != "fedsgt-dataset"
             or manifest.get("version") != 1):

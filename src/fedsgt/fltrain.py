@@ -388,14 +388,6 @@ def predict_proba(model: ToyModel, state: SequenceState, strategy: str,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def predict(model: ToyModel, state: SequenceState, strategy: str,
-            x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Label and per-class scores for a single feature vector. Ties break to
-    the lowest label."""
-    probs = predict_proba(model, state, strategy, np.asarray(x)[None, :])[0]
-    return int(np.argmax(probs)), probs
-
-
 def evaluate(model: ToyModel, state: SequenceState, strategy: str,
              x: np.ndarray, y: np.ndarray) -> float:
     """Accuracy on (x, y); deterministic, ties to the lowest label."""

@@ -146,45 +146,3 @@ def plan_to_json(plan: GroupingPlan) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def plan_from_json(text: str) -> GroupingPlan:
-    """The plan a ``plan_to_json`` document holds. A document that breaks an
-    invariant ``build_grouping`` keeps (one listed group per declared group,
-    none empty, no slice twice, every slice at least one sample) raises
-    ValueError."""
-    doc = json.loads(text)
-    if (not isinstance(doc, dict) or doc.get("format") != "fedsgt-plan"
-            or doc.get("version") != 1):
-        raise ValueError("not a version-1 fedsgt plan document")
-    groups = []
-    sizes = {}
-    for gid, members in enumerate(doc["groups"]):
-        if not members:
-            raise ValueError(f"plan group {gid} is empty")
-        refs = []
-        for item in members:
-            ref = SliceRef(int(item["client"]), int(item["slice"]))
-            if ref in sizes:
-                raise ValueError(f"plan lists slice {ref} twice")
-            refs.append(ref)
-            sizes[ref] = int(item["samples"])
-            if sizes[ref] < 1:
-                raise ValueError(
-                    f"slice {ref} has nonpositive sample count {sizes[ref]}")
-        groups.append(tuple(refs))
-    group_count = int(doc["group_count"])
-    if group_count != len(groups):
-        raise ValueError(f"plan declares {group_count} groups but lists "
-                         f"{len(groups)}")
-    return GroupingPlan(group_count=group_count, seed=int(doc["seed"]),
-                        groups=tuple(groups), sizes=sizes)
-
-
-def client_group_counts(plan: GroupingPlan) -> dict[int, int]:
-    """Number of distinct groups each client's slices landed in."""
-    seen: dict[int, set[int]] = {}
-    for gid, members in enumerate(plan.groups):
-        for ref in members:
-            seen.setdefault(ref.client_id, set()).add(gid)
-    return {client: len(groups) for client, groups in seen.items()}

@@ -67,9 +67,6 @@ class MCEstimate:
             return 0.0 if abs(diff) <= slack else float("inf")
         return diff / self.stderr
 
-    def consistent_with(self, reference: float, k: float = 3.0) -> bool:
-        return abs(self.zscore(reference)) <= k
-
 
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 Job = tuple[tuple[int, ...], Sampler]

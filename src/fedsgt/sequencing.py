@@ -176,14 +176,3 @@ def state_to_json(state: SequenceState) -> str:
         "active_len": list(state.active_len),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def state_from_json(text: str, seqs: SequenceSet) -> SequenceState:
-    doc = json.loads(text)
-    if (not isinstance(doc, dict) or doc.get("format") != "fedsgt-state"
-            or doc.get("version") != 1):
-        raise ValueError("not a version-1 fedsgt state document")
-    state = state_from_deleted(seqs, doc["deleted"])
-    if list(state.active_len) != list(doc["active_len"]):
-        raise ValueError("stored active lengths disagree with the sequence set")
-    return state

@@ -337,9 +337,6 @@ class AuditReport:
     modules_checked: int
     first_mismatch: tuple[int, int] | None = None
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def exactness_audit(model: ToyModel, plan: GroupingPlan, cfg: TrainConfig,
                     dataset: Dataset, deleted: Iterable[int]) -> AuditReport:

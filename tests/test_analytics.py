@@ -13,14 +13,13 @@ from itertools import product
 import pytest
 
 from fedsgt import analytics
-from fedsgt.analytics import (AnalyticParams, deletion_rate_fedcio,
-                              deletion_rate_fedsgt, distinct_count_law,
-                              expected_comm_cost,
+from fedsgt.analytics import (AnalyticParams, _expected_span_given_m_exact,
+                              deletion_rate_fedcio, deletion_rate_fedsgt,
+                              distinct_count_law, expected_comm_cost,
                               expected_remaining_fedcio,
                               expected_remaining_fedsgt, expected_span,
-                              expected_span_curve, expected_span_given_m,
-                              matched_budget, prob_m_distinct,
-                              prob_max_gap_le, training_cost)
+                              expected_span_curve, matched_budget,
+                              prob_m_distinct, prob_max_gap_le, training_cost)
 from fedsgt.combinatorics import stirling2
 
 # Every (L, r) with L <= 6 and r <= 6: small enough to enumerate all L^r
@@ -190,20 +189,20 @@ class TestExpectedSpan:
     def test_given_m_against_enumeration(self):
         for L in (4, 5, 6, 8):
             for m in range(1, L + 1):
-                assert expected_span_given_m(L, m) == pytest.approx(
-                    float(self.span_oracle(L, m))), (L, m)
+                assert _expected_span_given_m_exact(L, m) == \
+                    self.span_oracle(L, m), (L, m)
 
     def test_reference_value(self):
         # L=6, m=2: oracle gives 42/15 = 2.8
         assert self.span_oracle(6, 2) == Fraction(14, 5)
-        assert expected_span_given_m(6, 2) == pytest.approx(2.8)
+        assert _expected_span_given_m_exact(6, 2) == Fraction(14, 5)
 
     def test_unconditional_mixture(self):
         # E[U] at L=6, r=2 mixes m=1 (w.p. 1/6, span 1) and m=2 (span 2.8)
         assert expected_span(6, 2) == pytest.approx(1 / 6 + 2.8 * 5 / 6)
 
     def test_full_occupancy(self):
-        assert expected_span_given_m(5, 5) == pytest.approx(5.0)
+        assert _expected_span_given_m_exact(5, 5) == 5
 
     def test_zero_requests(self):
         assert expected_span(6, 0) == 0.0

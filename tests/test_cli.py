@@ -35,6 +35,10 @@ def write_json(path, doc):
     return path
 
 
+# json.loads raises RecursionError, not ValueError, on a document nested
+# past the interpreter's recursion limit.
+DEEP_JSON = "[" * 100_000
+
 CONFIG = {
     "experiment": "cli-test",
     "seed": 11,
@@ -360,6 +364,41 @@ class TestUnlearn:
             f"manifest gives 4 groups, the bank has 5\n")
         assert not (tmp_path / "u").exists()
 
+    @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["serve", "audit"])
+    def test_manifest_with_other_budget_is_config_error(self, tmp_path, trained,
+                                                        capsys, audit):
+        # The bank's 5 sequences are not the family the manifest's budget
+        # builds; serving them under that manifest used to pass the audit.
+        manifest = self.manifest_with(trained, tmp_path, budget=1)
+        bank = trained / "bank.fsgt"
+        capsys.readouterr()
+        assert run("unlearn", "--bank", bank, "--manifest", manifest,
+                   "--count", 3, *audit, "--out", tmp_path / "u") == 2
+        assert capsys.readouterr().err == (
+            f"config error: manifest {manifest} and bank {bank} disagree: the "
+            f"manifest gives budget 1, the bank has 5 sequences\n")
+        assert not (tmp_path / "u").exists()
+
+    def test_manifest_with_other_seeded_orders_is_config_error(self, tmp_path,
+                                                               capsys):
+        # Past the 5 rotations the seed draws the orders. Equal slices give
+        # every seed's plan the same running totals, so only the orders
+        # tell this manifest from the run's.
+        out = tmp_path / "run"
+        config = write_json(tmp_path / "config.json", {**CONFIG, "budget": 7})
+        assert run("train", "--config", config, "--out", out) == 0
+        manifest = self.manifest_with(out, tmp_path, seed=12)
+        bank = out / "bank.fsgt"
+        capsys.readouterr()
+        assert run("unlearn", "--bank", bank, "--manifest", manifest,
+                   "--count", 3, "--audit", "--out", tmp_path / "u") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: manifest {manifest} and bank {bank} disagree at "
+            f"sequence 5: the manifest gives order ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "u").exists()
+
     def test_plan_with_other_group_totals_is_config_error(self, tmp_path,
                                                           trained, capsys):
         # Other clients or slice sizes give a plan of the bank's shape whose
@@ -521,8 +560,8 @@ class TestCsvDataset:
 
     @pytest.mark.parametrize("text, code", [
         ("{not json", 5), ("[]", 5), ('{"format": "fedsgt-dataset", "version": 1}', 5),
-        (None, 2), ("", 2)], ids=["not-json", "list", "no-dim", "missing",
-                                  "directory"])
+        (None, 2), ("", 2), (DEEP_JSON, 5)],
+        ids=["not-json", "list", "no-dim", "missing", "directory", "deep-json"])
     def test_bad_dataset_manifest(self, tmp_path, capsys, text, code):
         dataset = build_dataset(validate_config(self.CONFIG))
         config = self.as_csv(tmp_path, self.CONFIG, dataset)
@@ -540,7 +579,8 @@ class TestCsvDataset:
 
 
 UNREADABLE = {"missing": None, "directory": None,
-              "non-utf8": b"\xff\xfe{\"client\": 0}", "not-json": b"{not json"}
+              "non-utf8": b"\xff\xfe{\"client\": 0}", "not-json": b"{not json",
+              "deep-json": DEEP_JSON.encode()}
 
 
 @pytest.mark.parametrize("kind", UNREADABLE)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsgt.core import (STRATEGIES, ConfigurationError, CsvSpec, RunConfig,
-                         SyntheticSpec, default_config, validate_config)
+                         SyntheticSpec, validate_config)
 
 # Every integer field as (section, key, default, minimum); section None is
 # the top level. Written out by hand so that it pins the schema
@@ -47,7 +47,7 @@ def errors_of(raw):
 
 class TestDefaults:
     def test_default_config_validates(self):
-        cfg = validate_config(default_config())
+        cfg = validate_config(RunConfig().to_dict())
         assert cfg.clients == 10
         assert cfg.groups == 10
         assert cfg.budget == 10
@@ -56,12 +56,12 @@ class TestDefaults:
         assert isinstance(cfg.dataset, SyntheticSpec)
 
     def test_round_trip(self):
-        cfg = validate_config(default_config())
+        cfg = validate_config(RunConfig().to_dict())
         again = validate_config(cfg.to_dict())
         assert again == cfg
 
     def test_empty_dict_uses_defaults(self):
-        assert validate_config({}) == validate_config(default_config())
+        assert validate_config({}) == validate_config(RunConfig().to_dict())
 
     def test_readme_example_shows_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -70,7 +70,7 @@ class TestDefaults:
         example = json.loads(block)
         validate_config(example)
         example["requests"]["count"] = 0  # the example asks for 10 requests
-        assert example == default_config()
+        assert example == RunConfig().to_dict()
 
 
 @pytest.mark.parametrize("section, key, default, minimum", INTEGER_FIELDS,

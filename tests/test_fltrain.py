@@ -7,8 +7,7 @@ from fedsgt.core import ServiceUnavailable, TrainingError
 from fedsgt.dataset import synth_dataset
 from fedsgt.fltrain import (CostMeter, TrainConfig, _lockstep_rounds,
                             _round_rng, _softmax, client_data, evaluate,
-                            fedavg_train,
-                            federated_round, matrix_accuracy, predict,
+                            fedavg_train, federated_round, matrix_accuracy,
                             predict_proba, train_fedsgt, train_sequence)
 from fedsgt.grouping import SliceRef, build_grouping
 from fedsgt.sequencing import (apply_deletion, build_sequences, fresh_state,
@@ -422,13 +421,6 @@ class TestServing:
         state = state_from_deleted(self.seqs, frozenset(range(4)))
         with pytest.raises(ServiceUnavailable):
             predict_proba(self.model, state, "allseq", self.ds.test_x[:1])
-
-    def test_predict_returns_label_and_probs(self):
-        state = fresh_state(self.seqs)
-        label, probs = predict(self.model, state, "longseq",
-                               self.ds.test_x[0])
-        assert 0 <= label < 3
-        assert probs.shape == (3,)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,22 @@ import numpy as np
 import pytest
 
 from fedsgt.analytics import prob_m_distinct
-from fedsgt.grouping import (SliceRef, build_grouping, client_group_counts,
-                             fisher_yates, group_of, plan_from_json,
-                             plan_to_json)
+from fedsgt.grouping import (SliceRef, build_grouping, fisher_yates,
+                             group_of, plan_to_json)
 
 
 def catalog(clients: int, slices: int, size: int = 10):
     return [(SliceRef(c, s), size) for c in range(clients)
             for s in range(slices)]
+
+
+def client_group_counts(plan):
+    """Number of distinct groups each client's slices landed in."""
+    seen = {}
+    for gid, members in enumerate(plan.groups):
+        for ref in members:
+            seen.setdefault(ref.client_id, set()).add(gid)
+    return {client: len(groups) for client, groups in seen.items()}
 
 
 class TestBuildGrouping:
@@ -93,52 +101,23 @@ class TestLookups:
 
 class TestSerialization:
     def test_round_trip_byte_identical(self):
+        # The document holds the whole plan in canonical form: it names
+        # every group's slices and sizes, and dumping it again gives the
+        # same bytes.
         plan = build_grouping(catalog(8, 3), 6, seed=17)
         text = plan_to_json(plan)
-        again = plan_to_json(plan_from_json(text))
-        assert text == again
-        assert plan_from_json(text).groups == plan.groups
+        doc = json.loads(text)
+        assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == text
+        assert (doc["group_count"], doc["seed"]) == (6, 17)
+        assert [tuple(SliceRef(i["client"], i["slice"]) for i in members)
+                for members in doc["groups"]] == list(plan.groups)
+        assert all(i["samples"] == plan.sizes[SliceRef(i["client"], i["slice"])]
+                   for members in doc["groups"] for i in members)
 
     def test_json_is_versioned(self):
         doc = json.loads(plan_to_json(build_grouping(catalog(4, 2), 4, seed=0)))
         assert doc["format"] == "fedsgt-plan"
         assert doc["version"] == 1
-
-    def test_bad_format_rejected(self):
-        doc = json.loads(plan_to_json(build_grouping(catalog(4, 2), 4, seed=0)))
-        doc["format"] = "other"
-        with pytest.raises(ValueError):
-            plan_from_json(json.dumps(doc))
-
-    def contradict(self, change):
-        doc = json.loads(plan_to_json(build_grouping(catalog(4, 2), 4, seed=0)))
-        change(doc)
-        return json.dumps(doc)
-
-    @pytest.mark.parametrize("change, message", [
-        (lambda d: d["groups"].pop(), "declares 4 groups but lists 3"),
-        (lambda d: d.update(group_count=5), "declares 5 groups but lists 4"),
-        (lambda d: d["groups"][2].clear(), "group 2 is empty"),
-        (lambda d: d["groups"][1].append(dict(d["groups"][0][0])), "twice"),
-        (lambda d: d["groups"][3][1].update(samples=0), "nonpositive sample"),
-        (lambda d: d["groups"][0][0].update(samples=-4), "nonpositive sample"),
-    ], ids=["missing-group", "extra-count", "empty-group", "duplicate-slice",
-            "zero-samples", "negative-samples"])
-    def test_self_contradicting_document_rejected(self, change, message):
-        # Each document parses, but build_grouping never makes such a plan;
-        # loading it used to succeed and fail later (group_samples(3) raised
-        # IndexError on the missing group).
-        with pytest.raises(ValueError, match=message):
-            plan_from_json(self.contradict(change))
-
-    def test_only_groups_must_agree_with_the_count(self):
-        # Unequal group sizes are a legal plan (the first slices % L groups
-        # take one extra slice), so moving a slice is not a contradiction.
-        text = self.contradict(
-            lambda d: d["groups"][1].append(d["groups"][0].pop()))
-        plan = plan_from_json(text)
-        assert [len(g) for g in plan.groups] == [1, 3, 2, 2]
-        assert json.loads(plan_to_json(plan)) == json.loads(text)
 
 
 class TestShuffleQuality:
