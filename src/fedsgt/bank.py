@@ -8,7 +8,7 @@ Layout (all integers and floats little-endian):
     u32          sequence count B
     u32          feature dim d
     u32          class count k
-    f64[k*d]     backbone, row-major
+    f64[k*d]     backbone, row-major (all zeros)
     then for each sequence (B of them), for each phase (L of them):
         u32      group id at this position
         u64      cumulative sample count the module saw
@@ -18,9 +18,9 @@ Weights round-trip bit-exactly; the per-position group ids reconstruct the
 sequence permutations, so a bank plus its run manifest (which determines
 the grouping plan) is enough to resume serving and to audit exactness. A
 bank that contradicts itself is rejected when read: a non-finite weight, a
-stored order that is not a permutation, or sample counts that do not
-strictly rise from zero along a sequence (every group holds at least one
-nonempty slice).
+backbone that is not all zeros (+0.0, as training writes it), a stored
+order that is not a permutation, or sample counts that do not strictly rise
+from zero along a sequence (every group holds at least one nonempty slice).
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ def _decode_bank(raw: bytes) -> ToyModel:
 
     offset = _HEADER.size
     backbone = matrix(offset, "backbone")
+    if backbone.tobytes() != bytes(matrix_bytes):
+        raise BankFormatError("backbone is not zero; training writes a zero "
+                              "backbone")
     offset += matrix_bytes
     modules: list[list[AdapterModule]] = []
     perms: list[tuple[int, ...]] = []

@@ -36,7 +36,7 @@ from . import __version__, analytics, montecarlo
 from .bank import read_bank, write_bank
 from .core import (STRATEGIES, BankFormatError, ConfigurationError, CsvSpec,
                    FedSGTError, RunConfig, SyntheticSpec, TrainingError,
-                   parse_script, validate_config)
+                   dataset_fit_errors, parse_script, validate_config)
 from .dataset import Dataset, load_csv_dataset, synth_dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
                       sequence_logits, train_fedsgt)
@@ -133,18 +133,10 @@ def build_dataset(cfg: RunConfig) -> Dataset:
         except OSError as exc:
             raise ConfigurationError(
                 [f"dataset file {exc.filename}: {exc.strerror or exc}"]) from exc
-        # A csv dataset brings its own clients and slices, so the cross-field
-        # checks validate_config makes on synthetic data are made here.
-        errors = []
-        slices = len(dataset.slice_catalog())
-        if cfg.groups > slices:
-            errors.append(
-                f"groups: need at least one slice per group (groups="
-                f"{cfg.groups} > the {slices} slices of dataset {spec.manifest})")
-        if cfg.clusters > dataset.client_count:
-            errors.append(
-                f"clusters: cannot exceed clients (clusters={cfg.clusters} > "
-                f"the {dataset.client_count} clients of dataset {spec.manifest})")
+        # A csv dataset brings its own clients and slices, so its fit is
+        # checked here rather than in validate_config.
+        errors = dataset_fit_errors(cfg, len(dataset.slice_catalog()),
+                                    dataset.client_count, f"dataset {spec.manifest}")
         if errors:
             raise ConfigurationError(errors)
         return dataset

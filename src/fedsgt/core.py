@@ -1,9 +1,9 @@
-"""Shared identifiers, error taxonomy, and run configuration.
+"""Shared identifiers, error taxonomy, random streams and run configuration.
 
 Everything downstream (grouping, sequencing, training, the CLI) speaks in
 terms of the small vocabulary defined here: the serving strategies, the
-error taxonomy, and a validated run configuration that is round-trippable
-through JSON manifests.
+error taxonomy, the keyed random streams, and a validated run configuration
+that is round-trippable through JSON manifests.
 """
 
 from __future__ import annotations
@@ -11,9 +11,42 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from types import MappingProxyType
 from typing import Any, Mapping
 
+import numpy as np
+
 STRATEGIES = ("allseq", "minseq", "longseq")
+
+# ---------------------------------------------------------------------------
+# Random streams
+# ---------------------------------------------------------------------------
+# Every numpy random draw comes from a stream keyed by a tuple of integers
+# that starts with the run (or Monte Carlo) seed. Each domain puts its tag
+# second; FedSGT's per-round streams alone are keyed (seed, sequence, phase,
+# round) with no tag. The keys are part of the bank and estimate bytes.
+
+STREAM_TAGS: Mapping[str, int] = MappingProxyType({
+    "client_data": 0xDA7A,          # (seed, tag, client)
+    "test_data": 0x7E57,            # (seed, tag)
+    "sequence_orders": 0x5EC5,      # (seed, tag)
+    "requests": 0xDE1,              # (seed, tag)
+    "fedcio": 0xC10,                # (seed, tag, cluster, round)
+    "fedretrain": 0x2E7,            # (seed, tag, round)
+    "mc_deletion_fedsgt": 1,        # (seed, tag, L, B, 0, chunk)
+    "mc_deletion_fedcio": 2,        # (seed, tag, clusters, chunk)
+    "mc_span": 3,                   # (seed, tag, L, requests, chunk)
+    "mc_remaining": 4,              # (seed, tag, method, units, requests,
+                                    #  D, chunk)
+    "mc_comm": 5,                   # (seed, tag, L, slices_per_client, chunk)
+})
+
+
+def keyed_stream(key: tuple[int, ...]) -> np.random.Generator:
+    """The generator of the stream keyed by ``key``: PCG64 seeded from the
+    key's SeedSequence, independent of every other key and of global RNG
+    state."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 class FedSGTError(Exception):
@@ -124,16 +157,24 @@ class RunConfig:
                 "requests": self.requests.to_dict()}
 
 
-def _expect_int(errors: list[str], raw: Mapping[str, Any], key: str, default: int,
-                minimum: int, label: str) -> int:
-    value = raw.get(key, default)
+def plain_int(errors: list[str], value: Any, minimum: int, label: str) -> int | None:
+    """``value`` when it is a plain integer of at least ``minimum``. Anything
+    else (a bool, a float such as ``2.0``, ``4.7`` or JSON's ``1e400``, a
+    string) is added to ``errors`` and gives None. The integers of configs,
+    request scripts and dataset manifests are all read here."""
     if isinstance(value, bool) or not isinstance(value, int):
         errors.append(f"{label}: expected an integer, got {value!r}")
-        return default
+        return None
     if value < minimum:
         errors.append(f"{label}: must be >= {minimum}, got {value}")
-        return default
+        return None
     return value
+
+
+def _expect_int(errors: list[str], raw: Mapping[str, Any], key: str, default: int,
+                minimum: int, label: str) -> int:
+    value = plain_int(errors, raw.get(key, default), minimum, label)
+    return default if value is None else value
 
 
 def _object(errors: list[str], raw: Any, label: str) -> Mapping[str, Any] | None:
@@ -179,6 +220,21 @@ def _orders_fewer_than(groups: int, budget: int) -> bool:
         if orders >= budget:
             return False
     return orders < budget
+
+
+def dataset_fit_errors(cfg: RunConfig, slices: int, clients: int,
+                       source: str) -> list[str]:
+    """What keeps ``cfg`` from fitting a dataset of ``slices`` slices held by
+    ``clients`` clients: every group needs a slice and every cluster a
+    client. ``source`` names where the counts come from."""
+    errors = []
+    if cfg.groups > slices:
+        errors.append(f"groups: need at least one slice per group "
+                      f"(groups={cfg.groups} > the {slices} slices of {source})")
+    if cfg.clusters > clients:
+        errors.append(f"clusters: cannot exceed clients (clusters="
+                      f"{cfg.clusters} > the {clients} clients of {source})")
+    return errors
 
 
 def _validate_dataset(errors: list[str], raw: Any) -> SyntheticSpec | CsvSpec:
@@ -315,21 +371,14 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
                     trainer=trainer, requests=requests, out=out, **counts)
 
     # Cross-field constraints. A csv dataset brings its own clients and
-    # slices, so they are checked against ``groups`` and ``clusters`` when it
-    # is loaded.
-    slots = cfg.clients * cfg.slices_per_client
-    if isinstance(dataset, SyntheticSpec) and cfg.groups > slots:
-        errors.append(
-            f"groups: need at least one slice per group "
-            f"(groups={cfg.groups} > clients*slices_per_client={slots})")
+    # slices, so its fit is checked when it is loaded.
     if _orders_fewer_than(cfg.groups, cfg.budget):
         errors.append(
             f"budget: {cfg.budget} exceeds the {math.factorial(cfg.groups)} distinct "
             f"orders of {cfg.groups} groups")
     if isinstance(dataset, SyntheticSpec):
-        if cfg.clusters > cfg.clients:
-            errors.append(
-                f"clusters: cannot exceed clients ({cfg.clusters} > {cfg.clients})")
+        errors += dataset_fit_errors(cfg, cfg.clients * cfg.slices_per_client,
+                                     cfg.clients, "the config")
         if dataset.classes > dataset.dim:
             errors.append(
                 f"dataset.classes: class means need classes <= dim "

@@ -6,8 +6,8 @@ label proportions from a symmetric Dirichlet(alpha); IID mode uses uniform
 proportions. Each client's samples are split into equal contiguous slices
 after a per-client shuffle, so slices share the client's distribution.
 
-Everything is reproducible from (spec, seed): generation uses dedicated
-PCG64 substreams and never touches global RNG state.
+Everything is reproducible from (spec, seed): generation uses the keyed
+streams of ``core`` and never touches global RNG state.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TrainingError
+from .core import STREAM_TAGS, TrainingError, keyed_stream, plain_int
 from .grouping import SliceRef
 
 _MEAN_SCALE = 3.0
@@ -90,8 +90,7 @@ def synth_dataset(clients: int, samples_per_client: int, dim: int, classes: int,
     train_x: list[list[np.ndarray]] = []
     train_y: list[list[np.ndarray]] = []
     for c in range(clients):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((seed, 0xDA7A, c))))
+        rng = keyed_stream((seed, STREAM_TAGS["client_data"], c))
         if alpha is None:
             props = np.full(classes, 1.0 / classes)
         else:
@@ -111,8 +110,7 @@ def synth_dataset(clients: int, samples_per_client: int, dim: int, classes: int,
         train_x.append(xs)
         train_y.append(ys)
 
-    test_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((seed, 0x7E57))))
+    test_rng = keyed_stream((seed, STREAM_TAGS["test_data"]))
     base, extra = divmod(test_samples, classes)
     test_counts = [base + (1 if j < extra else 0) for j in range(classes)]
     test_y = np.repeat(np.arange(classes), test_counts)
@@ -164,6 +162,65 @@ def save_csv_dataset(dataset: Dataset, csv_path: str | Path,
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+_Span = tuple[str, int, int]  # (manifest location, start row, end row)
+
+
+def _read_manifest(manifest: dict, path: Path
+                   ) -> tuple[int, int, list[list[_Span]], _Span]:
+    """dim, classes, each client's slice spans and the test span of a
+    dataset manifest. Every value must be a plain integer, each client's
+    ``client`` id its position in the list, and each span ``[start, end]``
+    hold at least one row; all problems are raised together as one
+    TrainingError."""
+    errors: list[str] = []
+
+    def integer(obj: dict, key: str, minimum: int, label: str) -> int | None:
+        if key not in obj:
+            errors.append(f"{label}: required")
+            return None
+        return plain_int(errors, obj[key], minimum, label)
+
+    def span(value, label: str) -> _Span | None:
+        if not isinstance(value, list) or len(value) != 2:
+            errors.append(f"{label}: expected [start, end], got {value!r}")
+            return None
+        lo, hi = (plain_int(errors, v, 0, f"{label}[{i}]")
+                  for i, v in enumerate(value))
+        if lo is None or hi is None:
+            return None
+        if lo >= hi:
+            errors.append(f"{label}: row span [{lo}, {hi}] holds no rows")
+            return None
+        return label, lo, hi
+
+    dim = integer(manifest, "dim", 1, "dim")
+    classes = integer(manifest, "classes", 1, "classes")
+    clients = manifest.get("clients")
+    if not isinstance(clients, list):
+        errors.append(f"clients: expected a list, got {clients!r}")
+        clients = []
+    client_spans = []
+    for c, entry in enumerate(clients):
+        label = f"clients[{c}]"
+        if not isinstance(entry, dict):
+            errors.append(f"{label}: expected an object, got {entry!r}")
+            continue
+        cid = integer(entry, "client", 0, f"{label}.client")
+        if cid is not None and cid != c:
+            errors.append(f"{label}.client: expected {c}, its place in the list, "
+                          f"got {cid}")
+        slices = entry.get("slices")
+        if not isinstance(slices, list):
+            errors.append(f"{label}.slices: expected a list, got {slices!r}")
+            continue
+        client_spans.append([span(s, f"{label}.slices[{j}]")
+                             for j, s in enumerate(slices)])
+    test = span(manifest.get("test"), "test")
+    if errors:
+        raise TrainingError(f"dataset manifest {path}: " + "; ".join(errors))
+    return dim, classes, client_spans, test
+
+
 def load_csv_dataset(csv_path: str | Path, manifest_path: str | Path) -> Dataset:
     """Load a dataset saved by save_csv_dataset. Structural problems in the
     csv or manifest raise TrainingError; a file that cannot be opened raises
@@ -177,13 +234,7 @@ def load_csv_dataset(csv_path: str | Path, manifest_path: str | Path) -> Dataset
     if (not isinstance(manifest, dict) or manifest.get("format") != "fedsgt-dataset"
             or manifest.get("version") != 1):
         raise TrainingError("not a version-1 fedsgt dataset manifest")
-    try:
-        dim, classes = int(manifest["dim"]), int(manifest["classes"])
-        client_spans = [list(entry["slices"]) for entry in manifest["clients"]]
-        test_span = manifest["test"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TrainingError(f"dataset manifest {manifest_path}: missing or "
-                            f"malformed field ({exc!r})") from exc
+    dim, classes, client_spans, test_span = _read_manifest(manifest, manifest_path)
 
     labels = []
     feats = []
@@ -207,28 +258,14 @@ def load_csv_dataset(csv_path: str | Path, manifest_path: str | Path) -> Dataset
     all_x = np.asarray(feats, dtype=np.float64).reshape(len(labels), dim)
     if all_y.size and (all_y.min() < 0 or all_y.max() >= classes):
         raise TrainingError("csv labels outside [0, classes)")
+    spans = [span for per_client in client_spans for span in per_client]
+    past = [f"{label}: row span [{lo}, {hi}] ends past the {len(all_y)} csv rows"
+            for label, lo, hi in spans + [test_span] if hi > len(all_y)]
+    if past:
+        raise TrainingError(f"dataset manifest {manifest_path}: " + "; ".join(past))
 
-    def rows(span):
-        try:
-            lo, hi = (int(v) for v in span)
-        except (TypeError, ValueError) as exc:
-            raise TrainingError(f"manifest row span {span!r} is not [start, end]") from exc
-        if not (0 <= lo <= hi <= len(all_y)):
-            raise TrainingError(f"manifest row span {span} out of bounds")
-        return all_x[lo:hi], all_y[lo:hi]
-
-    train_x: list[list[np.ndarray]] = []
-    train_y: list[list[np.ndarray]] = []
-    for client, spans in enumerate(client_spans):
-        xs, ys = [], []
-        for span in spans:
-            x, y = rows(span)
-            if len(y) == 0:
-                raise TrainingError(f"empty slice in manifest for client {client}")
-            xs.append(x)
-            ys.append(y)
-        train_x.append(xs)
-        train_y.append(ys)
-    test_x, test_y = rows(test_span)
+    train_x = [[all_x[lo:hi] for _, lo, hi in spans] for spans in client_spans]
+    train_y = [[all_y[lo:hi] for _, lo, hi in spans] for spans in client_spans]
+    _, lo, hi = test_span
     return Dataset(dim=dim, classes=classes, train_x=train_x, train_y=train_y,
-                   test_x=test_x, test_y=test_y)
+                   test_x=all_x[lo:hi], test_y=all_y[lo:hi])

@@ -26,13 +26,13 @@ thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import ServiceUnavailable, TrainingError
+from .core import ServiceUnavailable, TrainerSpec, TrainingError, keyed_stream
 from .dataset import Dataset
 from .grouping import GroupingPlan, SliceRef
 from .sequencing import (SequenceSet, SequenceState, select_allseq,
@@ -41,24 +41,24 @@ from .sequencing import (SequenceSet, SequenceState, select_allseq,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Trainer hyperparameters. epochs may be zero (modules stay zero), all
-    other fields are positive."""
+    """Trainer hyperparameters. Each default and each minimum is the one
+    ``TrainerSpec`` declares for the config key of the same name (epochs
+    may be zero: modules stay zero); lr must be positive."""
 
-    epochs: int = 3
-    lr: float = 0.1
-    batch_size: int = 32
+    epochs: int = TrainerSpec.epochs
+    lr: float = TrainerSpec.lr
+    batch_size: int = TrainerSpec.batch_size
     seed: int = 0
-    rounds_per_phase: int = 1
+    rounds_per_phase: int = TrainerSpec.rounds_per_phase
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for spec in fields(TrainerSpec):
+            minimum = spec.metadata.get("minimum")
+            value = getattr(self, spec.name, None)  # None: fedavg_rounds
+            if minimum is not None and value is not None and value < minimum:
+                raise ValueError(f"{spec.name} must be >= {minimum}, got {value}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.rounds_per_phase < 1:
-            raise ValueError(f"rounds_per_phase must be >= 1, got {self.rounds_per_phase}")
 
 
 @dataclass
@@ -73,8 +73,8 @@ class AdapterModule:
 
 @dataclass
 class ToyModel:
-    """Frozen backbone plus per-sequence module stacks; carries its sequence
-    family so serving needs no extra context."""
+    """Frozen zero backbone plus per-sequence module stacks; carries its
+    sequence family so serving needs no extra context."""
 
     backbone: np.ndarray
     sequences: SequenceSet
@@ -107,11 +107,6 @@ class CostMeter:
         if min(samples, params, modules, epochs) < 0:
             raise ValueError("cost components must be nonnegative")
         self.updates += samples * params * modules * epochs
-
-
-def _round_rng(cfg: TrainConfig, round_key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((cfg.seed, *round_key))))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -219,7 +214,7 @@ def _lockstep_rounds(rounds: list[_Round], cfg: TrainConfig,
     first = 0
     for (n, r), run in groupby(zip(sizes, owner)):
         stop = first + len(list(run))
-        rng = _round_rng(cfg, rounds[r][3])
+        rng = keyed_stream((cfg.seed, *rounds[r][3]))
         perms = np.array([rng.permutation(n) for _ in range(cfg.epochs)],
                          dtype=np.intp).reshape(cfg.epochs, 1, n)
         order[:, first:stop, :n] = perms + offsets[first:stop, None]
@@ -298,22 +293,20 @@ def client_data(dataset: Dataset, refs: Iterable[SliceRef],
 def train_sequence(dataset: Dataset, plan: GroupingPlan, perm: tuple[int, ...],
                    cfg: TrainConfig, sequence_index: int = 0,
                    upto_phase: int | None = None,
-                   backbone: np.ndarray | None = None,
                    meter: CostMeter | None = None) -> list[AdapterModule]:
-    """Train the module stack of one sequence, phases 0..upto_phase-1.
+    """Train the module stack of one sequence, phases 0..upto_phase-1, on
+    the zero backbone.
 
     Truncation is exact: the modules returned for a prefix are bit-identical
     to the leading modules of a full run, because phase p consumes only
     (seed, sequence_index, p, round) streams and prefix data.
     """
     classes, dim = dataset.classes, dataset.dim
-    if backbone is None:
-        backbone = np.zeros((classes, dim))
     upto = len(perm) if upto_phase is None else upto_phase
     if not 0 <= upto <= len(perm):
         raise ValueError(f"upto_phase must be in [0, {len(perm)}], got {upto}")
 
-    frozen = backbone.copy()
+    frozen = np.zeros((classes, dim))
     modules: list[AdapterModule] = []
     for phase in range(upto):
         data = client_data(dataset, (ref for g in perm[:phase + 1]
@@ -334,11 +327,11 @@ def train_sequence(dataset: Dataset, plan: GroupingPlan, perm: tuple[int, ...],
 def train_fedsgt(dataset: Dataset, plan: GroupingPlan, seqs: SequenceSet,
                  cfg: TrainConfig, meter: CostMeter | None = None) -> ToyModel:
     """Train every sequence in the family, in sequence-index order."""
-    backbone = np.zeros((dataset.classes, dataset.dim))
     stacks = [train_sequence(dataset, plan, perm, cfg, sequence_index=sid,
-                             backbone=backbone, meter=meter)
+                             meter=meter)
               for sid, perm in enumerate(seqs.perms)]
-    return ToyModel(backbone=backbone, sequences=seqs, modules=stacks)
+    return ToyModel(backbone=np.zeros((dataset.classes, dataset.dim)),
+                    sequences=seqs, modules=stacks)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import analytics
+from .core import STREAM_TAGS, keyed_stream
 
 CHUNK_TRIALS = 8192
 _BLOCK = 64  # draws per vectorized coverage step
 ZERO_VARIANCE_ULPS = 4  # rounding slack of a deterministic row (MCEstimate.zscore)
-
-_TAG_DELETION_SGT = 1
-_TAG_DELETION_CIO = 2
-_TAG_SPAN = 3
-_TAG_REMAINING = 4
-_TAG_COMM = 5
 
 
 @dataclass(frozen=True)
@@ -84,9 +79,8 @@ def _estimates(jobs: Sequence[Job], cfg: MCConfig,
 
     def run(spec: tuple[tuple[int, ...], Sampler, int, int]) -> tuple[float, float]:
         key, sampler, index, n = spec
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((cfg.seed, *key, index))))
-        values = np.asarray(sampler(rng, n), dtype=np.float64)
+        values = np.asarray(sampler(keyed_stream((cfg.seed, *key, index)), n),
+                            dtype=np.float64)
         return float(values.sum()), float(np.square(values).sum())
 
     if workers > 1 and len(specs) > 1:
@@ -163,14 +157,14 @@ def _deletion_fedsgt_job(group_count: int, budget: int) -> Job:
     heads = _rotation_heads(group_count, budget)
     # The trailing 0 is part of the key every estimate's chunk streams were
     # seeded with; dropping it would change the bytes of every estimate.
-    return ((_TAG_DELETION_SGT, group_count, budget, 0),
+    return ((STREAM_TAGS["mc_deletion_fedsgt"], group_count, budget, 0),
             lambda rng, n: _coverage_times(rng, n, group_count, heads))
 
 
 def _deletion_fedcio_job(clusters: int) -> Job:
     analytics._check_positive(clusters=clusters)
     heads = list(range(clusters))
-    return ((_TAG_DELETION_CIO, clusters),
+    return ((STREAM_TAGS["mc_deletion_fedcio"], clusters),
             lambda rng, n: _coverage_times(rng, n, clusters, heads))
 
 
@@ -208,7 +202,7 @@ def _span_samples(rng: np.random.Generator, n: int, group_count: int,
 
 def _span_job(group_count: int, requests: int) -> Job:
     analytics._check_positive(group_count=group_count, requests=requests)
-    return ((_TAG_SPAN, group_count, requests),
+    return ((STREAM_TAGS["mc_span"], group_count, requests),
             lambda rng, n: _span_samples(rng, n, group_count, requests))
 
 
@@ -235,8 +229,8 @@ def _remaining_job(method: str, total_samples: int, units: int,
             return total_samples / units * (units - hit.sum(axis=1))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return ((_TAG_REMAINING, 1 if name == "fedsgt" else 2, units, requests,
-             total_samples), sampler)
+    return ((STREAM_TAGS["mc_remaining"], 1 if name == "fedsgt" else 2, units,
+             requests, total_samples), sampler)
 
 
 def mc_expected_remaining(method: str, total_samples: int, units: int,
@@ -265,7 +259,7 @@ def _comm_cost_samples(rng: np.random.Generator, n: int, group_count: int,
 def _comm_cost_job(group_count: int, slices_per_client: int) -> Job:
     analytics._check_positive(group_count=group_count,
                               slices_per_client=slices_per_client)
-    return ((_TAG_COMM, group_count, slices_per_client),
+    return ((STREAM_TAGS["mc_comm"], group_count, slices_per_client),
             lambda rng, n: _comm_cost_samples(rng, n, group_count,
                                               slices_per_client))
 

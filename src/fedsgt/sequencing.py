@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
+from .core import STREAM_TAGS, keyed_stream
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def build_sequences(group_count: int, budget: int, seed: int = 0) -> SequenceSet
                 f"budget {budget} exceeds the {math.factorial(group_count)} "
                 f"distinct orders of {group_count} groups")
         seen = set(perms)
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((seed, 0x5EC5))))
+        rng = keyed_stream((seed, STREAM_TAGS["sequence_orders"]))
         while len(perms) < budget:
             candidate = tuple(int(g) for g in rng.permutation(group_count))
             if candidate not in seen:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import TrainingError
+from .core import STREAM_TAGS, TrainingError, keyed_stream
 from .dataset import Dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, client_data, evaluate,
                       fedavg_lockstep, fedavg_train, matrix_accuracy,
@@ -96,7 +96,7 @@ def request_stream(catalog: list[tuple[SliceRef, int]], seed: int,
     counts are capped at the slice size so every request is valid."""
     if not catalog:
         raise ValueError("empty slice catalog")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xDE1))))
+    rng = keyed_stream((seed, STREAM_TAGS["requests"]))
     while True:
         ref, size = catalog[int(rng.integers(len(catalog)))]
         yield UnlearnRequest(target=ref, record_count=min(record_count, size))
@@ -232,7 +232,7 @@ def train_clusters(dataset: Dataset, clusters: int, cfg: TrainConfig,
                                      if cluster_of(ref.client_id, clusters) == cid))
         if not data:
             raise TrainingError(f"cluster {cid} has no data")
-        runs.append((data, (0xC10, cid)))
+        runs.append((data, (STREAM_TAGS["fedcio"], cid)))
     return dict(enumerate(fedavg_lockstep(runs, dataset.classes, dataset.dim,
                                           rounds, cfg, meter, adapter_stack)))
 
@@ -299,7 +299,8 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
 
     def refit() -> float:
         w = fedavg_train(client_data(dataset, sizes, removed), dataset.classes,
-                         dataset.dim, rounds, cfg, namespace=(0x2E7,))
+                         dataset.dim, rounds, cfg,
+                         namespace=(STREAM_TAGS["fedretrain"],))
         return matrix_accuracy([w], dataset.test_x, dataset.test_y)
 
     records = [TimelineRecord(step=0, method=METHOD_FEDRETRAIN, affected_unit="",
@@ -357,8 +358,7 @@ def exactness_audit(model: ToyModel, plan: GroupingPlan, cfg: TrainConfig,
             continue
         sequences_checked += 1
         fresh = train_sequence(dataset, plan, seqs.perms[sid], cfg,
-                               sequence_index=sid, upto_phase=active,
-                               backbone=model.backbone)
+                               sequence_index=sid, upto_phase=active)
         for p in range(active):
             modules_checked += 1
             served = model.modules[sid][p]

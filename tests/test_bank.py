@@ -147,6 +147,13 @@ class TestContradictions:
                            match="backbone holds a non-finite"):
             read_bank(path)
 
+    @pytest.mark.parametrize("value", [1e-300, -2.5, -0.0])
+    def test_nonzero_backbone(self, trained, tmp_path, value):
+        # Training writes a +0.0 backbone and the audit retrains from one.
+        path = self.patched(trained, tmp_path, "<d", 24 + 8 * 5, value)
+        with pytest.raises(BankFormatError, match="backbone is not zero"):
+            read_bank(path)
+
     @pytest.mark.parametrize("sid, phase", [(0, 0), (2, 1), (4, 3)])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_module(self, trained, tmp_path, sid, phase, value):

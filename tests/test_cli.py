@@ -317,7 +317,8 @@ class TestUnlearn:
         ("weight", math.nan, "sequence 0, phase 0 holds a non-finite weight"),
         ("weight", -math.inf, "sequence 0, phase 0 holds a non-finite weight"),
         ("samples", 0, "sequence 0: sample counts [0, "),
-    ], ids=["nan-weight", "inf-weight", "zero-samples"])
+        ("backbone", 0.25, "backbone is not zero"),
+    ], ids=["nan-weight", "inf-weight", "zero-samples", "nonzero-backbone"])
     def test_contradictory_bank(self, tmp_path, trained, capsys, field, value,
                                 message):
         # The bank parses and matches its plan's shape, but no training run
@@ -328,6 +329,8 @@ class TestUnlearn:
         module = 24 + 8 * k * d
         if field == "weight":
             struct.pack_into("<d", raw, module + 12, value)
+        elif field == "backbone":
+            struct.pack_into("<d", raw, 24, value)
         else:
             struct.pack_into("<Q", raw, module + 4, value)
         bank.write_bytes(bytes(raw))
@@ -557,6 +560,40 @@ class TestCsvDataset:
                                         "clusters": 3}, dataset)
         assert run("compare", "--config", config, "--out", tmp_path / "o") == 0
         assert json.loads((tmp_path / "o" / "compare.json").read_text())["fedcio"]
+
+    @pytest.mark.parametrize("place", ["dim", "classes", "slice", "test"])
+    def test_manifest_number_past_float_range(self, tmp_path, capsys, place):
+        # json reads 1e400 as inf; bare int() raised OverflowError, a
+        # traceback and exit 1.
+        dataset = build_dataset(validate_config(self.CONFIG))
+        config = self.as_csv(tmp_path, self.CONFIG, dataset)
+        manifest = tmp_path / "data.json"
+        doc = json.loads(manifest.read_text())
+        if place == "slice":
+            doc["clients"][1]["slices"][0][1] = "HUGE"
+        elif place == "test":
+            doc["test"][0] = "HUGE"
+        else:
+            doc[place] = "HUGE"
+        manifest.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
+        assert run("train", "--config", config, "--out", tmp_path / "o") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("training error: ") and err.count("\n") == 1
+        assert "expected an integer, got inf" in err
+
+    def test_empty_test_split(self, tmp_path, capsys):
+        # train exited 0 and wrote NaN accuracies, which is not JSON.
+        dataset = build_dataset(validate_config(self.CONFIG))
+        config = self.as_csv(tmp_path, self.CONFIG, dataset)
+        manifest = tmp_path / "data.json"
+        doc = json.loads(manifest.read_text())
+        doc["test"] = [0, 0]
+        manifest.write_text(json.dumps(doc))
+        assert run("train", "--config", config, "--out", tmp_path / "o") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("training error: ") and err.count("\n") == 1
+        assert "test: row span [0, 0] holds no rows" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text, code", [
         ("{not json", 5), ("[]", 5), ('{"format": "fedsgt-dataset", "version": 1}', 5),

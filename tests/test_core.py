@@ -5,12 +5,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsgt.core import (STRATEGIES, ConfigurationError, CsvSpec, RunConfig,
-                         SyntheticSpec, validate_config)
+from fedsgt.core import (STRATEGIES, STREAM_TAGS, ConfigurationError, CsvSpec,
+                         RunConfig, SyntheticSpec, keyed_stream, validate_config)
 
 # Every integer field as (section, key, default, minimum); section None is
 # the top level. Written out by hand so that it pins the schema
@@ -257,6 +258,16 @@ class TestDatasetSpecs:
                                            "manifest": "m.json"}})
         assert cfg.clusters == 5
 
+    def test_synthetic_fit_uses_the_csv_message_template(self):
+        # One check serves both dataset kinds; a csv dataset names its
+        # manifest where a synthetic one names the config.
+        assert errors_of({"clients": 2, "slices_per_client": 1, "groups": 3,
+                          "budget": 3, "clusters": 4}) == [
+            "groups: need at least one slice per group "
+            "(groups=3 > the 2 slices of the config)",
+            "clusters: cannot exceed clients "
+            "(clusters=4 > the 2 clients of the config)"]
+
     def test_synthetic_clusters_checked_against_clients(self):
         with pytest.raises(ConfigurationError, match="clusters: cannot exceed"):
             validate_config({"clients": 2, "slices_per_client": 5,
@@ -310,3 +321,17 @@ class TestRequestSpecs:
         cfg = validate_config({"requests": {"count": 7, "seed": 4}})
         assert cfg.requests.count == 7
         assert cfg.requests.seed == 4
+
+
+def test_keyed_stream_and_domain_tags():
+    # Every random draw in the package comes from keyed_stream, so its
+    # construction and the tags are part of the bank and estimate bytes.
+    for key in [(0,), (7, STREAM_TAGS["client_data"], 3), (2, 0, 5, 1)]:
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        assert keyed_stream(key).bit_generator.state == want.bit_generator.state
+    assert dict(STREAM_TAGS) == {
+        "client_data": 0xDA7A, "test_data": 0x7E57, "sequence_orders": 0x5EC5,
+        "requests": 0xDE1, "fedcio": 0xC10, "fedretrain": 0x2E7,
+        "mc_deletion_fedsgt": 1, "mc_deletion_fedcio": 2, "mc_span": 3,
+        "mc_remaining": 4, "mc_comm": 5}
+    assert len(set(STREAM_TAGS.values())) == len(STREAM_TAGS)

@@ -1,6 +1,7 @@
 """Synthetic data: determinism, slicing, label skew, CSV round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,45 @@ class TestCsvStructure:
         self.edit_manifest(saved[1], change)
         with pytest.raises(TrainingError):
             load_csv_dataset(*saved)
+
+    @pytest.mark.parametrize("change, problem", [
+        (lambda doc: doc.update(dim=4.7), "dim: expected an integer, got 4.7"),
+        (lambda doc: doc.update(dim=8.0), "dim: expected an integer, got 8.0"),
+        (lambda doc: doc.update(classes=True), "classes: expected an integer"),
+        (lambda doc: doc.update(dim=0), "dim: must be >= 1, got 0"),
+        (lambda doc: doc["clients"][0]["slices"].__setitem__(0, [0.9, 10.2]),
+         "clients[0].slices[0][0]: expected an integer, got 0.9"),
+        (lambda doc: doc.update(test=[-1, 5]), "test[0]: must be >= 0, got -1"),
+        (lambda doc: doc.update(test=[5, 3]), "test: row span [5, 3] holds no rows"),
+        (lambda doc: doc.update(test=[0, 0]), "test: row span [0, 0] holds no rows"),
+        (lambda doc: doc["clients"].reverse(),
+         "clients[0].client: expected 0, its place in the list, got 4"),
+        (lambda doc: doc["clients"][2].pop("client"), "clients[2].client: required"),
+        (lambda doc: doc["clients"][2].update(client=2.0),
+         "clients[2].client: expected an integer, got 2.0"),
+    ], ids=["dim-fraction", "dim-float", "classes-bool", "dim-zero",
+            "fractional-span", "negative-start", "reversed-span", "empty-test",
+            "swapped-clients", "missing-client-id", "float-client-id"])
+    def test_manifest_values_are_checked(self, saved, change, problem):
+        # Bare int() truncated 4.7 to 4 and [0.9, 10.2] to [0, 10], an empty
+        # test split scored NaN, and client ids were never read: swapped
+        # entries were renumbered.
+        self.edit_manifest(saved[1], change)
+        with pytest.raises(TrainingError, match=re.escape(problem)):
+            load_csv_dataset(*saved)
+
+    def test_every_manifest_problem_in_one_error(self, saved):
+        def change(doc):
+            doc.update(dim=4.7, classes="four", test=[0, 0])
+            doc["clients"][1]["slices"][2] = [1, "2"]
+        self.edit_manifest(saved[1], change)
+        with pytest.raises(TrainingError) as info:
+            load_csv_dataset(*saved)
+        message = str(info.value)
+        for problem in ("dim: expected an integer", "classes: expected an integer",
+                        "test: row span [0, 0] holds no rows",
+                        "clients[1].slices[2][1]: expected an integer, got '2'"):
+            assert problem in message
 
     @pytest.mark.parametrize("data", [b"", b"\xff\xfelabel,f0\n",
                                       b"label," + b"9" * 200_000],

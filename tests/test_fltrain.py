@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from fedsgt.core import ServiceUnavailable, TrainingError
+from fedsgt.core import (ServiceUnavailable, TrainerSpec, TrainingError,
+                         keyed_stream)
 from fedsgt.dataset import synth_dataset
 from fedsgt.fltrain import (CostMeter, TrainConfig, _lockstep_rounds,
-                            _round_rng, _softmax, client_data, evaluate,
+                            _softmax, client_data, evaluate,
                             fedavg_train, federated_round, matrix_accuracy,
                             predict_proba, train_fedsgt, train_sequence)
 from fedsgt.grouping import SliceRef, build_grouping
@@ -104,7 +105,7 @@ def reference_round(active, frozen, data, cfg, round_key, meter=None,
     updates = np.empty((len(participants),) + active.shape)
     for i, c in enumerate(participants):
         x, y = data[c]
-        rng = _round_rng(cfg, round_key)
+        rng = keyed_stream((cfg.seed, *round_key))
         a = active.copy()
         n = len(y)
         onehot = np.zeros((n, a.shape[0]))
@@ -534,6 +535,15 @@ class TestFedAvgBaseline:
 
 
 class TestTrainConfig:
+    def test_defaults_and_minimums_are_the_trainer_specs(self):
+        spec = TrainerSpec()
+        cfg = TrainConfig()
+        assert (cfg.epochs, cfg.lr, cfg.batch_size, cfg.rounds_per_phase, cfg.seed) \
+            == (spec.epochs, spec.lr, spec.batch_size, spec.rounds_per_phase, 0)
+        assert TrainConfig(epochs=0, batch_size=1, rounds_per_phase=1).epochs == 0
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            TrainConfig(batch_size=0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)

@@ -1,10 +1,13 @@
 """The benchmark harness reads fedsgt by name: ``perfbench/tracing.py`` wraps
-the functions it lists, and the workloads call module attributes. Every such
-name must still exist, or a traced benchmark run fails where no test looks."""
+the functions it lists, its observers read the wrapped calls' arguments by
+parameter name, and the workloads call module attributes. Every such name
+must still exist, or a traced benchmark run fails where no test looks."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -59,4 +62,41 @@ def test_harness_reads_only_existing_names(source):
     assert reads
     missing = [f"{module}.{name}" for module, name in reads
                if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing
+
+
+def observer_reads(observer) -> set[str]:
+    """The argument names an observer looks up in the bound arguments it is
+    given as its second parameter."""
+    node = ast.parse(textwrap.dedent(inspect.getsource(observer))).body[0]
+    args = node.args.args[1].arg
+    return {sub.slice.value for sub in ast.walk(node)
+            if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+            and sub.value.id == args and isinstance(sub.slice, ast.Constant)}
+
+
+# What the observers read when this test was written; the walk above must
+# find at least these, so that it cannot silently find nothing.
+OBSERVED = {
+    "fltrain.federated_round": {"active", "data", "cfg", "cost_modules"},
+    "fltrain.evaluate": {"model", "strategy", "state"},
+    "unlearn.exactness_audit": {"model", "deleted"},
+    "bank.write_bank": {"path"},
+}
+
+
+def test_observers_bind_existing_parameters():
+    # The recorder binds each traced call's arguments to the function's
+    # signature and hands them to the observer, which reads them by name;
+    # a renamed parameter is a KeyError in every benchmark run.
+    observers = load_tracing().OBSERVERS
+    reads = {name: observer_reads(observer) for name, observer in observers.items()}
+    for name, names in OBSERVED.items():
+        assert names <= reads[name], name
+    missing = []
+    for name, names in reads.items():
+        module, func = name.split(".")
+        params = inspect.signature(
+            getattr(importlib.import_module(f"fedsgt.{module}"), func)).parameters
+        missing += [f"{name}({arg})" for arg in sorted(names - set(params))]
     assert not missing, missing
