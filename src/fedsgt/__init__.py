@@ -11,7 +11,7 @@ The package has three layers:
   that retrains surviving prefixes and compares them byte for byte.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .analytics import (AnalyticParams, deletion_rate_fedcio,
                         deletion_rate_fedsgt, distinct_count_law,

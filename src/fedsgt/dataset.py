@@ -169,9 +169,9 @@ def _read_manifest(manifest: dict, path: Path
                    ) -> tuple[int, int, list[list[_Span]], _Span]:
     """dim, classes, each client's slice spans and the test span of a
     dataset manifest. Every value must be a plain integer, each client's
-    ``client`` id its position in the list, and each span ``[start, end]``
-    hold at least one row; all problems are raised together as one
-    TrainingError."""
+    ``client`` id its position in the list, each client hold at least one
+    slice, and each span ``[start, end]`` hold at least one row; all
+    problems are raised together as one TrainingError."""
     errors: list[str] = []
 
     def integer(obj: dict, key: str, minimum: int, label: str) -> int | None:
@@ -210,8 +210,9 @@ def _read_manifest(manifest: dict, path: Path
             errors.append(f"{label}.client: expected {c}, its place in the list, "
                           f"got {cid}")
         slices = entry.get("slices")
-        if not isinstance(slices, list):
-            errors.append(f"{label}.slices: expected a list, got {slices!r}")
+        if not isinstance(slices, list) or not slices:
+            errors.append(f"{label}.slices: expected a list of at least one "
+                          f"span, got {slices!r}")
             continue
         client_spans.append([span(s, f"{label}.slices[{j}]")
                              for j, s in enumerate(slices)])
@@ -232,7 +233,7 @@ def load_csv_dataset(csv_path: str | Path, manifest_path: str | Path) -> Dataset
     except (ValueError, RecursionError) as exc:
         raise TrainingError(f"dataset manifest {manifest_path}: {exc}") from exc
     if (not isinstance(manifest, dict) or manifest.get("format") != "fedsgt-dataset"
-            or manifest.get("version") != 1):
+            or plain_int([], manifest.get("version"), 1, "version") != 1):
         raise TrainingError("not a version-1 fedsgt dataset manifest")
     dim, classes, client_spans, test_span = _read_manifest(manifest, manifest_path)
 

@@ -112,37 +112,70 @@ class CostMeter:
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last (class) axis, byte-identical to the textbook
     ``e = exp(z - z.max(-1, keepdims=True)); e / e.sum(-1, keepdims=True)``
-    for every class count. Training, the audit's retraining, the baselines
-    and serving all call it, so its bytes are part of the bank bytes. The
-    input is left unchanged.
+    on C-ordered logits, for every class count and whatever ``z``'s memory
+    layout. Training, the audit's retraining, the baselines and serving all
+    call it, so its bytes are part of the bank bytes. The input is left
+    unchanged; the result is a new C-contiguous array of ``z``'s shape.
 
-    The row max is taken over a class-leading contiguous copy: numpy's
-    reduction along a short inner axis costs far more per row than an
-    elementwise maximum across k contiguous rows (0.25-0.6 ms against
-    0.02-0.04 ms on 5,000 x 5; numpy 2.4, 2-CPU x86-64 VM). Max does not
-    depend on order, so the bytes are the same at every k. A max of +0
-    against -0 shifts by zero either way and exp(+-0) == 1. The one
-    difference is the sign bit of a NaN in a row holding a NaN with its sign
-    bit set, which numpy's row reduction does not always keep; the NaN
-    stays a NaN in the same place. The copy is made by
+    Every step runs on one class-leading contiguous copy, where a reduction
+    over the k classes is an elementwise operation across k contiguous rows.
+    numpy's reductions along a short inner axis cost far more per row: the
+    whole softmax takes 0.12 ms against 0.25 ms on 5,000 x 5 (numpy 2.4,
+    2-CPU x86-64 VM). The max does not depend on order. A max of +0 against
+    -0 shifts by zero either way and exp(+-0) == 1; a row holding a NaN with
+    its sign bit set may come out with either NaN sign bit, in the same
+    places. The sum replays the order of numpy's own sum along a contiguous
+    class axis (``_class_sum``), so it keeps the textbook's bytes. The
+    textbook's bytes themselves depend on layout from k = 8: numpy sums the
+    class axis of an F-ordered array left to right. The copy is made by
     ``transpose(...).copy()`` rather than ``np.moveaxis``, whose argument
     handling costs a few microseconds per call: most calls come from
     training, on batches of a few hundred rows.
 
-    The sum must stay numpy's own reduction along the contiguous class axis:
-    it adds left to right for k < 8 and pairwise from k = 8, and that order
-    is part of the bank bytes, so a column loop, a matmul or a sum over a
-    class-leading copy would change them.
-
-    The copy costs more than numpy's max from about k = 32-64 (1.7-2.0 ms
-    against 0.5-0.6 ms at 5,000 x 64); no workload, demo or CLI default goes
-    above k = 5, and one code path serves every k.
+    One code path serves every k. From k = 8 it is mostly slower than
+    numpy's row reductions. On 5,000 rows: x0.6-0.9 at k = 8-10, where the
+    work copy, the lane block and the result are alive together and the
+    freed memory is faulted back in on the next call; x1.2 at k = 20; x0.7
+    at k = 64, where the transposed copy and write dominate. On a 10 x 32
+    training batch: x0.8-1.0 at k = 8-20. No workload, demo or CLI default
+    goes above k = 5.
     """
-    top = z.transpose((-1, *range(z.ndim - 1))).copy().max(axis=0)
-    e = z - top[..., None]
+    lead = (z.ndim - 1, *range(z.ndim - 1))
+    e = z.transpose(lead).copy()
+    e -= e.max(axis=0)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    out = np.empty(z.shape, dtype=e.dtype)
+    np.divide(e, _class_sum(e), out=out.transpose(lead))
+    return out
+
+
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """The sum of ``e``'s rows, added in the order numpy's pairwise sum adds
+    a contiguous axis of ``len(e)`` values: left to right below 8; from 8 to
+    128, eight lane accumulators folded as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail left to right;
+    above 128, the two halves split at a multiple of 8, each summed so.
+    numpy adds the result to a +0 start, which changes nothing for the
+    non-negative values of an exponential."""
+    n = len(e)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _class_sum(e[:half]) + _class_sum(e[half:])
+    if n < 8:
+        s = e[0].copy()
+        for row in e[1:]:
+            s += row
+        return s
+    tail = n - n % 8
+    r = e[:8].copy()
+    for i in range(8, tail, 8):
+        r += e[i:i + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    s = r[0] + r[1]
+    for row in e[tail:]:
+        s += row
+    return s
 
 
 def _batch_plan(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, int]]:

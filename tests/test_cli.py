@@ -595,6 +595,22 @@ class TestCsvDataset:
         assert "test: row span [0, 0] holds no rows" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_client_without_slices(self, tmp_path, capsys, command):
+        # The empty entry counted toward clusters: train exited 0, and
+        # compare exited 5 only once its fifth cluster had no data.
+        dataset = build_dataset(validate_config(self.CONFIG))
+        config = self.as_csv(tmp_path, {**self.CONFIG, "clusters": 5}, dataset)
+        manifest = tmp_path / "data.json"
+        doc = json.loads(manifest.read_text())
+        doc["clients"].append({"client": 4, "slices": []})
+        manifest.write_text(json.dumps(doc))
+        assert run(command, "--config", config, "--out", tmp_path / "o") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("training error: ") and err.count("\n") == 1
+        assert "clients[4].slices: expected a list of at least one span" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text, code", [
         ("{not json", 5), ("[]", 5), ('{"format": "fedsgt-dataset", "version": 1}', 5),
         (None, 2), ("", 2), (DEEP_JSON, 5)],

@@ -224,13 +224,21 @@ class TestCsvStructure:
         (lambda doc: doc["clients"][2].pop("client"), "clients[2].client: required"),
         (lambda doc: doc["clients"][2].update(client=2.0),
          "clients[2].client: expected an integer, got 2.0"),
+        (lambda doc: doc["clients"][2].update(slices=[]),
+         "clients[2].slices: expected a list of at least one span, got []"),
+        (lambda doc: doc.update(version=True),
+         "not a version-1 fedsgt dataset manifest"),
+        (lambda doc: doc.update(version=1.0),
+         "not a version-1 fedsgt dataset manifest"),
     ], ids=["dim-fraction", "dim-float", "classes-bool", "dim-zero",
             "fractional-span", "negative-start", "reversed-span", "empty-test",
-            "swapped-clients", "missing-client-id", "float-client-id"])
+            "swapped-clients", "missing-client-id", "float-client-id",
+            "client-without-slices", "version-bool", "version-float"])
     def test_manifest_values_are_checked(self, saved, change, problem):
         # Bare int() truncated 4.7 to 4 and [0.9, 10.2] to [0, 10], an empty
         # test split scored NaN, and client ids were never read: swapped
-        # entries were renumbered.
+        # entries were renumbered. A client without slices counted toward
+        # clusters, and a version of true or 1.0 read as 1.
         self.edit_manifest(saved[1], change)
         with pytest.raises(TrainingError, match=re.escape(problem)):
             load_csv_dataset(*saved)

@@ -266,18 +266,23 @@ def textbook_softmax(z):
 
 
 class TestSoftmax:
-    """_softmax is byte-identical to the textbook formula at every class
-    count, and leaves its input alone. Training, the audit, the baselines and
-    serving share it, so its bytes are the bank bytes."""
+    """_softmax is byte-identical to the textbook formula on C-ordered values
+    at every class count, whatever the input's layout, and leaves its input
+    alone. Training, the audit, the baselines and serving share it, so its
+    bytes are the bank bytes."""
 
     def assert_textbook(self, z):
         before = z.copy()
         got = _softmax(z)
         assert got.shape == z.shape
-        assert got.tobytes() == textbook_softmax(z).tobytes()
+        assert got.flags.c_contiguous
+        # The textbook's own bytes depend on layout from k = 8: numpy sums
+        # the class axis of an F-ordered array in another order.
+        want = textbook_softmax(np.ascontiguousarray(z))
+        assert got.tobytes() == want.tobytes()
         assert z.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("k", range(1, 65))
+    @pytest.mark.parametrize("k", [*range(1, 65), 127, 128, 129, 200, 300])
     def test_matches_textbook(self, k):
         rng = np.random.default_rng(k)
         self.assert_textbook(rng.normal(scale=4.0, size=k))
@@ -288,6 +293,15 @@ class TestSoftmax:
         assert not view.flags.c_contiguous
         self.assert_textbook(view)
         self.assert_textbook(rng.normal(scale=4.0, size=(k, 23)).T)
+
+    @pytest.mark.parametrize("k", (1, 5, 8, 9, 16, 33, 64, 129))
+    def test_layout_does_not_change_bytes(self, k):
+        z = np.random.default_rng(200 + k).normal(scale=4.0, size=(23, k))
+        wide = np.zeros((46, 3 * k))
+        wide[::2, ::3] = z
+        layouts = [z, np.asfortranarray(z), wide[::2, ::3]]
+        got = [_softmax(v).tobytes() for v in layouts]
+        assert got[1] == got[0] and got[2] == got[0]
 
     @pytest.mark.parametrize("k", (1, 2, 5, 7, 8, 9, 16, 33, 64))
     def test_special_values_match_textbook(self, k):
@@ -457,11 +471,14 @@ def reference_proba(model, state, strategy, x):
 
 class TestServingBytes:
     """predict_proba and matrix_accuracy give the bytes of serving written
-    out by hand, at several deletion states."""
+    out by hand, at several deletion states. The subclasses below rerun every
+    case at other class counts."""
+
+    CLASSES = 5
 
     @pytest.fixture(scope="class")
     def trained(self):
-        ds = data(seed=4, clients=6, classes=5, dim=7)
+        ds = data(seed=4, clients=6, classes=self.CLASSES, dim=11)
         plan = build_grouping(ds.slice_catalog(), 6, 4)
         seqs = build_sequences(6, 8, 4)
         cfg = TrainConfig(epochs=2, lr=0.1, batch_size=16, seed=4)
@@ -480,14 +497,22 @@ class TestServingBytes:
     @pytest.mark.parametrize("count", [1, 2, 3, 5])
     def test_matrix_accuracy(self, count):
         rng = np.random.default_rng(count)
-        x = rng.normal(size=(400, 7))
-        y = rng.integers(0, 5, 400)
-        weights = [rng.normal(size=(5, 7)) for _ in range(count)]
+        x = rng.normal(size=(400, 11))
+        y = rng.integers(0, self.CLASSES, 400)
+        weights = [rng.normal(size=(self.CLASSES, 11)) for _ in range(count)]
         acc = textbook_softmax(x @ weights[0].T)
         for w in weights[1:]:
             acc = acc + textbook_softmax(x @ w.T)
         want = float(np.mean(np.argmax(acc / count, axis=1) == y))
         assert matrix_accuracy(weights, x, y) == want
+
+
+class TestServingBytesTwoClasses(TestServingBytes):
+    CLASSES = 2
+
+
+class TestServingBytesTenClasses(TestServingBytes):
+    CLASSES = 10  # eight lanes and a tail in the class sum
 
 
 class TestCostAccounting:
