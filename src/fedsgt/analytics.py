@@ -6,8 +6,11 @@ the identity order. Uniform deletion requests kill every sequence whose
 prefix touches a deleted group, and the quantities below describe how long
 the system lasts and how much data the surviving prefixes still cover.
 
-All probability computations run on exact rationals (arbitrary-precision
-integers underneath) and are converted to float only at the API boundary.
+Probabilities are computed exactly, in integers or rationals, and each
+returned value is rounded once from its exact value, with one exception:
+``expected_remaining_curve`` (and so ``expected_remaining_fedsgt``) takes
+the rounded span and applies (|D|/L) * (L - E[U]) in float, a second
+rounding that can leave the result one ulp from the exact rational.
 Request targets are modeled as uniform over groups. This is what
 ``unlearn.request_stream`` (uniform over slices, with replacement) induces
 when every group holds the same number of slices; plans whose groups hold
@@ -17,6 +20,7 @@ cross-checks every formula here by sampling the same model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -110,6 +114,13 @@ def prob_m_distinct(group_count: int, requests: int, distinct: int) -> Fraction:
     return law[distinct] if 0 <= distinct <= group_count else Fraction(0)
 
 
+def _check_occupied(group_count: int, occupied: int) -> None:
+    _check_positive(group_count=group_count)
+    if occupied < 1 or occupied > group_count:
+        raise ValueError(
+            f"occupied must be in [1, {group_count}], got {occupied}")
+
+
 def prob_max_gap_le(group_count: int, occupied: int, gap_bound: int) -> Fraction:
     """P(max cyclic gap <= gap_bound | ``occupied`` distinct positions).
 
@@ -120,10 +131,7 @@ def prob_max_gap_le(group_count: int, occupied: int, gap_bound: int) -> Fraction
 
         (1 / C(L-1, m-1)) * sum_j (-1)^j C(m, j) C(L-1-j*s, m-1).
     """
-    _check_positive(group_count=group_count)
-    if occupied < 1 or occupied > group_count:
-        raise ValueError(
-            f"occupied must be in [1, {group_count}], got {occupied}")
+    _check_occupied(group_count, occupied)
     if gap_bound < 0:
         raise ValueError(f"gap_bound must be >= 0, got {gap_bound}")
     if gap_bound == 0:
@@ -138,22 +146,42 @@ def prob_max_gap_le(group_count: int, occupied: int, gap_bound: int) -> Fraction
     return Fraction(acc, total)
 
 
+def _span_pair(group_count: int, occupied: int) -> tuple[int, int]:
+    """E[U | M=m] as the integer pair (S_m, T_m), T_m = C(L-1, m-1): the
+    numerator of 1 + sum_{s=1..L-1} P(max gap <= s | M=m) over the common
+    denominator of every term of :func:`prob_max_gap_le`. Its j = 0 terms
+    give L T_m; the rest group by j, where s runs up to (L-m) // j."""
+    total = math.comb(group_count - 1, occupied - 1)
+    spare = group_count - occupied
+    acc = group_count * total
+    sign = -1
+    for j in range(1, spare + 1):
+        acc += sign * math.comb(occupied, j) * sum(
+            math.comb(group_count - 1 - j * s, occupied - 1)
+            for s in range(1, spare // j + 1))
+        sign = -sign
+    return acc, total
+
+
 def _expected_span_given_m_exact(group_count: int, occupied: int) -> Fraction:
     # E[U | M=m] = 1 + sum_{s=1..L-1} P(max gap <= s | M=m), via
     # E[X] = sum P(X > s) applied to the max gap and U = L - maxgap + 1.
-    acc = Fraction(1)
-    for s in range(1, group_count):
-        acc += prob_max_gap_le(group_count, occupied, s)
-    return acc
+    _check_occupied(group_count, occupied)
+    return Fraction(*_span_pair(group_count, occupied))
 
 
 def expected_span_curve(group_count: int, max_requests: int) -> list[float]:
     """E[cyclic span of the hit set] after r uniform draws, r = 0..max_requests:
-    E[U | M=m], computed once per m, mixed over the occupancy chain's law at
-    each r. Zero requests give span zero."""
-    spans = [_expected_span_given_m_exact(group_count, m)
+    E[U | M=m] = S_m / T_m, computed once per m, mixed over the occupancy
+    chain's law at each r. Every term sits over den = lcm(T_m), so point r is
+    sum_m N_r(m) S_m (den / T_m) / (den L^r), one correctly rounded division
+    of two integers: the float of the exact rational. Zero requests give span
+    zero."""
+    pairs = [_span_pair(group_count, m)
              for m in range(1, min(group_count, max_requests) + 1)]
-    return [float(sum(n * u for n, u in zip(counts[1:], spans)) / group_count ** r)
+    den = math.lcm(*(t for _, t in pairs))
+    weights = [s * (den // t) for s, t in pairs]
+    return [sum(n * w for n, w in zip(counts[1:], weights)) / (den * group_count ** r)
             for r, counts in enumerate(_distinct_counts(group_count, max_requests))]
 
 
@@ -168,6 +196,9 @@ def expected_remaining_curve(total_samples: int, group_count: int,
     deletions, r = 0..max_requests, assuming balanced groups. With the full
     rotation family the longest surviving prefix has length L - U, where U is
     the cyclic span of the deleted set, so each point is (|D|/L) * (L - E[U]).
+    That product is taken in float after E[U] is rounded, so a point can sit
+    one ulp from the correctly rounded exact value (L = 6, r = 1, |D| =
+    50,000 gives 41666.66666666667 for 125000/3).
     """
     _check_total_samples(total_samples)
     return [total_samples / group_count * (group_count - span)

@@ -2,9 +2,9 @@
 partition numbers.
 
 Everything here is exact. Harmonic numbers are rationals, binomials and
-Stirling numbers are arbitrary-precision integers. Callers convert to float
-only at the very end of a closed-form evaluation, which keeps the alternating
-sums downstream free of cancellation error.
+Stirling numbers are arbitrary-precision integers. Callers finish their
+alternating sums in exact arithmetic before converting to float, which keeps
+those sums free of cancellation error.
 """
 
 from __future__ import annotations

@@ -132,12 +132,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     handling costs a few microseconds per call: most calls come from
     training, on batches of a few hundred rows.
 
-    One code path serves every k. From k = 8 it is mostly slower than
-    numpy's row reductions. On 5,000 rows: x0.6-0.9 at k = 8-10, where the
-    work copy, the lane block and the result are alive together and the
-    freed memory is faulted back in on the next call; x1.2 at k = 20; x0.7
-    at k = 64, where the transposed copy and write dominate. On a 10 x 32
-    training batch: x0.8-1.0 at k = 8-20. No workload, demo or CLI default
+    One code path serves every k. From k = 8 the sum's lane block is built
+    in the result buffer before the quotient overwrites it, so the sum
+    allocates one row: on 5,000 rows at k = 8-10 that took minor page
+    faults from 124-143 to about 1 per call and the time from 0.49-0.59 ms
+    to 0.22-0.28 ms. At k = 64 the transposed copy and write dominate and
+    numpy's row reductions are faster. No workload, demo or CLI default
     goes above k = 5.
     """
     lead = (z.ndim - 1, *range(z.ndim - 1))
@@ -145,37 +145,43 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     e -= e.max(axis=0)
     np.exp(e, out=e)
     out = np.empty(z.shape, dtype=e.dtype)
-    np.divide(e, _class_sum(e), out=out.transpose(lead))
+    np.divide(e, _class_sum(e, out), out=out.transpose(lead))
     return out
 
 
-def _class_sum(e: np.ndarray) -> np.ndarray:
+def _class_sum(e: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """The sum of ``e``'s rows, added in the order numpy's pairwise sum adds
     a contiguous axis of ``len(e)`` values: left to right below 8; from 8 to
     128, eight lane accumulators folded as
     ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail left to right;
     above 128, the two halves split at a multiple of 8, each summed so.
     numpy adds the result to a +0 start, which changes nothing for the
-    non-negative values of an exponential."""
+    non-negative values of an exponential. From 8 rows the lane block and
+    its folds live in ``buffer``, a C-contiguous array of at least
+    ``e.size`` values that the caller overwrites afterwards."""
     n = len(e)
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        return _class_sum(e[:half]) + _class_sum(e[half:])
+        return _class_sum(e[:half], buffer) + _class_sum(e[half:], buffer)
     if n < 8:
         s = e[0].copy()
         for row in e[1:]:
             s += row
         return s
     tail = n - n % 8
-    r = e[:8].copy()
+    size = e[0].size
+    rows = e.reshape(n, size)
+    r = buffer.reshape(-1)[:8 * size].reshape(8, size)
+    r[...] = rows[:8]
     for i in range(8, tail, 8):
-        r += e[i:i + 8]
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
+        r += rows[i:i + 8]
+    for width in (4, 2):
+        for i in range(width):
+            np.add(r[2 * i], r[2 * i + 1], out=r[i])
     s = r[0] + r[1]
-    for row in e[tail:]:
+    for row in rows[tail:]:
         s += row
-    return s
+    return s.reshape(e.shape[1:])
 
 
 def _batch_plan(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, int]]:

@@ -322,15 +322,18 @@ def validation_grid(cfg: MCConfig, workers: int = 1,
     for c in cluster_counts:
         add("deletion_rate_fedcio", f"c={c}",
             analytics.deletion_rate_fedcio(c), _deletion_fedcio_job(c))
+    # The curves are prefix-stable: point r of a longer curve is the value
+    # expected_span(L, r) and expected_remaining_fedsgt(D, L, r) return.
+    top = max(request_counts)
     for L in group_counts:
+        curve = analytics.expected_span_curve(L, top)
         for r in request_counts:
-            add("expected_span", f"L={L};r={r}",
-                analytics.expected_span(L, r), _span_job(L, r))
+            add("expected_span", f"L={L};r={r}", curve[r], _span_job(L, r))
     for L in group_counts:
+        curve = analytics.expected_remaining_curve(total_samples, L, top)
         for r in request_counts:
             add("expected_remaining_fedsgt", f"D={total_samples};L={L};r={r}",
-                analytics.expected_remaining_fedsgt(total_samples, L, r),
-                _remaining_job("FedSGT", total_samples, L, r))
+                curve[r], _remaining_job("FedSGT", total_samples, L, r))
     for c in cluster_counts:
         for r in request_counts:
             # The z-test needs the sample mean to be approximately normal.

@@ -187,7 +187,7 @@ class TestExpectedSpan:
         return total / count
 
     def test_given_m_against_enumeration(self):
-        for L in (4, 5, 6, 8):
+        for L in (1, 2, 4, 5, 6, 8, 9, 12):
             for m in range(1, L + 1):
                 assert _expected_span_given_m_exact(L, m) == \
                     self.span_oracle(L, m), (L, m)
@@ -227,6 +227,40 @@ class TestExpectedSpan:
             expected_span_curve(6, -1)
         with pytest.raises(ValueError):
             expected_span(6, -1)
+
+    def test_given_m_rejects_out_of_range_occupied(self):
+        for L, m in [(6, 0), (6, 7), (1, 2), (0, 1)]:
+            with pytest.raises(ValueError):
+                _expected_span_given_m_exact(L, m)
+
+
+KERNEL_SIZES = [*range(1, 21), 32, 64]
+
+
+class TestSpanKernel:
+    """The integer span curve gives the float of the exact rational: the
+    Fraction mixture of 1 + sum_s P(max gap <= s | M=m) over the law of the
+    distinct count, bit for bit, at every length."""
+
+    @pytest.mark.parametrize("L", KERNEL_SIZES)
+    def test_curve_equals_fraction_oracle(self, L):
+        top = 50
+        given_m = [1 + sum((prob_max_gap_le(L, m, s) for s in range(1, L)),
+                           Fraction(0))
+                   for m in range(1, min(L, top) + 1)]
+        oracle = [float(sum(p * u for p, u in
+                            zip(distinct_count_law(L, r)[1:], given_m)))
+                  for r in range(top + 1)]
+        for R in (0, 1, 2, 5, 17, 50):
+            got = expected_span_curve(L, R)
+            assert [v.hex() for v in got] == \
+                [v.hex() for v in oracle[:R + 1]], (L, R)
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 32, 64])
+    def test_curve_is_prefix_stable(self, L):
+        long = expected_span_curve(L, 50)
+        for r in range(51):
+            assert expected_span_curve(L, r) == long[:r + 1], (L, r)
 
 
 class TestExpectedRemaining:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -146,6 +147,21 @@ class TestAnalyze:
         doc = json.loads((out / "analyze.json").read_text())
         assert doc["remaining_curve"]["fedsgt"] is None
         assert len(doc["remaining_curve"]["fedcio"]) == 258
+
+    @pytest.mark.parametrize("key, flags", [
+        ("analyze10", []),
+        ("analyze64", ["--groups", 64, "--budget", 64, "--max-requests", 50]),
+    ])
+    def test_output_bytes_match_benchmark_reference(self, tmp_path, key, flags):
+        # The benchmark's mc workload checks the same two runs against the
+        # same digests; this test notices a changed byte without it.
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        want = json.loads(reference.read_text())["analyze"][key]
+        out = tmp_path / "a"
+        assert run("analyze", *flags, "--out", out) == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in want}
+        assert got == want
 
 
 class TestValidate:

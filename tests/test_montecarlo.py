@@ -262,6 +262,23 @@ def public_estimate(row, cfg, workers):
     return mc_comm_cost(p["L"], p["S"], cfg, workers)
 
 
+def public_closed_form(row):
+    """The row's closed form from its public per-point call."""
+    p = {k: int(v) for k, v in (kv.split("=") for kv in row.params.split(";"))}
+    if row.quantity == "deletion_rate_fedsgt":
+        return analytics.deletion_rate_fedsgt(p["L"], p["B"])
+    if row.quantity == "deletion_rate_fedcio":
+        return analytics.deletion_rate_fedcio(p["c"])
+    if row.quantity == "expected_span":
+        return analytics.expected_span(p["L"], p["r"])
+    if row.quantity == "expected_remaining_fedsgt":
+        return analytics.expected_remaining_fedsgt(p["D"], p["L"], p["r"])
+    if row.quantity == "expected_remaining_fedcio":
+        return analytics.expected_remaining_fedcio(p["D"], p["c"], p["r"])
+    assert row.quantity == "expected_comm_cost"
+    return analytics.expected_comm_cost(p["L"], p["S"])
+
+
 def hexes(est):
     return est.mean.hex(), est.stderr.hex(), est.trials
 
@@ -418,6 +435,16 @@ class TestValidationGrid:
             assert row.estimate.trials == 30_000
             assert abs(row.zscore) <= 4.0, (row.quantity, row.params,
                                             row.zscore)
+
+    @pytest.mark.parametrize("total_samples", [50_000, 1_000, 0])
+    def test_closed_forms_equal_the_public_calls(self, total_samples):
+        # The grid reads the span and remaining rows off one curve per L;
+        # each must be the bytes of its own per-point call.
+        rows = validation_grid(MCConfig(trials=1, seed=0),
+                               total_samples=total_samples)
+        for row in rows:
+            assert row.closed_form.hex() == public_closed_form(row).hex(), \
+                (row.quantity, row.params)
 
     def test_rare_event_rows_excluded(self):
         rows = validation_grid(MCConfig(trials=1000, seed=0))
