@@ -26,10 +26,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from .combinatorics import binomial, harmonic
+from .core import METHOD_FEDCIO, METHOD_FEDSGT
 
 METHOD_FEDAVG = "FedAvg"
-METHOD_FEDCIO = "FedCIO"
-METHOD_FEDSGT = "FedSGT"
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ from . import __version__, analytics, montecarlo
 from .bank import read_bank, write_bank
 from .core import (STRATEGIES, BankFormatError, ConfigurationError, CsvSpec,
                    FedSGTError, RunConfig, SyntheticSpec, TrainingError,
-                   dataset_fit_errors, parse_script, validate_config)
+                   budget_error, dataset_fit_errors, parse_script,
+                   validate_config)
 from .dataset import Dataset, load_csv_dataset, synth_dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
                       sequence_logits, train_fedsgt)
@@ -184,7 +185,9 @@ def trainer_config(cfg: RunConfig) -> TrainConfig:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _check_flags(args)
+    # A group count below its minimum is reported on its own.
+    problem = budget_error(args.groups, args.budget) if args.groups >= 1 else None
+    _check_flags(args, [] if problem is None else [f"--budget: {problem}"])
     start = time.perf_counter()
     outdir = _outdir(args.out)
     L, B, c, D, S = args.groups, args.budget, args.clusters, args.data_size, \

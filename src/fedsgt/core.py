@@ -8,7 +8,6 @@ that is round-trippable through JSON manifests.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
@@ -17,6 +16,8 @@ from typing import Any, Mapping
 import numpy as np
 
 STRATEGIES = ("allseq", "minseq", "longseq")
+METHOD_FEDSGT = "FedSGT"
+METHOD_FEDCIO = "FedCIO"
 
 # ---------------------------------------------------------------------------
 # Random streams
@@ -211,15 +212,17 @@ def _positive_number(value: Any) -> bool:
             and 0 < value <= sys.float_info.max)
 
 
-def _orders_fewer_than(groups: int, budget: int) -> bool:
-    """Whether groups! < budget, stopping the product once it reaches
-    budget so that a large group count costs no huge factorial."""
-    orders = 1
-    for n in range(2, groups + 1):
+def budget_error(groups: int, budget: int) -> str | None:
+    """Why ``budget`` distinct orders of ``groups`` groups cannot exist, or
+    None when budget <= groups!. The product stops once it reaches budget,
+    so a large group count costs no huge factorial."""
+    orders, n = 1, 1
+    while orders < budget and n < groups:
+        n += 1
         orders *= n
-        if orders >= budget:
-            return False
-    return orders < budget
+    if orders >= budget:
+        return None
+    return f"{budget} exceeds the {orders} distinct orders of {groups} groups"
 
 
 def dataset_fit_errors(cfg: RunConfig, slices: int, clients: int,
@@ -372,10 +375,8 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
 
     # Cross-field constraints. A csv dataset brings its own clients and
     # slices, so its fit is checked when it is loaded.
-    if _orders_fewer_than(cfg.groups, cfg.budget):
-        errors.append(
-            f"budget: {cfg.budget} exceeds the {math.factorial(cfg.groups)} distinct "
-            f"orders of {cfg.groups} groups")
+    if (problem := budget_error(cfg.groups, cfg.budget)) is not None:
+        errors.append(f"budget: {problem}")
     if isinstance(dataset, SyntheticSpec):
         errors += dataset_fit_errors(cfg, cfg.clients * cfg.slices_per_client,
                                      cfg.clients, "the config")

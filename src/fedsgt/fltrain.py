@@ -80,14 +80,6 @@ class ToyModel:
     sequences: SequenceSet
     modules: list[list[AdapterModule]]  # [sequence][phase]
 
-    @property
-    def classes(self) -> int:
-        return self.backbone.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.backbone.shape[1]
-
 
 @dataclass
 class CostMeter:

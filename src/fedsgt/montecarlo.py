@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import analytics
-from .core import STREAM_TAGS, keyed_stream
+from .core import METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, keyed_stream
 
 CHUNK_TRIALS = 8192
 _BLOCK = 64  # draws per vectorized coverage step
@@ -217,11 +217,11 @@ def _remaining_job(method: str, total_samples: int, units: int,
     analytics._check_total_samples(total_samples)
     analytics._check_positive(units=units, requests=requests)
     name = method.strip().lower()
-    if name == analytics.METHOD_FEDSGT.lower():
+    if name == METHOD_FEDSGT.lower():
         def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
             spans = _span_samples(rng, n, units, requests)
             return total_samples / units * (units - spans)
-    elif name == analytics.METHOD_FEDCIO.lower():
+    elif name == METHOD_FEDCIO.lower():
         def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
             draws = rng.integers(0, units, size=(n, requests))
             hit = np.zeros((n, units), dtype=bool)

@@ -20,11 +20,10 @@ snapshot.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import STREAM_TAGS, keyed_stream
+from .core import STREAM_TAGS, budget_error, keyed_stream
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,11 @@ def build_sequences(group_count: int, budget: int, seed: int = 0) -> SequenceSet
         raise ValueError(f"group_count must be >= 1, got {group_count}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if (problem := budget_error(group_count, budget)) is not None:
+        raise ValueError(f"budget {problem}")
     rotations = min(group_count, budget)
     perms = [rotation(group_count, t) for t in range(rotations)]
-    extra = budget - rotations
-    if extra > 0:
-        if budget > math.factorial(group_count):
-            raise ValueError(
-                f"budget {budget} exceeds the {math.factorial(group_count)} "
-                f"distinct orders of {group_count} groups")
+    if budget > rotations:
         seen = set(perms)
         rng = keyed_stream((seed, STREAM_TAGS["sequence_orders"]))
         while len(perms) < budget:

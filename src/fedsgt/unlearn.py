@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import STREAM_TAGS, TrainingError, keyed_stream
+from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, TrainingError,
+                   keyed_stream)
 from .dataset import Dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, client_data, evaluate,
                       fedavg_lockstep, fedavg_train, matrix_accuracy,
@@ -30,8 +31,6 @@ from .grouping import GroupingPlan, SliceRef, group_of
 from .sequencing import (SequenceSet, SequenceState, apply_deletion,
                          fresh_state, state_from_deleted)
 
-METHOD_FEDSGT = "FedSGT"
-METHOD_FEDCIO = "FedCIO"
 METHOD_FEDRETRAIN = "FedRetrain"
 
 TIMELINE_HEADER = ("step", "method", "affected_unit", "status", "utility",

@@ -124,6 +124,17 @@ class TestAnalyze:
     def test_bad_arguments(self, tmp_path):
         assert run("analyze", "--groups", 0, "--out", tmp_path / "x") == 2
 
+    def test_budget_beyond_distinct_orders(self, tmp_path, capsys):
+        # 3 groups have 3! = 6 orders, the limit train's config also keeps
+        out = tmp_path / "a"
+        assert run("analyze", "--groups", 3, "--budget", 7, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "config error: --budget: 7 exceeds the 6 distinct orders of 3 "
+            "groups\n")
+        assert not out.exists()
+        assert run("analyze", "--groups", 3, "--budget", 6, "--out", out) == 0
+        assert (out / "training_cost.csv").is_file()
+
     @pytest.mark.parametrize("flag", ["--max-requests", "--slices-per-client"])
     def test_past_old_stirling_cap_matches_closed_form(self, tmp_path, flag):
         # 257 needs Stirling numbers S(r, m) past r = 256; the default
