@@ -35,9 +35,9 @@ import numpy as np
 from . import __version__, analytics, montecarlo
 from .bank import read_bank, write_bank
 from .core import (STRATEGIES, BankFormatError, ConfigurationError, CsvSpec,
-                   FedSGTError, RunConfig, SyntheticSpec, TrainingError,
-                   budget_error, dataset_fit_errors, parse_script,
-                   validate_config)
+                   FedSGTError, ModuleTrainerSpec, RunConfig, SyntheticSpec,
+                   TrainingError, budget_error, dataset_fit_errors,
+                   parse_script, validate_config)
 from .dataset import Dataset, load_csv_dataset, synth_dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
                       sequence_logits, train_fedsgt)
@@ -122,12 +122,9 @@ def load_config_file(path: str | Path) -> RunConfig:
 def build_dataset(cfg: RunConfig) -> Dataset:
     spec = cfg.dataset
     if isinstance(spec, SyntheticSpec):
-        return synth_dataset(clients=cfg.clients,
-                             samples_per_client=spec.samples_per_client,
-                             dim=spec.dim, classes=spec.classes,
-                             alpha=spec.alpha, seed=cfg.seed,
+        return synth_dataset(clients=cfg.clients, seed=cfg.seed,
                              slices_per_client=cfg.slices_per_client,
-                             test_samples=spec.test_samples)
+                             **dataclasses.asdict(spec))
     if isinstance(spec, CsvSpec):
         try:
             dataset = load_csv_dataset(spec.path, spec.manifest)
@@ -174,9 +171,8 @@ def _order(perm: Sequence[int]) -> str:
 
 
 def trainer_config(cfg: RunConfig) -> TrainConfig:
-    t = cfg.trainer
-    return TrainConfig(epochs=t.epochs, lr=t.lr, batch_size=t.batch_size,
-                       seed=cfg.seed, rounds_per_phase=t.rounds_per_phase)
+    keys = [f.name for f in dataclasses.fields(ModuleTrainerSpec)]
+    return TrainConfig(**{k: getattr(cfg.trainer, k) for k in keys}, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +411,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     summary = timeline_summary(records)
     summary["strategy"] = strategy
 
+    audit_note = ""
     if args.audit:
         report = exactness_audit(model, plan, trainer_config(cfg), dataset,
                                  system.state.deleted)
@@ -422,6 +419,12 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
         if not report.passed:
             print(f"unlearn: exactness audit FAILED at sequence/phase "
                   f"{report.first_mismatch}", file=sys.stderr)
+        elif report.modules_checked:
+            audit_note = (f", audit passed: {report.modules_checked} of "
+                          f"{report.modules_served} served modules retrained")
+        else:
+            audit_note = (f", audit checked 0 of {report.modules_served} "
+                          f"served modules: no module survives")
     _write_json(outdir / "summary.json", summary)
     (outdir / "final_state.json").write_text(state_to_json(system.state))
     _write_manifest(outdir, "unlearn", {
@@ -436,7 +439,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
           f"{system.state.surviving}/{len(model.sequences.perms)} sequences "
           f"surviving"
           + (f", failed at step {failure}" if failure is not None else "")
-          + (", audit passed" if args.audit and summary["audit"]["passed"] else ""))
+          + audit_note)
     if args.audit and not summary["audit"]["passed"]:
         return EXIT_TRAINING
     return EXIT_OK

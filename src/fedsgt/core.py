@@ -11,9 +11,10 @@ from __future__ import annotations
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 STRATEGIES = ("allseq", "minseq", "longseq")
 METHOD_FEDSGT = "FedSGT"
@@ -46,7 +47,8 @@ STREAM_TAGS: Mapping[str, int] = MappingProxyType({
 def keyed_stream(key: tuple[int, ...]) -> np.random.Generator:
     """The generator of the stream keyed by ``key``: PCG64 seeded from the
     key's SeedSequence, independent of every other key and of global RNG
-    state."""
+    state. Importing numpy here keeps it out of ``import fedsgt.core``."""
+    import numpy as np
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
@@ -109,13 +111,19 @@ class CsvSpec:
 
 
 @dataclass(frozen=True)
-class TrainerSpec:
+class ModuleTrainerSpec:
+    """The ``trainer`` keys that train a module; ``TrainConfig`` adds the seed."""
+
     # epochs = 0 is allowed on purpose: it yields all-zero modules and is a
     # useful structure-only mode for fast service-dynamics experiments.
     epochs: int = _count(3, 0)
     lr: float = 0.1
     batch_size: int = _count(32, 1)
     rounds_per_phase: int = _count(1, 1)
+
+
+@dataclass(frozen=True)
+class TrainerSpec(ModuleTrainerSpec):
     fedavg_rounds: int = _count(10, 1)  # T for the FedAvg / FedCIO / FedRetrain baselines
 
 

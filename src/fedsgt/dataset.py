@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import STREAM_TAGS, TrainingError, keyed_stream, plain_int
-from .grouping import SliceRef
+from .grouping import SliceRef, near_equal_runs
 
 _MEAN_SCALE = 3.0
 
@@ -76,7 +76,7 @@ def synth_dataset(clients: int, samples_per_client: int, dim: int, classes: int,
 
     alpha is the Dirichlet concentration for per-client label proportions;
     None selects IID (uniform) proportions. The test split is global and
-    label-balanced. Slice sizes within a client differ by at most one sample.
+    label-balanced. Slices and test-class counts follow ``near_equal_runs``.
     """
     if clients < 1 or samples_per_client < 1 or slices_per_client < 1:
         raise ValueError("clients, samples_per_client, slices_per_client must be >= 1")
@@ -99,20 +99,12 @@ def synth_dataset(clients: int, samples_per_client: int, dim: int, classes: int,
         labels = np.repeat(np.arange(classes), counts)
         rng.shuffle(labels)
         feats = means[labels] + rng.standard_normal((samples_per_client, dim))
-        xs, ys = [], []
-        base, extra = divmod(samples_per_client, slices_per_client)
-        cursor = 0
-        for s in range(slices_per_client):
-            take = base + (1 if s < extra else 0)
-            xs.append(np.ascontiguousarray(feats[cursor:cursor + take]))
-            ys.append(labels[cursor:cursor + take].copy())
-            cursor += take
-        train_x.append(xs)
-        train_y.append(ys)
+        runs = near_equal_runs(samples_per_client, slices_per_client)
+        train_x.append([np.ascontiguousarray(feats[a:b]) for a, b in runs])
+        train_y.append([labels[a:b].copy() for a, b in runs])
 
     test_rng = keyed_stream((seed, STREAM_TAGS["test_data"]))
-    base, extra = divmod(test_samples, classes)
-    test_counts = [base + (1 if j < extra else 0) for j in range(classes)]
+    test_counts = [b - a for a, b in near_equal_runs(test_samples, classes)]
     test_y = np.repeat(np.arange(classes), test_counts)
     test_rng.shuffle(test_y)
     test_x = means[test_y] + test_rng.standard_normal((test_samples, dim))

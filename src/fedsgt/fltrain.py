@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import ServiceUnavailable, TrainerSpec, TrainingError, keyed_stream
+from .core import ModuleTrainerSpec, ServiceUnavailable, TrainingError, keyed_stream
 from .dataset import Dataset
 from .grouping import GroupingPlan, SliceRef
 from .sequencing import (SequenceSet, SequenceState, select_allseq,
@@ -40,22 +40,16 @@ from .sequencing import (SequenceSet, SequenceState, select_allseq,
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Trainer hyperparameters. Each default and each minimum is the one
-    ``TrainerSpec`` declares for the config key of the same name (epochs
-    may be zero: modules stay zero); lr must be positive."""
+class TrainConfig(ModuleTrainerSpec):
+    """``ModuleTrainerSpec`` (its keys, defaults and minimums; epochs may be
+    zero: modules stay zero) plus the run seed. lr must be positive."""
 
-    epochs: int = TrainerSpec.epochs
-    lr: float = TrainerSpec.lr
-    batch_size: int = TrainerSpec.batch_size
     seed: int = 0
-    rounds_per_phase: int = TrainerSpec.rounds_per_phase
 
     def __post_init__(self):
-        for spec in fields(TrainerSpec):
-            minimum = spec.metadata.get("minimum")
-            value = getattr(self, spec.name, None)  # None: fedavg_rounds
-            if minimum is not None and value is not None and value < minimum:
+        for spec in fields(self):
+            value, minimum = getattr(self, spec.name), spec.metadata.get("minimum")
+            if minimum is not None and value < minimum:
                 raise ValueError(f"{spec.name} must be >= {minimum}, got {value}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")

@@ -50,6 +50,15 @@ def fisher_yates(items: list, seed: int) -> None:
         items[i], items[j] = items[j], items[i]
 
 
+def near_equal_runs(count: int, parts: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` bounds that cut ``range(count)`` into ``parts`` runs
+    in order; the first ``count % parts`` runs are one longer than the rest.
+    Groups, a client's slices and the test split's classes use this cut."""
+    base, extra = divmod(count, parts)
+    bounds = [i * base + min(i, extra) for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 @dataclass(frozen=True, order=True)
 class SliceRef:
     """One client-held data slice, the unit of deletion requests."""
@@ -92,13 +101,9 @@ class GroupingPlan:
 
 def build_grouping(slice_catalog: Sequence[tuple[SliceRef, int]],
                    group_count: int, seed: int) -> GroupingPlan:
-    """Partition the catalog into ``group_count`` groups of near-equal
-    cardinality (difference at most one slice).
-
-    The catalog must contain at least one slice per group and no duplicate
-    refs. When the slice count is not divisible by the group count, the
-    first (count % group_count) groups take one extra slice.
-    """
+    """Partition the shuffled catalog into ``group_count`` groups cut by
+    ``near_equal_runs``. The catalog must contain at least one slice per
+    group and no duplicate refs."""
     if group_count < 1:
         raise ValueError(f"group_count must be >= 1, got {group_count}")
     refs = [ref for ref, _ in slice_catalog]
@@ -116,15 +121,10 @@ def build_grouping(slice_catalog: Sequence[tuple[SliceRef, int]],
     order = sorted(refs)
     fisher_yates(order, seed)
 
-    base, extra = divmod(len(order), group_count)
-    groups = []
-    cursor = 0
-    for g in range(group_count):
-        take = base + (1 if g < extra else 0)
-        groups.append(tuple(order[cursor:cursor + take]))
-        cursor += take
-    return GroupingPlan(group_count=group_count, seed=seed,
-                        groups=tuple(groups), sizes=sizes)
+    groups = tuple(tuple(order[start:stop])
+                   for start, stop in near_equal_runs(len(order), group_count))
+    return GroupingPlan(group_count=group_count, seed=seed, groups=groups,
+                        sizes=sizes)
 
 
 def group_of(plan: GroupingPlan, ref: SliceRef) -> int:

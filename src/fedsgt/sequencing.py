@@ -88,8 +88,7 @@ def _prefix_len(perm: tuple[int, ...], deleted: frozenset[int]) -> int:
 
 
 def fresh_state(seqs: SequenceSet) -> SequenceState:
-    return SequenceState(deleted=frozenset(),
-                         active_len=tuple(len(p) for p in seqs.perms))
+    return state_from_deleted(seqs, ())
 
 
 def state_from_deleted(seqs: SequenceSet, deleted: Iterable[int]) -> SequenceState:
@@ -104,8 +103,6 @@ def state_from_deleted(seqs: SequenceSet, deleted: Iterable[int]) -> SequenceSta
 def apply_deletion(state: SequenceState, seqs: SequenceSet, group: int) -> SequenceState:
     """New state with ``group`` deleted. Idempotent, and order-independent
     across a set of deletions."""
-    if group < 0 or group >= seqs.group_count:
-        raise ValueError(f"group {group} out of range [0, {seqs.group_count})")
     if group in state.deleted:
         return state
     return state_from_deleted(seqs, state.deleted | {group})

@@ -335,6 +335,7 @@ class AuditReport:
     passed: bool
     sequences_checked: int
     modules_checked: int
+    modules_served: int  # every module of the bank, served before any deletion
     first_mismatch: tuple[int, int] | None = None
 
 
@@ -350,6 +351,7 @@ def exactness_audit(model: ToyModel, plan: GroupingPlan, cfg: TrainConfig,
     """
     seqs = model.sequences
     state = state_from_deleted(seqs, deleted)
+    modules_served = sum(len(stack) for stack in model.modules)
     sequences_checked = 0
     modules_checked = 0
     for sid, active in enumerate(state.active_len):
@@ -369,9 +371,11 @@ def exactness_audit(model: ToyModel, plan: GroupingPlan, cfg: TrainConfig,
                 return AuditReport(passed=False,
                                    sequences_checked=sequences_checked,
                                    modules_checked=modules_checked,
+                                   modules_served=modules_served,
                                    first_mismatch=(sid, p))
     return AuditReport(passed=True, sequences_checked=sequences_checked,
-                       modules_checked=modules_checked)
+                       modules_checked=modules_checked,
+                       modules_served=modules_served)
 
 
 # ---------------------------------------------------------------------------

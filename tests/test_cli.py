@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 import fedsgt.analytics
 from fedsgt.cli import (_load_requests_file, build_dataset, build_requests,
-                        main)
-from fedsgt.core import ConfigurationError, validate_config
+                        main, trainer_config)
+from fedsgt.core import ConfigurationError, TrainerSpec, validate_config
 from fedsgt.dataset import save_csv_dataset, synth_dataset
 from fedsgt.grouping import SliceRef
 from fedsgt.unlearn import UnlearnRequest
@@ -494,6 +495,44 @@ class TestUnlearn:
             assert code == 0
         else:
             assert code == 5
+
+
+@pytest.fixture(scope="module")
+def acceptance_bank(tmp_path_factory):
+    """A bank trained at the acceptance point: the default config, L=B=10."""
+    root = tmp_path_factory.mktemp("acceptance")
+    config = write_json(root / "config.json", {"experiment": "acceptance"})
+    assert run("train", "--config", config, "--out", root / "run") == 0
+    return root / "run" / "bank.fsgt"
+
+
+@pytest.mark.parametrize("count,checked,line", [
+    (5, 16, "audit passed: 16 of 100 served modules retrained"),
+    (28, 0, "audit checked 0 of 100 served modules: no module survives"),
+])
+def test_audit_says_what_it_covered(tmp_path, capsys, acceptance_bank, count,
+                                    checked, line):
+    # Both cases exit 0, so the audit line is all that tells a stream whose
+    # audit retrained 16 served modules from one whose audit checked none.
+    out = tmp_path / "u"
+    assert run("unlearn", "--bank", acceptance_bank, "--count", count,
+               "--audit", "--out", out) == 0
+    assert capsys.readouterr().out.rstrip().endswith(f", {line}")
+    audit = json.loads((out / "summary.json").read_text())["audit"]
+    assert (audit["passed"], audit["modules_checked"],
+            audit["modules_served"]) == (True, checked, 100)
+
+
+def test_trainer_config_carries_every_module_trainer_key():
+    # One non-default value per trainer key: each module-training key must
+    # reach the library's trainer settings, which declare only the seed;
+    # the baselines' T stays in the run config, where `compare` reads it.
+    raw = {f.name: (f.default * 2 if isinstance(f.default, float)
+                    else f.default + 1) for f in fields(TrainerSpec)}
+    cfg = validate_config({"seed": 9, "trainer": raw})
+    del raw["fedavg_rounds"]
+    assert asdict(trainer_config(cfg)) == {**raw, "seed": 9}
+    assert cfg.trainer.fedavg_rounds == 11
 
 
 class TestCompare:

@@ -5,11 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsgt.core import TrainingError
 from fedsgt.dataset import (Dataset, load_csv_dataset, save_csv_dataset,
                             synth_dataset)
-from fedsgt.grouping import SliceRef
+from fedsgt.grouping import SliceRef, near_equal_runs
 
 
 def small(seed=0, alpha=None, **kw):
@@ -47,6 +49,21 @@ class TestShape:
             sizes = [len(y) for y in ds.train_y[c]]
             assert sum(sizes) == 70
             assert max(sizes) - min(sizes) <= 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(samples=st.integers(1, 40), classes=st.integers(2, 6),
+           test_samples=st.integers(1, 50), data=st.data())
+    def test_slices_and_test_classes_are_the_near_equal_runs(
+            self, samples, classes, test_samples, data):
+        slices = data.draw(st.integers(1, samples))
+        ds = synth_dataset(clients=2, samples_per_client=samples, dim=6,
+                           classes=classes, alpha=0.5, seed=1,
+                           slices_per_client=slices, test_samples=test_samples)
+        want = [b - a for a, b in near_equal_runs(samples, slices)]
+        for c in range(2):
+            assert [len(y) for y in ds.train_y[c]] == want
+        test_counts = [b - a for a, b in near_equal_runs(test_samples, classes)]
+        assert np.bincount(ds.test_y, minlength=classes).tolist() == test_counts
 
     def test_catalog_is_sorted_and_complete(self):
         ds = small()

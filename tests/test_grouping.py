@@ -5,10 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsgt.analytics import prob_m_distinct
 from fedsgt.grouping import (SliceRef, build_grouping, fisher_yates,
-                             group_of, plan_to_json)
+                             group_of, near_equal_runs, plan_to_json)
 
 
 def catalog(clients: int, slices: int, size: int = 10):
@@ -23,6 +25,31 @@ def client_group_counts(plan):
         for ref in members:
             seen.setdefault(ref.client_id, set()).add(gid)
     return {client: len(groups) for client, groups in seen.items()}
+
+
+def run_sizes(count: int, parts: int) -> list[int]:
+    return [stop - start for start, stop in near_equal_runs(count, parts)]
+
+
+class TestNearEqualRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(0, 500), parts=st.integers(1, 60))
+    def test_runs_cover_in_order_and_differ_by_one(self, count, parts):
+        runs = near_equal_runs(count, parts)
+        assert len(runs) == parts
+        assert [start for start, _ in runs] == [0] + [stop for _, stop in runs[:-1]]
+        assert runs[-1][1] == count
+        sizes = run_sizes(count, parts)
+        longer = count % parts
+        assert sizes == [count // parts + 1] * longer + [count // parts] * (parts - longer)
+
+    @settings(max_examples=40, deadline=None)
+    @given(clients=st.integers(1, 8), slices=st.integers(1, 5),
+           data=st.data())
+    def test_group_sizes_are_the_runs(self, clients, slices, data):
+        groups = data.draw(st.integers(1, clients * slices))
+        plan = build_grouping(catalog(clients, slices), groups, seed=3)
+        assert [len(g) for g in plan.groups] == run_sizes(clients * slices, groups)
 
 
 class TestBuildGrouping:

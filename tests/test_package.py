@@ -1,5 +1,6 @@
 """The package root re-exports nothing, and every module imports on its
-own: a public name has exactly one import path, its defining module."""
+own: a public name has exactly one import path, its defining module. The
+pure-Python modules import without numpy."""
 
 import os
 import pkgutil
@@ -26,14 +27,29 @@ def test_root_defines_only_version_and_submodules():
     assert isinstance(fedsgt.__version__, str)
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_imports_in_a_fresh_interpreter(module):
+def fresh_interpreter(code: str) -> str:
+    """What ``code`` prints when run in a new interpreter; it must succeed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", f"import fedsgt.{module}"],
+    done = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_in_a_fresh_interpreter(module):
+    fresh_interpreter(f"import fedsgt.{module}")
+
+
+@pytest.mark.parametrize("module", ["core", "analytics", "combinatorics",
+                                    "grouping", "sequencing"])
+def test_pure_modules_import_without_numpy(module):
+    # The closed forms, the grouping plan and the sequence bookkeeping are
+    # pure Python; only a keyed stream's draw needs numpy.
+    assert fresh_interpreter(f"import sys, fedsgt.{module}; "
+                             f"print('numpy' in sys.modules)") == "False\n"
 
 
 def test_modules_found():

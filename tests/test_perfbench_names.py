@@ -1,7 +1,8 @@
 """The benchmark harness reads fedsgt by name: ``perfbench/tracing.py`` wraps
 the functions it lists, its observers read the wrapped calls' arguments by
-parameter name, and the workloads call module attributes. Every such name
-must still exist, or a traced benchmark run fails where no test looks."""
+parameter name, and the workloads call module attributes, some with keyword
+arguments. Every such name and keyword must still exist, or a benchmark run
+fails where no test looks."""
 
 import ast
 import importlib
@@ -23,13 +24,12 @@ def load_tracing():
     return module
 
 
-def fedsgt_reads(path: Path) -> list[tuple[str, str]]:
-    """Every ``(module, name)`` of fedsgt that the source at ``path`` reads:
-    names imported from fedsgt or one of its modules, and attributes taken
-    of a fedsgt module bound by ``from fedsgt import <module>``."""
-    tree = ast.parse(path.read_text())
+def fedsgt_imports(tree: ast.AST) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """What the source's imports from fedsgt bind: each local name of a
+    module (``from fedsgt import <module>``) to the module, and each local
+    name of any other fedsgt name to its ``(module, name)``."""
     modules: dict[str, str] = {}
-    reads = []
+    names: dict[str, tuple[str, str]] = {}
     for node in ast.walk(tree):
         if not (isinstance(node, ast.ImportFrom)
                 and (node.module or "").split(".")[0] == "fedsgt"):
@@ -39,12 +39,44 @@ def fedsgt_reads(path: Path) -> list[tuple[str, str]]:
             if node.module == "fedsgt" and importlib.util.find_spec(full):
                 modules[alias.asname or alias.name] = full
             else:
-                reads.append((node.module, alias.name))
+                names[alias.asname or alias.name] = (node.module, alias.name)
+    return modules, names
+
+
+def fedsgt_reads(path: Path) -> list[tuple[str, str]]:
+    """Every ``(module, name)`` of fedsgt that the source at ``path`` reads:
+    names imported from fedsgt or one of its modules, and attributes taken
+    of a fedsgt module bound by ``from fedsgt import <module>``."""
+    tree = ast.parse(path.read_text())
+    modules, names = fedsgt_imports(tree)
+    reads = list(names.values())
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules):
             reads.append((modules[node.value.id], node.attr))
     return reads
+
+
+def fedsgt_keywords(path: Path) -> set[tuple[str, str, str]]:
+    """Every ``(module, name, keyword)`` where the source at ``path`` calls
+    the fedsgt callable ``module.name`` with the explicit keyword argument
+    ``keyword`` (``**kwargs`` are not followed)."""
+    tree = ast.parse(path.read_text())
+    modules, names = fedsgt_imports(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            target = names[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in modules):
+            target = (modules[func.value.id], func.attr)
+        else:
+            continue
+        found |= {(*target, kw.arg) for kw in node.keywords if kw.arg is not None}
+    return found
 
 
 @pytest.mark.parametrize("table", ["SPANNED", "COUNTED"])
@@ -62,6 +94,35 @@ def test_harness_reads_only_existing_names(source):
     assert reads
     missing = [f"{module}.{name}" for module, name in reads
                if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing
+
+
+# Keyword calls the workloads made when this test was written; the walk
+# must find at least these, so that it cannot silently find nothing.
+KEYWORDS = {
+    ("fedsgt.fltrain", "TrainConfig", "epochs"),
+    ("fedsgt.fltrain", "TrainConfig", "seed"),
+    ("fedsgt.unlearn", "uniform_requests", "record_count"),
+    ("fedsgt.unlearn", "fedretrain_simulate", "eval_every"),
+    ("fedsgt.unlearn", "fedretrain_simulate", "rounds"),
+    ("fedsgt.montecarlo", "mc_expected_span", "workers"),
+}
+
+
+@pytest.mark.parametrize("source", ["workloads.py", "tracing.py"])
+def test_harness_keywords_are_parameters(source):
+    # A keyword the callable does not take is a TypeError in every
+    # benchmark run of the workload that makes the call.
+    calls = fedsgt_keywords(PERFBENCH / source)
+    if source == "workloads.py":
+        assert KEYWORDS <= calls
+    missing = []
+    for module, name, keyword in sorted(calls):
+        params = inspect.signature(
+            getattr(importlib.import_module(module), name)).parameters
+        if keyword not in params and not any(
+                p.kind is p.VAR_KEYWORD for p in params.values()):
+            missing.append(f"{module}.{name}({keyword}=)")
     assert not missing, missing
 
 

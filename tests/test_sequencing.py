@@ -158,6 +158,8 @@ class TestDeletionAlgebra:
             deleted = frozenset(g for g in range(6) if mask >> g & 1)
             state = state_from_deleted(seqs, deleted)
             assert cyclic_span(6, deleted) + max(state.active_len) == 6, deleted
+        # nothing deleted: every sequence serves its whole length, B != L too
+        assert fresh_state(build_sequences(4, 9)).active_len == (4,) * 9
 
     def test_all_dead(self):
         seqs = build_sequences(4, 4)
@@ -169,8 +171,11 @@ class TestDeletionAlgebra:
 
     def test_unknown_group_rejected(self):
         seqs = build_sequences(4, 4)
-        with pytest.raises(ValueError):
-            apply_deletion(fresh_state(seqs), seqs, 4)
+        for state in (fresh_state(seqs), state_from_deleted(seqs, {1})):
+            for group in (4, -1):
+                with pytest.raises(ValueError,
+                                   match=rf"group {group} out of range \[0, 4\)"):
+                    apply_deletion(state, seqs, group)
 
 
 class TestSelectionInvariants:
