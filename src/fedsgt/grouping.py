@@ -87,10 +87,11 @@ class GroupingPlan:
             for ref in members:
                 lookup[ref] = gid
         object.__setattr__(self, "_group_lookup", lookup)
+        object.__setattr__(self, "_total_samples", sum(self.sizes.values()))
 
     @property
     def total_samples(self) -> int:
-        return sum(self.sizes.values())
+        return self._total_samples
 
     def group_samples(self, group: int) -> int:
         return sum(self.sizes[ref] for ref in self.groups[group])

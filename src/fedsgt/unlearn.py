@@ -21,11 +21,11 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, TrainingError,
-                   keyed_stream)
+from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
+                   TrainingError, keyed_stream)
 from .dataset import Dataset
-from .fltrain import (CostMeter, ToyModel, TrainConfig, client_data, evaluate,
-                      fedavg_lockstep, fedavg_train, matrix_accuracy,
+from .fltrain import (CostMeter, Reuse, ToyModel, TrainConfig, client_data,
+                      evaluate, fedavg_lockstep, fedavg_train, matrix_accuracy,
                       train_sequence)
 from .grouping import GroupingPlan, SliceRef, group_of
 from .sequencing import (SequenceSet, SequenceState, apply_deletion,
@@ -143,12 +143,17 @@ class FedSGTSystem:
     # (model, dataset, strategy, active_len, utility) of the last evaluation.
     _scored: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    # Each served sequence's (prefix length, test-set softmax) under the
+    # model and dataset of ``_scored``; see ``fltrain.predict_proba``.
+    _probs: Reuse = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         # The state's prefixes come from ``seqs``, the served modules from
         # ``model.sequences``: another family serves deleted groups' modules.
         if self.model is not None and self.model.sequences != self.seqs:
             raise ValueError("the model was trained on another sequence family")
+        _check_strategy(self.strategy)
 
     @property
     def remaining_samples(self) -> int:
@@ -162,19 +167,32 @@ class FedSGTSystem:
         the last value is returned again while the model and dataset (by
         identity), the strategy and every surviving prefix are unchanged.
         Deletions only accumulate, so the last state is the only one that
-        can come back and one slot suffices.
+        can come back and one slot suffices. Otherwise only the sequences
+        whose surviving prefix changed are scored again: each served
+        sequence's test-set softmax is kept until the model or dataset is
+        replaced, across strategy switches too, since it does not depend on
+        the strategy.
         """
         if self.model is None or self.dataset is None or self.state.all_dead:
             return None
         last = self._scored
         if (last is None or last[0] is not self.model
-                or last[1] is not self.dataset
-                or last[2:4] != (self.strategy, self.state.active_len)):
-            value = evaluate(self.model, self.state, self.strategy,
-                             self.dataset.test_x, self.dataset.test_y)
-            last = self._scored = (self.model, self.dataset, self.strategy,
-                                   self.state.active_len, value)
-        return last[4]
+                or last[1] is not self.dataset):
+            self._probs.clear()
+        elif last[2:4] == (self.strategy, self.state.active_len):
+            return last[4]
+        value = evaluate(self.model, self.state, self.strategy,
+                         self.dataset.test_x, self.dataset.test_y, self._probs)
+        self._scored = (self.model, self.dataset, self.strategy,
+                        self.state.active_len, value)
+        return value
+
+
+def _check_strategy(strategy: str) -> None:
+    """Raise ValueError unless ``strategy`` names a serving strategy, in any
+    case."""
+    if not isinstance(strategy, str) or strategy.lower() not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def fedsgt_system(plan: GroupingPlan, seqs: SequenceSet, strategy: str = "allseq",
@@ -185,8 +203,9 @@ def fedsgt_system(plan: GroupingPlan, seqs: SequenceSet, strategy: str = "allseq
 
 
 def process_request(system: FedSGTSystem, req: UnlearnRequest) -> TimelineRecord:
-    """Apply one deletion request. Invalid targets are rejected (raised)
-    before any state changes."""
+    """Apply one deletion request. Invalid targets and an unknown strategy
+    are rejected (raised) before any state changes."""
+    _check_strategy(system.strategy)
     record_removal(system.removed, system.plan.sizes, req)
     gid = group_of(system.plan, req.target)
     system.state = apply_deletion(system.state, system.seqs, gid)

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import fedsgt.fltrain
 from fedsgt.core import (ServiceUnavailable, TrainerSpec, TrainingError,
                          keyed_stream)
 from fedsgt.dataset import synth_dataset
 from fedsgt.fltrain import (CostMeter, TrainConfig, _lockstep_rounds,
                             _softmax, client_data, evaluate,
                             fedavg_train, federated_round, matrix_accuracy,
-                            predict_proba, train_fedsgt, train_sequence)
+                            predict_proba, sequence_logits, train_fedsgt,
+                            train_sequence)
 from fedsgt.grouping import SliceRef, build_grouping
 from fedsgt.sequencing import (apply_deletion, build_sequences, fresh_state,
                                select_allseq, select_longseq, select_minseq,
@@ -513,6 +515,96 @@ class TestServingBytesTwoClasses(TestServingBytes):
 
 class TestServingBytesTenClasses(TestServingBytes):
     CLASSES = 10  # eight lanes and a tail in the class sum
+
+
+STRATEGY_NAMES = ("allseq", "minseq", "longseq")
+
+
+def served_ids(state, strategy, seqs):
+    if strategy == "longseq":
+        return {select_longseq(state, seqs)}
+    if strategy == "minseq":
+        return select_minseq(state, seqs)
+    return {sid for sid, _ in select_allseq(state, seqs)}
+
+
+def deletion_states(seqs, seed):
+    """Every live state of a seeded stream of group deletions, repeats
+    included, until nothing survives."""
+    rng = np.random.default_rng(seed)
+    state = fresh_state(seqs)
+    states = [state]
+    while True:
+        state = apply_deletion(state, seqs, int(rng.integers(seqs.group_count)))
+        if state.all_dead:
+            return states
+        states.append(state)
+
+
+class TestReuse:
+    """predict_proba with a ``reuse`` dict carried along a deletion stream
+    gives the bytes of scoring afresh, at B < L, B = L and B > L."""
+
+    @pytest.fixture(scope="class", params=[3, 5, 9])
+    def trained(self, request):
+        ds = data(seed=6, clients=5, classes=4, dim=7)
+        plan = build_grouping(ds.slice_catalog(), 5, 6)
+        seqs = build_sequences(5, request.param, 6)
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=16, seed=6)
+        return ds, train_fedsgt(ds, plan, seqs, cfg)
+
+    @pytest.mark.parametrize("strategy", [*STRATEGY_NAMES, "mixed"])
+    def test_bytes_and_served_ids(self, trained, strategy):
+        ds, model = trained
+        for seed in range(3):
+            reuse = {}
+            for step, state in enumerate(deletion_states(model.sequences, seed)):
+                name = (STRATEGY_NAMES[step % 3] if strategy == "mixed"
+                        else strategy)
+                got = predict_proba(model, state, name, ds.test_x, reuse)
+                want = predict_proba(model, state, name, ds.test_x)
+                assert got.tobytes() == want.tobytes(), (seed, step)
+                assert set(reuse) == served_ids(state, name, model.sequences)
+                for sid, (n, probs) in reuse.items():
+                    assert n == state.active_len[sid]
+                    assert not np.shares_memory(probs, got)
+                    fresh = _softmax(sequence_logits(model, sid, n, ds.test_x))
+                    assert probs.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("strategy", [*STRATEGY_NAMES, "mixed"])
+    def test_logits_once_per_newly_served_prefix(self, trained, strategy,
+                                                 monkeypatch):
+        ds, model = trained
+        calls = []
+
+        def counted(model, seq_id, active_len, x):
+            calls.append((seq_id, active_len))
+            return sequence_logits(model, seq_id, active_len, x)
+
+        monkeypatch.setattr(fedsgt.fltrain, "sequence_logits", counted)
+        reuse = {}
+        for step, state in enumerate(deletion_states(model.sequences, 1)):
+            name = STRATEGY_NAMES[step % 3] if strategy == "mixed" else strategy
+            before = {sid: n for sid, (n, _) in reuse.items()}
+            calls.clear()
+            predict_proba(model, state, name, ds.test_x, reuse)
+            new = {(sid, n) for sid, (n, _) in reuse.items()
+                   if before.get(sid) != n}
+            assert sorted(calls) == sorted(new), step
+
+    def test_rejected_call_leaves_the_dict_as_it_was(self, trained):
+        ds, model = trained
+        seqs = model.sequences
+        reuse = {}
+        predict_proba(model, fresh_state(seqs), "allseq", ds.test_x, reuse)
+        kept = dict(reuse)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            predict_proba(model, fresh_state(seqs), "best", ds.test_x, reuse)
+        with pytest.raises(ServiceUnavailable):
+            predict_proba(model, state_from_deleted(seqs, range(5)), "allseq",
+                          ds.test_x, reuse)
+        assert reuse.keys() == kept.keys()
+        assert all(reuse[sid] is kept[sid] for sid in kept)
 
 
 class TestCostAccounting:

@@ -6,11 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fedsgt.fltrain
 import fedsgt.unlearn
 from fedsgt.analytics import deletion_rate_fedcio
 from fedsgt.dataset import synth_dataset
 from fedsgt.fltrain import (CostMeter, TrainConfig, client_data, evaluate,
-                            fedavg_train, matrix_accuracy, train_fedsgt)
+                            fedavg_train, matrix_accuracy, sequence_logits,
+                            train_fedsgt)
 from fedsgt.grouping import SliceRef, build_grouping, group_of
 from fedsgt.sequencing import build_sequences, state_from_deleted
 from fedsgt.unlearn import (UnlearnRequest, cluster_of, exactness_audit,
@@ -121,15 +123,28 @@ class TestProcessRequest:
         process_request(system, UnlearnRequest(SliceRef(0, 0), 7))
         assert system.remaining_samples == total - 7
 
+    @pytest.mark.parametrize("strategy", ["best", "", None])
+    def test_unknown_strategy_rejected_before_any_state_change(self, strategy):
+        ds, plan, seqs, cfg, model = build()
+        with pytest.raises(ValueError, match="unknown strategy"):
+            fedsgt_system(plan, seqs, strategy, model, ds)
+        system = fedsgt_system(plan, seqs, "AllSeq", model, ds)
+        process_request(system, UnlearnRequest(plan.groups[0][0], 1))
+        before = (system.steps, dict(system.removed), system.state)
+        system.strategy = strategy
+        with pytest.raises(ValueError, match="unknown strategy"):
+            process_request(system, UnlearnRequest(plan.groups[1][0], 1))
+        assert (system.steps, system.removed, system.state) == before
+
 
 @pytest.fixture
 def evaluations(monkeypatch):
     """The active_len of every state ``unlearn`` scores with ``evaluate``."""
     scored = []
 
-    def counted(model, state, strategy, x, y):
+    def counted(model, state, strategy, x, y, reuse=None):
         scored.append(state.active_len)
-        return evaluate(model, state, strategy, x, y)
+        return evaluate(model, state, strategy, x, y, reuse)
 
     monkeypatch.setattr(fedsgt.unlearn, "evaluate", counted)
     return scored
@@ -195,6 +210,41 @@ class TestUtilityReuse:
         system.dataset = dataclasses.replace(ds)
         process_request(system, req)
         assert len(evaluations) == 3
+
+    def test_probabilities_kept_across_strategies_until_a_swap(self,
+                                                               monkeypatch):
+        scored = []
+
+        def counted(model, seq_id, active_len, x):
+            scored.append((seq_id, active_len))
+            return sequence_logits(model, seq_id, active_len, x)
+
+        monkeypatch.setattr(fedsgt.fltrain, "sequence_logits", counted)
+        ds, plan, seqs, cfg, model = build()
+        system = fedsgt_system(plan, seqs, "allseq", model, ds)
+        system.utility()
+        assert sorted(scored) == [(sid, 4) for sid in range(4)]
+        assert sorted(system._probs) == [0, 1, 2, 3]
+        # Deleting group 0 cuts rotation t to prefix t; only those change.
+        scored.clear()
+        process_request(system, UnlearnRequest(plan.groups[0][0], 1))
+        assert sorted(scored) == [(1, 1), (2, 2), (3, 3)]
+        # Another strategy over the same prefixes scores nothing again, and
+        # the dict then holds only what longseq served.
+        for strategy in ("minseq", "LONGSEQ"):
+            scored.clear()
+            system.strategy = strategy
+            value = system.utility()
+            assert scored == [], strategy
+            assert value == evaluate(model, system.state, strategy, ds.test_x,
+                                     ds.test_y)
+        assert sorted(system._probs) == [3]
+        # A new dataset or model object is scored afresh.
+        for swap in ("dataset", "model"):
+            scored.clear()
+            setattr(system, swap, dataclasses.replace(getattr(system, swap)))
+            system.utility()
+            assert scored == [(3, 3)], swap
 
 
 class TestTimeline:
