@@ -19,9 +19,19 @@ A round steps all its participants together: at each batch offset the
 clients that share a batch length take one stacked step, whose per-client
 matmuls and reductions are the ones a client-by-client loop would make.
 Independent rounds may step in one stack the same way (the FedCIO clusters'
-FedAvg runs do): each round keeps its own batch-order streams, frozen
-weights and average, and gets the bytes it has alone. Training runs on one
-thread.
+FedAvg runs do, and so do the prefixes the exactness audit retrains): each
+round keeps its own batch-order streams, frozen weights and average, and
+gets the bytes it has alone. Training runs on one thread.
+
+``train_prefixes`` stacks round r of several sequences' prefixes only while
+their summed rows stay at or below the plan's total samples, the rows of
+one full-length round and so the largest kernel call single-sequence
+training makes. The bound comes from a measurement: with unbounded stacks
+the audit was no faster than with the bound, and the FedSGT training and
+baseline stages that ran after it in the same process slowed by 14-16 %
+(acceptance point, 2-CPU x86-64 VM), so large transient stacks cost the
+code that runs after them. ``train_fedsgt`` trains one sequence at a time,
+each round a ``federated_round`` call.
 """
 
 from __future__ import annotations
@@ -315,38 +325,97 @@ def client_data(dataset: Dataset, refs: Iterable[SliceRef],
             for client, (xs, ys) in parts.items()}
 
 
+def _row_bounded(rows: dict[int, int], limit: int) -> list[list[int]]:
+    """Cut the ids of ``rows``, in order, into consecutive stacks whose
+    summed rows stay at or below ``limit``; an id above it stands alone."""
+    stacks: list[list[int]] = []
+    total = 0
+    for sid, n in rows.items():
+        if not stacks or total + n > limit:
+            stacks.append([])
+            total = 0
+        stacks[-1].append(sid)
+        total += n
+    return stacks
+
+
+def train_prefixes(dataset: Dataset, plan: GroupingPlan,
+                   jobs: Mapping[int, tuple[tuple[int, ...], int]],
+                   cfg: TrainConfig, meter: CostMeter | None = None
+                   ) -> dict[int, list[AdapterModule]]:
+    """Train the leading modules of several sequences on the zero backbone:
+    ``jobs`` maps a sequence id to ``(perm, upto)``, and the result maps it
+    to its modules of phases 0..upto-1.
+
+    The sequences are independent, so in each phase the sequences still
+    training are cut, in ``jobs`` order, into stacks whose summed rows stay
+    at or below ``plan.total_samples`` (the rows of one full-length round),
+    and round r of every member of a stack steps in one ``_lockstep_rounds``
+    call. A stack of one is a ``federated_round`` call, so a lone sequence
+    trains round by round. Each stack runs all its rounds before the next
+    stack's data is built. Each sequence's cumulative per-client data grows
+    by the new group's slices at every phase, in the order ``client_data``
+    concatenates the prefix.
+
+    Truncation is exact: the modules returned for a prefix are bit-identical
+    to the leading modules of a full run, because phase p of sequence s
+    consumes only (seed, s, p, round) streams and prefix data, whatever
+    else steps beside it.
+    """
+    for perm, upto in jobs.values():
+        if not 0 <= upto <= len(perm):
+            raise ValueError(f"upto_phase must be in [0, {len(perm)}], got {upto}")
+    shape = (dataset.classes, dataset.dim)
+    modules: dict[int, list[AdapterModule]] = {sid: [] for sid in jobs}
+    frozen = {sid: np.zeros(shape) for sid in jobs}
+    parts: dict[int, dict[int, tuple[list, list]]] = {sid: {} for sid in jobs}
+    rows = dict.fromkeys(jobs, 0)
+    for phase in range(max((upto for _, upto in jobs.values()), default=0)):
+        training = {}
+        for sid, (perm, upto) in jobs.items():
+            if phase >= upto:
+                continue
+            for ref in plan.groups[perm[phase]]:
+                x, y = dataset.slice_data(ref)
+                if len(y):
+                    xs, ys = parts[sid].setdefault(ref.client_id, ([], []))
+                    xs.append(x)
+                    ys.append(y)
+                    rows[sid] += len(y)
+            if not rows[sid]:
+                raise TrainingError(f"phase {phase}: cumulative groups hold no data")
+            training[sid] = rows[sid]
+        for stack in _row_bounded(training, plan.total_samples):
+            data = {sid: {client: (np.concatenate(xs), np.concatenate(ys))
+                          for client, (xs, ys) in parts[sid].items()}
+                    for sid in stack}
+            active = {sid: np.zeros(shape) for sid in stack}
+            for rnd in range(cfg.rounds_per_phase):
+                rounds = [(active[sid], frozen[sid], data[sid], (sid, phase, rnd))
+                          for sid in stack]
+                if len(rounds) == 1:
+                    (a, f, d, key), = rounds
+                    stepped = [federated_round(a, f, d, cfg, key, meter)]
+                else:
+                    stepped = _lockstep_rounds(rounds, cfg, meter)
+                active.update(zip(stack, stepped))
+            for sid, weights in active.items():
+                modules[sid].append(AdapterModule(
+                    group=jobs[sid][0][phase], samples=rows[sid], weights=weights))
+                frozen[sid] = frozen[sid] + weights
+    return modules
+
+
 def train_sequence(dataset: Dataset, plan: GroupingPlan, perm: tuple[int, ...],
                    cfg: TrainConfig, sequence_index: int = 0,
                    upto_phase: int | None = None,
                    meter: CostMeter | None = None) -> list[AdapterModule]:
     """Train the module stack of one sequence, phases 0..upto_phase-1, on
-    the zero backbone.
-
-    Truncation is exact: the modules returned for a prefix are bit-identical
-    to the leading modules of a full run, because phase p consumes only
-    (seed, sequence_index, p, round) streams and prefix data.
-    """
-    classes, dim = dataset.classes, dataset.dim
+    the zero backbone: the one-sequence call of ``train_prefixes``, so each
+    round is a ``federated_round``."""
     upto = len(perm) if upto_phase is None else upto_phase
-    if not 0 <= upto <= len(perm):
-        raise ValueError(f"upto_phase must be in [0, {len(perm)}], got {upto}")
-
-    frozen = np.zeros((classes, dim))
-    modules: list[AdapterModule] = []
-    for phase in range(upto):
-        data = client_data(dataset, (ref for g in perm[:phase + 1]
-                                     for ref in plan.groups[g]))
-        if not data:
-            raise TrainingError(f"phase {phase}: cumulative groups hold no data")
-        active = np.zeros((classes, dim))
-        for rnd in range(cfg.rounds_per_phase):
-            active = federated_round(active, frozen, data, cfg,
-                                     (sequence_index, phase, rnd), meter)
-        total = sum(len(y) for _, y in data.values())
-        modules.append(AdapterModule(group=perm[phase], samples=total,
-                                     weights=active))
-        frozen = frozen + active
-    return modules
+    return train_prefixes(dataset, plan, {sequence_index: (perm, upto)}, cfg,
+                          meter)[sequence_index]
 
 
 def train_fedsgt(dataset: Dataset, plan: GroupingPlan, seqs: SequenceSet,

@@ -26,7 +26,7 @@ from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
 from .dataset import Dataset
 from .fltrain import (CostMeter, Reuse, ToyModel, TrainConfig, client_data,
                       evaluate, fedavg_lockstep, fedavg_train, matrix_accuracy,
-                      train_sequence)
+                      train_prefixes)
 from .grouping import GroupingPlan, SliceRef, group_of
 from .sequencing import (SequenceSet, SequenceState, apply_deletion,
                          fresh_state, state_from_deleted)
@@ -108,17 +108,20 @@ def uniform_requests(catalog: list[tuple[SliceRef, int]], count: int, seed: int,
 
 
 def record_removal(removed: dict[SliceRef, int], sizes: Mapping[SliceRef, int],
-                   req: UnlearnRequest) -> None:
+                   req: UnlearnRequest) -> int:
     """Book a request's records against its slice in ``removed``, capped at
-    the slice size. An unknown slice raises KeyError and a request larger
-    than its slice raises ValueError, both before ``removed`` changes."""
+    the slice size, and return how many records it newly booked. An unknown
+    slice raises KeyError and a request larger than its slice raises
+    ValueError, both before ``removed`` changes."""
     if req.target not in sizes:
         raise KeyError(f"unknown slice {req.target}")
     size = sizes[req.target]
     if req.record_count > size:
         raise ValueError(
             f"request for {req.record_count} records exceeds slice size {size}")
-    removed[req.target] = min(size, removed.get(req.target, 0) + req.record_count)
+    before = removed.get(req.target, 0)
+    removed[req.target] = min(size, before + req.record_count)
+    return removed[req.target] - before
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,9 @@ class FedSGTSystem:
     dataset: Dataset | None = None
     removed: dict[SliceRef, int] = field(default_factory=dict)
     steps: int = 0
+    # sum(removed.values()), kept up to date by ``process_request``.
+    _removed_total: int = field(default=0, init=False, repr=False,
+                                compare=False)
     # (model, dataset, strategy, active_len, utility) of the last evaluation.
     _scored: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
@@ -154,10 +160,11 @@ class FedSGTSystem:
         if self.model is not None and self.model.sequences != self.seqs:
             raise ValueError("the model was trained on another sequence family")
         _check_strategy(self.strategy)
+        self._removed_total = sum(self.removed.values())
 
     @property
     def remaining_samples(self) -> int:
-        return self.plan.total_samples - sum(self.removed.values())
+        return self.plan.total_samples - self._removed_total
 
     def utility(self) -> float | None:
         """Test accuracy of the served ensemble; None without a model, a
@@ -206,7 +213,7 @@ def process_request(system: FedSGTSystem, req: UnlearnRequest) -> TimelineRecord
     """Apply one deletion request. Invalid targets and an unknown strategy
     are rejected (raised) before any state changes."""
     _check_strategy(system.strategy)
-    record_removal(system.removed, system.plan.sizes, req)
+    system._removed_total += record_removal(system.removed, system.plan.sizes, req)
     gid = group_of(system.plan, req.target)
     system.state = apply_deletion(system.state, system.seqs, gid)
     system.steps += 1
@@ -314,6 +321,7 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
     sizes = dict(dataset.slice_catalog())
     total = sum(sizes.values())
     removed: dict[SliceRef, int] = {}
+    booked = 0
 
     def refit() -> float:
         w = fedavg_train(client_data(dataset, sizes, removed), dataset.classes,
@@ -325,8 +333,8 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
                               surviving=1, utility=refit(), notes="baseline")]
     downtime = 0
     for step, req in enumerate(requests, start=1):
-        record_removal(removed, sizes, req)
-        surviving = int(sum(removed.values()) < total)
+        booked += record_removal(removed, sizes, req)
+        surviving = int(booked < total)
         utility = None
         if not surviving:
             notes = "no records left to retrain on"
@@ -363,26 +371,30 @@ def exactness_audit(model: ToyModel, plan: GroupingPlan, cfg: TrainConfig,
     """Certify that the served model is exactly what retraining without the
     deleted groups would produce.
 
-    For every surviving sequence the active prefix is retrained from scratch
-    with the same seeds and compared byte-for-byte (weights, group ids,
-    sample counts) against the bank. Any influence of a deleted group on a
-    served module would surface as a mismatch.
+    Every surviving sequence's active prefix is retrained from scratch with
+    the same seeds, all of them in one ``train_prefixes`` call (round r of
+    every prefix still training in a phase steps in one row-bounded stack),
+    and then compared byte-for-byte (weights, group ids, sample counts)
+    against the bank in (sequence, phase) order. Any influence of a deleted
+    group on a served module would surface as a mismatch. The report counts
+    the sequences and modules up to and including the first mismatch. A
+    retraining error in any surviving prefix raises ``TrainingError``, even
+    where an earlier module would have mismatched.
     """
     seqs = model.sequences
     state = state_from_deleted(seqs, deleted)
     modules_served = sum(len(stack) for stack in model.modules)
+    jobs = {sid: (seqs.perms[sid], active)
+            for sid, active in enumerate(state.active_len) if active}
+    fresh = train_prefixes(dataset, plan, jobs, cfg)
     sequences_checked = 0
     modules_checked = 0
-    for sid, active in enumerate(state.active_len):
-        if active == 0:
-            continue
+    for sid, (_, active) in jobs.items():
         sequences_checked += 1
-        fresh = train_sequence(dataset, plan, seqs.perms[sid], cfg,
-                               sequence_index=sid, upto_phase=active)
         for p in range(active):
             modules_checked += 1
             served = model.modules[sid][p]
-            redone = fresh[p]
+            redone = fresh[sid][p]
             same = (served.group == redone.group
                     and served.samples == redone.samples
                     and served.weights.tobytes() == redone.weights.tobytes())

@@ -11,7 +11,7 @@ from fedsgt.fltrain import (CostMeter, TrainConfig, _lockstep_rounds,
                             _softmax, client_data, evaluate,
                             fedavg_train, federated_round, matrix_accuracy,
                             predict_proba, sequence_logits, train_fedsgt,
-                            train_sequence)
+                            train_prefixes, train_sequence)
 from fedsgt.grouping import SliceRef, build_grouping
 from fedsgt.sequencing import (apply_deletion, build_sequences, fresh_state,
                                select_allseq, select_longseq, select_minseq,
@@ -392,6 +392,102 @@ class TestSequenceTraining:
         model = train_fedsgt(ds, plan, seqs, cfg)
         acc = evaluate(model, fresh_state(seqs), "allseq", ds.test_x, ds.test_y)
         assert acc > 0.9, acc
+
+
+def oracle_prefix(ds, plan, perm, cfg, sid, upto, meter):
+    """Per-round form of training one prefix: every phase gathers its
+    cumulative data with ``client_data`` and runs its rounds one
+    ``federated_round`` at a time. Returns (group, samples, weight bytes)
+    per module."""
+    frozen = np.zeros((ds.classes, ds.dim))
+    modules = []
+    for phase in range(upto):
+        data = client_data(ds, (ref for g in perm[:phase + 1]
+                                for ref in plan.groups[g]))
+        active = np.zeros((ds.classes, ds.dim))
+        for rnd in range(cfg.rounds_per_phase):
+            active = federated_round(active, frozen, data, cfg,
+                                     (sid, phase, rnd), meter)
+        modules.append((perm[phase], sum(len(y) for _, y in data.values()),
+                        active.tobytes()))
+        frozen = frozen + active
+    return modules
+
+
+def upto_maps(budget, groups, seed):
+    """Seeded ``{sid: upto}`` maps: a random subset with random lengths
+    (zeros included), a lone sequence, and every sequence at full length."""
+    rng = np.random.default_rng(seed)
+    chosen = sorted(rng.choice(budget, size=max(2, budget // 2), replace=False))
+    mixed = {int(sid): int(rng.integers(0, groups + 1)) for sid in chosen}
+    mixed[int(chosen[0])] = 0
+    lone = {int(rng.integers(budget)): int(rng.integers(1, groups + 1))}
+    return [mixed, lone, {sid: groups for sid in range(budget)}]
+
+
+class TestTrainPrefixes:
+    """Stacking the rounds of several prefixes gives each module, and the
+    cost, of training every prefix alone round by round, while no kernel
+    call stacks more rows than one full-length round."""
+
+    @pytest.mark.parametrize("groups", [3, 5, 8])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_matches_per_round_oracle(self, groups, factor, monkeypatch):
+        budget = groups * factor
+        ds = data(seed=groups, clients=4, samples_per_client=40, dim=5,
+                  slices_per_client=2)
+        plan = build_grouping(ds.slice_catalog(), groups, groups)
+        seqs = build_sequences(groups, budget, groups)
+        cfg = TrainConfig(epochs=1, lr=0.2, batch_size=8, rounds_per_phase=2,
+                          seed=factor)
+        stacked_rows, widest = [], 0
+
+        def recording(rounds, *args):
+            nonlocal widest
+            widest = max(widest, len(rounds))
+            stacked_rows.append(sum(len(y) for _, _, d, _ in rounds
+                                    for _, y in d.values()))
+            return _lockstep_rounds(rounds, *args)
+
+        monkeypatch.setattr(fedsgt.fltrain, "_lockstep_rounds", recording)
+        for upto in upto_maps(budget, groups, seed=groups * factor):
+            jobs = {sid: (seqs.perms[sid], n) for sid, n in upto.items()}
+            stacked_rows.clear()
+            meter = CostMeter()
+            got = train_prefixes(ds, plan, jobs, cfg, meter)
+            assert list(got) == list(jobs)
+            want_updates = 0
+            for sid, (perm, n) in jobs.items():
+                alone = CostMeter()
+                want = oracle_prefix(ds, plan, perm, cfg, sid, n, alone)
+                assert [(m.group, m.samples, m.weights.tobytes())
+                        for m in got[sid]] == want, (upto, sid)
+                want_updates += alone.updates
+            assert meter.updates == want_updates
+            assert max(stacked_rows, default=0) <= plan.total_samples
+        # Every sequence at full length needs more rows at the last phase
+        # than one stack may hold, so the bound split its stacks.
+        assert len(stacked_rows) > groups * cfg.rounds_per_phase
+        assert widest > 1
+
+    def test_one_sequence_steps_through_federated_round(self, monkeypatch):
+        ds, plan, seqs, cfg = system(seed=3)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return federated_round(*args, **kwargs)
+
+        monkeypatch.setattr(fedsgt.fltrain, "federated_round", counted)
+        train_sequence(ds, plan, seqs.perms[2], cfg, sequence_index=2)
+        assert calls == [(2, phase, 0) for phase in range(4)]
+
+    def test_upto_out_of_range_rejected(self):
+        ds, plan, seqs, cfg = system()
+        with pytest.raises(ValueError, match=r"upto_phase must be in \[0, 4\]"):
+            train_prefixes(ds, plan, {0: (seqs.perms[0], 2),
+                                      1: (seqs.perms[1], 5)}, cfg)
+        assert train_prefixes(ds, plan, {}, cfg) == {}
 
 
 class TestServing:

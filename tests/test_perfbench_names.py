@@ -8,6 +8,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import math
 import textwrap
 from pathlib import Path
 
@@ -161,3 +163,38 @@ def test_observers_bind_existing_parameters():
             getattr(importlib.import_module(f"fedsgt.{module}"), func)).parameters
         missing += [f"{name}({arg})" for arg in sorted(names - set(params))]
     assert not missing, missing
+
+
+def test_reference_round_counts(monkeypatch):
+    # The harness's reference check counts the calls of
+    # fltrain.federated_round that train_fedsgt makes at the acceptance
+    # point (seed 0), and the participants and mini-batch steps of those
+    # calls, against reference.json; a training loop that steps rounds
+    # another way fails every benchmark run.
+    from fedsgt import fltrain
+    from fedsgt.dataset import synth_dataset
+    from fedsgt.grouping import build_grouping
+    from fedsgt.sequencing import build_sequences
+
+    want = json.loads((PERFBENCH / "reference.json").read_text())
+    want = want["accept_seed0"]["counts"]
+    assert (want["rounds"], want["participants"], want["minibatch_steps"]) == \
+        (100, 869, 11_550)
+    counts = {"rounds": 0, "participants": 0, "minibatch_steps": 0}
+    federated_round = fltrain.federated_round
+
+    def counted(active, frozen, data, cfg, *args, **kwargs):
+        counts["rounds"] += 1
+        counts["participants"] += len(data)
+        counts["minibatch_steps"] += cfg.epochs * sum(
+            math.ceil(len(y) / cfg.batch_size) for _, y in data.values())
+        return federated_round(active, frozen, data, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(fltrain, "federated_round", counted)
+    ds = synth_dataset(clients=10, samples_per_client=200, dim=20, classes=5,
+                       slices_per_client=5, test_samples=500, alpha=0.3, seed=0)
+    plan = build_grouping(ds.slice_catalog(), 10, 0)
+    seqs = build_sequences(10, 10, 0)
+    cfg = fltrain.TrainConfig(epochs=3, lr=0.1, batch_size=32, seed=0)
+    fltrain.train_fedsgt(ds, plan, seqs, cfg)
+    assert counts == {key: want[key] for key in counts}

@@ -14,11 +14,12 @@ from fedsgt.fltrain import (CostMeter, TrainConfig, client_data, evaluate,
                             fedavg_train, matrix_accuracy, sequence_logits,
                             train_fedsgt)
 from fedsgt.grouping import SliceRef, build_grouping, group_of
-from fedsgt.sequencing import build_sequences, state_from_deleted
-from fedsgt.unlearn import (UnlearnRequest, cluster_of, exactness_audit,
-                            fedcio_simulate, fedretrain_simulate,
-                            fedsgt_system, process_request,
-                            race_failure_steps, request_stream, run_stream,
+from fedsgt.sequencing import build_sequences, fresh_state, state_from_deleted
+from fedsgt.unlearn import (FedSGTSystem, UnlearnRequest, cluster_of,
+                            exactness_audit, fedcio_simulate,
+                            fedretrain_simulate, fedsgt_system,
+                            process_request, race_failure_steps,
+                            record_removal, request_stream, run_stream,
                             timeline_summary, train_clusters,
                             uniform_requests, write_timeline)
 
@@ -122,6 +123,27 @@ class TestProcessRequest:
         total = ds.total_samples
         process_request(system, UnlearnRequest(SliceRef(0, 0), 7))
         assert system.remaining_samples == total - 7
+
+    def test_remaining_samples_follows_every_booking(self):
+        ds, plan, seqs, cfg, model = build()
+        catalog = ds.slice_catalog()
+        first, size = catalog[0]
+        seeded = {first: size - 3, catalog[1][0]: 5}
+        system = FedSGTSystem(plan=plan, seqs=seqs, state=fresh_state(seqs),
+                              removed=dict(seeded))
+        assert system.remaining_samples == ds.total_samples - sum(seeded.values())
+        # Repeated hits on one slice are capped at its size and book nothing
+        # once it is empty.
+        requests = [UnlearnRequest(first, 2)] * 3 + uniform_requests(
+            catalog, 40, 3, record_count=9)
+        for req in requests:
+            before = dict(system.removed)
+            process_request(system, req)
+            booked = sum(system.removed.values()) - sum(before.values())
+            assert record_removal(dict(before), plan.sizes, req) == booked
+            assert system.remaining_samples == (
+                plan.total_samples - sum(system.removed.values()))
+        assert system.removed[first] == size
 
     @pytest.mark.parametrize("strategy", ["best", "", None])
     def test_unknown_strategy_rejected_before_any_state_change(self, strategy):
@@ -411,6 +433,16 @@ class TestFedRetrain:
         assert timeline_summary(records)["failure_step"] == last
         assert "downtime" not in records[last].notes
 
+    def test_capped_repeats_do_not_bring_the_failure_forward(self):
+        ds, plan, seqs, cfg, model = build()
+        catalog = ds.slice_catalog()
+        # The first slice is emptied twice over before the rest; the second
+        # pass books nothing, so service fails only with the last slice.
+        requests = [UnlearnRequest(ref, size) for ref, size in catalog]
+        requests[1:1] = [requests[0]]
+        records = fedretrain_simulate(ds, cfg, requests, eval_every=100, rounds=1)
+        assert [r.surviving for r in records] == [1] * (len(catalog) + 1) + [0]
+
 
 @pytest.mark.parametrize("simulate", [
     lambda ds, cfg, reqs: fedcio_simulate(ds, 2, cfg, reqs, rounds=1),
@@ -432,15 +464,53 @@ class TestAudit:
         assert report.sequences_checked == 3
         assert report.first_mismatch is None
 
+    @staticmethod
+    def survivors(seqs, deleted):
+        state = state_from_deleted(seqs, deleted)
+        return [(sid, n) for sid, n in enumerate(state.active_len) if n]
+
+    @staticmethod
+    def counted_to(survivors, sid, phase):
+        """(sequences, modules) an audit walking the survivors in (sid, p)
+        order has checked when it reaches module (sid, phase)."""
+        ids = [s for s, _ in survivors]
+        rank = ids.index(sid)
+        return rank + 1, sum(n for _, n in survivors[:rank]) + phase + 1
+
     def test_detects_tampering(self):
-        ds, plan, seqs, cfg, model = build(seed=3)
-        state = state_from_deleted(seqs, frozenset({1}))
-        victim = next(sid for sid, length in enumerate(state.active_len)
-                      if length > 0)
-        model.modules[victim][0].weights[0, 0] += 1e-9
-        report = exactness_audit(model, plan, cfg, ds, frozenset({1}))
+        # One module is changed in each case: a weight at the first
+        # survivor, the sample count at the last survivor and the group at
+        # the last phase of a longest survivor.
+        for where in ("first", "last", "last-phase"):
+            ds, plan, seqs, cfg, model = build(seed=3, budget=8)
+            deleted = frozenset({1})
+            survivors = self.survivors(seqs, deleted)
+            if where == "first":
+                sid, phase = survivors[0][0], 0
+                model.modules[sid][phase].weights[0, 0] += 1e-9
+            elif where == "last":
+                sid, phase = survivors[-1][0], 0
+                model.modules[sid][phase].samples += 1
+            else:
+                sid, n = max(survivors, key=lambda item: item[1])
+                phase = n - 1
+                assert phase > 0
+                model.modules[sid][phase].group = 1
+            report = exactness_audit(model, plan, cfg, ds, deleted)
+            assert not report.passed
+            assert report.first_mismatch == (sid, phase), where
+            assert (report.sequences_checked, report.modules_checked) == \
+                self.counted_to(survivors, sid, phase), where
+
+    def test_wrong_learning_rate_fails_at_the_first_survivor(self):
+        ds, plan, seqs, cfg, model = build(seed=3, budget=8)
+        deleted = frozenset({0})
+        survivors = self.survivors(seqs, deleted)
+        report = exactness_audit(model, plan, dataclasses.replace(cfg, lr=0.2),
+                                 ds, deleted)
         assert not report.passed
-        assert report.first_mismatch is not None
+        assert report.first_mismatch == (survivors[0][0], 0)
+        assert (report.sequences_checked, report.modules_checked) == (1, 1)
 
     def test_full_survival_checks_everything(self):
         ds, plan, seqs, cfg, model = build(seed=2)
