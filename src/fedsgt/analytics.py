@@ -149,15 +149,25 @@ def _span_pair(group_count: int, occupied: int) -> tuple[int, int]:
     """E[U | M=m] as the integer pair (S_m, T_m), T_m = C(L-1, m-1): the
     numerator of 1 + sum_{s=1..L-1} P(max gap <= s | M=m) over the common
     denominator of every term of :func:`prob_max_gap_le`. Its j = 0 terms
-    give L T_m; the rest group by j, where s runs up to (L-m) // j."""
-    total = math.comb(group_count - 1, occupied - 1)
+    give L T_m; the rest group by j, where s runs up to (L-m) // j. Every
+    binomial is a lookup in one column C(n, m-1), n < L, built up n by the
+    exact C(n, k) = C(n-1, k) n / (n-k), or a step of C(m, j) =
+    C(m, j-1) (m-j+1) / j, which is 0 past j = m, so j stops there. Entries
+    of the column below m-1 are never read."""
+    k = occupied - 1
+    column = [0] * group_count
+    column[k] = 1
+    for n in range(k + 1, group_count):
+        column[n] = column[n - 1] * n // (n - k)
+    total = column[-1]
     spare = group_count - occupied
     acc = group_count * total
+    choose = 1
     sign = -1
-    for j in range(1, spare + 1):
-        acc += sign * math.comb(occupied, j) * sum(
-            math.comb(group_count - 1 - j * s, occupied - 1)
-            for s in range(1, spare // j + 1))
+    for j in range(1, min(spare, occupied) + 1):
+        choose = choose * (occupied - j + 1) // j
+        acc += sign * choose * sum(column[group_count - 1 - j * s]
+                                   for s in range(1, spare // j + 1))
         sign = -sign
     return acc, total
 

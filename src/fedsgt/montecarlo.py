@@ -12,6 +12,15 @@ validate`` runs) passes all of its rows at once, so its bytes do not depend
 on ``--workers`` either. Every sampler is vectorized over the trials of a
 chunk; none loops over trials in Python. A job builder checks its sizes
 once, with the ValueError its closed form raises, before any chunk runs.
+
+The deletion-rate sampler, ``_coverage_times``, draws each block of 64
+requests per trial with one ``rng.integers`` call whose shape is fixed: it
+decides which draw of the chunk's stream each trial sees, so changing it
+changes every estimate. How a block is folded is free. Each head owns one
+bit of a word in the narrowest unsigned type that holds min(H, 64) bits
+(uint8 or uint16 on the validate grid, uint32 at L=32), with ceil(H/64)
+uint64 words past 64 heads. A block's words are laid out draw-major,
+(64, trials), so the running OR down the draws is a few long vector calls.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .core import METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, keyed_stream
 
 CHUNK_TRIALS = 8192
 _BLOCK = 64  # draws per vectorized coverage step
+_SLAB = 1024  # trials per gather: its transposed copy stays in cache
 ZERO_VARIANCE_ULPS = 4  # rounding slack of a deterministic row (MCEstimate.zscore)
 
 
@@ -109,41 +119,71 @@ def _estimates(jobs: Sequence[Job], cfg: MCConfig,
 
 
 def _head_words(universe: int, heads: list[int]) -> np.ndarray:
-    """(ceil(H/64), universe) uint64 table: head i sets bit i % 64 of word
-    i // 64 at its own position, so any head count fits."""
-    words = np.zeros(((len(heads) + 63) // 64, universe), dtype=np.uint64)
+    """(ceil(H/64), universe) table in the narrowest unsigned word that holds
+    min(H, 64) bits: head i sets bit i % 64 of word i // 64 at its own
+    position, so any head count fits."""
+    width = np.min_scalar_type((1 << min(len(heads), 64)) - 1)
+    words = np.zeros(((len(heads) + 63) // 64, universe), dtype=width)
     for i, h in enumerate(heads):
-        words[i // 64, h] |= np.uint64(1 << (i % 64))
+        words[i // 64, h] |= width.type(1 << (i % 64))
     return words
+
+
+def _or_scan(bits: np.ndarray) -> None:
+    """Running OR down axis 0 of a (_BLOCK, n) array, in place: a running OR
+    within each run of eight rows, all eight runs per call, then each run's
+    last row into the next run. That is fourteen calls, where a call per row
+    is 63 short ones that two Monte Carlo workers contend for the GIL
+    between; ``np.bitwise_or.accumulate`` down axis 0 is over ten times
+    slower than either."""
+    runs = bits.reshape(8, _BLOCK // 8, -1)
+    for i in range(1, runs.shape[1]):
+        np.bitwise_or(runs[:, i - 1], runs[:, i], out=runs[:, i])
+    for k in range(1, runs.shape[0]):
+        np.bitwise_or(runs[k], runs[k - 1, -1], out=runs[k])
 
 
 def _coverage_times(rng: np.random.Generator, n: int, universe: int,
                     heads: list[int]) -> np.ndarray:
     """Per trial: uniform draws over [0, universe) until every head has been
-    seen; returns the number of draws needed. Each block of draws is folded
-    into the trial's seen-heads words with a running OR, one word at a time."""
+    seen; returns the number of draws needed.
+
+    Each block is one ``rng.integers(0, universe, size=(active, _BLOCK))``
+    call for the trials still drawing. That call fixes which draw of the
+    stream each trial sees, so it is the estimate's bytes. The block is
+    then folded draw-major: ``word[draws.T]`` is gathered, _SLAB trials at
+    a time, into a (_BLOCK, active) buffer of narrow words and OR-scanned
+    down the draws.
+    Coverage only grows within a block, so a trial's first covered draw is
+    _BLOCK less its number of covered rows. The buffers are reused from
+    block to block; fresh ones would fault their pages in again."""
     words = _head_words(universe, heads)
     full = np.bitwise_or.reduce(words, axis=1)
     times = np.zeros(n, dtype=np.int64)
-    seen = np.zeros((n, len(words)), dtype=np.uint64)
+    seen = np.zeros((len(words), n), dtype=words.dtype)
+    bits_buf = np.empty(_BLOCK * n, dtype=words.dtype)
+    covered_buf = np.empty(_BLOCK * n, dtype=bool)
     active = np.arange(n)
     base = 0
     while active.size:
         draws = rng.integers(0, universe, size=(active.size, _BLOCK))
-        covered = None
+        bits = bits_buf[:draws.size].reshape(_BLOCK, active.size)
+        covered = covered_buf[:draws.size].reshape(_BLOCK, active.size)
         for w, word in enumerate(words):
-            bits = word[draws]
-            np.bitwise_or.accumulate(bits, axis=1, out=bits)
-            bits |= seen[:, w, None]
-            seen[:, w] = bits[:, -1]
-            hit = bits == full[w]
-            covered = hit if covered is None else np.logical_and(covered, hit,
-                                                                 out=covered)
-        done = covered[:, -1]
-        first = covered.argmax(axis=1)
-        times[active[done]] = base + first[done] + 1
+            for j in range(0, active.size, _SLAB):
+                np.copyto(bits[:, j:j + _SLAB], word[draws[j:j + _SLAB].T])
+            bits[0] |= seen[w]
+            _or_scan(bits)
+            seen[w] = bits[-1]
+            if w == 0:
+                np.equal(bits, full[w], out=covered)
+            else:
+                covered &= bits == full[w]
+        rows = covered.view(np.uint8).sum(axis=0, dtype=np.uint8)
+        done = rows > 0
+        times[active[done]] = base + _BLOCK + 1 - rows[done].astype(np.int64)
         active = active[~done]
-        seen = seen[~done]
+        seen = seen[:, ~done]
         base += _BLOCK
     return times.astype(np.float64)
 

@@ -13,8 +13,9 @@ from fedsgt import analytics
 from fedsgt.montecarlo import (_BLOCK, CHUNK_TRIALS, ZERO_VARIANCE_ULPS,
                                MCConfig, MCEstimate, _comm_cost_job,
                                _comm_cost_samples, _coverage_times,
-                               _deletion_fedsgt_job, _estimates,
-                               _remaining_job, _span_job, _span_samples,
+                               _deletion_fedcio_job, _deletion_fedsgt_job,
+                               _estimates, _remaining_job, _rotation_heads,
+                               _span_job, _span_samples,
                                mc_comm_cost, mc_deletion_rate_fedcio,
                                mc_deletion_rate_fedsgt,
                                mc_expected_remaining, mc_expected_span,
@@ -68,7 +69,7 @@ class TestAgreement:
             analytics.expected_remaining_fedsgt(50_000, 64, 5))) <= 3
 
     def test_deletion_rates_past_64_heads(self):
-        # 64 heads and more take a second mask word
+        # 64 heads fill one uint64 word; 100 heads take a second
         cfg = MCConfig(trials=20_000, seed=17)
         for L in (64, 100):
             est = mc_deletion_rate_fedsgt(L, L, cfg)
@@ -185,8 +186,36 @@ class _BlockDraws:
         return block
 
 
+class _RecordingDraws:
+    """Wraps a real Generator and keeps a copy of every block its
+    ``integers`` returns."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, []
+
+    def integers(self, low, high, size):
+        block = self.rng.integers(low, high, size=size)
+        self.blocks.append(block.copy())
+        return block
+
+
+def rows_from_blocks(blocks, n, heads):
+    """Each trial's draws, read back from the recorded blocks: block b has
+    one row, in trial order, for each trial the set oracle finds still
+    uncovered after b blocks."""
+    rows = [[] for _ in range(n)]
+    for block in blocks:
+        drawing = [i for i in range(n)
+                   if not oracle_coverage_times([rows[i]], heads)]
+        assert block.shape == (len(drawing), _BLOCK)
+        for i, row in zip(drawing, block):
+            rows[i].extend(row.tolist())
+    return rows
+
+
 class TestCoverageKernel:
-    HEADS = [1, 10, 63, 64, 65, 130]
+    # Each side of every word-width boundary (8, 16, 32 and 64 heads).
+    HEADS = [1, 8, 9, 10, 16, 17, 32, 33, 63, 64, 65, 130]
 
     @staticmethod
     def shuffled_heads(rng, universe, count):
@@ -202,6 +231,25 @@ class TestCoverageKernel:
         draws[:, -head_count:] = heads  # every row covers within the matrix
         want = oracle_coverage_times(draws, heads)
         got = _coverage_times(_BlockDraws(draws, want), 40, universe, heads)
+        assert got.tolist() == want
+
+    # The head sets the traffic draws: rotation heads at L=4/B=2, L=10/B=10,
+    # L=32/B=32 and L=70, and FedCIO's c=5 clusters.
+    @pytest.mark.parametrize("job, universe, heads", [
+        (_deletion_fedsgt_job(4, 2), 4, _rotation_heads(4, 2)),
+        (_deletion_fedsgt_job(10, 10), 10, _rotation_heads(10, 10)),
+        (_deletion_fedsgt_job(32, 32), 32, _rotation_heads(32, 32)),
+        (_deletion_fedsgt_job(70, 70), 70, _rotation_heads(70, 70)),
+        (_deletion_fedcio_job(5), 5, list(range(5))),
+    ], ids=["L4B2", "L10B10", "L32B32", "L70B70", "c5"])
+    def test_generator_draws_match_set_oracle(self, job, universe, heads):
+        n = 300
+        record = _RecordingDraws(np.random.Generator(np.random.PCG64(universe)))
+        got = job[1](record, n)
+        assert all(b.max() < universe for b in record.blocks)
+        want = oracle_coverage_times(rows_from_blocks(record.blocks, n, heads),
+                                     heads)
+        assert len(want) == n
         assert got.tolist() == want
 
 
@@ -316,6 +364,43 @@ class TestChunkRunner:
             mean, stderr = oracle_estimate(job, cfg)
             assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(),
                                                           stderr.hex()), job[0]
+
+
+# Every sample of a deletion-rate estimate is an integer, so its chunk sums
+# are exact and these bytes hold on any platform. A kernel that moved a
+# single draw-to-time mapping moves them; the z-test would not notice.
+PINNED_CFG = MCConfig(trials=20_000, seed=3)
+PINNED_GRID_RATES = {
+    ("deletion_rate_fedsgt", "L=4;B=2"): ("0x1.7ea0902de00d2p+2", "0x1.ad8d16ee34e80p-6"),
+    ("deletion_rate_fedsgt", "L=4;B=4"): ("0x1.0a6e2eb1c432dp+3", "0x1.b36e56846b6adp-6"),
+    ("deletion_rate_fedsgt", "L=6;B=2"): ("0x1.1f31f8a0902dep+3", "0x1.5a6e1babdbab1p-5"),
+    ("deletion_rate_fedsgt", "L=6;B=6"): ("0x1.d6404ea4a8c15p+3", "0x1.67e21e9689fe9p-5"),
+    ("deletion_rate_fedsgt", "L=10;B=2"): ("0x1.decf41f212d77p+3", "0x1.29413ffcad657p-4"),
+    ("deletion_rate_fedsgt", "L=10;B=10"): ("0x1.d4683e425aee6p+4", "0x1.47f1631d410d5p-4"),
+    ("deletion_rate_fedcio", "c=2"): ("0x1.8231f8a0902dep+1", "0x1.49cec53150237p-7"),
+    ("deletion_rate_fedcio", "c=5"): ("0x1.6d19ce075f6fdp+3", "0x1.2302493ddae49p-5"),
+}
+# One estimate per word layout: 32 heads, 64 heads, two words, 64 clusters.
+PINNED_RATES = [
+    (mc_deletion_rate_fedsgt, (32, 32), ("0x1.034c226809d49p+7", "0x1.1791473cd8154p-2")),
+    (mc_deletion_rate_fedsgt, (64, 64), ("0x1.30b73eab367a1p+8", "0x1.2446bdcb3836cp-1")),
+    (mc_deletion_rate_fedsgt, (70, 70), ("0x1.52e8adab9f55ap+8", "0x1.3ffda9a74dc82p-1")),
+    (mc_deletion_rate_fedcio, (64,), ("0x1.2f504189374bcp+8", "0x1.1fce914a0adf7p-1")),
+]
+
+
+class TestPinnedBytes:
+    def test_grid_deletion_rates(self):
+        rows = validation_grid(PINNED_CFG, workers=2)
+        got = {(r.quantity, r.params): (r.estimate.mean.hex(),
+                                        r.estimate.stderr.hex())
+               for r in rows if r.quantity.startswith("deletion_rate")}
+        assert got == PINNED_GRID_RATES
+
+    @pytest.mark.parametrize("estimator, args, want", PINNED_RATES)
+    def test_deletion_rate_estimators(self, estimator, args, want):
+        est = estimator(*args, PINNED_CFG, workers=2)
+        assert (est.mean.hex(), est.stderr.hex()) == want
 
 
 class TestEstimateSemantics:
