@@ -18,10 +18,13 @@ for bit on the same platform (cross-platform equality is not promised).
 A round steps all its participants together: at each batch offset the
 clients that share a batch length take one stacked step, whose per-client
 matmuls and reductions are the ones a client-by-client loop would make.
-Independent rounds may step in one stack the same way (the FedCIO clusters'
-FedAvg runs do, and so do the prefixes the exactness audit retrains): each
-round keeps its own batch-order streams, frozen weights and average, and
-gets the bytes it has alone. Training runs on one thread.
+Independent rounds may step in one stack the same way: each round keeps its
+own batch-order streams, frozen weights and average, and gets the bytes it
+has alone. One runner, ``_run_rounds``, holds the rounds loop for every
+trainer here: the prefixes of ``train_prefixes`` (FedSGT training and the
+exactness audit's retraining) and the FedAvg runs of the baselines (FedAvg,
+the FedCIO clusters, FedRetrain). A lone run's rounds are
+``federated_round`` calls. Training runs on one thread.
 
 ``train_prefixes`` stacks round r of several sequences' prefixes only while
 their summed rows stay at or below the plan's total samples, the rows of
@@ -30,8 +33,7 @@ training makes. The bound comes from a measurement: with unbounded stacks
 the audit was no faster than with the bound, and the FedSGT training and
 baseline stages that ran after it in the same process slowed by 14-16 %
 (acceptance point, 2-CPU x86-64 VM), so large transient stacks cost the
-code that runs after them. ``train_fedsgt`` trains one sequence at a time,
-each round a ``federated_round`` call.
+code that runs after them. ``train_fedsgt`` trains one sequence at a time.
 """
 
 from __future__ import annotations
@@ -120,64 +122,32 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     2-CPU x86-64 VM). The max does not depend on order. A max of +0 against
     -0 shifts by zero either way and exp(+-0) == 1; a row holding a NaN with
     its sign bit set may come out with either NaN sign bit, in the same
-    places. The sum replays the order of numpy's own sum along a contiguous
-    class axis (``_class_sum``), so it keeps the textbook's bytes. The
-    textbook's bytes themselves depend on layout from k = 8: numpy sums the
-    class axis of an F-ordered array left to right. The copy is made by
-    ``transpose(...).copy()`` rather than ``np.moveaxis``, whose argument
-    handling costs a few microseconds per call: most calls come from
-    training, on batches of a few hundred rows.
+    places. The copy is made by ``transpose(...).copy()`` rather than
+    ``np.moveaxis``, whose argument handling costs a few microseconds per
+    call: most calls come from training, on batches of a few hundred rows.
 
-    One code path serves every k. From k = 8 the sum's lane block is built
-    in the result buffer before the quotient overwrites it, so the sum
-    allocates one row: on 5,000 rows at k = 8-10 that took minor page
-    faults from 124-143 to about 1 per call and the time from 0.49-0.59 ms
-    to 0.22-0.28 ms. At k = 64 the transposed copy and write dominate and
-    numpy's row reductions are faster. No workload, demo or CLI default
-    goes above k = 5.
+    The sum is numpy's own sum over a contiguous class axis, which adds
+    left to right below 8 values and in another order from 8. So below 8
+    classes the rows are added left to right; from 8 the exponentials are
+    copied back to class-last C order and numpy sums them, which keeps the
+    textbook's bytes on any numpy without restating its order. That copy
+    costs time: on 5,000 x 10 a call takes 0.83 ms, against 0.69 ms for a
+    hand-written replay of numpy's lanes (median of 41 paired reps, same
+    VM). No workload, demo or CLI default goes above k = 5. The textbook's
+    bytes themselves depend on layout from k = 8: numpy sums the class axis
+    of an F-ordered array left to right.
     """
     lead = (z.ndim - 1, *range(z.ndim - 1))
     e = z.transpose(lead).copy()
     e -= e.max(axis=0)
     np.exp(e, out=e)
+    if len(e) < 8:
+        total = e.sum(axis=0)
+    else:
+        total = np.ascontiguousarray(np.moveaxis(e, 0, -1)).sum(-1)
     out = np.empty(z.shape, dtype=e.dtype)
-    np.divide(e, _class_sum(e, out), out=out.transpose(lead))
+    np.divide(e, total, out=out.transpose(lead))
     return out
-
-
-def _class_sum(e: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """The sum of ``e``'s rows, added in the order numpy's pairwise sum adds
-    a contiguous axis of ``len(e)`` values: left to right below 8; from 8 to
-    128, eight lane accumulators folded as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail left to right;
-    above 128, the two halves split at a multiple of 8, each summed so.
-    numpy adds the result to a +0 start, which changes nothing for the
-    non-negative values of an exponential. From 8 rows the lane block and
-    its folds live in ``buffer``, a C-contiguous array of at least
-    ``e.size`` values that the caller overwrites afterwards."""
-    n = len(e)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _class_sum(e[:half], buffer) + _class_sum(e[half:], buffer)
-    if n < 8:
-        s = e[0].copy()
-        for row in e[1:]:
-            s += row
-        return s
-    tail = n - n % 8
-    size = e[0].size
-    rows = e.reshape(n, size)
-    r = buffer.reshape(-1)[:8 * size].reshape(8, size)
-    r[...] = rows[:8]
-    for i in range(8, tail, 8):
-        r += rows[i:i + 8]
-    for width in (4, 2):
-        for i in range(width):
-            np.add(r[2 * i], r[2 * i + 1], out=r[i])
-    s = r[0] + r[1]
-    for row in rows[tail:]:
-        s += row
-    return s.reshape(e.shape[1:])
 
 
 def _batch_plan(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, int]]:
@@ -339,6 +309,32 @@ def _row_bounded(rows: dict[int, int], limit: int) -> list[list[int]]:
     return stacks
 
 
+_Run = tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]], tuple[int, ...]]
+
+
+def _run_rounds(runs: list[_Run], rounds: int, cfg: TrainConfig,
+                meter: CostMeter | None = None,
+                cost_modules: int = 1) -> list[np.ndarray]:
+    """Run ``rounds`` FedAvg rounds of independent runs ``(frozen, data,
+    key)``, each from a zero module, and return each run's module. Round t
+    of a run is keyed ``(*key, t)``, and round t of every run steps in one
+    ``_lockstep_rounds`` call. A lone run's rounds are ``federated_round``
+    calls, because the benchmark harness gates on counting them (100 inside
+    ``train_fedsgt`` at the acceptance point; ROADMAP items 4 and 5). This
+    is the only place that makes that choice."""
+    active = [np.zeros(frozen.shape) for frozen, _, _ in runs]
+    for t in range(rounds):
+        step = [(a, frozen, data, (*key, t))
+                for a, (frozen, data, key) in zip(active, runs)]
+        if len(step) == 1:
+            (a, frozen, data, key), = step
+            active = [federated_round(a, frozen, data, cfg, key, meter,
+                                      cost_modules)]
+        else:
+            active = _lockstep_rounds(step, cfg, meter, cost_modules)
+    return active
+
+
 def train_prefixes(dataset: Dataset, plan: GroupingPlan,
                    jobs: Mapping[int, tuple[tuple[int, ...], int]],
                    cfg: TrainConfig, meter: CostMeter | None = None
@@ -350,12 +346,11 @@ def train_prefixes(dataset: Dataset, plan: GroupingPlan,
     The sequences are independent, so in each phase the sequences still
     training are cut, in ``jobs`` order, into stacks whose summed rows stay
     at or below ``plan.total_samples`` (the rows of one full-length round),
-    and round r of every member of a stack steps in one ``_lockstep_rounds``
-    call. A stack of one is a ``federated_round`` call, so a lone sequence
-    trains round by round. Each stack runs all its rounds before the next
-    stack's data is built. Each sequence's cumulative per-client data grows
-    by the new group's slices at every phase, in the order ``client_data``
-    concatenates the prefix.
+    and each stack's rounds run through ``_run_rounds``: round r of every
+    member steps in one stack, and a stack of one trains round by round
+    through ``federated_round``. Each stack runs all its rounds before the
+    next stack's data is built. A member's data is ``client_data`` of its
+    prefix's slices, the same call for every phase.
 
     Truncation is exact: the modules returned for a prefix are bit-identical
     to the leading modules of a full run, because phase p of sequence s
@@ -365,41 +360,27 @@ def train_prefixes(dataset: Dataset, plan: GroupingPlan,
     for perm, upto in jobs.values():
         if not 0 <= upto <= len(perm):
             raise ValueError(f"upto_phase must be in [0, {len(perm)}], got {upto}")
-    shape = (dataset.classes, dataset.dim)
     modules: dict[int, list[AdapterModule]] = {sid: [] for sid in jobs}
-    frozen = {sid: np.zeros(shape) for sid in jobs}
-    parts: dict[int, dict[int, tuple[list, list]]] = {sid: {} for sid in jobs}
+    frozen = {sid: np.zeros((dataset.classes, dataset.dim)) for sid in jobs}
     rows = dict.fromkeys(jobs, 0)
     for phase in range(max((upto for _, upto in jobs.values()), default=0)):
         training = {}
         for sid, (perm, upto) in jobs.items():
             if phase >= upto:
                 continue
-            for ref in plan.groups[perm[phase]]:
-                x, y = dataset.slice_data(ref)
-                if len(y):
-                    xs, ys = parts[sid].setdefault(ref.client_id, ([], []))
-                    xs.append(x)
-                    ys.append(y)
-                    rows[sid] += len(y)
+            rows[sid] += sum(len(dataset.slice_data(ref)[1])
+                             for ref in plan.groups[perm[phase]])
             if not rows[sid]:
                 raise TrainingError(f"phase {phase}: cumulative groups hold no data")
             training[sid] = rows[sid]
         for stack in _row_bounded(training, plan.total_samples):
-            data = {sid: {client: (np.concatenate(xs), np.concatenate(ys))
-                          for client, (xs, ys) in parts[sid].items()}
-                    for sid in stack}
-            active = {sid: np.zeros(shape) for sid in stack}
-            for rnd in range(cfg.rounds_per_phase):
-                rounds = [(active[sid], frozen[sid], data[sid], (sid, phase, rnd))
-                          for sid in stack]
-                if len(rounds) == 1:
-                    (a, f, d, key), = rounds
-                    stepped = [federated_round(a, f, d, cfg, key, meter)]
-                else:
-                    stepped = _lockstep_rounds(rounds, cfg, meter)
-                active.update(zip(stack, stepped))
-            for sid, weights in active.items():
+            runs = [(frozen[sid],
+                     client_data(dataset, (ref for g in jobs[sid][0][:phase + 1]
+                                           for ref in plan.groups[g])),
+                     (sid, phase))
+                    for sid in stack]
+            trained = _run_rounds(runs, cfg.rounds_per_phase, cfg, meter)
+            for sid, weights in zip(stack, trained):
                 modules[sid].append(AdapterModule(
                     group=jobs[sid][0][phase], samples=rows[sid], weights=weights))
                 frozen[sid] = frozen[sid] + weights
@@ -534,18 +515,14 @@ def fedavg_lockstep(runs: list[tuple[dict[int, tuple[np.ndarray, np.ndarray]],
                     meter: CostMeter | None = None,
                     cost_modules: int = 1) -> list[np.ndarray]:
     """``fedavg_train`` for several independent ``(data, namespace)`` runs
-    at once. Round t of every run steps in one stack, and each model has the
-    bytes ``fedavg_train`` gives it alone."""
+    at once, through ``_run_rounds`` on the zero backbone: round t of every
+    run steps in one stack, a lone run steps through ``federated_round``,
+    and each model has the bytes ``fedavg_train`` gives it alone."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     frozen = np.zeros((classes, dim))
-    models = [np.zeros((classes, dim)) for _ in runs]
-    for t in range(rounds):
-        models = _lockstep_rounds(
-            [(w, frozen, data, (*namespace, t))
-             for w, (data, namespace) in zip(models, runs)],
-            cfg, meter, cost_modules)
-    return models
+    return _run_rounds([(frozen, data, namespace) for data, namespace in runs],
+                       rounds, cfg, meter, cost_modules)
 
 
 def matrix_accuracy(weights: list[np.ndarray], x: np.ndarray,

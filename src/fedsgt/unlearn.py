@@ -419,8 +419,7 @@ def race_failure_steps(plan: GroupingPlan, seqs: SequenceSet, clusters: int,
     """Failure steps of FedSGT and FedCIO (no-retrain) under one shared
     uniform request stream. No models involved: failure is structural, so
     FedSGT is a structure-only system and FedCIO the clusters not yet hit."""
-    catalog = [(ref, plan.sizes[ref]) for members in plan.groups for ref in members]
-    catalog.sort()
+    catalog = sorted(plan.sizes.items())
     system = fedsgt_system(plan, seqs)
     alive = {cluster_of(c, clusters) for c in plan.clients()}
     sgt_step = cio_step = None

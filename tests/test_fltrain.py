@@ -8,7 +8,7 @@ from fedsgt.core import (ServiceUnavailable, TrainerSpec, TrainingError,
                          keyed_stream)
 from fedsgt.dataset import synth_dataset
 from fedsgt.fltrain import (CostMeter, TrainConfig, _lockstep_rounds,
-                            _softmax, client_data, evaluate,
+                            _softmax, client_data, evaluate, fedavg_lockstep,
                             fedavg_train, federated_round, matrix_accuracy,
                             predict_proba, sequence_logits, train_fedsgt,
                             train_prefixes, train_sequence)
@@ -610,7 +610,7 @@ class TestServingBytesTwoClasses(TestServingBytes):
 
 
 class TestServingBytesTenClasses(TestServingBytes):
-    CLASSES = 10  # eight lanes and a tail in the class sum
+    CLASSES = 10  # the class sum's branch from 8 classes
 
 
 STRATEGY_NAMES = ("allseq", "minseq", "longseq")
@@ -745,6 +745,65 @@ class TestFedAvgBaseline:
         ds = data()
         with pytest.raises(ServiceUnavailable):
             matrix_accuracy([], ds.test_x, ds.test_y)
+
+
+class TestFedAvgRuns:
+    """The FedAvg baselines against an oracle of their own: T rounds of
+    ``federated_round`` from a zero module, round t keyed (*namespace, t)."""
+
+    K, D = TestLockstepRounds.K, TestLockstepRounds.D
+    clients = TestLockstepRounds.clients
+
+    def oracle(self, data, rounds, cfg, namespace, meter, cost_modules=1):
+        frozen = np.zeros((self.K, self.D))
+        w = np.zeros((self.K, self.D))
+        for t in range(rounds):
+            w = federated_round(w, frozen, data, cfg, (*namespace, t), meter,
+                                cost_modules)
+        return w
+
+    def test_fedavg_train_matches_per_round_oracle(self):
+        cfg = TrainConfig(epochs=2, lr=0.2, batch_size=8, seed=3)
+        data = self.clients((37, 20, 8), seed=1)
+        got_meter, want_meter = CostMeter(), CostMeter()
+        got = fedavg_train(data, self.K, self.D, 4, cfg, (9, 2), got_meter,
+                           cost_modules=5)
+        want = self.oracle(data, 4, cfg, (9, 2), want_meter, cost_modules=5)
+        assert got.tobytes() == want.tobytes()
+        assert got_meter.updates == want_meter.updates > 0
+
+    def test_lockstep_runs_match_each_run_alone(self):
+        cfg = TrainConfig(epochs=2, lr=0.2, batch_size=7, seed=5)
+        runs = [(self.clients(sizes, seed=r), (4, r))
+                for r, sizes in enumerate([(30, 9, 1), (16,), (23, 23, 40, 5)])]
+        got_meter = CostMeter()
+        got = fedavg_lockstep(runs, self.K, self.D, 3, cfg, got_meter, 2)
+        assert len(got) == len(runs)
+        total = 0
+        for w, (data, namespace) in zip(got, runs):
+            alone = CostMeter()
+            want = fedavg_train(data, self.K, self.D, 3, cfg, namespace, alone, 2)
+            assert w.tobytes() == want.tobytes()
+            assert w.tobytes() == self.oracle(data, 3, cfg, namespace,
+                                              CostMeter(), 2).tobytes()
+            total += alone.updates
+        assert got_meter.updates == total
+
+    def test_lone_run_steps_through_federated_round(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return federated_round(*args, **kwargs)
+
+        monkeypatch.setattr(fedsgt.fltrain, "federated_round", counted)
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8, seed=0)
+        fedavg_train(self.clients((12, 5), seed=0), self.K, self.D, 3, cfg, (7,))
+        assert calls == [(7, t) for t in range(3)]
+        calls.clear()
+        fedavg_lockstep([(self.clients((12,), seed=r), (r,)) for r in range(2)],
+                        self.K, self.D, 3, cfg)
+        assert calls == []
 
 
 class TestTrainConfig:
