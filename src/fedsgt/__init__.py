@@ -15,4 +15,4 @@ Every public name is imported from the module that defines it, as in
 re-exports nothing.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -9,7 +9,8 @@ Layout (all integers and floats little-endian):
     u32          feature dim d
     u32          class count k
     f64[k*d]     backbone, row-major (all zeros)
-    then for each sequence (B of them), for each phase (L of them):
+    then one packed record for each sequence (B of them) and each phase
+    (L of them), sequence-major:
         u32      group id at this position
         u64      cumulative sample count the module saw
         f64[k*d] adapter weights, row-major
@@ -37,24 +38,28 @@ from .sequencing import SequenceSet
 MAGIC = b"FSGT"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIII")
-_MODULE_HEAD = struct.Struct("<IQ")
+
+
+def _record(k: int, d: int) -> np.dtype:
+    """One stored module: packed, little-endian, no padding."""
+    return np.dtype([("group", "<u4"), ("samples", "<u8"),
+                     ("weights", "<f8", (k, d))])
 
 
 def write_bank(path: str | Path, model: ToyModel) -> None:
     seqs = model.sequences
     k, d = model.backbone.shape
-    blob = bytearray()
-    blob += _HEADER.pack(MAGIC, VERSION, seqs.group_count, len(model.modules), d, k)
-    blob += np.ascontiguousarray(model.backbone, dtype="<f8").tobytes()
     for stack in model.modules:
         if len(stack) != seqs.group_count:
             raise BankFormatError(
                 f"can only store full stacks of {seqs.group_count} modules, "
                 f"got {len(stack)}")
-        for module in stack:
-            blob += _MODULE_HEAD.pack(module.group, module.samples)
-            blob += np.ascontiguousarray(module.weights, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    table = np.array([[(m.group, m.samples, m.weights) for m in stack]
+                      for stack in model.modules], dtype=_record(k, d))
+    Path(path).write_bytes(
+        _HEADER.pack(MAGIC, VERSION, seqs.group_count, len(model.modules), d, k)
+        + np.ascontiguousarray(model.backbone, dtype="<f8").tobytes()
+        + table.tobytes())
 
 
 def read_bank(path: str | Path) -> ToyModel:
@@ -78,46 +83,42 @@ def _decode_bank(raw: bytes) -> ToyModel:
         raise BankFormatError(f"unsupported bank version {version}")
     if min(group_count, budget, d, k) < 1:
         raise BankFormatError("bank header has nonpositive dimensions")
+    # Checked on Python integers, before the record type exists: a header
+    # that inflates k or d must fail here, not in numpy building that type.
     matrix_bytes = 8 * k * d
     expected = (_HEADER.size + matrix_bytes +
-                budget * group_count * (_MODULE_HEAD.size + matrix_bytes))
+                budget * group_count * (4 + 8 + matrix_bytes))
     if len(raw) != expected:
         raise BankFormatError(
             f"bank length {len(raw)} does not match header (expected {expected})")
 
-    def matrix(offset: int, where: str) -> np.ndarray:
-        values = np.frombuffer(raw, dtype="<f8", count=k * d,
-                               offset=offset).reshape(k, d).copy()
-        if not np.isfinite(values).all():
-            raise BankFormatError(f"{where} holds a non-finite weight")
-        return values
-
-    offset = _HEADER.size
-    backbone = matrix(offset, "backbone")
+    backbone = np.frombuffer(raw, dtype="<f8", count=k * d,
+                             offset=_HEADER.size).reshape(k, d).copy()
+    if not np.isfinite(backbone).all():
+        raise BankFormatError("backbone holds a non-finite weight")
     if backbone.tobytes() != bytes(matrix_bytes):
         raise BankFormatError("backbone is not zero; training writes a zero "
                               "backbone")
-    offset += matrix_bytes
-    modules: list[list[AdapterModule]] = []
-    perms: list[tuple[int, ...]] = []
+    table = np.frombuffer(raw, dtype=_record(k, d),
+                          offset=_HEADER.size + matrix_bytes
+                          ).reshape(budget, group_count)
+    weights = table["weights"].copy()
+    finite = np.isfinite(weights).all(axis=(2, 3))
+    groups, samples = table["group"].tolist(), table["samples"].tolist()
     for sid in range(budget):
-        stack = []
-        for phase in range(group_count):
-            group, samples = _MODULE_HEAD.unpack_from(raw, offset)
-            offset += _MODULE_HEAD.size
-            weights = matrix(offset, f"sequence {sid}, phase {phase}")
-            offset += matrix_bytes
-            stack.append(AdapterModule(group=group, samples=samples,
-                                       weights=weights))
-        perm = tuple(m.group for m in stack)
-        if sorted(perm) != list(range(group_count)):
-            raise BankFormatError(f"stored order {perm} is not a permutation")
-        counts = [0] + [m.samples for m in stack]
+        if not finite[sid].all():
+            raise BankFormatError(f"sequence {sid}, phase {finite[sid].argmin()} "
+                                  f"holds a non-finite weight")
+        if sorted(groups[sid]) != list(range(group_count)):
+            raise BankFormatError(
+                f"stored order {tuple(groups[sid])} is not a permutation")
+        counts = [0] + samples[sid]
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise BankFormatError(
-                f"sequence {sid}: sample counts {counts[1:]} do not strictly "
+                f"sequence {sid}: sample counts {samples[sid]} do not strictly "
                 f"rise from zero")
-        perms.append(perm)
-        modules.append(stack)
-    seqs = SequenceSet(group_count=group_count, perms=tuple(perms))
-    return ToyModel(backbone=backbone, sequences=seqs, modules=modules)
+    modules = [[AdapterModule(group=g, samples=n, weights=w)
+                for g, n, w in zip(*stack)]
+               for stack in zip(groups, samples, weights)]
+    return ToyModel(backbone=backbone, modules=modules,
+                    sequences=SequenceSet(group_count, tuple(map(tuple, groups))))

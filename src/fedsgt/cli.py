@@ -352,12 +352,19 @@ def _load_requests_file(path: str, catalog: list[tuple[SliceRef, int]]
 
 
 def _check_bank(model: ToyModel, bank_path: Path, cfg: RunConfig,
-                plan: GroupingPlan, manifest_path: Path) -> None:
-    """Reject a bank that the manifest could not have trained: the same group
-    count, the sequences ``train`` builds from the manifest's ``groups``,
-    ``budget`` and ``seed``, and every module's sample count equal to the
-    plan's running total along its sequence."""
+                dataset: Dataset, plan: GroupingPlan,
+                manifest_path: Path) -> None:
+    """Reject a bank that the manifest could not have trained: the dataset's
+    class and feature counts, the same group count, the sequences ``train``
+    builds from the manifest's ``groups``, ``budget`` and ``seed``, and every
+    module's sample count equal to the plan's running total along its
+    sequence."""
     where = f"manifest {manifest_path} and bank {bank_path} disagree"
+    k, d = model.backbone.shape
+    if (k, d) != (dataset.classes, dataset.dim):
+        raise ConfigurationError([
+            f"{where}: the manifest gives {dataset.classes} classes of "
+            f"{dataset.dim} features, the bank has {k} classes of {d} features"])
     if plan.group_count != model.sequences.group_count:
         raise ConfigurationError([
             f"{where}: the manifest gives {plan.group_count} groups, the bank "
@@ -394,7 +401,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     _check_flags(args)
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset)
-    _check_bank(model, bank_path, cfg, plan, manifest_path)
+    _check_bank(model, bank_path, cfg, dataset, plan, manifest_path)
     strategy = args.strategy or cfg.strategy
 
     catalog = dataset.slice_catalog()

@@ -177,3 +177,39 @@ class TestContradictions:
         with pytest.raises(BankFormatError,
                            match=f"sequence {sid}: sample counts"):
             read_bank(path)
+
+
+def test_every_corrupt_byte_is_rejected_or_round_trips(tmp_path):
+    """Each single-byte flip and each truncation of a small bank either
+    raises BankFormatError or loads a model that writes the same bytes back.
+    Any other exception fails: a header that inflates k or d must be caught
+    by the length check, not by numpy."""
+    ds = synth_dataset(clients=3, samples_per_client=30, dim=3, classes=2,
+                       alpha=None, seed=1, slices_per_client=1,
+                       test_samples=20)
+    plan = build_grouping(ds.slice_catalog(), 3, 1)
+    cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8, seed=1)
+    path, back = tmp_path / "m.fsgt", tmp_path / "back.fsgt"
+    write_bank(path, train_fedsgt(ds, plan, build_sequences(3, 3, 1), cfg))
+    raw = path.read_bytes()
+    assert len(raw) == 24 + 8 * 6 + 9 * (12 + 8 * 6)
+    flips = [raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]
+             for i in range(len(raw)) for mask in (0x01, 0x80, 0xFF)]
+    verdicts = {}
+    for kind, blobs in (("flip", flips),
+                        ("cut", [raw[:n] for n in range(len(raw))])):
+        for blob in blobs:
+            path.write_bytes(blob)
+            try:
+                model = read_bank(path)
+            except BankFormatError:
+                verdict = (kind, "rejected")
+            else:
+                write_bank(back, model)
+                assert back.read_bytes() == blob
+                verdict = (kind, "loaded")
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    # A flipped weight or sample count that stays finite and rising loads;
+    # only the exactness audit can tell such a bank from a trained one.
+    assert verdicts == {("flip", "rejected"): 462, ("flip", "loaded"): 1374,
+                        ("cut", "rejected"): 612}

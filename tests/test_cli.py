@@ -289,6 +289,24 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (out / "bank.fsgt").exists()
 
+    @pytest.mark.parametrize("doc, error", [
+        ({**CONFIG, "trainer": 5}, "trainer: expected an object"),
+        ({**CONFIG, "dataset": "x"}, "dataset: expected an object"),
+        ({**CONFIG, "requests": []}, "requests: expected an object"),
+        ([], "configuration root: expected an object"),
+        ({**CONFIG, "out": 5}, "out: expected a nonempty string or null, got 5"),
+        ({**CONFIG, "requests": {"script": [{"client": 0, "slice": 0}],
+                                 "count": 3}},
+         "requests.count: unknown key when 'script' is given"),
+    ], ids=["trainer-number", "dataset-string", "requests-list", "root-list",
+            "out-number", "script-and-count"])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, doc,
+                                                error):
+        config = write_json(tmp_path / "config.json", doc)
+        assert run("train", "--config", config, "--out", tmp_path / "run") == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config(self, tmp_path):
         assert run("train", "--config", tmp_path / "nope.json",
                    "--out", tmp_path / "x") == 2
@@ -452,6 +470,26 @@ class TestUnlearn:
             "phase 0: the bank module saw 60 samples, the manifest's plan "
             "gives 120\n")
 
+    @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["serve", "audit"])
+    @pytest.mark.parametrize("change, gives", [
+        ({"dataset__dim": 9}, "3 classes of 9 features"),
+        ({"dataset__classes": 4}, "4 classes of 8 features"),
+    ], ids=["dim", "classes"])
+    def test_manifest_with_other_shape_is_config_error(self, tmp_path, trained,
+                                                       capsys, change, gives,
+                                                       audit):
+        # Other features ended in a matmul traceback (exit 1); other classes
+        # served (exit 0), and --audit blamed the modules (exit 5).
+        manifest = self.manifest_with(trained, tmp_path, **change)
+        bank = trained / "bank.fsgt"
+        capsys.readouterr()
+        assert run("unlearn", "--bank", bank, "--manifest", manifest,
+                   "--count", 3, *audit, "--out", tmp_path / "u") == 2
+        assert capsys.readouterr().err == (
+            f"config error: manifest {manifest} and bank {bank} disagree: the "
+            f"manifest gives {gives}, the bank has 3 classes of 8 features\n")
+        assert not (tmp_path / "u").exists()
+
     def test_plan_file_is_not_read(self, tmp_path, trained):
         # plan.json is an output of train; unlearn derives the same plan
         # from the manifest, so a run directory without it (or with a
@@ -495,6 +533,31 @@ class TestUnlearn:
             assert code == 0
         else:
             assert code == 5
+
+
+    def test_module_one_ulp_off_fails_audit(self, tmp_path, capsys):
+        # The nudged bank is finite and consistent, so it loads and serves;
+        # only the audit's retrain can tell, and it names the module.
+        out = tmp_path / "run"
+        config = write_json(tmp_path / "config.json",
+                            {**CONFIG, "groups": 4, "budget": 4})
+        assert run("train", "--config", config, "--out", out) == 0
+        bank = out / "bank.fsgt"
+        raw = bytearray(bank.read_bytes())
+        _, _, groups, _, d, k = struct.unpack_from("<4sIIIII", raw)
+        weight = 24 + 8 * k * d + (1 * groups + 2) * (12 + 8 * k * d) + 12
+        (value,) = struct.unpack_from("<d", raw, weight)
+        struct.pack_into("<d", raw, weight, math.nextafter(value, math.inf))
+        bank.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run("unlearn", "--bank", bank, "--audit",
+                   "--out", tmp_path / "u") == 5
+        assert capsys.readouterr().err == (
+            "unlearn: exactness audit FAILED at sequence/phase (1, 2)\n")
+        summary = json.loads((tmp_path / "u" / "summary.json").read_text())
+        assert summary["audit"] == {
+            "passed": False, "sequences_checked": 2, "modules_checked": 7,
+            "modules_served": 16, "first_mismatch": [1, 2]}
 
 
 @pytest.fixture(scope="module")
@@ -676,6 +739,44 @@ class TestCsvDataset:
         assert err.startswith("training error: ") and err.count("\n") == 1
         assert "clients[4].slices: expected a list of at least one span" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda row: row[:-1], "csv row 2: expected 9 fields"),
+        (lambda row: row[:1] + ["x"] + row[2:],
+         "csv row 2: could not convert string to float: 'x'"),
+        (lambda row: ["3"] + row[1:], "csv labels outside [0, classes)"),
+    ], ids=["field-count", "non-numeric", "label-past-classes"])
+    def test_bad_csv_row(self, tmp_path, capsys, edit, error):
+        dataset = build_dataset(validate_config(self.CONFIG))
+        config = self.as_csv(tmp_path, self.CONFIG, dataset)
+        data = tmp_path / "data.csv"
+        header, first, *rest = data.read_text().splitlines()
+        data.write_text("\n".join(
+            [header, ",".join(edit(first.split(","))), *rest]) + "\n")
+        assert run("train", "--config", config, "--out", tmp_path / "o") == 5
+        assert capsys.readouterr().err == f"training error: {error}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_unlearn_checks_bank_shape_against_csv_dataset(self, tmp_path,
+                                                           capsys):
+        # The csv files a run's manifest names are rewritten with more
+        # features; the bank's modules cannot serve them.
+        dataset = build_dataset(validate_config(self.CONFIG))
+        config = self.as_csv(tmp_path, self.CONFIG, dataset)
+        assert run("train", "--config", config, "--out", tmp_path / "run") == 0
+        wider = build_dataset(validate_config({
+            **self.CONFIG, "dataset": {**self.CONFIG["dataset"], "dim": 9}}))
+        save_csv_dataset(wider, tmp_path / "data.csv", tmp_path / "data.json")
+        bank = tmp_path / "run" / "bank.fsgt"
+        manifest = tmp_path / "run" / "manifest.json"
+        capsys.readouterr()
+        assert run("unlearn", "--bank", bank, "--count", 3,
+                   "--out", tmp_path / "u") == 2
+        assert capsys.readouterr().err == (
+            f"config error: manifest {manifest} and bank {bank} disagree: the "
+            f"manifest gives 3 classes of 9 features, the bank has 3 classes "
+            f"of 8 features\n")
+        assert not (tmp_path / "u").exists()
 
     @pytest.mark.parametrize("text, code", [
         ("{not json", 5), ("[]", 5), ('{"format": "fedsgt-dataset", "version": 1}', 5),
@@ -1038,6 +1139,12 @@ class TestModuleEntryPoint:
                                "--out", tmp_path / "v")
         assert done.returncode == 2
         assert "config error: --data-size" in done.stderr
+
+    @pytest.mark.parametrize("module", ["fedsgt", "fedsgt.cli"])
+    def test_version(self, module):
+        done = self.run_module(module, "--version")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"{fedsgt.__version__}\n", "")
 
     def test_cli_module_runs(self, tmp_path):
         done = self.run_module("fedsgt.cli", "validate", "--data-size", -5,
