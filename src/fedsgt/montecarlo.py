@@ -13,18 +13,21 @@ on ``--workers`` either. Every sampler is vectorized over the trials of a
 chunk; none loops over trials in Python. A job builder checks its sizes
 once, with the ValueError its closed form raises, before any chunk runs.
 
-The deletion-rate sampler, ``_coverage_times``, draws each block of 64
-requests per trial with one ``rng.integers`` call whose shape is fixed: it
-decides which draw of the chunk's stream each trial sees, so changing it
-changes every estimate. How a block is folded is free. Each head owns one
-bit of a word in the narrowest unsigned type that holds min(H, 64) bits
-(uint8 or uint16 on the validate grid, uint32 at L=32), with ceil(H/64)
-uint64 words past 64 heads. A block's words are laid out draw-major,
-(64, trials), so the running OR down the draws is a few long vector calls.
+The deletion-rate sampler, ``_coverage_times``, draws blocks of 64
+requests per trial: a chunk's first block in one ``rng.integers`` call,
+each later block ``_SLAB`` trials at a time, in trial order. Both read the
+same stream as one call per block; the stream decides which draw of the
+chunk each trial sees, so changing its order changes every estimate. How
+a block is folded is free. Each head owns one bit of a word in the
+narrowest unsigned type that holds min(H, 64) bits (uint8 or uint16 on the
+validate grid, uint32 at L=32), with ceil(H/64) uint64 words past 64
+heads. A block's words are laid out draw-major, (64, trials), so the
+running OR down the draws is a few long vector calls.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -36,7 +39,7 @@ from .core import METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, keyed_stream
 
 CHUNK_TRIALS = 8192
 _BLOCK = 64  # draws per vectorized coverage step
-_SLAB = 1024  # trials per gather: its transposed copy stays in cache
+_SLAB = 1024  # trials per draw slab and per gather: its draws stay in cache
 ZERO_VARIANCE_ULPS = 4  # rounding slack of a deterministic row (MCEstimate.zscore)
 
 
@@ -77,11 +80,22 @@ Sampler = Callable[[np.random.Generator, int], np.ndarray]
 Job = tuple[tuple[int, ...], Sampler]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _estimates(jobs: Sequence[Job], cfg: MCConfig,
                workers: int) -> list[MCEstimate]:
     """One estimate per ``(key, sampler)`` job. Every chunk of every job goes
     through one pool; chunk i of a job draws from the stream keyed by
-    (seed, *key, i), and each job's chunk stats are summed in index order."""
+    (seed, *key, i), and each job's chunk stats are summed in index order.
+    The pool has at most one thread per usable CPU: more only contend for
+    the interpreter lock, and the estimates do not depend on the count."""
     sizes = [min(CHUNK_TRIALS, cfg.trials - start)
              for start in range(0, cfg.trials, CHUNK_TRIALS)]
     specs = [(key, sampler, index, n) for key, sampler in jobs
@@ -93,6 +107,7 @@ def _estimates(jobs: Sequence[Job], cfg: MCConfig,
                             dtype=np.float64)
         return float(values.sum()), float(np.square(values).sum())
 
+    workers = min(workers, _usable_cpus())
     if workers > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(run, specs))
@@ -148,37 +163,55 @@ def _coverage_times(rng: np.random.Generator, n: int, universe: int,
     """Per trial: uniform draws over [0, universe) until every head has been
     seen; returns the number of draws needed.
 
-    Each block is one ``rng.integers(0, universe, size=(active, _BLOCK))``
-    call for the trials still drawing. That call fixes which draw of the
-    stream each trial sees, so it is the estimate's bytes. The block is
-    then folded draw-major: ``word[draws.T]`` is gathered, _SLAB trials at
-    a time, into a (_BLOCK, active) buffer of narrow words and OR-scanned
-    down the draws.
-    Coverage only grows within a block, so a trial's first covered draw is
-    _BLOCK less its number of covered rows. The buffers are reused from
-    block to block; fresh ones would fault their pages in again."""
+    The draws are one stream: block after block, each block's draws for the
+    trials still drawing in trial order. That stream fixes which draw each
+    trial sees, so it is the estimate's bytes; how it is cut into
+    ``rng.integers(0, universe, size=(rows, _BLOCK))`` calls is free,
+    because consecutive slabs give the same values, and leave the
+    generator in the same state, as one call over the block
+    (``TestSlabStream`` pins this for numpy's PCG64). The first block holds
+    every trial and is drawn in one call, one transient per chunk like the
+    buffers below; on the validate grid's small universes nearly every
+    trial is covered within it, and slabs would only add calls (about
+    9 us of interpreter time each, which two workers contend for). Later
+    blocks are drawn _SLAB trials at a time: a chunk at 32 heads and more
+    draws several wide blocks, and a fresh 2-4 MB array for each would be
+    handed back to the kernel and faulted in again.
+
+    Each _SLAB trials' head words are gathered draw-major, ``word[draws.T]``,
+    into the block's (words, _BLOCK, active) buffer of narrow words while
+    the draws are still in cache; the block is then OR-scanned down the
+    draws. Coverage only grows within a block, so a trial's first covered
+    draw is _BLOCK less its number of covered rows. The buffers are reused
+    from block to block."""
     words = _head_words(universe, heads)
     full = np.bitwise_or.reduce(words, axis=1)
     times = np.zeros(n, dtype=np.int64)
     seen = np.zeros((len(words), n), dtype=words.dtype)
-    bits_buf = np.empty(_BLOCK * n, dtype=words.dtype)
+    bits_buf = np.empty(len(words) * _BLOCK * n, dtype=words.dtype)
     covered_buf = np.empty(_BLOCK * n, dtype=bool)
     active = np.arange(n)
     base = 0
     while active.size:
-        draws = rng.integers(0, universe, size=(active.size, _BLOCK))
-        bits = bits_buf[:draws.size].reshape(_BLOCK, active.size)
-        covered = covered_buf[:draws.size].reshape(_BLOCK, active.size)
-        for w, word in enumerate(words):
-            for j in range(0, active.size, _SLAB):
-                np.copyto(bits[:, j:j + _SLAB], word[draws[j:j + _SLAB].T])
-            bits[0] |= seen[w]
-            _or_scan(bits)
-            seen[w] = bits[-1]
+        m = active.size
+        bits = bits_buf[:len(words) * _BLOCK * m].reshape(-1, _BLOCK, m)
+        covered = covered_buf[:_BLOCK * m].reshape(_BLOCK, m)
+        slab = m if base == 0 else _SLAB
+        for j in range(0, m, slab):
+            draws = rng.integers(0, universe, size=(min(slab, m - j), _BLOCK))
+            for k in range(0, len(draws), _SLAB):
+                for w, word in enumerate(words):
+                    np.copyto(bits[w, :, j + k:j + k + _SLAB],
+                              word[draws[k:k + _SLAB].T])
+            del draws  # the next slab's draws reuse its pages
+        for w, word_bits in enumerate(bits):
+            word_bits[0] |= seen[w]
+            _or_scan(word_bits)
+            seen[w] = word_bits[-1]
             if w == 0:
-                np.equal(bits, full[w], out=covered)
+                np.equal(word_bits, full[w], out=covered)
             else:
-                covered &= bits == full[w]
+                covered &= word_bits == full[w]
         rows = covered.view(np.uint8).sum(axis=0, dtype=np.uint8)
         done = rows > 0
         times[active[done]] = base + _BLOCK + 1 - rows[done].astype(np.int64)

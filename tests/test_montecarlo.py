@@ -2,6 +2,7 @@
 
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedsgt import analytics
+from fedsgt import analytics, montecarlo
 from fedsgt.montecarlo import (_BLOCK, CHUNK_TRIALS, ZERO_VARIANCE_ULPS,
                                MCConfig, MCEstimate, _comm_cost_job,
                                _comm_cost_samples, _coverage_times,
@@ -172,44 +173,52 @@ def oracle_coverage_times(rows, heads):
 
 class _BlockDraws:
     """Stands in for a Generator: hands out the columns of a fixed draw
-    matrix one block at a time, for the rows still drawing."""
+    matrix one block at a time, for the rows still drawing, in consecutive
+    slabs of that block's rows."""
 
     def __init__(self, draws, times):
         self.draws, self.times = draws, np.array(times)
-        self.base = 0
+        self.base, self.rows = -_BLOCK, np.array([], dtype=np.intp)
 
     def integers(self, low, high, size):
-        rows = np.flatnonzero(self.times > self.base)
-        assert (low, size) == (0, (rows.size, _BLOCK))
-        block = self.draws[rows, self.base:self.base + _BLOCK]
-        self.base += _BLOCK
-        return block
+        if not self.rows.size:
+            self.base += _BLOCK
+            self.rows = np.flatnonzero(self.times > self.base)
+        count, width = size
+        assert (low, width) == (0, _BLOCK) and 0 < count <= self.rows.size
+        slab, self.rows = self.rows[:count], self.rows[count:]
+        return self.draws[slab, self.base:self.base + _BLOCK]
 
 
 class _RecordingDraws:
-    """Wraps a real Generator and keeps a copy of every block its
+    """Wraps a real Generator and keeps a copy of every slab its
     ``integers`` returns."""
 
     def __init__(self, rng):
-        self.rng, self.blocks = rng, []
+        self.rng, self.slabs = rng, []
 
     def integers(self, low, high, size):
-        block = self.rng.integers(low, high, size=size)
-        self.blocks.append(block.copy())
-        return block
+        slab = self.rng.integers(low, high, size=size)
+        self.slabs.append(slab.copy())
+        return slab
 
 
-def rows_from_blocks(blocks, n, heads):
-    """Each trial's draws, read back from the recorded blocks: block b has
-    one row, in trial order, for each trial the set oracle finds still
-    uncovered after b blocks."""
+def rows_from_blocks(slabs, n, heads):
+    """Each trial's draws, read back from the recorded slabs: block b is
+    the next run of slabs, one row in trial order for each trial the set
+    oracle finds still uncovered after b blocks."""
     rows = [[] for _ in range(n)]
-    for block in blocks:
-        drawing = [i for i in range(n)
-                   if not oracle_coverage_times([rows[i]], heads)]
+    slabs = iter(slabs)
+    while drawing := [i for i in range(n)
+                      if not oracle_coverage_times([rows[i]], heads)]:
+        parts = [next(slabs)]
+        while sum(map(len, parts)) < len(drawing):
+            parts.append(next(slabs))
+        block = np.concatenate(parts)
         assert block.shape == (len(drawing), _BLOCK)
         for i, row in zip(drawing, block):
             rows[i].extend(row.tolist())
+    assert next(slabs, None) is None
     return rows
 
 
@@ -246,11 +255,78 @@ class TestCoverageKernel:
         n = 300
         record = _RecordingDraws(np.random.Generator(np.random.PCG64(universe)))
         got = job[1](record, n)
-        assert all(b.max() < universe for b in record.blocks)
-        want = oracle_coverage_times(rows_from_blocks(record.blocks, n, heads),
+        assert all(s.max() < universe for s in record.slabs)
+        want = oracle_coverage_times(rows_from_blocks(record.slabs, n, heads),
                                      heads)
         assert len(want) == n
         assert got.tolist() == want
+
+    # Slabs of 7 trials split every block after the first into many slabs
+    # and a short last one, which the full-size slab does not at these
+    # trial counts; the first block still comes in one call.
+    @pytest.mark.parametrize("head_count", [10, 65])
+    def test_many_slabs_per_block_match_set_oracle(self, head_count,
+                                                   monkeypatch):
+        monkeypatch.setattr(montecarlo, "_SLAB", 7)
+        rng = np.random.default_rng(head_count)
+        universe = head_count + 7
+        heads = self.shuffled_heads(rng, universe, head_count)
+        draws = rng.integers(0, universe, size=(40, 40 * _BLOCK))
+        draws[:, -head_count:] = heads
+        want = oracle_coverage_times(draws, heads)
+        got = _coverage_times(_BlockDraws(draws, want), 40, universe, heads)
+        assert got.tolist() == want
+        record = _RecordingDraws(np.random.Generator(np.random.PCG64(universe)))
+        got = _coverage_times(record, 100, universe, heads)
+        assert len(record.slabs[0]) == 100
+        assert max(map(len, record.slabs[1:])) == 7
+        assert got.tolist() == oracle_coverage_times(
+            rows_from_blocks(record.slabs, 100, heads), heads)
+
+
+# Ranges on numpy's 32-bit bounded path (up to 2**32 - 1, including the
+# all-ones mask) and its 64-bit path.
+SLAB_RANGES = [1, 2, 4, 10, 32, 70, 1000, 2**31 - 1, 2**32 - 1, 2**32, 2**40]
+
+
+class TestSlabStream:
+    """The stream property ``_coverage_times`` rests on: a block drawn in
+    consecutive slabs, in trial order, is the block drawn in one call, and
+    the generator ends in the same state. A numpy release that breaks this
+    fails here, not as drifting estimate bytes."""
+
+    @pytest.mark.parametrize("slab", [1024, 7])
+    @pytest.mark.parametrize("height", [1, 1000, 8192])
+    @pytest.mark.parametrize("high", SLAB_RANGES)
+    def test_slabs_draw_the_block(self, high, height, slab):
+        whole = np.random.Generator(np.random.PCG64(height + slab))
+        parts = np.random.Generator(np.random.PCG64(height + slab))
+        block = whole.integers(0, high, size=(height, _BLOCK))
+        slabs = [parts.integers(0, high, size=(min(slab, height - j), _BLOCK))
+                 for j in range(0, height, slab)]
+        assert np.array_equal(np.concatenate(slabs), block)
+        assert parts.bit_generator.state == whole.bit_generator.state
+        assert np.array_equal(parts.integers(0, high, size=5),
+                              whole.integers(0, high, size=5))
+
+
+class TestFaultBudget:
+    def test_l32_deletion_rate_reuses_its_pages(self):
+        # A fresh draw array per block faulted its pages in again on every
+        # call: 4,600-9,700 minor faults per call. glibc can still trim a
+        # warm worker heap now and then (about one call in fifty on a 2-CPU
+        # VM with glibc 2.36), so the measure is the middle of three calls
+        # after one warm-up.
+        resource = pytest.importorskip("resource")
+        cfg = MCConfig(trials=50_000, seed=0)
+        mc_deletion_rate_fedsgt(32, 32, cfg, workers=2)
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            mc_deletion_rate_fedsgt(32, 32, cfg, workers=2)
+            faults.append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert sorted(faults)[1] < 1000, faults
 
 
 class TestReproducibility:
@@ -364,6 +440,40 @@ class TestChunkRunner:
             mean, stderr = oracle_estimate(job, cfg)
             assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(),
                                                           stderr.hex()), job[0]
+
+    def test_pool_has_at_most_one_thread_per_usable_cpu(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size asked for and runs the chunks inline."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        cfg = MCConfig(trials=30_000, seed=9)
+        want = hexes(mc_deletion_rate_fedsgt(6, 6, cfg))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert hexes(mc_deletion_rate_fedsgt(6, 6, cfg, workers=64)) == want
+        # Without an affinity call the machine's CPU count caps the pool.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert hexes(mc_deletion_rate_fedsgt(6, 6, cfg, workers=64)) == want
+        assert hexes(mc_deletion_rate_fedsgt(6, 6, cfg, workers=2)) == want
+        # An unknown CPU count runs the chunks in the calling thread.
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert hexes(mc_deletion_rate_fedsgt(6, 6, cfg, workers=64)) == want
+        assert sizes == [3, 5, 2]
 
 
 # Every sample of a deletion-rate estimate is an integer, so its chunk sums
