@@ -18,13 +18,17 @@ for bit on the same platform (cross-platform equality is not promised).
 A round steps all its participants together: at each batch offset the
 clients that share a batch length take one stacked step, whose per-client
 matmuls and reductions are the ones a client-by-client loop would make.
-Independent rounds may step in one stack the same way: each round keeps its
+Independent runs may step in one stack the same way: each run keeps its
 own batch-order streams, frozen weights and average, and gets the bytes it
 has alone. One runner, ``_run_rounds``, holds the rounds loop for every
 trainer here: the prefixes of ``train_prefixes`` (FedSGT training and the
 exactness audit's retraining) and the FedAvg runs of the baselines (FedAvg,
-the FedCIO clusters, FedRetrain). A lone run's rounds are
-``federated_round`` calls. Training runs on one thread.
+the FedCIO clusters, the FedRetrain refits). It builds a stack once per
+call (``_build_stack``: the member ranking, the stacked rows and one-hot
+labels, the batch plan, the averaging positions) and steps it once per
+round (``_step_stack``: the batch orders drawn from the round keys, the
+epochs, the averages). A lone run's rounds are ``federated_round`` calls,
+each a one-run stack built and stepped once. Training runs on one thread.
 
 ``train_prefixes`` stacks round r of several sequences' prefixes only while
 their summed rows stay at or below the plan's total samples, the rows of
@@ -34,6 +38,8 @@ the audit was no faster than with the bound, and the FedSGT training and
 baseline stages that ran after it in the same process slowed by 14-16 %
 (acceptance point, 2-CPU x86-64 VM), so large transient stacks cost the
 code that runs after them. ``train_fedsgt`` trains one sequence at a time.
+The FedRetrain refits stack under a bound of their own
+(``unlearn._REFIT_STACK_BYTES``), chosen by its own measurements.
 """
 
 from __future__ import annotations
@@ -169,28 +175,37 @@ def _batch_plan(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, 
     return steps
 
 
-_Round = tuple[np.ndarray, np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]],
-               tuple[int, ...]]
+_Data = dict[int, tuple[np.ndarray, np.ndarray]]
+_Run = tuple[np.ndarray, _Data, tuple[int, ...]]
 
 
-def _lockstep_rounds(rounds: list[_Round], cfg: TrainConfig,
-                     meter: CostMeter | None = None,
-                     cost_modules: int = 1) -> list[np.ndarray]:
-    """Step independent rounds ``(active, frozen, data, round_key)``
-    together and return each round's averaged update, each with the bytes
-    ``federated_round`` gives it alone.
+@dataclass
+class _Stack:
+    """The round-invariant arrays of independent runs ``(frozen, data,
+    key)`` that step together, built once by ``_build_stack``.
 
-    Every participant of every round is one member of the stack, ranked
-    largest first with ties in (round, client id) order, so the members
-    still stepping at any batch offset are a prefix, grouped by batch
-    length. Each member steps against its own round's ``frozen``; per-member
-    matmuls and softmax rows do not depend on the rest of the stack.
+    Every participant of every run is one member, ranked largest first with
+    ties in (run, client id) order, so the members still stepping at any
+    batch offset are a prefix, grouped by batch length.
     """
-    if not rounds:
-        return []
+
+    xs: np.ndarray  # every member's rows, member after member
+    onehot: np.ndarray  # the one-hot labels of ``xs``
+    owner: list[int]  # the run of each member
+    offsets: np.ndarray  # the first row of each member in ``xs``
+    draws: list[tuple[int, int, int, int]]  # (size, run, first, stop)
+    steps: list[tuple[int, int, int, int, np.ndarray]]  # _batch_plan + frozen
+    order: np.ndarray  # (epochs, members, largest size), refilled each round
+    # Per run: the positions of its members, its averaging weights, samples.
+    averages: list[tuple[np.ndarray, np.ndarray, int]]
+
+
+def _build_stack(runs: list[_Run], cfg: TrainConfig) -> _Stack:
+    """Rank the participants of ``runs`` and lay out what every round of
+    the stack reuses; ``runs`` must not be empty."""
     owners: list[int] = []
     parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for r, (_, _, data, _) in enumerate(rounds):
+    for r, (_, data, _) in enumerate(runs):
         if not data:
             raise TrainingError("federated_round: no participants")
         owners += [r] * len(data)
@@ -198,7 +213,7 @@ def _lockstep_rounds(rounds: list[_Round], cfg: TrainConfig,
     counts = np.array([len(y) for _, y in parts], dtype=np.float64)
     if np.any(counts == 0):
         raise TrainingError("federated_round: participant with empty data")
-    # Largest first; the stable sort keeps ties in (round, client id) order.
+    # Largest first; the stable sort keeps ties in (run, client id) order.
     rank = np.argsort(-counts, kind="stable")
     sizes = [int(counts[i]) for i in rank]
     owner = [owners[i] for i in rank]
@@ -206,29 +221,60 @@ def _lockstep_rounds(rounds: list[_Round], cfg: TrainConfig,
     ys = np.concatenate([parts[i][1] for i in rank])
     # Contiguous per-member copies: adding two contiguous stacks costs about
     # half of broadcasting one matrix over the stack.
-    modules = np.array([a for a, _, _, _ in rounds])[owner]
-    frozen = np.array([f for _, f, _, _ in rounds])[owner]
-    onehot = np.zeros((len(ys), modules.shape[1]))
+    frozen = np.array([f for f, _, _ in runs])[owner]
+    onehot = np.zeros((len(ys), frozen.shape[1]))
     onehot[np.arange(len(ys)), ys] = 1.0
-    offsets = np.cumsum([0] + sizes)
-
-    # order[e, i, :n_i] holds the rows of xs that member i visits in epoch
-    # e. The stream depends only on the round key and n_i, so draw it once
-    # per (size, round) run.
-    order = np.zeros((cfg.epochs, len(sizes), sizes[0]), dtype=np.intp)
+    # A member's batch order depends only on its round key and size, so it
+    # is drawn once per (size, run) group of consecutive members.
+    draws = []
     first = 0
-    for (n, r), run in groupby(zip(sizes, owner)):
-        stop = first + len(list(run))
-        rng = keyed_stream((cfg.seed, *rounds[r][3]))
-        perms = np.array([rng.permutation(n) for _ in range(cfg.epochs)],
-                         dtype=np.intp).reshape(cfg.epochs, 1, n)
-        order[:, first:stop, :n] = perms + offsets[first:stop, None]
+    for (n, r), group in groupby(zip(sizes, owner)):
+        stop = first + len(list(group))
+        draws.append((n, r, first, stop))
         first = stop
-
     steps = [(start, first, stop, length, frozen[first:stop])
              for start, first, stop, length in _batch_plan(sizes, cfg.batch_size)]
+    # Each run averages its own members in ascending client id.
+    position = np.argsort(rank)
+    averages = []
+    first = 0
+    for _, data, _ in runs:
+        stop = first + len(data)
+        mine = counts[first:stop]
+        averages.append((position[first:stop], mine / mine.sum(), int(mine.sum())))
+        first = stop
+    return _Stack(xs=xs, onehot=onehot, owner=owner,
+                  offsets=np.cumsum([0] + sizes), draws=draws, steps=steps,
+                  order=np.zeros((cfg.epochs, len(sizes), sizes[0]), dtype=np.intp),
+                  averages=averages)
+
+
+def _step_stack(stack: _Stack, actives: list[np.ndarray],
+                keys: list[tuple[int, ...]], cfg: TrainConfig,
+                meter: CostMeter | None = None,
+                cost_modules: int = 1) -> list[np.ndarray]:
+    """One round of every run of ``stack``, run r from ``actives[r]`` keyed
+    ``keys[r]``: each run's averaged update, with the bytes
+    ``federated_round`` gives it alone. Each member steps against its own
+    run's frozen weights; per-member matmuls and softmax rows do not depend
+    on the rest of the stack."""
+    modules = np.array(actives)[stack.owner]
+    # order[e, i, :n_i] holds the rows of xs that member i visits in epoch
+    # e. Runs that share a round key (FedRetrain's refits) share the draws
+    # of a size.
+    order, drawn = stack.order, {}
+    for n, r, first, stop in stack.draws:
+        perms = drawn.get((n, keys[r]))
+        if perms is None:
+            rng = keyed_stream((cfg.seed, *keys[r]))
+            perms = drawn[n, keys[r]] = np.array(
+                [rng.permutation(n) for _ in range(cfg.epochs)],
+                dtype=np.intp).reshape(cfg.epochs, 1, n)
+        order[:, first:stop, :n] = perms + stack.offsets[first:stop, None]
+
+    xs, onehot = stack.xs, stack.onehot
     for epoch in range(cfg.epochs):
-        for start, first, stop, length, fz in steps:
+        for start, first, stop, length, fz in stack.steps:
             idx = order[epoch, first:stop, start:start + length]
             xb = xs[idx]
             a = modules[first:stop]
@@ -239,26 +285,17 @@ def _lockstep_rounds(rounds: list[_Round], cfg: TrainConfig,
             grad = (probs - onehot[idx]).transpose(0, 2, 1) @ xb / length
             a -= cfg.lr * grad
 
-    # Each round averages its own members in ascending client id.
-    position = np.argsort(rank)
     results = []
-    first = 0
-    for _, _, data, _ in rounds:
-        stop = first + len(data)
-        mine = counts[first:stop]
+    for members, weights, samples in stack.averages:
         if meter is not None:
-            meter.charge(samples=int(mine.sum()), params=modules[0].size,
+            meter.charge(samples=samples, params=modules[0].size,
                          modules=cost_modules, epochs=cfg.epochs)
-        weights = mine / mine.sum()
-        updates = modules[position[first:stop]]
-        results.append(np.sum(weights[:, None, None] * updates, axis=0))
-        first = stop
+        results.append(np.sum(weights[:, None, None] * modules[members], axis=0))
     return results
 
 
 def federated_round(active: np.ndarray, frozen: np.ndarray,
-                    data: dict[int, tuple[np.ndarray, np.ndarray]],
-                    cfg: TrainConfig, round_key: tuple[int, ...],
+                    data: _Data, cfg: TrainConfig, round_key: tuple[int, ...],
                     meter: CostMeter | None = None,
                     cost_modules: int = 1) -> np.ndarray:
     """One synchronous round: every participant copies the active module,
@@ -271,10 +308,11 @@ def federated_round(active: np.ndarray, frozen: np.ndarray,
     data therefore produce identical updates. All participants step
     together: each step is one stacked matmul over the clients that share a
     batch length, and gives the same bytes as stepping them one by one. This
-    is the one-round call of the lockstep kernel.
+    is the lockstep kernel's one-run stack, built and stepped once.
     """
-    return _lockstep_rounds([(active, frozen, data, round_key)], cfg, meter,
-                            cost_modules)[0]
+    stack = _build_stack([(frozen, data, round_key)], cfg)
+    return _step_stack(stack, [active], [round_key], cfg, meter,
+                       cost_modules)[0]
 
 
 def client_data(dataset: Dataset, refs: Iterable[SliceRef],
@@ -295,12 +333,13 @@ def client_data(dataset: Dataset, refs: Iterable[SliceRef],
             for client, (xs, ys) in parts.items()}
 
 
-def _row_bounded(rows: dict[int, int], limit: int) -> list[list[int]]:
-    """Cut the ids of ``rows``, in order, into consecutive stacks whose
-    summed rows stay at or below ``limit``; an id above it stands alone."""
+def _cut_stacks(weights: dict[int, int], limit: int) -> list[list[int]]:
+    """Cut the ids of ``weights``, in order, into consecutive stacks whose
+    summed weights stay at or below ``limit``; an id above it stands
+    alone."""
     stacks: list[list[int]] = []
     total = 0
-    for sid, n in rows.items():
+    for sid, n in weights.items():
         if not stacks or total + n > limit:
             stacks.append([])
             total = 0
@@ -309,29 +348,30 @@ def _row_bounded(rows: dict[int, int], limit: int) -> list[list[int]]:
     return stacks
 
 
-_Run = tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]], tuple[int, ...]]
-
-
 def _run_rounds(runs: list[_Run], rounds: int, cfg: TrainConfig,
                 meter: CostMeter | None = None,
                 cost_modules: int = 1) -> list[np.ndarray]:
     """Run ``rounds`` FedAvg rounds of independent runs ``(frozen, data,
     key)``, each from a zero module, and return each run's module. Round t
-    of a run is keyed ``(*key, t)``, and round t of every run steps in one
-    ``_lockstep_rounds`` call. A lone run's rounds are ``federated_round``
+    of a run is keyed ``(*key, t)``. Several runs form one stack, built once
+    per call by ``_build_stack``, and round t of every run is one
+    ``_step_stack`` call on it. A lone run's rounds are ``federated_round``
     calls, because the benchmark harness gates on counting them (100 inside
     ``train_fedsgt`` at the acceptance point; ROADMAP items 4 and 5). This
     is the only place that makes that choice."""
+    if not runs:
+        return []
     active = [np.zeros(frozen.shape) for frozen, _, _ in runs]
+    if len(runs) == 1:
+        (frozen, data, key), = runs
+        for t in range(rounds):
+            active = [federated_round(active[0], frozen, data, cfg, (*key, t),
+                                      meter, cost_modules)]
+        return active
+    stack = _build_stack(runs, cfg)
     for t in range(rounds):
-        step = [(a, frozen, data, (*key, t))
-                for a, (frozen, data, key) in zip(active, runs)]
-        if len(step) == 1:
-            (a, frozen, data, key), = step
-            active = [federated_round(a, frozen, data, cfg, key, meter,
-                                      cost_modules)]
-        else:
-            active = _lockstep_rounds(step, cfg, meter, cost_modules)
+        active = _step_stack(stack, active, [(*key, t) for _, _, key in runs],
+                             cfg, meter, cost_modules)
     return active
 
 
@@ -373,7 +413,7 @@ def train_prefixes(dataset: Dataset, plan: GroupingPlan,
             if not rows[sid]:
                 raise TrainingError(f"phase {phase}: cumulative groups hold no data")
             training[sid] = rows[sid]
-        for stack in _row_bounded(training, plan.total_samples):
+        for stack in _cut_stacks(training, plan.total_samples):
             runs = [(frozen[sid],
                      client_data(dataset, (ref for g in jobs[sid][0][:phase + 1]
                                            for ref in plan.groups[g])),

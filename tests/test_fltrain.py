@@ -7,8 +7,8 @@ import fedsgt.fltrain
 from fedsgt.core import (ServiceUnavailable, TrainerSpec, TrainingError,
                          keyed_stream)
 from fedsgt.dataset import synth_dataset
-from fedsgt.fltrain import (CostMeter, TrainConfig, _lockstep_rounds,
-                            _softmax, client_data, evaluate, fedavg_lockstep,
+from fedsgt.fltrain import (CostMeter, TrainConfig, _build_stack, _softmax,
+                            _step_stack, client_data, evaluate, fedavg_lockstep,
                             fedavg_train, federated_round, matrix_accuracy,
                             predict_proba, sequence_logits, train_fedsgt,
                             train_prefixes, train_sequence)
@@ -192,6 +192,15 @@ class TestStackedRound:
                             np.zeros((self.K, self.D)), data, cfg, (0, 0, 0))
 
 
+def lockstep_rounds(rounds, cfg, meter=None, cost_modules=1):
+    """Independent rounds ``(active, frozen, data, round_key)`` built into
+    one stack and stepped once."""
+    stack = _build_stack([(frozen, data, key) for _, frozen, data, key in rounds],
+                         cfg)
+    return _step_stack(stack, [active for active, *_ in rounds],
+                       [key for *_, key in rounds], cfg, meter, cost_modules)
+
+
 class TestLockstepRounds:
     """Independent rounds stepped in one stack must each give the bytes and
     the cost of the client-by-client reference round run alone."""
@@ -215,7 +224,7 @@ class TestLockstepRounds:
 
     def assert_same_rounds(self, rounds, cfg, cost_modules=1):
         got_meter = CostMeter()
-        got = _lockstep_rounds(rounds, cfg, got_meter, cost_modules)
+        got = lockstep_rounds(rounds, cfg, got_meter, cost_modules)
         assert len(got) == len(rounds)
         total = 0
         for result, (active, frozen, data, key) in zip(got, rounds):
@@ -259,7 +268,43 @@ class TestLockstepRounds:
         rounds[1][2][1][0][4, 2] = np.nan
         cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8, seed=0)
         with pytest.raises(TrainingError, match="non-finite"):
-            _lockstep_rounds(rounds, cfg)
+            lockstep_rounds(rounds, cfg)
+
+    def test_stack_built_once_steps_every_round(self):
+        # One build, then rounds that each start from the last round's
+        # averages under new keys: every round must be the reference round
+        # of its own inputs, the batch orders drawn afresh into the reused
+        # buffer.
+        cfg = TrainConfig(epochs=2, lr=0.2, batch_size=9, seed=6)
+        rounds = self.rounds([(41, 9, 17), (17, 30), (5,)], nonzero=True)
+        stack = _build_stack([(f, d, k) for _, f, d, k in rounds], cfg)
+        actives = [a for a, *_ in rounds]
+        for t in range(3):
+            keys = [(*key, t) for *_, key in rounds]
+            got = _step_stack(stack, actives, keys, cfg)
+            for result, active, (_, frozen, data, _), key in zip(
+                    got, actives, rounds, keys):
+                want = reference_round(active, frozen, data, cfg, key)
+                assert result.tobytes() == want.tobytes(), t
+            actives = got
+
+    def test_runs_sharing_a_key_and_sizes(self):
+        # Runs with one round key and equal sizes (FedRetrain's refits)
+        # reuse one draw; each run must still be its reference round.
+        cfg = TrainConfig(epochs=3, lr=0.1, batch_size=8, seed=2)
+        rounds = self.rounds([(30, 12), (30, 11), (12, 30, 30)],
+                             keys=[(9, 0)] * 3, nonzero=True)
+        self.assert_same_rounds(rounds, cfg)
+
+    @pytest.mark.parametrize("data, message", [
+        ({}, "no participants"),
+        ({0: (np.zeros((0, 6)), np.zeros(0, dtype=int))}, "empty data")])
+    def test_build_rejects_a_run_without_rows(self, data, message):
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8, seed=0)
+        runs = [(np.zeros((self.K, self.D)), self.clients((4,), seed=0), (0,)),
+                (np.zeros((self.K, self.D)), data, (1,))]
+        with pytest.raises(TrainingError, match=message):
+            _build_stack(runs, cfg)
 
 
 def textbook_softmax(z):
@@ -442,14 +487,14 @@ class TestTrainPrefixes:
                           seed=factor)
         stacked_rows, widest = [], 0
 
-        def recording(rounds, *args):
+        def recording(runs, *args):
             nonlocal widest
-            widest = max(widest, len(rounds))
-            stacked_rows.append(sum(len(y) for _, _, d, _ in rounds
+            widest = max(widest, len(runs))
+            stacked_rows.append(sum(len(y) for _, d, _ in runs
                                     for _, y in d.values()))
-            return _lockstep_rounds(rounds, *args)
+            return _build_stack(runs, *args)
 
-        monkeypatch.setattr(fedsgt.fltrain, "_lockstep_rounds", recording)
+        monkeypatch.setattr(fedsgt.fltrain, "_build_stack", recording)
         for upto in upto_maps(budget, groups, seed=groups * factor):
             jobs = {sid: (seqs.perms[sid], n) for sid, n in upto.items()}
             stacked_rows.clear()
@@ -466,7 +511,8 @@ class TestTrainPrefixes:
             assert meter.updates == want_updates
             assert max(stacked_rows, default=0) <= plan.total_samples
         # Every sequence at full length needs more rows at the last phase
-        # than one stack may hold, so the bound split its stacks.
+        # than one stack may hold, so the bound split its stacks. A stack of
+        # several runs is built once per phase, a lone run once per round.
         assert len(stacked_rows) > groups * cfg.rounds_per_phase
         assert widest > 1
 
@@ -788,6 +834,12 @@ class TestFedAvgRuns:
                                               CostMeter(), 2).tobytes()
             total += alone.updates
         assert got_meter.updates == total
+
+    def test_no_runs_train_nothing(self):
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8, seed=0)
+        meter = CostMeter()
+        assert fedavg_lockstep([], self.K, self.D, 3, cfg, meter) == []
+        assert meter.updates == 0
 
     def test_lone_run_steps_through_federated_round(self, monkeypatch):
         calls = []

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import fedsgt.fltrain
 from fedsgt.dataset import synth_dataset
-from fedsgt.fltrain import TrainConfig, _lockstep_rounds, train_fedsgt, train_prefixes
+from fedsgt.fltrain import TrainConfig, _build_stack, train_fedsgt, train_prefixes
 from fedsgt.grouping import build_grouping
 from fedsgt.sequencing import build_sequences
 from fedsgt.unlearn import cluster_of, train_clusters
@@ -100,9 +100,10 @@ def test_perturbing_a_group_changes_only_modules_that_hold_it(
 
 
 def test_isolation_at_the_acceptance_point(monkeypatch):
-    """L = B = 10, trained stacked. Some kernel call must stack a sequence
-    whose prefix holds the perturbed group beside one whose prefix does
-    not, or the stacked form would check nothing."""
+    """L = B = 10, trained stacked. Some stack must hold a sequence whose
+    prefix holds the perturbed group beside one whose prefix does not, or
+    the stacked form would check nothing. A stack's runs are keyed
+    (sequence, phase), a lone run's rounds (sequence, phase, round)."""
     ds = synth_dataset(alpha=0.3, seed=0, **ACCEPT)
     plan = build_grouping(ds.slice_catalog(), 10, 0)
     seqs = build_sequences(10, 10, 0)
@@ -110,11 +111,11 @@ def test_isolation_at_the_acceptance_point(monkeypatch):
     group = 4
     calls = []
 
-    def recording(rounds, *args):
-        calls.append([key[:2] for *_, key in rounds])
-        return _lockstep_rounds(rounds, *args)
+    def recording(runs, *args):
+        calls.append([key[:2] for *_, key in runs])
+        return _build_stack(runs, *args)
 
-    monkeypatch.setattr(fedsgt.fltrain, "_lockstep_rounds", recording)
+    monkeypatch.setattr(fedsgt.fltrain, "_build_stack", recording)
     before = trained(ds, plan, seqs, cfg, stacked=True)
     after = trained(perturbed(ds, plan.groups[group][2], 7, 0.5), plan, seqs,
                     cfg, stacked=True)

@@ -9,13 +9,15 @@ import pytest
 import fedsgt.fltrain
 import fedsgt.unlearn
 from fedsgt.analytics import deletion_rate_fedcio
+from fedsgt.core import STREAM_TAGS
 from fedsgt.dataset import synth_dataset
-from fedsgt.fltrain import (CostMeter, TrainConfig, client_data, evaluate,
-                            fedavg_train, matrix_accuracy, sequence_logits,
-                            train_fedsgt)
+from fedsgt.fltrain import (CostMeter, TrainConfig, _build_stack, client_data,
+                            evaluate, fedavg_train, matrix_accuracy,
+                            sequence_logits, train_fedsgt)
 from fedsgt.grouping import SliceRef, build_grouping, group_of
 from fedsgt.sequencing import build_sequences, fresh_state, state_from_deleted
-from fedsgt.unlearn import (FedSGTSystem, UnlearnRequest, cluster_of,
+from fedsgt.unlearn import (FedSGTSystem, TimelineRecord, UnlearnRequest,
+                            cluster_of,
                             exactness_audit, fedcio_simulate,
                             fedretrain_simulate, fedsgt_system,
                             process_request, race_failure_steps,
@@ -442,6 +444,128 @@ class TestFedRetrain:
         requests[1:1] = [requests[0]]
         records = fedretrain_simulate(ds, cfg, requests, eval_every=100, rounds=1)
         assert [r.surviving for r in records] == [1] * (len(catalog) + 1) + [0]
+
+
+def fedretrain_oracle(ds, cfg, requests, eval_every, rounds):
+    """Per-refit form of the FedRetrain timeline: book the requests one at a
+    time and refit alone, ``fedavg_train`` on the records that remain, at
+    the baseline and at every ``eval_every``-th request while any remain."""
+    sizes = dict(ds.slice_catalog())
+    total = sum(sizes.values())
+    removed = {}
+
+    def refit():
+        w = fedavg_train(client_data(ds, sizes, removed), ds.classes, ds.dim,
+                         rounds, cfg, namespace=(STREAM_TAGS["fedretrain"],))
+        return matrix_accuracy([w], ds.test_x, ds.test_y)
+
+    records = [TimelineRecord(0, "FedRetrain", "", 1, refit(), "baseline")]
+    downtime = 0
+    for step, req in enumerate(requests, start=1):
+        record_removal(removed, sizes, req)
+        utility = None
+        if sum(removed.values()) == total:
+            surviving, notes = 0, "no records left to retrain on"
+        else:
+            surviving = 1
+            downtime += rounds
+            if step % eval_every == 0:
+                utility = refit()
+                notes = f"retrained (cumulative downtime {downtime} rounds)"
+            else:
+                notes = f"retraining charged (cumulative downtime {downtime} rounds)"
+        ref = req.target
+        records.append(TimelineRecord(
+            step, "FedRetrain", f"slice:({ref.client_id},{ref.slice_idx})",
+            surviving, utility, notes))
+    return records
+
+
+def emptying_stream(catalog):
+    """Partial requests, then every slice emptied, then one more request."""
+    requests = uniform_requests(catalog, 10, 3, record_count=9)
+    requests += [UnlearnRequest(ref, size) for ref, size in catalog]
+    return requests + requests[:1]
+
+
+def capped_stream(catalog):
+    """Three requests of all but one record on each of three slices, so the
+    repeats are capped, then a uniform stream."""
+    requests = [UnlearnRequest(ref, size - 1) for ref, size in catalog[:3]
+                for _ in range(3)]
+    return requests + uniform_requests(catalog, 8, 5, record_count=15)
+
+
+class TestFedRetrainStacks:
+    """The refits train stacked, within a row bound, and the timeline keeps
+    the bytes of refitting one model at a time."""
+
+    @pytest.mark.parametrize("stream", [emptying_stream, capped_stream],
+                             ids=["emptying", "capped"])
+    @pytest.mark.parametrize("stride", [1, 3, 5])
+    def test_timeline_matches_per_refit_oracle(self, stream, stride, tmp_path):
+        ds = build(epochs=2)[0]
+        cfg = TrainConfig(epochs=2, lr=0.2, batch_size=8, seed=5)
+        requests = stream(ds.slice_catalog())
+        got = fedretrain_simulate(ds, cfg, requests, eval_every=stride, rounds=2)
+        want = fedretrain_oracle(ds, cfg, requests, stride, 2)
+        assert sum(r.utility is not None for r in got) > 1
+        write_timeline(tmp_path / "got.csv", got)
+        write_timeline(tmp_path / "want.csv", want)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    def test_stacks_stay_within_the_byte_bound(self, monkeypatch, tmp_path):
+        # Acceptance-sized data and a stride-1 stream: 31 refits of 800 to
+        # 2,000 rows need several stacks. One round, so every stack, lone or
+        # not, is built once.
+        ds = synth_dataset(clients=10, samples_per_client=200, dim=20,
+                           classes=5, alpha=0.3, seed=0, slices_per_client=5,
+                           test_samples=50)
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=32, seed=0)
+        requests = uniform_requests(ds.slice_catalog(), 30, 7, record_count=40)
+        stacks = []
+
+        def recording(runs, *args):
+            rows = sum(len(y) for _, data, _ in runs for _, y in data.values())
+            members = sum(len(data) for _, data, _ in runs)
+            stacks.append((len(runs), 8 * (rows * (2 * ds.dim + ds.classes)
+                                           + members * 4 * ds.classes * ds.dim)))
+            return _build_stack(runs, *args)
+
+        monkeypatch.setattr(fedsgt.fltrain, "_build_stack", recording)
+        got = fedretrain_simulate(ds, cfg, requests, eval_every=1, rounds=1)
+        monkeypatch.undo()
+        assert sum(refits for refits, _ in stacks) == len(requests) + 1
+        assert len(stacks) > 1
+        assert max(refits for refits, _ in stacks) > 1
+        assert max(size for _, size in stacks) <= fedsgt.unlearn._REFIT_STACK_BYTES
+        want = fedretrain_oracle(ds, cfg, requests, 1, 1)
+        write_timeline(tmp_path / "got.csv", got)
+        write_timeline(tmp_path / "want.csv", want)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    def test_zero_requests_give_one_fedavg_fit(self):
+        ds, plan, seqs, cfg, model = build()
+        records = fedretrain_simulate(ds, cfg, [], rounds=2)
+        w = fedavg_train(client_data(ds, dict(ds.slice_catalog())), ds.classes,
+                         ds.dim, 2, cfg, namespace=(STREAM_TAGS["fedretrain"],))
+        assert [(r.step, r.surviving, r.notes) for r in records] \
+            == [(0, 1, "baseline")]
+        assert records[0].utility == matrix_accuracy([w], ds.test_x, ds.test_y)
+
+    def test_invalid_request_raises_before_any_training(self, monkeypatch):
+        ds, plan, seqs, cfg, model = build()
+        trained = []
+        monkeypatch.setattr(fedsgt.fltrain, "_run_rounds",
+                            lambda runs, *args: trained.append(runs))
+        valid = UnlearnRequest(SliceRef(0, 0), 1)
+        with pytest.raises(KeyError):
+            fedretrain_simulate(ds, cfg, [valid, UnlearnRequest(SliceRef(50, 0), 1)])
+        with pytest.raises(ValueError):
+            fedretrain_simulate(ds, cfg, [valid, UnlearnRequest(SliceRef(0, 0), 10_000)])
+        assert trained == []
 
 
 @pytest.mark.parametrize("simulate", [
