@@ -180,6 +180,20 @@ def plain_int(errors: list[str], value: Any, minimum: int, label: str) -> int | 
     return value
 
 
+def check_counts(spec: Any) -> None:
+    """Raise ValueError for the first ``_count`` field of the dataclass
+    instance ``spec`` that ``plain_int`` rejects, so a library config takes
+    the integers a config file takes. The message is ``plain_int``'s, and
+    one below the minimum reads ``"<field> must be >= <minimum>, got
+    <value>"``."""
+    errors: list[str] = []
+    for f in fields(spec):
+        if "minimum" in f.metadata:
+            plain_int(errors, getattr(spec, f.name), f.metadata["minimum"], f.name)
+    if errors:
+        raise ValueError(errors[0].replace(": must", " must", 1))
+
+
 def _expect_int(errors: list[str], raw: Mapping[str, Any], key: str, default: int,
                 minimum: int, label: str) -> int:
     value = plain_int(errors, raw.get(key, default), minimum, label)

@@ -30,27 +30,32 @@ round (``_step_stack``: the batch orders drawn from the round keys, the
 epochs, the averages). A lone run's rounds are ``federated_round`` calls,
 each a one-run stack built and stepped once. Training runs on one thread.
 
-``train_prefixes`` stacks round r of several sequences' prefixes only while
-their summed rows stay at or below the plan's total samples, the rows of
-one full-length round and so the largest kernel call single-sequence
-training makes. The bound comes from a measurement: with unbounded stacks
-the audit was no faster than with the bound, and the FedSGT training and
-baseline stages that ran after it in the same process slowed by 14-16 %
-(acceptance point, 2-CPU x86-64 VM), so large transient stacks cost the
-code that runs after them. ``train_fedsgt`` trains one sequence at a time.
-The FedRetrain refits stack under a bound of their own
-(``unlearn._REFIT_STACK_BYTES``), chosen by its own measurements.
+Every stacked trainer cuts its runs, in order, by one rule: a stack holds
+``max(1, bound // largest)`` consecutive runs, where ``largest`` is the
+biggest run the cut can meet, so no stack of several runs exceeds its
+bound. ``train_prefixes`` counts rows: its bound is the plan's total
+samples, the rows of one full-length round and so the largest kernel call
+single-sequence training makes, and ``largest`` is the most rows among the
+prefixes still training in the phase. The bound comes from a measurement:
+with unbounded stacks the audit was no faster than with the bound, and the
+FedSGT training and baseline stages that ran after it in the same process
+slowed by 14-16 % (acceptance point, 2-CPU x86-64 VM), so large transient
+stacks cost the code that runs after them. ``train_fedsgt`` trains one
+sequence at a time. The FedRetrain refits count stacked bytes, under a
+bound of their own (``unlearn._REFIT_STACK_BYTES``), chosen by its own
+measurements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import ModuleTrainerSpec, ServiceUnavailable, TrainingError, keyed_stream
+from .core import (ModuleTrainerSpec, ServiceUnavailable, TrainingError,
+                   _count, _positive_number, check_counts, keyed_stream)
 from .dataset import Dataset
 from .grouping import GroupingPlan, SliceRef
 from .sequencing import (SequenceSet, SequenceState, select_allseq,
@@ -60,17 +65,18 @@ from .sequencing import (SequenceSet, SequenceState, select_allseq,
 @dataclass(frozen=True)
 class TrainConfig(ModuleTrainerSpec):
     """``ModuleTrainerSpec`` (its keys, defaults and minimums; epochs may be
-    zero: modules stay zero) plus the run seed. lr must be positive."""
+    zero: modules stay zero) plus the run seed, checked when built by the
+    rules a config file is read by: every count and the seed a plain
+    integer at its minimum, lr a finite positive number."""
 
-    seed: int = 0
+    seed: int = _count(0, 0)
 
     def __post_init__(self):
-        for spec in fields(self):
-            value, minimum = getattr(self, spec.name), spec.metadata.get("minimum")
-            if minimum is not None and value < minimum:
-                raise ValueError(f"{spec.name} must be >= {minimum}, got {value}")
-        if self.lr <= 0:
+        check_counts(self)
+        if isinstance(self.lr, (int, float)) and self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if not _positive_number(self.lr):
+            raise ValueError(f"lr must be a finite positive number, got {self.lr!r}")
 
 
 @dataclass
@@ -333,21 +339,6 @@ def client_data(dataset: Dataset, refs: Iterable[SliceRef],
             for client, (xs, ys) in parts.items()}
 
 
-def _cut_stacks(weights: dict[int, int], limit: int) -> list[list[int]]:
-    """Cut the ids of ``weights``, in order, into consecutive stacks whose
-    summed weights stay at or below ``limit``; an id above it stands
-    alone."""
-    stacks: list[list[int]] = []
-    total = 0
-    for sid, n in weights.items():
-        if not stacks or total + n > limit:
-            stacks.append([])
-            total = 0
-        stacks[-1].append(sid)
-        total += n
-    return stacks
-
-
 def _run_rounds(runs: list[_Run], rounds: int, cfg: TrainConfig,
                 meter: CostMeter | None = None,
                 cost_modules: int = 1) -> list[np.ndarray]:
@@ -384,13 +375,15 @@ def train_prefixes(dataset: Dataset, plan: GroupingPlan,
     to its modules of phases 0..upto-1.
 
     The sequences are independent, so in each phase the sequences still
-    training are cut, in ``jobs`` order, into stacks whose summed rows stay
-    at or below ``plan.total_samples`` (the rows of one full-length round),
-    and each stack's rounds run through ``_run_rounds``: round r of every
-    member steps in one stack, and a stack of one trains round by round
-    through ``federated_round``. Each stack runs all its rounds before the
-    next stack's data is built. A member's data is ``client_data`` of its
-    prefix's slices, the same call for every phase.
+    training are cut, in ``jobs`` order, into stacks of
+    ``max(1, plan.total_samples // largest)`` sequences, where ``largest``
+    is the most rows any of them holds in the phase, so a stack holds no
+    more rows than one full-length round. Each stack's rounds run through
+    ``_run_rounds``: round r of every member steps in one stack, and a
+    stack of one trains round by round through ``federated_round``. Each
+    stack runs all its rounds before the next stack's data is built. A
+    member's data is ``client_data`` of its prefix's slices, the same call
+    for every phase.
 
     Truncation is exact: the modules returned for a prefix are bit-identical
     to the leading modules of a full run, because phase p of sequence s
@@ -404,16 +397,15 @@ def train_prefixes(dataset: Dataset, plan: GroupingPlan,
     frozen = {sid: np.zeros((dataset.classes, dataset.dim)) for sid in jobs}
     rows = dict.fromkeys(jobs, 0)
     for phase in range(max((upto for _, upto in jobs.values()), default=0)):
-        training = {}
-        for sid, (perm, upto) in jobs.items():
-            if phase >= upto:
-                continue
+        training = [sid for sid, (_, upto) in jobs.items() if phase < upto]
+        for sid in training:
             rows[sid] += sum(len(dataset.slice_data(ref)[1])
-                             for ref in plan.groups[perm[phase]])
+                             for ref in plan.groups[jobs[sid][0][phase]])
             if not rows[sid]:
                 raise TrainingError(f"phase {phase}: cumulative groups hold no data")
-            training[sid] = rows[sid]
-        for stack in _cut_stacks(training, plan.total_samples):
+        size = max(1, plan.total_samples // max(rows[sid] for sid in training))
+        for first in range(0, len(training), size):
+            stack = training[first:first + size]
             runs = [(frozen[sid],
                      client_data(dataset, (ref for g in jobs[sid][0][:phase + 1]
                                            for ref in plan.groups[g])),

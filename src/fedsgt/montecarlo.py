@@ -35,7 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import analytics
-from .core import METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, keyed_stream
+from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, _count,
+                   check_counts, keyed_stream)
 
 CHUNK_TRIALS = 8192
 _BLOCK = 64  # draws per vectorized coverage step
@@ -45,12 +46,14 @@ ZERO_VARIANCE_ULPS = 4  # rounding slack of a deterministic row (MCEstimate.zsco
 
 @dataclass(frozen=True)
 class MCConfig:
-    trials: int = 200_000
-    seed: int = 0
+    """Trial count and seed: plain integers at their minimums, checked by
+    ``core.check_counts``."""
+
+    trials: int = _count(200_000, 1)
+    seed: int = _count(0, 0)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        check_counts(self)
 
 
 @dataclass(frozen=True)

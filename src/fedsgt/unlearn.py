@@ -15,7 +15,6 @@ remaining-sample accounting subtracts only the records actually deleted.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -26,9 +25,8 @@ import numpy as np
 from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
                    TrainingError, keyed_stream)
 from .dataset import Dataset
-from .fltrain import (CostMeter, Reuse, ToyModel, TrainConfig, _cut_stacks,
-                      client_data, evaluate, fedavg_lockstep, matrix_accuracy,
-                      train_prefixes)
+from .fltrain import (CostMeter, Reuse, ToyModel, TrainConfig, client_data,
+                      evaluate, fedavg_lockstep, matrix_accuracy, train_prefixes)
 from .grouping import GroupingPlan, SliceRef, group_of
 from .sequencing import (SequenceSet, SequenceState, apply_deletion,
                          fresh_state, state_from_deleted)
@@ -313,16 +311,20 @@ def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
 # stacked copy, the one-hot labels) and 4kd floats a member (a client's
 # module, frozen weights and step temporaries); the batch orders and the
 # round's small arrays are left out, and a stack's traced peak stayed below
-# 1.06 times the count. About 40 us of a stacked step does not depend on
-# its member count (41 us with one 32-row batch, 80 us with ten), and a
-# stack pays that, and builds its arrays, once for all its refits. Measured
-# in process at the acceptance point (2,000 rows, d = 20, k = 5, 10 rounds;
-# 2-CPU x86-64 VM), median ms per call:
+# 1.06 times the count. A stack holds as many refits as this bound has room
+# for baseline refits (every row, every client), which no later refit
+# exceeds. About 40 us of a stacked step does not depend on its member
+# count (41 us with one 32-row batch, 80 us with ten), and a stack pays
+# that, and builds its arrays, once for all its refits. Measured in process
+# at the acceptance point (2,000 rows, d = 20, k = 5, 10 rounds; 2-CPU
+# x86-64 VM), median ms per call, with stacks then cut by summed bytes:
 #   7 refits (stride 5, about 4 MB together), g refits per stack:
 #     1 -> 142, 2 -> 104, 3 -> 98, 4 -> 82, 7 -> 74;
 #   31 refits (stride 1, about 19 MB together), by this bound in MiB:
 #     1 -> 518, 2 -> 374, 4 -> 340, 8 -> 313, 16 -> 313, 32 (one stack)
 #     -> 290.
+# At this bound the acceptance point's baseline refit (0.75 MB) gives 11
+# refits a stack: the stride-5 stream's 7 form one stack.
 _REFIT_STACK_BYTES = 8 << 20
 
 
@@ -338,12 +340,13 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
     retrained or charged.
 
     The whole stream is booked first, so an invalid request raises before
-    any training. That fixes each refit's rows and clients, those that
-    remain after its request, and the refits train through
-    ``fedavg_lockstep`` in stacks of consecutive refits whose arrays stay
-    within ``_REFIT_STACK_BYTES``; a second booking pass gives each stack
-    its data as it is trained. A FedAvg round is a weighted average of
-    independent local runs, so each model has the bytes it has trained
+    any training, and fixes which steps refit. The refits train through
+    ``fedavg_lockstep`` in stacks of consecutive refits, as many as
+    ``_REFIT_STACK_BYTES`` holds of the baseline refit's stacked arrays
+    (every row, every client), which no later refit exceeds; a second
+    booking pass gives each stack its data as it is trained, so memory
+    stays flat in the stream length. A FedAvg round is a weighted average
+    of independent local runs, so each model has the bytes it has trained
     alone.
     """
     if eval_every < 1:
@@ -353,32 +356,19 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
     total = sum(sizes.values())
     removed: dict[SliceRef, int] = {}
     booked = 0
-    left = Counter()  # records remaining per client
-    for ref, size in sizes.items():
-        left[ref.client_id] += size
-    row_floats = 2 * dataset.dim + dataset.classes
-    member_floats = 4 * dataset.classes * dataset.dim
-
-    def refit_bytes() -> int:
-        members = sum(1 for n in left.values() if n)
-        return 8 * ((total - booked) * row_floats + members * member_floats)
-
-    # The bytes each refit adds to a stack, by timeline step.
-    refits = {0: refit_bytes()}
+    refits = [0]  # the timeline steps that refit, in order
     records = [TimelineRecord(step=0, method=METHOD_FEDRETRAIN, affected_unit="",
                               surviving=1, utility=None, notes="baseline")]
     downtime = 0
     for step, req in enumerate(requests, start=1):
-        newly = record_removal(removed, sizes, req)
-        booked += newly
-        left[req.target.client_id] -= newly
+        booked += record_removal(removed, sizes, req)
         surviving = int(booked < total)
         if not surviving:
             notes = "no records left to retrain on"
         else:
             downtime += rounds
             if step % eval_every == 0:
-                refits[step] = refit_bytes()
+                refits.append(step)
                 notes = f"retrained (cumulative downtime {downtime} rounds)"
             else:
                 notes = f"retraining charged (cumulative downtime {downtime} rounds)"
@@ -387,9 +377,16 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
             affected_unit=f"slice:({req.target.client_id},{req.target.slice_idx})",
             surviving=surviving, utility=None, notes=notes))
 
+    # The baseline refit's bytes; an empty dataset counts 1 and fails in
+    # training, as any refit of nothing does.
+    clients = len({ref.client_id for ref in sizes})
+    largest = 8 * (total * (2 * dataset.dim + dataset.classes)
+                   + clients * 4 * dataset.classes * dataset.dim)
+    size = max(1, _REFIT_STACK_BYTES // max(1, largest))
     removed.clear()
     replay, booked_to = iter(requests), 0
-    for stack in _cut_stacks(refits, _REFIT_STACK_BYTES):
+    for first in range(0, len(refits), size):
+        stack = refits[first:first + size]
         runs = []
         for step in stack:
             for req in islice(replay, step - booked_to):

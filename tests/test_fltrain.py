@@ -877,3 +877,18 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(rounds_per_phase=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(batch_size=2.5), "batch_size: expected an integer, got 2.5"),
+        (dict(epochs=1.5), "epochs: expected an integer, got 1.5"),
+        (dict(rounds_per_phase=True), "rounds_per_phase: expected an integer"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(lr=float("nan")), "lr must be a finite positive number, got nan"),
+        (dict(lr=float("inf")), "lr must be a finite positive number, got inf"),
+    ], ids=["batch_float", "epochs_float", "rounds_bool", "seed_negative",
+            "lr_nan", "lr_inf"])
+    def test_rejects_what_the_config_reader_rejects(self, kwargs, message):
+        # Each of these used to be accepted and fail later, inside the
+        # kernel or at the first stream.
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs)

@@ -546,6 +546,19 @@ class TestEstimateSemantics:
         with pytest.raises(ValueError):
             MCConfig(trials=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(trials=2.5), "trials: expected an integer, got 2.5"),
+        (dict(trials=True), "trials: expected an integer, got True"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+    ], ids=["trials_float", "trials_bool", "seed_negative"])
+    def test_config_rejects_what_the_config_reader_rejects(self, kwargs,
+                                                           message):
+        # Each of these used to be accepted: a float failed inside the
+        # sampler, a negative seed at the first stream, and True ran one
+        # trial.
+        with pytest.raises(ValueError, match=message):
+            MCConfig(**kwargs)
+
 
 SGT_REMAINING = functools.partial(mc_expected_remaining, "FedSGT")
 CIO_REMAINING = functools.partial(mc_expected_remaining, "FedCIO")

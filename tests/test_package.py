@@ -1,7 +1,9 @@
 """The package root re-exports nothing, and every module imports on its
 own: a public name has exactly one import path, its defining module. The
-pure-Python modules import without numpy."""
+pure-Python modules import without numpy, and every module reads every name
+it imports."""
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -54,3 +56,40 @@ def test_pure_modules_import_without_numpy(module):
 
 def test_modules_found():
     assert {"core", "cli"} <= set(MODULES)
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement of ``tree`` binds, with its line;
+    ``from __future__`` imports bind nothing."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` reads, in code and in annotations; a quoted
+    annotation is parsed for the names it reads too."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        for child in (getattr(node, "annotation", None),
+                      getattr(node, "returns", None)):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                names |= read_names(ast.parse(child.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "fedsgt").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = {name: line for name, line in imported_names(tree).items()
+              if name not in read_names(tree)}
+    assert unread == {}, f"{path.name} imports names it never reads"
