@@ -29,6 +29,11 @@ labels, the batch plan, the averaging positions) and steps it once per
 round (``_step_stack``: the batch orders drawn from the round keys, the
 epochs, the averages). A lone run's rounds are ``federated_round`` calls,
 each a one-run stack built and stepped once. Training runs on one thread.
+The step is where training spends its time: at the acceptance point
+``train_fedsgt`` makes 2,226 stacked steps of 5.2 members on average in 100
+``_step_stack`` calls, which take about 80 % of its time (2-CPU x86-64 VM).
+Each step is about fifteen numpy calls on small arrays, so the cost is call
+overhead, not arithmetic; ``_step_stack`` says what that shaped.
 
 Every stacked trainer cuts its runs, in order, by one rule: a stack holds
 ``max(1, bound // largest)`` consecutive runs, where ``largest`` is the
@@ -263,16 +268,32 @@ def _step_stack(stack: _Stack, actives: list[np.ndarray],
     ``keys[r]``: each run's averaged update, with the bytes
     ``federated_round`` gives it alone. Each member steps against its own
     run's frozen weights; per-member matmuls and softmax rows do not depend
-    on the rest of the stack."""
+    on the rest of the stack.
+
+    A step is about fifteen numpy calls on small arrays, so call overhead,
+    not arithmetic, sets its cost. Hence the gathers are ``take`` (2.8
+    against 5.8 us for ``xs[idx]`` at 10 x 32 x 20, 1.2 against 4.7 us for
+    the one-hot rows; numpy 2.4, 2-CPU x86-64 VM), and the residual and the
+    update are formed in place, in the order of ``a -= lr * ((probs -
+    onehot)^T @ xb / length)``, so the bytes are that expression's. Each
+    round key's stream is seeded once per call (about 12 us) and rewound to
+    its seeded state (about 1 us) before each further size draws, so every
+    size draws what a fresh stream would.
+    """
     modules = np.array(actives)[stack.owner]
     # order[e, i, :n_i] holds the rows of xs that member i visits in epoch
     # e. Runs that share a round key (FedRetrain's refits) share the draws
     # of a size.
-    order, drawn = stack.order, {}
+    order, drawn, streams = stack.order, {}, {}
     for n, r, first, stop in stack.draws:
         perms = drawn.get((n, keys[r]))
         if perms is None:
-            rng = keyed_stream((cfg.seed, *keys[r]))
+            if keys[r] in streams:
+                rng, seeded = streams[keys[r]]
+                rng.bit_generator.state = seeded
+            else:
+                rng = keyed_stream((cfg.seed, *keys[r]))
+                streams[keys[r]] = rng, rng.bit_generator.state
             perms = drawn[n, keys[r]] = np.array(
                 [rng.permutation(n) for _ in range(cfg.epochs)],
                 dtype=np.intp).reshape(cfg.epochs, 1, n)
@@ -282,14 +303,17 @@ def _step_stack(stack: _Stack, actives: list[np.ndarray],
     for epoch in range(cfg.epochs):
         for start, first, stop, length, fz in stack.steps:
             idx = order[epoch, first:stop, start:start + length]
-            xb = xs[idx]
+            xb = xs.take(idx, axis=0)
             a = modules[first:stop]
             probs = _softmax(xb @ (fz + a).transpose(0, 2, 1))
             if not np.isfinite(probs).all():
                 raise TrainingError(
                     f"non-finite loss (lr={cfg.lr}, batch={length} samples)")
-            grad = (probs - onehot[idx]).transpose(0, 2, 1) @ xb / length
-            a -= cfg.lr * grad
+            probs -= onehot.take(idx, axis=0)
+            grad = probs.transpose(0, 2, 1) @ xb
+            grad /= length
+            grad *= cfg.lr
+            a -= grad
 
     results = []
     for members, weights, samples in stack.averages:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
-                   TrainingError, keyed_stream)
+                   TrainingError, _count, check_counts, keyed_stream)
 from .dataset import Dataset
 from .fltrain import (CostMeter, Reuse, ToyModel, TrainConfig, client_data,
                       evaluate, fedavg_lockstep, matrix_accuracy, train_prefixes)
@@ -39,14 +39,15 @@ TIMELINE_HEADER = ("step", "method", "affected_unit", "status", "utility",
 
 @dataclass(frozen=True)
 class UnlearnRequest:
-    """Delete ``record_count`` records from one client slice."""
+    """Delete ``record_count`` records from one client slice. The count is
+    checked when built by the rule a request script is read by: a plain
+    integer of at least 1."""
 
     target: SliceRef
-    record_count: int = 100
+    record_count: int = _count(100, 1)
 
     def __post_init__(self):
-        if self.record_count < 1:
-            raise ValueError(f"record_count must be >= 1, got {self.record_count}")
+        check_counts(self)
 
 
 @dataclass

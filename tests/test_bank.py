@@ -56,6 +56,23 @@ class TestRoundTrip:
         write_bank(path, model)
         assert read_bank(path).sequences == model.sequences
 
+    def test_one_group_one_sequence_round_trips(self, tmp_path):
+        # L = B = 1 is the smallest bank the header allows.
+        ds = synth_dataset(clients=2, samples_per_client=10, dim=2, classes=2,
+                           alpha=None, seed=1, slices_per_client=1,
+                           test_samples=10)
+        plan = build_grouping(ds.slice_catalog(), 1, 1)
+        cfg = TrainConfig(epochs=1, lr=0.1, batch_size=4, seed=1)
+        model = train_fedsgt(ds, plan, build_sequences(1, 1, 1), cfg)
+        p1, p2 = tmp_path / "a.fsgt", tmp_path / "b.fsgt"
+        write_bank(p1, model)
+        back = read_bank(p1)
+        assert back.sequences == model.sequences
+        assert back.modules[0][0].weights.tobytes() == \
+            model.modules[0][0].weights.tobytes()
+        write_bank(p2, back)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_header_fields(self, trained, tmp_path):
         path = tmp_path / "m.fsgt"
         write_bank(path, trained)

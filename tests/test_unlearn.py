@@ -64,8 +64,16 @@ class TestRequests:
         assert seen == {ref for ref, _ in cat}
 
     def test_record_count_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="record_count must be >= 1, got 0"):
             UnlearnRequest(target=SliceRef(0, 0), record_count=0)
+
+    @pytest.mark.parametrize("count", [2.5, True], ids=["float", "bool"])
+    def test_record_count_rejects_what_the_script_reader_rejects(self, count):
+        # Both used to be accepted: FedRetrain then failed on 2.5 with a
+        # TypeError in client_data, and booked True as one record.
+        with pytest.raises(ValueError,
+                           match=f"record_count: expected an integer, got {count}"):
+            UnlearnRequest(SliceRef(0, 0), count)
 
 
 class TestProcessRequest:
@@ -337,6 +345,15 @@ class TestFedCIO:
         assert records[1].affected_unit == f"cluster:{cluster_of(2, 2)}"
         assert records[1].surviving == 1
 
+    def test_timeline_steps_are_the_request_count(self):
+        # Row t answers request t: the steps run 0..N with the baseline at 0.
+        ds, plan, seqs, cfg, model = build()
+        requests = uniform_requests(ds.slice_catalog(), 6, 1, 1)
+        records = fedcio_simulate(ds, 2, cfg, requests, rounds=1)
+        assert [r.step for r in records] == list(range(len(requests) + 1))
+        assert [r.affected_unit for r in records[1:]] == [
+            f"cluster:{cluster_of(req.target.client_id, 2)}" for req in requests]
+
     def test_clusters_match_per_cluster_fedavg(self):
         # 7 clients in 3 clusters of 3, 2 and 2 clients train in one stack;
         # each model and the booked cost must be those of its own run.
@@ -434,6 +451,22 @@ class TestFedRetrain:
         assert [r.utility is None for r in records] == [False] * last + [True, True]
         assert timeline_summary(records)["failure_step"] == last
         assert "downtime" not in records[last].notes
+
+    def test_last_record_fails_service_at_its_own_step(self):
+        # Every record but one deleted, then the last one: the step before
+        # still serves a refit on one record, and the first "no records
+        # left" row is the last step, not one earlier.
+        ds, plan, seqs, cfg, model = build()
+        catalog = ds.slice_catalog()
+        *rest, (last, size) = catalog
+        requests = [UnlearnRequest(ref, n) for ref, n in rest]
+        requests += [UnlearnRequest(last, size - 1), UnlearnRequest(last, 1)]
+        records = fedretrain_simulate(ds, cfg, requests, eval_every=1, rounds=1)
+        emptied = [r.step for r in records
+                   if r.notes == "no records left to retrain on"]
+        assert emptied == [len(requests)]
+        assert records[-2].surviving == 1
+        assert records[-2].utility is not None
 
     def test_capped_repeats_do_not_bring_the_failure_forward(self):
         ds, plan, seqs, cfg, model = build()
