@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .combinatorics import binomial, harmonic
-from .core import METHOD_FEDCIO, METHOD_FEDSGT
+from .core import METHOD_FEDCIO, METHOD_FEDSGT, check_at_least
 
 METHOD_FEDAVG = "FedAvg"
 
@@ -48,17 +48,6 @@ class AnalyticParams:
     adapter_params: int = 1
 
 
-def _check_positive(**kwargs: int) -> None:
-    for name, value in kwargs.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def _check_total_samples(total_samples: int) -> None:
-    if total_samples < 0:
-        raise ValueError(f"total_samples must be >= 0, got {total_samples}")
-
-
 def deletion_rate_fedsgt(group_count: int, budget: int) -> float:
     """Expected uniform deletion requests before every sequence is dead.
 
@@ -66,7 +55,7 @@ def deletion_rate_fedsgt(group_count: int, budget: int) -> float:
     of the cyclic rotations have been hit: a partial coupon collection,
     group_count * H_min(group_count, budget).
     """
-    _check_positive(group_count=group_count, budget=budget)
+    check_at_least(1, group_count=group_count, budget=budget)
     effective = min(group_count, budget)
     return float(group_count * harmonic(effective))
 
@@ -74,7 +63,7 @@ def deletion_rate_fedsgt(group_count: int, budget: int) -> float:
 def deletion_rate_fedcio(clusters: int) -> float:
     """Expected uniform deletion requests before every cluster is hit:
     the full coupon collection clusters * H_clusters."""
-    _check_positive(clusters=clusters)
+    check_at_least(1, clusters=clusters)
     return float(clusters * harmonic(clusters))
 
 
@@ -82,9 +71,8 @@ def _distinct_counts(group_count: int, requests: int) -> Iterator[list[int]]:
     """Yield N_0, ..., N_requests, where N_r[m] counts the length-r request
     sequences that hit exactly m groups: the occupancy birth chain (Feller,
     Vol. 1, ch. II) N_{r+1}(m) = m N_r(m) + (L-m+1) N_r(m-1), N_0 = [1, 0, ...]."""
-    _check_positive(group_count=group_count)
-    if requests < 0:
-        raise ValueError(f"requests must be >= 0, got {requests}")
+    check_at_least(1, group_count=group_count)
+    check_at_least(0, requests=requests)
     counts = [1] + [0] * group_count
     yield counts
     for _ in range(requests):
@@ -114,7 +102,7 @@ def prob_m_distinct(group_count: int, requests: int, distinct: int) -> Fraction:
 
 
 def _check_occupied(group_count: int, occupied: int) -> None:
-    _check_positive(group_count=group_count)
+    check_at_least(1, group_count=group_count)
     if occupied < 1 or occupied > group_count:
         raise ValueError(
             f"occupied must be in [1, {group_count}], got {occupied}")
@@ -131,8 +119,7 @@ def prob_max_gap_le(group_count: int, occupied: int, gap_bound: int) -> Fraction
         (1 / C(L-1, m-1)) * sum_j (-1)^j C(m, j) C(L-1-j*s, m-1).
     """
     _check_occupied(group_count, occupied)
-    if gap_bound < 0:
-        raise ValueError(f"gap_bound must be >= 0, got {gap_bound}")
+    check_at_least(0, gap_bound=gap_bound)
     if gap_bound == 0:
         return Fraction(0)
     total = binomial(group_count - 1, occupied - 1)
@@ -209,7 +196,7 @@ def expected_remaining_curve(total_samples: int, group_count: int,
     one ulp from the correctly rounded exact value (L = 6, r = 1, |D| =
     50,000 gives 41666.66666666667 for 125000/3).
     """
-    _check_total_samples(total_samples)
+    check_at_least(0, total_samples=total_samples)
     return [total_samples / group_count * (group_count - span)
             for span in expected_span_curve(group_count, max_requests)]
 
@@ -229,10 +216,9 @@ def expected_remaining_fedsgt(total_samples: int, group_count: int,
 def expected_remaining_fedcio(total_samples: int, clusters: int, requests: int) -> float:
     """E[data mass of untouched clusters] after ``requests`` uniform
     deletions with balanced clusters: |D| * (1 - 1/c)^r."""
-    _check_total_samples(total_samples)
-    _check_positive(clusters=clusters)
-    if requests < 0:
-        raise ValueError(f"requests must be >= 0, got {requests}")
+    check_at_least(0, total_samples=total_samples)
+    check_at_least(1, clusters=clusters)
+    check_at_least(0, requests=requests)
     return total_samples * (1.0 - 1.0 / clusters) ** requests
 
 
@@ -245,7 +231,7 @@ def expected_comm_cost(group_count: int, slices_per_client: int) -> float:
     position averages (L+1)/(K+1) and the per-sequence cost L - V + 1 sums to
     L(L+1) * E[K/(K+1)] over the whole rotation family.
     """
-    _check_positive(group_count=group_count, slices_per_client=slices_per_client)
+    check_at_least(1, group_count=group_count, slices_per_client=slices_per_client)
     *_, counts = _distinct_counts(group_count, slices_per_client)
     acc = sum(Fraction(n * k, k + 1) for k, n in enumerate(counts))
     return float(group_count * (group_count + 1) * acc / group_count ** slices_per_client)
@@ -255,7 +241,7 @@ def matched_budget(rounds: int, group_count: int) -> float:
     """Sequence budget that matches the FedAvg training budget of ``rounds``
     rounds: B = 2*T*L / (L+1), from equating B * (L+1)/2 phase-rounds with
     T * L."""
-    _check_positive(rounds=rounds, group_count=group_count)
+    check_at_least(1, rounds=rounds, group_count=group_count)
     return 2.0 * rounds * group_count / (group_count + 1)
 
 
@@ -270,10 +256,9 @@ def training_cost(method: str, params: AnalyticParams) -> float:
     """
     name = method.strip().lower()
     p = params
-    _check_positive(group_count=p.group_count, budget=p.budget,
-                    rounds=p.rounds, adapter_params=p.adapter_params)
-    if p.epochs < 0 or p.total_samples < 0:
-        raise ValueError("epochs and total_samples must be nonnegative")
+    check_at_least(1, group_count=p.group_count, budget=p.budget,
+                   rounds=p.rounds, adapter_params=p.adapter_params)
+    check_at_least(0, epochs=p.epochs, total_samples=p.total_samples)
     base = p.epochs * p.total_samples * p.adapter_params
     if name == METHOD_FEDAVG.lower() or name == METHOD_FEDCIO.lower():
         return float(p.rounds * base * p.group_count)

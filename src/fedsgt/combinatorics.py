@@ -12,20 +12,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .core import check_at_least
+
 
 def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n as an exact rational. n must be >= 1."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"harmonic: n must be an int, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError(f"harmonic: n must be >= 1, got {n}")
+    check_at_least(1, n=n)
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k); zero when k > n. Both arguments must be nonnegative."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial: arguments must be nonnegative, got ({n}, {k})")
+    check_at_least(0, n=n, k=k)
     return math.comb(n, k)
 
 
@@ -36,7 +36,6 @@ def stirling2(r: int, m: int) -> int:
     Counts surjections by inclusion-exclusion and divides out the block
     labels: S(r, m) = sum_j (-1)^j C(m, j) (m - j)^r / m!, exact for any r.
     """
-    if r < 0 or m < 0:
-        raise ValueError(f"stirling2: arguments must be nonnegative, got ({r}, {m})")
+    check_at_least(0, r=r, m=m)
     onto = sum((-1) ** j * math.comb(m, j) * (m - j) ** r for j in range(m + 1))
     return onto // math.factorial(m)

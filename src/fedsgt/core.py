@@ -180,6 +180,16 @@ def plain_int(errors: list[str], value: Any, minimum: int, label: str) -> int | 
     return value
 
 
+def check_at_least(minimum: int, **values: Any) -> None:
+    """Raise ValueError ``"<name> must be >= <minimum>, got <value>"`` for
+    the first of ``values``, in keyword order, below ``minimum``: the one
+    rule for the counts a library call takes. Values are compared only, so
+    numpy integers pass as plain ones do."""
+    for name, value in values.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def check_counts(spec: Any) -> None:
     """Raise ValueError for the first ``_count`` field of the dataclass
     instance ``spec`` that ``plain_int`` rejects, so a library config takes

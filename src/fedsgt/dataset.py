@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import STREAM_TAGS, TrainingError, keyed_stream, plain_int
+from .core import (STREAM_TAGS, TrainingError, check_at_least, keyed_stream,
+                   plain_int)
 from .grouping import SliceRef, near_equal_runs
 
 _MEAN_SCALE = 3.0
@@ -78,8 +79,8 @@ def synth_dataset(clients: int, samples_per_client: int, dim: int, classes: int,
     None selects IID (uniform) proportions. The test split is global and
     label-balanced. Slices and test-class counts follow ``near_equal_runs``.
     """
-    if clients < 1 or samples_per_client < 1 or slices_per_client < 1:
-        raise ValueError("clients, samples_per_client, slices_per_client must be >= 1")
+    check_at_least(1, clients=clients, samples_per_client=samples_per_client,
+                   slices_per_client=slices_per_client)
     if samples_per_client < slices_per_client:
         raise ValueError(
             f"cannot cut {samples_per_client} samples into {slices_per_client} slices")

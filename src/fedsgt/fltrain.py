@@ -60,7 +60,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (ModuleTrainerSpec, ServiceUnavailable, TrainingError,
-                   _count, _positive_number, check_counts, keyed_stream)
+                   _count, _positive_number, check_at_least, check_counts, keyed_stream)
 from .dataset import Dataset
 from .grouping import GroupingPlan, SliceRef
 from .sequencing import (SequenceSet, SequenceState, select_allseq,
@@ -78,8 +78,6 @@ class TrainConfig(ModuleTrainerSpec):
 
     def __post_init__(self):
         check_counts(self)
-        if isinstance(self.lr, (int, float)) and self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
         if not _positive_number(self.lr):
             raise ValueError(f"lr must be a finite positive number, got {self.lr!r}")
 
@@ -119,8 +117,8 @@ class CostMeter:
 
     def charge(self, samples: int, params: int, modules: int = 1,
                epochs: int = 1) -> None:
-        if min(samples, params, modules, epochs) < 0:
-            raise ValueError("cost components must be nonnegative")
+        check_at_least(0, samples=samples, params=params, modules=modules,
+                       epochs=epochs)
         self.updates += samples * params * modules * epochs
 
 
@@ -574,8 +572,7 @@ def fedavg_lockstep(runs: list[tuple[dict[int, tuple[np.ndarray, np.ndarray]],
     at once, through ``_run_rounds`` on the zero backbone: round t of every
     run steps in one stack, a lone run steps through ``federated_round``,
     and each model has the bytes ``fedavg_train`` gives it alone."""
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    check_at_least(1, rounds=rounds)
     frozen = np.zeros((classes, dim))
     return _run_rounds([(frozen, data, namespace) for data, namespace in runs],
                        rounds, cfg, meter, cost_modules)

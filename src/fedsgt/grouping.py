@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import check_at_least
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -105,8 +107,7 @@ def build_grouping(slice_catalog: Sequence[tuple[SliceRef, int]],
     """Partition the shuffled catalog into ``group_count`` groups cut by
     ``near_equal_runs``. The catalog must contain at least one slice per
     group and no duplicate refs."""
-    if group_count < 1:
-        raise ValueError(f"group_count must be >= 1, got {group_count}")
+    check_at_least(1, group_count=group_count)
     refs = [ref for ref, _ in slice_catalog]
     if len(set(refs)) != len(refs):
         raise ValueError("slice_catalog contains duplicate slice refs")

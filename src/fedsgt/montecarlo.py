@@ -36,7 +36,7 @@ import numpy as np
 
 from . import analytics
 from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, _count,
-                   check_counts, keyed_stream)
+                   check_at_least, check_counts, keyed_stream)
 
 CHUNK_TRIALS = 8192
 _BLOCK = 64  # draws per vectorized coverage step
@@ -229,7 +229,7 @@ def _rotation_heads(group_count: int, budget: int) -> list[int]:
 
 
 def _deletion_fedsgt_job(group_count: int, budget: int) -> Job:
-    analytics._check_positive(group_count=group_count, budget=budget)
+    check_at_least(1, group_count=group_count, budget=budget)
     heads = _rotation_heads(group_count, budget)
     # The trailing 0 is part of the key every estimate's chunk streams were
     # seeded with; dropping it would change the bytes of every estimate.
@@ -238,7 +238,7 @@ def _deletion_fedsgt_job(group_count: int, budget: int) -> Job:
 
 
 def _deletion_fedcio_job(clusters: int) -> Job:
-    analytics._check_positive(clusters=clusters)
+    check_at_least(1, clusters=clusters)
     heads = list(range(clusters))
     return ((STREAM_TAGS["mc_deletion_fedcio"], clusters),
             lambda rng, n: _coverage_times(rng, n, clusters, heads))
@@ -277,7 +277,7 @@ def _span_samples(rng: np.random.Generator, n: int, group_count: int,
 
 
 def _span_job(group_count: int, requests: int) -> Job:
-    analytics._check_positive(group_count=group_count, requests=requests)
+    check_at_least(1, group_count=group_count, requests=requests)
     return ((STREAM_TAGS["mc_span"], group_count, requests),
             lambda rng, n: _span_samples(rng, n, group_count, requests))
 
@@ -290,8 +290,8 @@ def mc_expected_span(group_count: int, requests: int, cfg: MCConfig,
 
 def _remaining_job(method: str, total_samples: int, units: int,
                    requests: int) -> Job:
-    analytics._check_total_samples(total_samples)
-    analytics._check_positive(units=units, requests=requests)
+    check_at_least(0, total_samples=total_samples)
+    check_at_least(1, units=units, requests=requests)
     name = method.strip().lower()
     if name == METHOD_FEDSGT.lower():
         def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -333,8 +333,7 @@ def _comm_cost_samples(rng: np.random.Generator, n: int, group_count: int,
 
 
 def _comm_cost_job(group_count: int, slices_per_client: int) -> Job:
-    analytics._check_positive(group_count=group_count,
-                              slices_per_client=slices_per_client)
+    check_at_least(1, group_count=group_count, slices_per_client=slices_per_client)
     return ((STREAM_TAGS["mc_comm"], group_count, slices_per_client),
             lambda rng, n: _comm_cost_samples(rng, n, group_count,
                                               slices_per_client))

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import STREAM_TAGS, budget_error, keyed_stream
+from .core import STREAM_TAGS, budget_error, check_at_least, keyed_stream
 
 
 @dataclass(frozen=True)
@@ -61,22 +61,18 @@ def rotation(group_count: int, t: int) -> tuple[int, ...]:
 def build_sequences(group_count: int, budget: int, seed: int = 0) -> SequenceSet:
     """Build the sequence family: min(L, budget) rotations first, then seeded
     random distinct permutations for any budget beyond L."""
-    if group_count < 1:
-        raise ValueError(f"group_count must be >= 1, got {group_count}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_at_least(1, group_count=group_count, budget=budget)
     if (problem := budget_error(group_count, budget)) is not None:
         raise ValueError(f"budget {problem}")
     rotations = min(group_count, budget)
     perms = [rotation(group_count, t) for t in range(rotations)]
-    if budget > rotations:
-        seen = set(perms)
-        rng = keyed_stream((seed, STREAM_TAGS["sequence_orders"]))
-        while len(perms) < budget:
-            candidate = tuple(int(g) for g in rng.permutation(group_count))
-            if candidate not in seen:
-                seen.add(candidate)
-                perms.append(candidate)
+    seen = set(perms)
+    rng = keyed_stream((seed, STREAM_TAGS["sequence_orders"]))
+    while len(perms) < budget:
+        candidate = tuple(int(g) for g in rng.permutation(group_count))
+        if candidate not in seen:
+            seen.add(candidate)
+            perms.append(candidate)
     return SequenceSet(group_count=group_count, perms=tuple(perms))
 
 

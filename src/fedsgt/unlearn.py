@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
-                   TrainingError, _count, check_counts, keyed_stream)
+                   TrainingError, _count, check_at_least, check_counts, keyed_stream)
 from .dataset import Dataset
 from .fltrain import (CostMeter, Reuse, ToyModel, TrainConfig, client_data,
                       evaluate, fedavg_lockstep, matrix_accuracy, train_prefixes)
@@ -350,8 +350,7 @@ def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
     of independent local runs, so each model has the bytes it has trained
     alone.
     """
-    if eval_every < 1:
-        raise ValueError(f"eval_every must be >= 1, got {eval_every}")
+    check_at_least(1, eval_every=eval_every)
     requests = list(requests)
     sizes = dict(dataset.slice_catalog())
     total = sum(sizes.values())

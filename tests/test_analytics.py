@@ -370,6 +370,15 @@ class TestBudgetAndCost:
         with pytest.raises(ValueError):
             training_cost("sgd", params)
 
+    @pytest.mark.parametrize("field, message", [
+        ("epochs", "epochs must be >= 0, got -1"),
+        ("total_samples", "total_samples must be >= 0, got -1"),
+    ])
+    def test_negative_work_rejected(self, field, message):
+        params = AnalyticParams(**{field: -1})
+        with pytest.raises(ValueError, match=message):
+            training_cost("FedSGT", params)
+
     def test_method_case_insensitive(self):
         params = AnalyticParams()
         assert training_cost("fedavg", params) == training_cost("FedAvg", params)

@@ -801,6 +801,12 @@ class TestCsvDataset:
 UNREADABLE = {"missing": None, "directory": None,
               "non-utf8": b"\xff\xfe{\"client\": 0}", "not-json": b"{not json",
               "deep-json": DEEP_JSON.encode()}
+# What a missing file's error line says before its path: the OS reason
+# follows, not the exception's repr.
+MISSING_PREFIX = {"--config": "config error: config file ",
+                  "--manifest": "config error: config file ",
+                  "--requests-file": "config error: requests file ",
+                  "--bank": "bank error: "}
 
 
 @pytest.mark.parametrize("kind", UNREADABLE)
@@ -826,6 +832,8 @@ def test_unreadable_input_file(tmp_path, request, capsys, command, flag, code,
     assert err.startswith("bank error: " if code == 4 else "config error: ")
     assert err.count("\n") == 1 and str(path) in err
     assert "Traceback" not in err
+    if kind == "missing":
+        assert err == f"{MISSING_PREFIX[flag]}{path}: No such file or directory\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsgt.analytics import prob_m_distinct
-from fedsgt.grouping import (SliceRef, build_grouping, fisher_yates,
-                             group_of, near_equal_runs, plan_to_json)
+from fedsgt.grouping import (SliceRef, SplitMix64, build_grouping,
+                             fisher_yates, group_of, near_equal_runs,
+                             plan_to_json)
 
 
 def catalog(clients: int, slices: int, size: int = 10):
@@ -97,6 +98,26 @@ class TestBuildGrouping:
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ValueError):
             build_grouping([(SliceRef(0, 0), 0), (SliceRef(0, 1), 5)], 2, seed=0)
+
+
+class TestSplitMix64:
+    # The published splitmix64 outputs (Steele, Lea and Flood 2014; Vigna's
+    # reference C): the plan format pins this generator so any
+    # implementation can replay a shuffle, so its words are pinned here.
+    @pytest.mark.parametrize("seed, words", [
+        (0, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]),
+        (1234567, [6457827717110365317, 3203168211198807973,
+                   9817491932198370423]),
+    ])
+    def test_known_answers(self, seed, words):
+        rng = SplitMix64(seed)
+        assert [rng.next_uint64() for _ in words] == words
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bounded_rejects_an_empty_range(self, n):
+        with pytest.raises(ValueError,
+                           match=f"bounded: n must be positive, got {n}"):
+            SplitMix64(0).bounded(n)
 
 
 class TestLookups:

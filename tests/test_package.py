@@ -93,3 +93,39 @@ def test_every_imported_name_is_read(path):
     unread = {name: line for name, line in imported_names(tree).items()
               if name not in read_names(tree)}
     assert unread == {}, f"{path.name} imports names it never reads"
+
+
+# ``core`` declares the config field and the positive-number rule that the
+# trainer and request types share; every other private name stays private
+# to its module.
+SHARED_PRIVATE = {("core", "_count"), ("core", "_positive_number")}
+
+
+def private_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """Each (module, name) of another package module's ``_``-prefixed name
+    that ``tree`` reads: imported from that module, or read as an attribute
+    of the module imported whole. Dunder names are not private."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif private(alias.name):
+                    reads.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "fedsgt").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_reads_another_modules_private_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert private_reads(tree) - SHARED_PRIVATE == set()
+

@@ -130,6 +130,12 @@ class TestDeletionTable:
         assert cyclic_span(6, frozenset({1, 5})) == 3
         assert cyclic_span(6, frozenset({1, 5, 2})) == 4
 
+    @pytest.mark.parametrize("group", [6, -1])
+    def test_span_rejects_groups_out_of_range(self, group):
+        with pytest.raises(ValueError,
+                           match=r"deleted groups out of range \[0, 6\)"):
+            cyclic_span(6, {group})
+
 
 class TestDeletionAlgebra:
     def test_order_independent(self):

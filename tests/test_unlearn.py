@@ -2,6 +2,9 @@
 
 import csv
 import dataclasses
+import functools
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -731,30 +734,112 @@ class TestRace:
                     == race_oracle(plan, seqs, clusters=5, seed=seed)), seed
 
 
-# Unequal groups: ``build_grouping`` gives the first ``slices % L`` groups an
-# extra slice, and requests are uniform over slices, but the closed form
-# assumes uniform groups (ROADMAP item 1).
+def mean_failure_step(weights, failed):
+    """The exact mean request count until ``failed(hit)`` holds, when each
+    request hits unit u with probability weights[u] / N: the absorption
+    time of the chain on the set of units hit so far (Kemeny and Snell,
+    "Finite Markov Chains", ch. III), in rationals:
+    E[S] = (N + sum_{u not in S} w_u E[S | {u}]) / (N - w(S)), and E = 0 on
+    failed sets."""
+    total = sum(weights)
+
+    @functools.cache
+    def mean(hit):
+        if failed(hit):
+            return Fraction(0)
+        ahead = sum(w * mean(hit | {u}) for u, w in enumerate(weights)
+                    if u not in hit)
+        return (total + ahead) / (total - sum(weights[u] for u in hit))
+
+    return mean(frozenset())
+
+
+def fedsgt_mean_failure_step(plan, seqs):
+    """Requests uniform over slices: group g is hit with weight its slice
+    count, and FedSGT fails once the serving state of the deleted groups has
+    no survivor."""
+    return mean_failure_step([len(members) for members in plan.groups],
+                             lambda hit: state_from_deleted(seqs, hit).all_dead)
+
+
+def fedcio_mean_failure_step(plan, clusters):
+    """FedCIO over the occupied clusters, each weighted by its slice count:
+    it fails once every one has been hit."""
+    weights = list(Counter(cluster_of(ref.client_id, clusters)
+                           for ref in plan.sizes).values())
+    return mean_failure_step(weights, lambda hit: len(hit) == len(weights))
+
+
+def single_slice_plan(slices, groups, budget):
+    plan = build_grouping([(SliceRef(i, 0), 40) for i in range(slices)],
+                          groups, 0)
+    return plan, build_sequences(groups, budget, 0)
+
+
+def ten_client_plan():
+    """The FedCIO plans of ROADMAP item 1: 10 clients of 5 slices each."""
+    return build_grouping([(SliceRef(c, s), 40) for c in range(10)
+                           for s in range(5)], 10, 0)
+
+
+def test_mean_failure_step_on_hand_solved_plans():
+    # By inclusion-exclusion over the units still to hit, E = sum over
+    # nonempty sets S of (-1)^(|S|+1) N / w(S).
+    # 3 slices, L=B=2: groups of 2 and 1 slices, both heads.
+    assert fedsgt_mean_failure_step(*single_slice_plan(3, 2, 2)) == \
+        Fraction(3, 2) + 3 - 1
+    # 10 clients x 5 slices in 3 clusters of 4, 3, 3 clients.
+    assert fedcio_mean_failure_step(ten_client_plan(), 3) == (
+        Fraction(50, 20) + 2 * Fraction(50, 15) - 2 * Fraction(50, 35)
+        - Fraction(50, 30) + 1)
+
+
+# Unequal units: ``build_grouping`` gives the first ``slices % L`` groups an
+# extra slice, ``cluster_of`` deals clients round-robin, and requests are
+# uniform over slices, but the closed forms assume uniform groups and
+# clusters (ROADMAP item 1).
 UNEQUAL_GROUPS = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="deletion_rate_fedsgt assumes equal groups (ROADMAP item 1)")
+UNEQUAL_CLUSTERS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="deletion_rate_fedcio assumes equal clusters (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("slices, groups, budget", [
+    (50, 10, 4), (50, 10, 10), (50, 10, 13), (10, 5, 5),
+    pytest.param(11, 10, 10, marks=UNEQUAL_GROUPS),
+    pytest.param(3, 2, 2, marks=UNEQUAL_GROUPS),
+])
+def test_deletion_rate_fedsgt_is_the_exact_mean(slices, groups, budget):
+    plan, seqs = single_slice_plan(slices, groups, budget)
+    assert deletion_rate_fedsgt(groups, budget) == \
+        float(fedsgt_mean_failure_step(plan, seqs))
+
+
+@pytest.mark.parametrize("clusters", [
+    1, 2, 5, 10,
+    pytest.param(3, marks=UNEQUAL_CLUSTERS),
+    pytest.param(4, marks=UNEQUAL_CLUSTERS),
+])
+def test_deletion_rate_fedcio_is_the_exact_mean(clusters):
+    assert deletion_rate_fedcio(clusters) == \
+        float(fedcio_mean_failure_step(ten_client_plan(), clusters))
 
 
 @pytest.mark.parametrize("slices, groups, budget, trials", [
     (50, 10, 4, 400), (50, 10, 10, 400), (50, 10, 13, 400), (10, 5, 5, 1000),
-    pytest.param(11, 10, 10, 1000, marks=UNEQUAL_GROUPS),
-    pytest.param(3, 2, 2, 3000, marks=UNEQUAL_GROUPS),
+    (11, 10, 10, 1000), (3, 2, 2, 3000),
 ])
 def test_simulator_failure_step_matches_deletion_rate(slices, groups, budget,
                                                       trials):
-    """The simulator as the deletion rate's third checker: the mean FedSGT
-    failure step of the race over seeds 0..trials-1 lies within three
-    standard errors of the closed form."""
-    plan = build_grouping([(SliceRef(i, 0), 40) for i in range(slices)],
-                          groups, 0)
-    seqs = build_sequences(groups, budget, 0)
+    """The simulator against the exact mean: the mean FedSGT failure step
+    of the race over seeds 0..trials-1 lies within three standard errors
+    of ``fedsgt_mean_failure_step``, on unequal groups too."""
+    plan, seqs = single_slice_plan(slices, groups, budget)
     steps = np.array([race_failure_steps(plan, seqs, clusters=1, seed=seed)[0]
                       for seed in range(trials)], dtype=np.float64)
-    z = ((steps.mean() - deletion_rate_fedsgt(groups, budget))
+    z = ((steps.mean() - float(fedsgt_mean_failure_step(plan, seqs)))
          / (steps.std(ddof=1) / np.sqrt(trials)))
     assert abs(z) <= 3, z
 
