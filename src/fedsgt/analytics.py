@@ -23,29 +23,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 from .combinatorics import binomial, harmonic
-from .core import METHOD_FEDCIO, METHOD_FEDSGT, check_at_least
+from .core import METHOD_FEDCIO, METHOD_FEDSGT, _count, check_at_least, check_fields
 
 METHOD_FEDAVG = "FedAvg"
 
 
 @dataclass(frozen=True)
 class AnalyticParams:
-    """Inputs for cost formulas, named for what they are.
+    """Inputs for cost formulas, named for what they are, checked when built
+    by ``core.check_fields``: each an integer at its minimum.
 
     adapter_params is the trainable parameter count of one adapter module;
     the FedAvg / FedCIO baselines fine-tune the whole stack of
     ``group_count`` modules every round, FedSGT trains one module per phase.
     """
 
-    group_count: int = 10
-    budget: int = 10
-    total_samples: int = 50_000
-    rounds: int = 10
-    epochs: int = 3
-    adapter_params: int = 1
+    group_count: int = _count(10, 1)
+    budget: int = _count(10, 1)
+    total_samples: int = _count(50_000, 0)
+    rounds: int = _count(10, 1)
+    epochs: int = _count(3, 0)
+    adapter_params: int = _count(1, 1)
+
+    __post_init__ = check_fields
 
 
 def deletion_rate_fedsgt(group_count: int, budget: int) -> float:
@@ -68,17 +72,17 @@ def deletion_rate_fedcio(clusters: int) -> float:
 
 
 def _distinct_counts(group_count: int, requests: int) -> Iterator[list[int]]:
-    """Yield N_0, ..., N_requests, where N_r[m] counts the length-r request
+    """N_0, ..., N_requests, lazily, where N_r[m] counts the length-r request
     sequences that hit exactly m groups: the occupancy birth chain (Feller,
-    Vol. 1, ch. II) N_{r+1}(m) = m N_r(m) + (L-m+1) N_r(m-1), N_0 = [1, 0, ...]."""
+    Vol. 1, ch. II) N_{r+1}(m) = m N_r(m) + (L-m+1) N_r(m-1), N_0 = [1, 0, ...].
+    The arguments are checked when it is called, before any entry is read."""
     check_at_least(1, group_count=group_count)
     check_at_least(0, requests=requests)
-    counts = [1] + [0] * group_count
-    yield counts
-    for _ in range(requests):
-        counts = [0] + [m * counts[m] + (group_count - m + 1) * counts[m - 1]
-                        for m in range(1, group_count + 1)]
-        yield counts
+
+    def step(counts: list[int], _: int) -> list[int]:
+        return [0] + [m * counts[m] + (group_count - m + 1) * counts[m - 1]
+                      for m in range(1, group_count + 1)]
+    return accumulate(range(requests), step, initial=[1] + [0] * group_count)
 
 
 def distinct_count_law(group_count: int, requests: int) -> list[Fraction]:
@@ -173,12 +177,13 @@ def expected_span_curve(group_count: int, max_requests: int) -> list[float]:
     sum_m N_r(m) S_m (den / T_m) / (den L^r), one correctly rounded division
     of two integers: the float of the exact rational. Zero requests give span
     zero."""
+    chain = _distinct_counts(group_count, max_requests)
     pairs = [_span_pair(group_count, m)
              for m in range(1, min(group_count, max_requests) + 1)]
     den = math.lcm(*(t for _, t in pairs))
     weights = [s * (den // t) for s, t in pairs]
     return [sum(n * w for n, w in zip(counts[1:], weights)) / (den * group_count ** r)
-            for r, counts in enumerate(_distinct_counts(group_count, max_requests))]
+            for r, counts in enumerate(chain)]
 
 
 def expected_span(group_count: int, requests: int) -> float:
@@ -256,9 +261,6 @@ def training_cost(method: str, params: AnalyticParams) -> float:
     """
     name = method.strip().lower()
     p = params
-    check_at_least(1, group_count=p.group_count, budget=p.budget,
-                   rounds=p.rounds, adapter_params=p.adapter_params)
-    check_at_least(0, epochs=p.epochs, total_samples=p.total_samples)
     base = p.epochs * p.total_samples * p.adapter_params
     if name == METHOD_FEDAVG.lower() or name == METHOD_FEDCIO.lower():
         return float(p.rounds * base * p.group_count)

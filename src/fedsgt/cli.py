@@ -35,9 +35,9 @@ import numpy as np
 from . import __version__, analytics, montecarlo
 from .bank import read_bank, write_bank
 from .core import (STRATEGIES, BankFormatError, ConfigurationError, CsvSpec,
-                   FedSGTError, ModuleTrainerSpec, RunConfig, SyntheticSpec,
-                   TrainingError, budget_error, dataset_fit_errors,
-                   parse_script, validate_config)
+                   FedSGTError, ModuleTrainerSpec, RequestSpec, RunConfig,
+                   SyntheticSpec, TrainingError, _count, budget_error,
+                   dataset_fit_errors, parse_script, validate_config)
 from .dataset import Dataset, load_csv_dataset, synth_dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
                       sequence_logits, train_fedsgt)
@@ -505,13 +505,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_flag(parser: argparse.ArgumentParser, flag: str, default: int,
-              minimum: int, **kwargs: Any) -> None:
-    """Declare an integer flag with its default and its minimum, which
-    ``_check_flags`` enforces."""
-    dest = parser.add_argument(flag, type=int, default=default, **kwargs).dest
+def _int_flag(parser: argparse.ArgumentParser, flag: str,
+              count: dataclasses.Field, **kwargs: Any) -> None:
+    """Declare an integer flag with the default and the minimum of the
+    ``_count`` field ``count``: the field the flag fills, or the flag's own.
+    ``_check_flags`` enforces the minimum."""
+    dest = parser.add_argument(flag, type=int, default=count.default, **kwargs).dest
     parser.set_defaults(minimums=(*(parser.get_default("minimums") or ()),
-                                  (flag, dest, minimum)))
+                                  (flag, dest, count.metadata["minimum"])))
+
+
+def _fields(spec: type) -> dict[str, dataclasses.Field]:
+    return {f.name: f for f in dataclasses.fields(spec)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,26 +528,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="emit closed-form tables")
-    _int_flag(p, "--groups", 10, 1)
-    _int_flag(p, "--budget", 10, 1)
-    _int_flag(p, "--clusters", 5, 1)
-    _int_flag(p, "--data-size", 50_000, 0)
-    _int_flag(p, "--slices-per-client", 2, 1)
-    _int_flag(p, "--rounds", 10, 1)
-    _int_flag(p, "--epochs", 3, 0)
-    _int_flag(p, "--adapter-params", 1, 1)
-    _int_flag(p, "--t-cluster", 2, 1,
+    params = _fields(analytics.AnalyticParams)
+    _int_flag(p, "--groups", params["group_count"])
+    _int_flag(p, "--budget", params["budget"])
+    _int_flag(p, "--clusters", _count(5, 1))
+    _int_flag(p, "--data-size", params["total_samples"])
+    _int_flag(p, "--slices-per-client", _count(2, 1))
+    _int_flag(p, "--rounds", params["rounds"])
+    _int_flag(p, "--epochs", params["epochs"])
+    _int_flag(p, "--adapter-params", params["adapter_params"])
+    _int_flag(p, "--t-cluster", _count(2, 1),
               help="clustering overhead rounds charged to FedCIO")
-    _int_flag(p, "--max-requests", 25, 0)
+    _int_flag(p, "--max-requests", _count(25, 0))
     p.add_argument("--out", default="analyze-out")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("validate", help="Monte Carlo cross-check of closed forms")
-    _int_flag(p, "--trials", 200_000, 1)
-    _int_flag(p, "--seed", 0, 0)
+    mc = _fields(MCConfig)
+    _int_flag(p, "--trials", mc["trials"])
+    _int_flag(p, "--seed", mc["seed"])
     p.add_argument("--confidence-k", type=float, default=3.0)
-    _int_flag(p, "--workers", 1, 1)
-    _int_flag(p, "--data-size", 50_000, 0)
+    _int_flag(p, "--workers", _count(1, 1))
+    _int_flag(p, "--data-size", _count(50_000, 0))
     p.add_argument("--out", default="validate-out")
     p.set_defaults(func=cmd_validate)
 
@@ -555,9 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", required=True)
     p.add_argument("--manifest", default=None)
     p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    _int_flag(p, "--count", 0, 0)
-    _int_flag(p, "--request-seed", 0, 0)
-    _int_flag(p, "--record-count", 100, 1)
+    requests = _fields(RequestSpec)
+    _int_flag(p, "--count", requests["count"])
+    _int_flag(p, "--request-seed", requests["seed"])
+    _int_flag(p, "--record-count", requests["record_count"])
     p.add_argument("--requests-file", default=None,
                    help="JSON list of {client, slice, records}")
     p.add_argument("--audit", action="store_true",
@@ -568,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="FedSGT vs FedCIO vs FedRetrain")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    _int_flag(p, "--retrain-stride", 5, 1)
+    _int_flag(p, "--retrain-stride", _count(5, 1))
     p.set_defaults(func=cmd_compare)
     return parser
 

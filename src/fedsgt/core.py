@@ -8,8 +8,10 @@ that is round-trippable through JSON manifests.
 
 from __future__ import annotations
 
+import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import Field, asdict, dataclass, field, fields
+from functools import cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -79,8 +81,9 @@ class ServiceUnavailable(FedSGTError):
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
-# Each integer field declares its default and minimum once, via ``_count``;
-# validation, the unknown-key check and ``to_dict`` walk the fields.
+# Each integer field declares its default and minimum once, via ``_count``,
+# and each number field its default once, via ``_number``. Config files are
+# read, library configs checked, and ``to_dict`` written by walking fields.
 
 
 def _count(default: int, minimum: int) -> Any:
@@ -89,12 +92,18 @@ def _count(default: int, minimum: int) -> Any:
     return field(default=default, metadata={"minimum": minimum})
 
 
+def _number(default: float | None, nullable: bool = False) -> Any:
+    """A number config field: ``default`` when the key is absent; a value
+    must be a finite positive number, or None when ``nullable``."""
+    return field(default=default, metadata={"nullable": nullable})
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     dim: int = _count(20, 2)  # classes <= dim and classes >= 2
     classes: int = _count(5, 2)
     samples_per_client: int = _count(200, 1)
-    alpha: float | None = 0.3  # Dirichlet concentration; None means IID
+    alpha: float | None = _number(0.3, nullable=True)  # Dirichlet concentration; None means IID
     test_samples: int = _count(500, 1)
 
     def to_dict(self) -> dict[str, Any]:
@@ -117,7 +126,7 @@ class ModuleTrainerSpec:
     # epochs = 0 is allowed on purpose: it yields all-zero modules and is a
     # useful structure-only mode for fast service-dynamics experiments.
     epochs: int = _count(3, 0)
-    lr: float = 0.1
+    lr: float = _number(0.1)
     batch_size: int = _count(32, 1)
     rounds_per_phase: int = _count(1, 1)
 
@@ -166,58 +175,94 @@ class RunConfig:
                 "requests": self.requests.to_dict()}
 
 
-def plain_int(errors: list[str], value: Any, minimum: int, label: str) -> int | None:
-    """``value`` when it is a plain integer of at least ``minimum``. Anything
-    else (a bool, a float such as ``2.0``, ``4.7`` or JSON's ``1e400``, a
-    string) is added to ``errors`` and gives None. The integers of configs,
-    request scripts and dataset manifests are all read here."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{label}: expected an integer, got {value!r}")
-        return None
+def _count_problem(value: Any, minimum: int) -> str | None:
+    """What keeps ``value`` from being a count of at least ``minimum``, or
+    None. This is the one integer rule: an integer that is not a bool. A
+    float such as ``2.0``, ``4.7`` or JSON's ``1e400`` and a string are
+    rejected; numpy integers pass as plain ones do. ``int`` is tried before
+    the ``Integral`` ABC, whose check costs several times more."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        return f"expected an integer, got {value!r}"
     if value < minimum:
-        errors.append(f"{label}: must be >= {minimum}, got {value}")
+        return f"must be >= {minimum}, got {value}"
+    return None
+
+
+def _positive_number(value: Any) -> bool:
+    """A positive number that converts to a finite float; JSON may carry
+    NaN, Infinity and integers past the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
+
+
+def _field_problem(f: Field, value: Any) -> str | None:
+    """What keeps ``value`` from filling the declared field ``f``, or None."""
+    if "minimum" in f.metadata:
+        return _count_problem(value, f.metadata["minimum"])
+    nullable = f.metadata["nullable"]
+    if _positive_number(value) or (nullable and value is None):
         return None
-    return value
+    return (f"must be a finite positive number{' or null' if nullable else ''}, "
+            f"got {value!r}")
+
+
+@cache
+def _declared(spec: type) -> tuple[Field, ...]:
+    """The ``_count`` fields of the dataclass ``spec`` in field order, then
+    its ``_number`` fields (the fields with metadata): the order their
+    problems are reported in."""
+    return tuple(sorted((f for f in fields(spec) if f.metadata),
+                        key=lambda f: "nullable" in f.metadata))
+
+
+def _library_error(name: str, problem: str) -> ValueError:
+    """A library call's error: ``"<name> must be ..."`` for a value out of
+    range, ``"<name>: expected an integer, got ..."`` for a wrong type."""
+    return ValueError(f"{name}{' ' if problem.startswith('must') else ': '}{problem}")
+
+
+def plain_int(errors: list[str], value: Any, minimum: int, label: str) -> int | None:
+    """``value`` when it is an integer of at least ``minimum``; anything
+    else is added to ``errors`` as ``"<label>: <problem>"`` and gives None.
+    The integers of configs, request scripts and dataset manifests are all
+    read here."""
+    if (problem := _count_problem(value, minimum)) is None:
+        return value
+    errors.append(f"{label}: {problem}")
+    return None
 
 
 def check_at_least(minimum: int, **values: Any) -> None:
-    """Raise ValueError ``"<name> must be >= <minimum>, got <value>"`` for
-    the first of ``values``, in keyword order, below ``minimum``: the one
-    rule for the counts a library call takes. Values are compared only, so
-    numpy integers pass as plain ones do."""
+    """Raise ValueError for the first of ``values``, in keyword order, that
+    is not an integer of at least ``minimum``: ``"<name> must be >=
+    <minimum>, got <value>"``, or ``"<name>: expected an integer, got
+    <value>"`` for a bool, a float or any other non-integer. The one rule
+    for the counts a library call takes."""
     for name, value in values.items():
-        if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        if (problem := _count_problem(value, minimum)) is not None:
+            raise _library_error(name, problem)
 
 
-def check_counts(spec: Any) -> None:
-    """Raise ValueError for the first ``_count`` field of the dataclass
-    instance ``spec`` that ``plain_int`` rejects, so a library config takes
-    the integers a config file takes. The message is ``plain_int``'s, and
-    one below the minimum reads ``"<field> must be >= <minimum>, got
-    <value>"``."""
-    errors: list[str] = []
-    for f in fields(spec):
-        if "minimum" in f.metadata:
-            plain_int(errors, getattr(spec, f.name), f.metadata["minimum"], f.name)
-    if errors:
-        raise ValueError(errors[0].replace(": must", " must", 1))
+def check_fields(spec: Any) -> None:
+    """Raise ValueError for the first declared field of the dataclass
+    instance ``spec`` (its counts, then its numbers) holding a value a
+    config file is refused, so a library config takes what a config file
+    takes. Counts read as in ``check_at_least``; a number reads ``"<field>
+    must be a finite positive number, got <value>"``."""
+    for f in _declared(type(spec)):
+        if (problem := _field_problem(f, getattr(spec, f.name))) is not None:
+            raise _library_error(f.name, problem)
 
 
-def _expect_int(errors: list[str], raw: Mapping[str, Any], key: str, default: int,
-                minimum: int, label: str) -> int:
-    value = plain_int(errors, raw.get(key, default), minimum, label)
-    return default if value is None else value
-
-
-def _object(errors: list[str], raw: Any, label: str) -> Mapping[str, Any] | None:
+def _object(errors: list[str], raw: Any, label: str) -> Mapping[str, Any]:
     """A config section as a mapping: an absent section is empty, and
-    anything but an object is reported and gives None."""
+    anything but an object is reported and read as empty too, so the
+    section takes its defaults."""
     if raw is None:
         return {}
     if not isinstance(raw, Mapping):
         errors.append(f"{label}: expected an object")
-        return None
+        return {}
     return raw
 
 
@@ -229,19 +274,22 @@ def _unknown_keys(errors: list[str], raw: Mapping[str, Any], spec: type,
             errors.append(f"{prefix}{key}: unknown key")
 
 
-def _counts(errors: list[str], raw: Mapping[str, Any], spec: type,
-            prefix: str = "") -> dict[str, int]:
-    """Every ``_count`` field of ``spec`` read from ``raw``, in field order."""
-    return {f.name: _expect_int(errors, raw, f.name, f.default,
-                                f.metadata["minimum"], prefix + f.name)
-            for f in fields(spec) if "minimum" in f.metadata}
-
-
-def _positive_number(value: Any) -> bool:
-    """A positive number that converts to a finite float; JSON may carry
-    NaN, Infinity and integers past the float range."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value <= sys.float_info.max)
+def _read_fields(errors: list[str], raw: Mapping[str, Any], spec: type,
+                 prefix: str = "") -> dict[str, Any]:
+    """Every declared field of ``spec`` read from ``raw``, counts then
+    numbers: an absent key takes the field's default, and a refused value
+    is added to ``errors`` and takes the default too. Numbers are read as
+    floats."""
+    values = {}
+    for f in _declared(spec):
+        value = raw.get(f.name, f.default)
+        if (problem := _field_problem(f, value)) is not None:
+            errors.append(f"{prefix}{f.name}: {problem}")
+            value = f.default
+        elif "nullable" in f.metadata and value is not None:
+            value = float(value)
+        values[f.name] = value
+    return values
 
 
 def budget_error(groups: int, budget: int) -> str | None:
@@ -274,21 +322,10 @@ def dataset_fit_errors(cfg: RunConfig, slices: int, clients: int,
 
 def _validate_dataset(errors: list[str], raw: Any) -> SyntheticSpec | CsvSpec:
     raw = _object(errors, raw, "dataset")
-    if raw is None:
-        return SyntheticSpec()
     kind = raw.get("kind", "synthetic")
     if kind == "synthetic":
         _unknown_keys(errors, raw, SyntheticSpec, "dataset.", extra=("kind",))
-        counts = _counts(errors, raw, SyntheticSpec, "dataset.")
-        alpha = raw.get("alpha", SyntheticSpec.alpha)
-        if alpha is not None:
-            if not _positive_number(alpha):
-                errors.append(
-                    f"dataset.alpha: must be a finite positive number or null, got {alpha!r}")
-                alpha = SyntheticSpec.alpha
-            else:
-                alpha = float(alpha)
-        return SyntheticSpec(alpha=alpha, **counts)
+        return SyntheticSpec(**_read_fields(errors, raw, SyntheticSpec, "dataset."))
     if kind == "csv":
         _unknown_keys(errors, raw, CsvSpec, "dataset.", extra=("kind",))
         path = raw.get("path")
@@ -306,15 +343,8 @@ def _validate_dataset(errors: list[str], raw: Any) -> SyntheticSpec | CsvSpec:
 
 def _validate_trainer(errors: list[str], raw: Any) -> TrainerSpec:
     raw = _object(errors, raw, "trainer")
-    if raw is None:
-        return TrainerSpec()
     _unknown_keys(errors, raw, TrainerSpec, "trainer.")
-    counts = _counts(errors, raw, TrainerSpec, "trainer.")
-    lr = raw.get("lr", TrainerSpec.lr)
-    if not _positive_number(lr):
-        errors.append(f"trainer.lr: must be a finite positive number, got {lr!r}")
-        lr = TrainerSpec.lr
-    return TrainerSpec(lr=float(lr), **counts)
+    return TrainerSpec(**_read_fields(errors, raw, TrainerSpec, "trainer."))
 
 
 def parse_script(errors: list[str], items: Any, label: str
@@ -343,9 +373,9 @@ def parse_script(errors: list[str], items: Any, label: str
         for key in ("client", "slice"):
             if key not in item:
                 errors.append(f"{where}.{key}: required")
-        client = _expect_int(errors, item, "client", 0, 0, f"{where}.client")
-        sl = _expect_int(errors, item, "slice", 0, 0, f"{where}.slice")
-        records = (_expect_int(errors, item, "records", 1, 1, f"{where}.records")
+        client = plain_int(errors, item.get("client", 0), 0, f"{where}.client")
+        sl = plain_int(errors, item.get("slice", 0), 0, f"{where}.slice")
+        records = (plain_int(errors, item["records"], 1, f"{where}.records")
                    if "records" in item else None)
         if len(errors) == before:
             script.append((client, sl, records))
@@ -354,8 +384,6 @@ def parse_script(errors: list[str], items: Any, label: str
 
 def _validate_requests(errors: list[str], raw: Any) -> RequestSpec:
     raw = _object(errors, raw, "requests")
-    if raw is None:
-        return RequestSpec()
     if "script" in raw:
         for key in raw:
             if key != "script":
@@ -364,7 +392,7 @@ def _validate_requests(errors: list[str], raw: Any) -> RequestSpec:
         return RequestSpec(script=tuple(
             (c, s, RequestSpec.record_count if n is None else n) for c, s, n in script))
     _unknown_keys(errors, raw, RequestSpec, "requests.")
-    return RequestSpec(**_counts(errors, raw, RequestSpec, "requests."))
+    return RequestSpec(**_read_fields(errors, raw, RequestSpec, "requests."))
 
 
 def validate_config(raw: Mapping[str, Any]) -> RunConfig:
@@ -385,7 +413,7 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
         errors.append(f"experiment: expected a nonempty string, got {experiment!r}")
         experiment = RunConfig.experiment
 
-    counts = _counts(errors, raw, RunConfig)
+    counts = _read_fields(errors, raw, RunConfig)
 
     strategy = raw.get("strategy", RunConfig.strategy)
     if not isinstance(strategy, str) or strategy.lower() not in STRATEGIES:

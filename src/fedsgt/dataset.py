@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (STREAM_TAGS, TrainingError, check_at_least, keyed_stream,
-                   plain_int)
+from .core import (STREAM_TAGS, TrainingError, _positive_number, check_at_least,
+                   keyed_stream, plain_int)
 from .grouping import SliceRef, near_equal_runs
 
 _MEAN_SCALE = 3.0
@@ -84,8 +84,8 @@ def synth_dataset(clients: int, samples_per_client: int, dim: int, classes: int,
     if samples_per_client < slices_per_client:
         raise ValueError(
             f"cannot cut {samples_per_client} samples into {slices_per_client} slices")
-    if alpha is not None and alpha <= 0:
-        raise ValueError(f"alpha must be positive or None, got {alpha}")
+    if alpha is not None and not _positive_number(alpha):
+        raise ValueError(f"alpha must be a finite positive number or None, got {alpha!r}")
     means = _class_means(dim, classes)
 
     train_x: list[list[np.ndarray]] = []

@@ -60,7 +60,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (ModuleTrainerSpec, ServiceUnavailable, TrainingError,
-                   _count, _positive_number, check_at_least, check_counts, keyed_stream)
+                   _count, check_at_least, check_fields, keyed_stream)
 from .dataset import Dataset
 from .grouping import GroupingPlan, SliceRef
 from .sequencing import (SequenceSet, SequenceState, select_allseq,
@@ -76,10 +76,7 @@ class TrainConfig(ModuleTrainerSpec):
 
     seed: int = _count(0, 0)
 
-    def __post_init__(self):
-        check_counts(self)
-        if not _positive_number(self.lr):
-            raise ValueError(f"lr must be a finite positive number, got {self.lr!r}")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -260,8 +257,8 @@ def _build_stack(runs: list[_Run], cfg: TrainConfig) -> _Stack:
 
 def _step_stack(stack: _Stack, actives: list[np.ndarray],
                 keys: list[tuple[int, ...]], cfg: TrainConfig,
-                meter: CostMeter | None = None,
-                cost_modules: int = 1) -> list[np.ndarray]:
+                meter: CostMeter | None,
+                cost_modules: int) -> list[np.ndarray]:
     """One round of every run of ``stack``, run r from ``actives[r]`` keyed
     ``keys[r]``: each run's averaged update, with the bytes
     ``federated_round`` gives it alone. Each member steps against its own

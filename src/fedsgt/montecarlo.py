@@ -36,7 +36,7 @@ import numpy as np
 
 from . import analytics
 from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, _count,
-                   check_at_least, check_counts, keyed_stream)
+                   check_at_least, check_fields, keyed_stream)
 
 CHUNK_TRIALS = 8192
 _BLOCK = 64  # draws per vectorized coverage step
@@ -47,13 +47,12 @@ ZERO_VARIANCE_ULPS = 4  # rounding slack of a deterministic row (MCEstimate.zsco
 @dataclass(frozen=True)
 class MCConfig:
     """Trial count and seed: plain integers at their minimums, checked by
-    ``core.check_counts``."""
+    ``core.check_fields``."""
 
     trials: int = _count(200_000, 1)
     seed: int = _count(0, 0)
 
-    def __post_init__(self):
-        check_counts(self)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

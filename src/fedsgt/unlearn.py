@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
-                   TrainingError, _count, check_at_least, check_counts, keyed_stream)
+                   TrainingError, _count, check_at_least, check_fields, keyed_stream)
 from .dataset import Dataset
 from .fltrain import (CostMeter, Reuse, ToyModel, TrainConfig, client_data,
                       evaluate, fedavg_lockstep, matrix_accuracy, train_prefixes)
@@ -46,8 +46,7 @@ class UnlearnRequest:
     target: SliceRef
     record_count: int = _count(100, 1)
 
-    def __post_init__(self):
-        check_counts(self)
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -265,7 +264,7 @@ def train_clusters(dataset: Dataset, clusters: int, cfg: TrainConfig,
 
 def fedcio_simulate(dataset: Dataset, clusters: int, cfg: TrainConfig,
                     requests: Iterable[UnlearnRequest],
-                    rounds: int = 10) -> list[TimelineRecord]:
+                    rounds: int) -> list[TimelineRecord]:
     """Clustered baseline under the same request stream. It never retrains:
     a request kills the containing cluster and service fails once every
     cluster is hit.
@@ -330,8 +329,8 @@ _REFIT_STACK_BYTES = 8 << 20
 
 
 def fedretrain_simulate(dataset: Dataset, cfg: TrainConfig,
-                        requests: Iterable[UnlearnRequest], eval_every: int = 5,
-                        rounds: int = 10) -> list[TimelineRecord]:
+                        requests: Iterable[UnlearnRequest], eval_every: int,
+                        rounds: int) -> list[TimelineRecord]:
     """Full retraining baseline: every request charges a complete retraining
     (``rounds`` rounds of downtime); the model is re-fit and evaluated every
     ``eval_every``-th request. Zero requests reduce to plain FedAvg.

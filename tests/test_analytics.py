@@ -375,9 +375,8 @@ class TestBudgetAndCost:
         ("total_samples", "total_samples must be >= 0, got -1"),
     ])
     def test_negative_work_rejected(self, field, message):
-        params = AnalyticParams(**{field: -1})
         with pytest.raises(ValueError, match=message):
-            training_cost("FedSGT", params)
+            AnalyticParams(**{field: -1})
 
     def test_method_case_insensitive(self):
         params = AnalyticParams()

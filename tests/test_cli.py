@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsgt.analytics
-from fedsgt.cli import (_load_requests_file, build_dataset, build_requests,
-                        main, trainer_config)
+from fedsgt.cli import (_load_requests_file, build_dataset, build_parser,
+                        build_requests, main, trainer_config)
 from fedsgt.core import ConfigurationError, TrainerSpec, validate_config
 from fedsgt.dataset import save_csv_dataset, synth_dataset
 from fedsgt.grouping import SliceRef
@@ -1069,6 +1069,30 @@ INT_FLAGS = [
     ("unlearn", "--record-count", 1),
     ("compare", "--retrain-stride", 1),
 ]
+
+# Every integer flag's default, written out by hand as INT_FLAGS is: a flag
+# that takes its default from a field must not move when the field does.
+INT_FLAG_DEFAULTS = {
+    ("analyze", "--groups"): 10, ("analyze", "--budget"): 10,
+    ("analyze", "--clusters"): 5, ("analyze", "--data-size"): 50_000,
+    ("analyze", "--slices-per-client"): 2, ("analyze", "--rounds"): 10,
+    ("analyze", "--epochs"): 3, ("analyze", "--adapter-params"): 1,
+    ("analyze", "--t-cluster"): 2, ("analyze", "--max-requests"): 25,
+    ("validate", "--trials"): 200_000, ("validate", "--seed"): 0,
+    ("validate", "--workers"): 1, ("validate", "--data-size"): 50_000,
+    ("unlearn", "--count"): 0, ("unlearn", "--request-seed"): 0,
+    ("unlearn", "--record-count"): 100,
+    ("compare", "--retrain-stride"): 5,
+}
+
+
+def test_int_flag_defaults_are_pinned():
+    assert list(INT_FLAG_DEFAULTS) == [(c, f) for c, f, _ in INT_FLAGS]
+    required = {"unlearn": ["--bank", "b"], "compare": ["--config", "c"]}
+    parser = build_parser()
+    for (command, flag), default in INT_FLAG_DEFAULTS.items():
+        args = parser.parse_args([command, *required.get(command, [])])
+        assert getattr(args, flag[2:].replace("-", "_")) == default, (command, flag)
 
 
 @pytest.mark.parametrize("command, flag, minimum", INT_FLAGS,

@@ -10,8 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsgt.analytics import (AnalyticParams, deletion_rate_fedcio,
+                              deletion_rate_fedsgt, expected_comm_cost,
+                              expected_remaining_fedcio,
+                              expected_remaining_fedsgt, expected_span,
+                              matched_budget, prob_m_distinct, prob_max_gap_le)
+from fedsgt.combinatorics import binomial, stirling2
 from fedsgt.core import (STRATEGIES, STREAM_TAGS, ConfigurationError, CsvSpec,
-                         RunConfig, SyntheticSpec, keyed_stream, validate_config)
+                         RunConfig, SyntheticSpec, check_at_least, keyed_stream,
+                         validate_config)
+from fedsgt.dataset import synth_dataset
+from fedsgt.fltrain import CostMeter, TrainConfig, fedavg_lockstep
+from fedsgt.grouping import SliceRef, build_grouping
+from fedsgt.montecarlo import (MCConfig, mc_comm_cost, mc_deletion_rate_fedcio,
+                               mc_deletion_rate_fedsgt, mc_expected_remaining,
+                               mc_expected_span)
+from fedsgt.sequencing import build_sequences
+from fedsgt.unlearn import fedretrain_simulate
 
 # Every integer field as (section, key, default, minimum); section None is
 # the top level. Written out by hand so that it pins the schema
@@ -229,6 +244,17 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             validate_config({"trainer": {"lr": 0}})
 
+    def test_number_problems_follow_the_count_problems(self):
+        # A section reports its counts in field order, then its numbers.
+        assert errors_of({
+            "dataset": {"alpha": 0, "test_samples": 0},
+            "trainer": {"lr": "x", "epochs": -1, "fedavg_rounds": 0}}) == [
+            "dataset.test_samples: must be >= 1, got 0",
+            "dataset.alpha: must be a finite positive number or null, got 0",
+            "trainer.epochs: must be >= 0, got -1",
+            "trainer.fedavg_rounds: must be >= 1, got 0",
+            "trainer.lr: must be a finite positive number, got 'x'"]
+
     def test_zero_epochs_allowed(self):
         cfg = validate_config({"trainer": {"epochs": 0}})
         assert cfg.trainer.epochs == 0
@@ -335,3 +361,103 @@ def test_keyed_stream_and_domain_tags():
         "mc_deletion_fedsgt": 1, "mc_deletion_fedcio": 2, "mc_span": 3,
         "mc_remaining": 4, "mc_comm": 5}
     assert len(set(STREAM_TAGS.values())) == len(STREAM_TAGS)
+
+
+# ---------------------------------------------------------------------------
+# The one integer rule, as library calls take it
+# ---------------------------------------------------------------------------
+
+
+def _tiny_dataset():
+    return synth_dataset(clients=2, samples_per_client=8, dim=3, classes=2,
+                         alpha=None, seed=0, slices_per_client=2, test_samples=4)
+
+
+_MC = MCConfig(trials=1)
+_CATALOG = [(SliceRef(0, 0), 4), (SliceRef(0, 1), 4)]
+
+# Every library call guarded by check_at_least (or, for the config types,
+# check_fields), as (call, the argument, a call with that argument set to v).
+LIBRARY_COUNTS = [
+    ("build_sequences", "group_count", lambda v: build_sequences(v, 1)),
+    ("build_sequences", "budget", lambda v: build_sequences(2, v)),
+    ("build_grouping", "group_count", lambda v: build_grouping(_CATALOG, v, 0)),
+    ("deletion_rate_fedsgt", "group_count", lambda v: deletion_rate_fedsgt(v, 1)),
+    ("deletion_rate_fedsgt", "budget", lambda v: deletion_rate_fedsgt(2, v)),
+    ("deletion_rate_fedcio", "clusters", lambda v: deletion_rate_fedcio(v)),
+    ("prob_m_distinct", "group_count", lambda v: prob_m_distinct(v, 2, 1)),
+    ("prob_m_distinct", "requests", lambda v: prob_m_distinct(4, v, 1)),
+    ("prob_max_gap_le", "group_count", lambda v: prob_max_gap_le(v, 1, 1)),
+    ("prob_max_gap_le", "gap_bound", lambda v: prob_max_gap_le(4, 2, v)),
+    ("expected_span", "group_count", lambda v: expected_span(v, 2)),
+    ("expected_span", "requests", lambda v: expected_span(4, v)),
+    ("expected_remaining_fedsgt", "total_samples",
+     lambda v: expected_remaining_fedsgt(v, 4, 2)),
+    ("expected_remaining_fedsgt", "requests",
+     lambda v: expected_remaining_fedsgt(100, 4, v)),
+    ("expected_remaining_fedcio", "total_samples",
+     lambda v: expected_remaining_fedcio(v, 4, 2)),
+    ("expected_remaining_fedcio", "clusters",
+     lambda v: expected_remaining_fedcio(100, v, 2)),
+    ("expected_remaining_fedcio", "requests",
+     lambda v: expected_remaining_fedcio(100, 4, v)),
+    ("expected_comm_cost", "group_count", lambda v: expected_comm_cost(v, 2)),
+    ("expected_comm_cost", "slices_per_client", lambda v: expected_comm_cost(4, v)),
+    ("matched_budget", "rounds", lambda v: matched_budget(v, 4)),
+    ("matched_budget", "group_count", lambda v: matched_budget(10, v)),
+    *[("AnalyticParams", name, lambda v, name=name: AnalyticParams(**{name: v}))
+      for name in ("group_count", "budget", "total_samples", "rounds", "epochs",
+                   "adapter_params")],
+    ("binomial", "n", lambda v: binomial(v, 1)),
+    ("binomial", "k", lambda v: binomial(4, v)),
+    ("stirling2", "r", lambda v: stirling2(v, 1)),
+    ("stirling2", "m", lambda v: stirling2(4, v)),
+    ("mc_deletion_rate_fedsgt", "group_count",
+     lambda v: mc_deletion_rate_fedsgt(v, 1, _MC)),
+    ("mc_deletion_rate_fedsgt", "budget", lambda v: mc_deletion_rate_fedsgt(2, v, _MC)),
+    ("mc_deletion_rate_fedcio", "clusters", lambda v: mc_deletion_rate_fedcio(v, _MC)),
+    ("mc_expected_span", "group_count", lambda v: mc_expected_span(v, 2, _MC)),
+    ("mc_expected_span", "requests", lambda v: mc_expected_span(4, v, _MC)),
+    ("mc_expected_remaining", "total_samples",
+     lambda v: mc_expected_remaining("FedSGT", v, 4, 2, _MC)),
+    ("mc_expected_remaining", "units",
+     lambda v: mc_expected_remaining("FedSGT", 100, v, 2, _MC)),
+    ("mc_expected_remaining", "requests",
+     lambda v: mc_expected_remaining("FedCIO", 100, 4, v, _MC)),
+    ("mc_comm_cost", "group_count", lambda v: mc_comm_cost(v, 2, _MC)),
+    ("mc_comm_cost", "slices_per_client", lambda v: mc_comm_cost(4, v, _MC)),
+    ("synth_dataset", "clients",
+     lambda v: synth_dataset(clients=v, samples_per_client=8, dim=3, classes=2,
+                             alpha=None, seed=0)),
+    ("synth_dataset", "samples_per_client",
+     lambda v: synth_dataset(clients=2, samples_per_client=v, dim=3, classes=2,
+                             alpha=None, seed=0)),
+    ("synth_dataset", "slices_per_client",
+     lambda v: synth_dataset(clients=2, samples_per_client=8, dim=3, classes=2,
+                             alpha=None, seed=0, slices_per_client=v)),
+    ("CostMeter.charge", "samples", lambda v: CostMeter().charge(v, 1)),
+    ("CostMeter.charge", "params", lambda v: CostMeter().charge(1, v)),
+    ("CostMeter.charge", "modules", lambda v: CostMeter().charge(1, 1, modules=v)),
+    ("CostMeter.charge", "epochs", lambda v: CostMeter().charge(1, 1, epochs=v)),
+    ("fedavg_lockstep", "rounds",
+     lambda v: fedavg_lockstep([], 2, 3, v, TrainConfig())),
+    ("fedretrain_simulate", "eval_every",
+     lambda v: fedretrain_simulate(_tiny_dataset(), TrainConfig(), [],
+                                   eval_every=v, rounds=1)),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5], ids=["bool", "float"])
+@pytest.mark.parametrize("call, name, run", LIBRARY_COUNTS,
+                         ids=[f"{c}.{n}" for c, n, _ in LIBRARY_COUNTS])
+def test_library_counts_take_integers_only(call, name, run, value):
+    with pytest.raises(ValueError,
+                       match=f"^{name}: expected an integer, got {value!r}$"):
+        run(value)
+
+
+def test_numpy_integers_are_counts():
+    check_at_least(1, n=np.int64(3), k=np.uint8(1))
+    assert build_sequences(np.int64(3), np.int64(2), 0).group_count == 3
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        check_at_least(1, n=np.int64(0))

@@ -304,6 +304,13 @@ class TestValidation:
             synth_dataset(clients=2, samples_per_client=10, dim=4, classes=2,
                           alpha=-1.0, seed=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0, True])
+    def test_alpha_takes_the_config_rule(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(
+                f"alpha must be a finite positive number or None, got {alpha!r}")):
+            synth_dataset(clients=2, samples_per_client=10, dim=4, classes=2,
+                          alpha=alpha, seed=0)
+
     def test_too_many_slices_rejected(self):
         with pytest.raises(ValueError):
             synth_dataset(clients=2, samples_per_client=3, dim=4, classes=2,

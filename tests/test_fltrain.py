@@ -281,7 +281,7 @@ class TestLockstepRounds:
         actives = [a for a, *_ in rounds]
         for t in range(3):
             keys = [(*key, t) for *_, key in rounds]
-            got = _step_stack(stack, actives, keys, cfg)
+            got = _step_stack(stack, actives, keys, cfg, None, 1)
             for result, active, (_, frozen, data, _), key in zip(
                     got, actives, rounds, keys):
                 want = reference_round(active, frozen, data, cfg, key)

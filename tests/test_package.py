@@ -6,6 +6,7 @@ it imports."""
 import ast
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -27,6 +28,14 @@ def test_root_defines_only_version_and_submodules():
             if not (isinstance(value, types.ModuleType)
                     and value.__name__ == f"fedsgt.{name}")} == set()
     assert isinstance(fedsgt.__version__, str)
+
+
+def test_version_matches_pyproject():
+    # The version is written in two places; this keeps them in step.
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == fedsgt.__version__
 
 
 def fresh_interpreter(code: str) -> str:

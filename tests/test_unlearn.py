@@ -612,7 +612,7 @@ class TestFedRetrainStacks:
 
     def test_zero_requests_give_one_fedavg_fit(self):
         ds, plan, seqs, cfg, model = build()
-        records = fedretrain_simulate(ds, cfg, [], rounds=2)
+        records = fedretrain_simulate(ds, cfg, [], eval_every=5, rounds=2)
         w = fedavg_train(client_data(ds, dict(ds.slice_catalog())), ds.classes,
                          ds.dim, 2, cfg, namespace=(STREAM_TAGS["fedretrain"],))
         assert [(r.step, r.surviving, r.notes) for r in records] \
@@ -626,15 +626,17 @@ class TestFedRetrainStacks:
                             lambda runs, *args: trained.append(runs))
         valid = UnlearnRequest(SliceRef(0, 0), 1)
         with pytest.raises(KeyError):
-            fedretrain_simulate(ds, cfg, [valid, UnlearnRequest(SliceRef(50, 0), 1)])
+            fedretrain_simulate(ds, cfg, [valid, UnlearnRequest(SliceRef(50, 0), 1)],
+                                eval_every=5, rounds=10)
         with pytest.raises(ValueError):
-            fedretrain_simulate(ds, cfg, [valid, UnlearnRequest(SliceRef(0, 0), 10_000)])
+            fedretrain_simulate(ds, cfg, [valid, UnlearnRequest(SliceRef(0, 0), 10_000)],
+                                eval_every=5, rounds=10)
         assert trained == []
 
 
 @pytest.mark.parametrize("simulate", [
     lambda ds, cfg, reqs: fedcio_simulate(ds, 2, cfg, reqs, rounds=1),
-    lambda ds, cfg, reqs: fedretrain_simulate(ds, cfg, reqs, rounds=1),
+    lambda ds, cfg, reqs: fedretrain_simulate(ds, cfg, reqs, eval_every=5, rounds=1),
 ], ids=["fedcio", "fedretrain"])
 def test_baselines_reject_invalid_requests(simulate):
     ds, plan, seqs, cfg, model = build()
