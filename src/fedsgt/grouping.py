@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import check_at_least
 
@@ -61,9 +61,13 @@ def near_equal_runs(count: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-@dataclass(frozen=True, order=True)
-class SliceRef:
-    """One client-held data slice, the unit of deletion requests."""
+class SliceRef(NamedTuple):
+    """One client-held data slice, the unit of deletion requests.
+
+    A named pair: it hashes, compares and orders as the plain tuple
+    ``(client_id, slice_idx)``, and equals it, so the dicts and sets keyed
+    by slices hash in C.
+    """
 
     client_id: int
     slice_idx: int

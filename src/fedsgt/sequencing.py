@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .core import STREAM_TAGS, budget_error, check_at_least, keyed_stream
@@ -38,12 +39,16 @@ class SequenceSet:
 @dataclass(frozen=True)
 class SequenceState:
     """Deletion snapshot: the deleted groups and each sequence's surviving
-    prefix length."""
+    prefix length.
+
+    ``surviving`` is counted once per state, on first read, and kept beside
+    the fields: it is no field, so ``==``, ``hash``, ``repr`` and
+    ``state_to_json`` see only ``deleted`` and ``active_len``."""
 
     deleted: frozenset[int]
     active_len: tuple[int, ...]
 
-    @property
+    @cached_property
     def surviving(self) -> int:
         return sum(1 for n in self.active_len if n > 0)
 
@@ -98,7 +103,8 @@ def state_from_deleted(seqs: SequenceSet, deleted: Iterable[int]) -> SequenceSta
 
 def apply_deletion(state: SequenceState, seqs: SequenceSet, group: int) -> SequenceState:
     """New state with ``group`` deleted. Idempotent, and order-independent
-    across a set of deletions."""
+    across a set of deletions: a repeat deletion returns ``state`` itself,
+    the same object, so nothing is recounted."""
     if group in state.deleted:
         return state
     return state_from_deleted(seqs, state.deleted | {group})

@@ -113,15 +113,16 @@ def record_removal(removed: dict[SliceRef, int], sizes: Mapping[SliceRef, int],
     the slice size, and return how many records it newly booked. An unknown
     slice raises KeyError and a request larger than its slice raises
     ValueError, both before ``removed`` changes."""
-    if req.target not in sizes:
-        raise KeyError(f"unknown slice {req.target}")
-    size = sizes[req.target]
+    target = req.target
+    size = sizes.get(target)
+    if size is None:
+        raise KeyError(f"unknown slice {target}")
     if req.record_count > size:
         raise ValueError(
             f"request for {req.record_count} records exceeds slice size {size}")
-    before = removed.get(req.target, 0)
-    removed[req.target] = min(size, before + req.record_count)
-    return removed[req.target] - before
+    before = removed.get(target, 0)
+    after = removed[target] = min(size, before + req.record_count)
+    return after - before
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,13 @@ def record_removal(removed: dict[SliceRef, int], sizes: Mapping[SliceRef, int],
 class FedSGTSystem:
     """Mutable shell around immutable deletion snapshots. ``model`` and
     ``dataset`` are optional: without them the system still tracks service
-    structure (survivors, failure), it just cannot report utility."""
+    structure (survivors, failure), it just cannot report utility.
+
+    ``removed`` books records deleted so far, by slice. It is checked when
+    the system is built: every slice must be in ``plan.sizes`` and every
+    count an integer from 0 to that slice's size, by ``core``'s integer
+    rule, so the system starts from a booking a request stream could have
+    made."""
 
     plan: GroupingPlan
     seqs: SequenceSet
@@ -146,7 +153,7 @@ class FedSGTSystem:
     # sum(removed.values()), kept up to date by ``process_request``.
     _removed_total: int = field(default=0, init=False, repr=False,
                                 compare=False)
-    # (model, dataset, strategy, active_len, utility) of the last evaluation.
+    # (model, dataset, strategy, state, utility) of the last evaluation.
     _scored: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
     # Each served sequence's (prefix length, test-set softmax) under the
@@ -160,6 +167,14 @@ class FedSGTSystem:
         if self.model is not None and self.model.sequences != self.seqs:
             raise ValueError("the model was trained on another sequence family")
         _check_strategy(self.strategy)
+        sizes = self.plan.sizes
+        for ref, count in self.removed.items():
+            if ref not in sizes:
+                raise ValueError(f"removed books unknown slice {ref}")
+            check_at_least(0, **{f"removed[{ref}]": count})
+            if count > sizes[ref]:
+                raise ValueError(f"removed[{ref}] must be <= slice size "
+                                 f"{sizes[ref]}, got {count}")
         self._removed_total = sum(self.removed.values())
 
     @property
@@ -173,25 +188,28 @@ class FedSGTSystem:
         The served function reads the state only through ``active_len``, so
         the last value is returned again while the model and dataset (by
         identity), the strategy and every surviving prefix are unchanged.
-        Deletions only accumulate, so the last state is the only one that
-        can come back and one slot suffices. Otherwise only the sequences
-        whose surviving prefix changed are scored again: each served
-        sequence's test-set softmax is kept until the model or dataset is
-        replaced, across strategy switches too, since it does not depend on
-        the strategy.
+        The state is first compared by identity: a repeat deletion keeps
+        the very state object last scored, so it costs no tuple compare and
+        no rescoring. Deletions only accumulate, so the last state is the
+        only one that can come back and one slot suffices. Otherwise only
+        the sequences whose surviving prefix changed are scored again: each
+        served sequence's test-set softmax is kept until the model or
+        dataset is replaced, across strategy switches too, since it does
+        not depend on the strategy.
         """
-        if self.model is None or self.dataset is None or self.state.all_dead:
+        state = self.state
+        if self.model is None or self.dataset is None or state.all_dead:
             return None
         last = self._scored
         if (last is None or last[0] is not self.model
                 or last[1] is not self.dataset):
             self._probs.clear()
-        elif last[2:4] == (self.strategy, self.state.active_len):
+        elif last[2] == self.strategy and (
+                last[3] is state or last[3].active_len == state.active_len):
             return last[4]
-        value = evaluate(self.model, self.state, self.strategy,
+        value = evaluate(self.model, state, self.strategy,
                          self.dataset.test_x, self.dataset.test_y, self._probs)
-        self._scored = (self.model, self.dataset, self.strategy,
-                        self.state.active_len, value)
+        self._scored = (self.model, self.dataset, self.strategy, state, value)
         return value
 
 

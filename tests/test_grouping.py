@@ -120,6 +120,42 @@ class TestSplitMix64:
             SplitMix64(0).bounded(n)
 
 
+class TestSliceRef:
+    """A slice hashes, orders and prints as before its type became a named
+    tuple, so every dict, set and digest keyed by slices is unchanged."""
+
+    @pytest.mark.parametrize("ref", [(0, 0), (3, 1), (-2, 7), (10**20, 5)])
+    def test_hash_is_the_plain_pair_hash(self, ref):
+        assert hash(SliceRef(*ref)) == hash(ref)
+
+    def test_set_order_is_the_pairs_order(self):
+        pairs = [(c, s) for c in range(7) for s in range(5)]
+        refs = {SliceRef(c, s) for c, s in reversed(pairs)}
+        assert ([(r.client_id, r.slice_idx) for r in refs]
+                == list(set(reversed(pairs))))
+
+    def test_equals_the_plain_pair(self):
+        assert SliceRef(3, 1) == (3, 1) and (3, 1) == SliceRef(3, 1)
+        assert {SliceRef(3, 1): "a"}[(3, 1)] == "a"
+        assert SliceRef(3, 1) != (1, 3)
+
+    def test_repr_order_and_keywords(self):
+        ref = SliceRef(client_id=3, slice_idx=1)
+        assert ref == SliceRef(3, 1)
+        assert (ref.client_id, ref.slice_idx) == (3, 1)
+        assert repr(ref) == str(ref) == "SliceRef(client_id=3, slice_idx=1)"
+        refs = [SliceRef(2, 0), SliceRef(1, 5), SliceRef(1, 2), SliceRef(0, 9)]
+        assert sorted(refs) == [SliceRef(0, 9), SliceRef(1, 2), SliceRef(1, 5),
+                                SliceRef(2, 0)]
+
+    @pytest.mark.parametrize("name", ["client_id", "slice_idx", "extra"])
+    def test_attributes_cannot_be_assigned(self, name):
+        ref = SliceRef(1, 2)
+        with pytest.raises(AttributeError):
+            setattr(ref, name, 5)
+        assert ref == SliceRef(1, 2)
+
+
 class TestLookups:
     def test_group_of(self):
         plan = build_grouping(catalog(5, 2), 5, seed=3)

@@ -7,8 +7,11 @@ every cell exhaustively.
 
 import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsgt.sequencing import (apply_deletion, build_sequences, cyclic_span,
                                fresh_state, rotation, select_allseq,
@@ -154,7 +157,7 @@ class TestDeletionAlgebra:
         seqs = build_sequences(5, 5)
         s1 = apply_deletion(fresh_state(seqs), seqs, 2)
         s2 = apply_deletion(s1, seqs, 2)
-        assert s1 == s2
+        assert s2 is s1  # the same object: nothing is rebuilt or recounted
 
     def test_duality_exhaustive(self):
         # every deletion subset at L=6, B=6: cyclic span of the deleted set
@@ -216,6 +219,28 @@ class TestSelectionInvariants:
         state = state_from_deleted(seqs, frozenset({0, 3}))
         assert state.active_len == (0, 1, 2, 0, 1, 2)
         assert select_longseq(state, seqs) == 2
+
+
+class TestSurvivingCount:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda groups: st.tuples(
+        st.just(groups), st.integers(1, 14),
+        st.frozensets(st.integers(0, groups - 1)))))
+    def test_cached_count_is_the_recount_and_no_field(self, drawn):
+        groups, budget, deleted = drawn
+        seqs = build_sequences(groups, min(budget, math.factorial(groups)),
+                               seed=3)
+        state = state_from_deleted(seqs, deleted)
+        twin = state_from_deleted(seqs, deleted)
+        before = (hash(state), repr(state), state_to_json(state))
+        recount = sum(1 for n in state.active_len if n > 0)
+        assert state.surviving == recount == twin.surviving
+        assert state.all_dead == (recount == 0)
+        # reading the count leaves equality, hash, repr and JSON as they were
+        assert (hash(state), repr(state), state_to_json(state)) == before
+        assert state == twin and hash(state) == hash(twin)
+        with pytest.raises(AttributeError):
+            state.surviving = recount + 1
 
 
 class TestStateSerialization:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fedsgt.fltrain
+import fedsgt.sequencing
 import fedsgt.unlearn
 from fedsgt.analytics import deletion_rate_fedcio, deletion_rate_fedsgt
 from fedsgt.core import STREAM_TAGS
@@ -114,9 +115,37 @@ class TestProcessRequest:
         process_request(system, req)
         state_after_one = system.state
         process_request(system, req)
-        assert system.state == state_after_one
+        assert system.state is state_after_one
         # record accounting still advances, capped at the slice size
         assert system.removed[SliceRef(1, 0)] == 6
+
+    def test_repeat_deletion_rescores_and_rebuilds_nothing(self, monkeypatch):
+        # A request to an already deleted group keeps the state object, so
+        # it neither rebuilds a state nor scores the ensemble again.
+        ds, plan, seqs, cfg, model = build()
+        system = fedsgt_system(plan, seqs, "allseq", model, ds)
+        req = UnlearnRequest(SliceRef(1, 0), record_count=3)
+        first = process_request(system, req)
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(fedsgt.unlearn, "evaluate")
+        counted(fedsgt.sequencing, "state_from_deleted")
+        again = process_request(system, req)
+        assert calls == Counter()
+        assert (again.surviving, again.utility) == (first.surviving, first.utility)
+        # the counters are live: a request to a new group calls both once
+        other = next(ref for ref in plan.sizes
+                     if group_of(plan, ref) != group_of(plan, req.target))
+        process_request(system, UnlearnRequest(other, 1))
+        assert calls == Counter(evaluate=1, state_from_deleted=1)
 
     def test_other_sequence_family_rejected(self):
         # Past the four rotations the extra orders are drawn from the seed.
@@ -157,6 +186,28 @@ class TestProcessRequest:
             assert system.remaining_samples == (
                 plan.total_samples - sum(system.removed.values()))
         assert system.removed[first] == size
+
+    @pytest.mark.parametrize("removed, match", [
+        # Each used to be accepted. With the first, remaining_samples went
+        # negative, and a later request to slice (0, 0) un-booked records.
+        ({SliceRef(0, 0): 10**6, SliceRef(99, 9): 5}, "must be <= slice size"),
+        ({SliceRef(99, 9): 5}, r"unknown slice SliceRef\(client_id=99"),
+        ({SliceRef(0, 0): -1}, "must be >= 0, got -1"),
+        ({SliceRef(0, 0): 2.5}, "expected an integer, got 2.5"),
+        ({SliceRef(0, 0): True}, "expected an integer, got True"),
+    ], ids=["oversized", "unknown", "negative", "float", "bool"])
+    def test_unbookable_removed_rejected(self, removed, match):
+        ds, plan, seqs, cfg, model = build()
+        with pytest.raises(ValueError, match=match):
+            FedSGTSystem(plan=plan, seqs=seqs, state=fresh_state(seqs),
+                         removed=removed)
+
+    def test_bookable_removed_accepted_at_its_bounds(self):
+        ds, plan, seqs, cfg, model = build()
+        (full, size), (empty, _) = ds.slice_catalog()[:2]
+        system = FedSGTSystem(plan=plan, seqs=seqs, state=fresh_state(seqs),
+                              removed={full: size, empty: np.int64(0)})
+        assert system.remaining_samples == plan.total_samples - size
 
     @pytest.mark.parametrize("strategy", ["best", "", None])
     def test_unknown_strategy_rejected_before_any_state_change(self, strategy):
