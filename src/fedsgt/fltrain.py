@@ -49,6 +49,16 @@ stacks cost the code that runs after them. ``train_fedsgt`` trains one
 sequence at a time. The FedRetrain refits count stacked bytes, under a
 bound of their own (``unlearn._REFIT_STACK_BYTES``), chosen by its own
 measurements.
+
+Phase p of a sequence trains on phase p-1's data plus one group, so
+``train_prefixes`` lays its rows out once per call: one ``client_data``
+table per distinct cyclic order among its jobs, and every phase's clients
+are row ranges (views) of their table. A lone sequence's table is exactly
+the prefix it trains, so ``train_fedsgt``'s peak does not move; the
+rotations of a family share one table continued cyclically as far as any
+member's window reaches, fewer than twice the plan's rows, which is all
+the audit adds to its peak. Copying each phase's data afresh took O(L^2)
+slice copies per sequence and most of training's page faults.
 """
 
 from __future__ import annotations
@@ -385,6 +395,41 @@ def _run_rounds(runs: list[_Run], rounds: int, cfg: TrainConfig,
     return active
 
 
+def _row_tables(dataset: Dataset, plan: GroupingPlan,
+                jobs: Mapping[int, tuple[tuple[int, ...], int]]
+                ) -> dict[int, tuple[_Data, list[list[int]], int]]:
+    """One row table per cyclic order among the jobs that train, and each
+    such job's place in it: ``(table, starts, offset)``.
+
+    Jobs whose perms are rotations of one another share a table: the
+    ``client_data`` of the first such perm's groups, continued cyclically
+    as far as any member's last window reaches. A member at ``offset``
+    reads perm position p as table position ``offset + p``, so its phase-p
+    data is client c's rows ``starts[offset][c]:starts[offset + p + 1][c]``
+    of the table, where ``starts[k][c]`` counts c's rows in the table's
+    first k positions. A table holds fewer than twice the plan's rows."""
+    families: dict[tuple[int, ...], tuple[tuple[int, ...], int, list]] = {}
+    for sid, (perm, upto) in jobs.items():
+        if upto:
+            lead = perm.index(min(perm))
+            base, base_lead, members = families.setdefault(
+                perm[lead:] + perm[:lead], (perm, lead, []))
+            members.append((sid, (base_lead - lead) % len(perm)))
+    windows = {}
+    for base, _, members in families.values():
+        order = [base[k % len(base)]
+                 for k in range(max(offset + jobs[sid][1] for sid, offset in members))]
+        table = client_data(dataset, (ref for g in order for ref in plan.groups[g]))
+        held = np.zeros((len(order) + 1, dataset.client_count), dtype=np.intp)
+        for k, g in enumerate(order, start=1):
+            for ref in plan.groups[g]:
+                held[k, ref.client_id] += len(dataset.slice_data(ref)[1])
+        starts = held.cumsum(axis=0).tolist()
+        for sid, offset in members:
+            windows[sid] = table, starts, offset
+    return windows
+
+
 def train_prefixes(dataset: Dataset, plan: GroupingPlan,
                    jobs: Mapping[int, tuple[tuple[int, ...], int]],
                    cfg: TrainConfig, meter: CostMeter | None = None
@@ -400,9 +445,19 @@ def train_prefixes(dataset: Dataset, plan: GroupingPlan,
     more rows than one full-length round. Each stack's rounds run through
     ``_run_rounds``: round r of every member steps in one stack, and a
     stack of one trains round by round through ``federated_round``. Each
-    stack runs all its rounds before the next stack's data is built. A
-    member's data is ``client_data`` of its prefix's slices, the same call
-    for every phase.
+    stack runs all its rounds before the next stack is built.
+
+    A member's data is a set of views, not a copy. Phase p's data is phase
+    p-1's plus one group, so the rows are laid out once per call, in one
+    ``client_data`` table per cyclic order among the jobs
+    (``_row_tables``), and each phase's client c holds the rows
+    ``x_c[lo:hi], y_c[lo:hi]`` of its table, the bytes ``client_data`` of
+    the prefix would give; a client with no rows in the window is left
+    out. A lone job's table is exactly its ``upto`` prefix, and the
+    rotations of a family share one table of fewer than twice the plan's
+    rows, so training lays out O(L) slices per sequence where a fresh
+    ``client_data`` per phase took O(L^2), and the tables add at most
+    twice the plan's rows per distinct cyclic order to the peak.
 
     Truncation is exact: the modules returned for a prefix are bit-identical
     to the leading modules of a full run, because phase p of sequence s
@@ -412,24 +467,25 @@ def train_prefixes(dataset: Dataset, plan: GroupingPlan,
     for perm, upto in jobs.values():
         if not 0 <= upto <= len(perm):
             raise ValueError(f"upto_phase must be in [0, {len(perm)}], got {upto}")
+    windows = _row_tables(dataset, plan, jobs)
     modules: dict[int, list[AdapterModule]] = {sid: [] for sid in jobs}
     frozen = {sid: np.zeros((dataset.classes, dataset.dim)) for sid in jobs}
-    rows = dict.fromkeys(jobs, 0)
     for phase in range(max((upto for _, upto in jobs.values()), default=0)):
         training = [sid for sid, (_, upto) in jobs.items() if phase < upto]
+        data: dict[int, _Data] = {}
+        rows: dict[int, int] = {}
         for sid in training:
-            rows[sid] += sum(len(dataset.slice_data(ref)[1])
-                             for ref in plan.groups[jobs[sid][0][phase]])
+            table, starts, offset = windows[sid]
+            lo, hi = starts[offset], starts[offset + phase + 1]
+            data[sid] = {c: (x[lo[c]:hi[c]], y[lo[c]:hi[c]])
+                         for c, (x, y) in table.items() if hi[c] > lo[c]}
+            rows[sid] = sum(hi) - sum(lo)
             if not rows[sid]:
                 raise TrainingError(f"phase {phase}: cumulative groups hold no data")
         size = max(1, plan.total_samples // max(rows[sid] for sid in training))
         for first in range(0, len(training), size):
             stack = training[first:first + size]
-            runs = [(frozen[sid],
-                     client_data(dataset, (ref for g in jobs[sid][0][:phase + 1]
-                                           for ref in plan.groups[g])),
-                     (sid, phase))
-                    for sid in stack]
+            runs = [(frozen[sid], data[sid], (sid, phase)) for sid in stack]
             trained = _run_rounds(runs, cfg.rounds_per_phase, cfg, meter)
             for sid, weights in zip(stack, trained):
                 modules[sid].append(AdapterModule(

@@ -136,11 +136,12 @@ class FedSGTSystem:
     ``dataset`` are optional: without them the system still tracks service
     structure (survivors, failure), it just cannot report utility.
 
-    ``removed`` books records deleted so far, by slice. It is checked when
-    the system is built: every slice must be in ``plan.sizes`` and every
-    count an integer from 0 to that slice's size, by ``core``'s integer
-    rule, so the system starts from a booking a request stream could have
-    made."""
+    ``removed`` books records deleted so far, by slice. It is checked
+    whenever it is bound, when the system is built and on any later
+    assignment: every slice must be in ``plan.sizes`` and every count an
+    integer from 0 to that slice's size, by ``core``'s integer rule, so the
+    system holds a booking a request stream could have made. Binding it
+    also sums it into ``remaining_samples``."""
 
     plan: GroupingPlan
     seqs: SequenceSet
@@ -150,9 +151,6 @@ class FedSGTSystem:
     dataset: Dataset | None = None
     removed: dict[SliceRef, int] = field(default_factory=dict)
     steps: int = 0
-    # sum(removed.values()), kept up to date by ``process_request``.
-    _removed_total: int = field(default=0, init=False, repr=False,
-                                compare=False)
     # (model, dataset, strategy, state, utility) of the last evaluation.
     _scored: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
@@ -167,15 +165,20 @@ class FedSGTSystem:
         if self.model is not None and self.model.sequences != self.seqs:
             raise ValueError("the model was trained on another sequence family")
         _check_strategy(self.strategy)
+
+    def _book(self, removed: dict[SliceRef, int]) -> None:
+        """Bind ``removed`` after checking it, and its sum, which
+        ``process_request`` keeps up to date from then on."""
         sizes = self.plan.sizes
-        for ref, count in self.removed.items():
+        for ref, count in removed.items():
             if ref not in sizes:
                 raise ValueError(f"removed books unknown slice {ref}")
             check_at_least(0, **{f"removed[{ref}]": count})
             if count > sizes[ref]:
                 raise ValueError(f"removed[{ref}] must be <= slice size "
                                  f"{sizes[ref]}, got {count}")
-        self._removed_total = sum(self.removed.values())
+        self._removed = removed
+        self._removed_total = sum(removed.values())
 
     @property
     def remaining_samples(self) -> int:
@@ -213,6 +216,12 @@ class FedSGTSystem:
         return value
 
 
+# ``removed`` has a default factory, so the dataclass leaves no class
+# attribute of that name, and its ``__init__`` binds it through ``_book``
+# like any later assignment does.
+FedSGTSystem.removed = property(lambda self: self._removed, FedSGTSystem._book)
+
+
 def _check_strategy(strategy: str) -> None:
     """Raise ValueError unless ``strategy`` names a serving strategy, in any
     case."""
@@ -231,7 +240,7 @@ def process_request(system: FedSGTSystem, req: UnlearnRequest) -> TimelineRecord
     """Apply one deletion request. Invalid targets and an unknown strategy
     are rejected (raised) before any state changes."""
     _check_strategy(system.strategy)
-    system._removed_total += record_removal(system.removed, system.plan.sizes, req)
+    system._removed_total += record_removal(system._removed, system.plan.sizes, req)
     gid = group_of(system.plan, req.target)
     system.state = apply_deletion(system.state, system.seqs, gid)
     system.steps += 1

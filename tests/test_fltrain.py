@@ -1,7 +1,11 @@
 """Federated training: aggregation math, determinism, exact bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fedsgt.fltrain
 from fedsgt.core import (ServiceUnavailable, TrainerSpec, TrainingError,
@@ -16,6 +20,7 @@ from fedsgt.grouping import SliceRef, build_grouping
 from fedsgt.sequencing import (apply_deletion, build_sequences, fresh_state,
                                select_allseq, select_longseq, select_minseq,
                                state_from_deleted)
+from fedsgt.unlearn import exactness_audit
 
 
 def data(seed=0, **kw):
@@ -470,6 +475,23 @@ def upto_maps(budget, groups, seed):
     return [mixed, lone, {sid: groups for sid in range(budget)}]
 
 
+@st.composite
+def prefix_calls(draw):
+    """``(clients, slices per client, samples per client, groups, budget,
+    seed, [(sid, upto), ...])`` for one ``train_prefixes`` call: plans
+    whose slices need not divide into the groups, budgets past the group
+    count (up to twice it, where that many orders exist), and the jobs of
+    a drawn subset of sequences in a drawn order, each with any upto."""
+    clients = draw(st.integers(1, 4))
+    slices = draw(st.integers(1, 3))
+    samples = draw(st.integers(slices, 24))
+    groups = draw(st.integers(1, min(5, clients * slices)))
+    budget = draw(st.integers(1, min(2 * groups, math.factorial(groups))))
+    sids = draw(st.lists(st.integers(0, budget - 1), min_size=1, unique=True))
+    uptos = [(sid, draw(st.integers(0, groups))) for sid in sids]
+    return clients, slices, samples, groups, budget, draw(st.integers(0, 3)), uptos
+
+
 class TestTrainPrefixes:
     """Stacking the rounds of several prefixes gives each module, and the
     cost, of training every prefix alone round by round, while no kernel
@@ -515,6 +537,62 @@ class TestTrainPrefixes:
         # several runs is built once per phase, a lone run once per round.
         assert len(stacked_rows) > groups * cfg.rounds_per_phase
         assert widest > 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(call=prefix_calls())
+    # Named shapes: an unbalanced plan (6 slices in 4 groups) whose groups
+    # miss clients, B > L, a rotation window that wraps, partial and zero
+    # prefixes, several jobs; then a lone full-length job.
+    @example(call=(3, 2, 24, 4, 6, 1, [(5, 4), (3, 4), (1, 2), (0, 0), (4, 3)]))
+    @example(call=(2, 3, 17, 5, 5, 2, [(2, 5)]))
+    def test_drawn_calls_match_per_round_oracle(self, call):
+        clients, slices, samples, groups, budget, seed, uptos = call
+        ds = data(seed=seed, clients=clients, samples_per_client=samples,
+                  dim=3, slices_per_client=slices)
+        plan = build_grouping(ds.slice_catalog(), groups, seed)
+        seqs = build_sequences(groups, budget, seed)
+        cfg = TrainConfig(epochs=1, lr=0.2, batch_size=8, seed=seed)
+        jobs = {sid: (seqs.perms[sid], upto) for sid, upto in uptos}
+        meter = CostMeter()
+        got = train_prefixes(ds, plan, jobs, cfg, meter)
+        assert list(got) == list(jobs)
+        want_updates = 0
+        for sid, (perm, upto) in jobs.items():
+            alone = CostMeter()
+            want = oracle_prefix(ds, plan, perm, cfg, sid, upto, alone)
+            assert [(m.group, m.samples, m.weights.tobytes())
+                    for m in got[sid]] == want, sid
+            want_updates += alone.updates
+        assert meter.updates == want_updates
+
+    @pytest.mark.parametrize("budget", [2, 4])
+    def test_rotation_audit_trains_from_views_of_one_table(self, budget,
+                                                           monkeypatch):
+        ds, plan, seqs, cfg = system(seed=4)
+        seqs = build_sequences(4, budget, 4)
+        model = train_fedsgt(ds, plan, seqs, cfg)
+        tables, members = [], []
+
+        def counted(*args, **kwargs):
+            tables.append(client_data(*args, **kwargs))
+            return tables[-1]
+
+        def recording(runs, *args):
+            members.extend(d for _, data, _ in runs for d in data.items())
+            return _build_stack(runs, *args)
+
+        monkeypatch.setattr(fedsgt.fltrain, "client_data", counted)
+        monkeypatch.setattr(fedsgt.fltrain, "_build_stack", recording)
+        for deleted in [(), (1,), (0, 2)]:
+            tables.clear()
+            members.clear()
+            assert exactness_audit(model, plan, cfg, ds, deleted).passed
+            assert len(tables) == 1
+            (table,) = tables
+            assert members
+            for client, (x, y) in members:
+                assert np.shares_memory(x, table[client][0])
+                assert np.shares_memory(y, table[client][1])
 
     def test_one_sequence_steps_through_federated_round(self, monkeypatch):
         ds, plan, seqs, cfg = system(seed=3)

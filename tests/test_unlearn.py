@@ -209,6 +209,21 @@ class TestProcessRequest:
                               removed={full: size, empty: np.int64(0)})
         assert system.remaining_samples == plan.total_samples - size
 
+    def test_rebound_removed_is_checked_and_summed(self):
+        # Rebinding used to skip both: after an oversized booking of slice
+        # (0, 0) a 3-record request reported remaining=1000140.
+        ds, plan, seqs, cfg, model = build()
+        system = fedsgt_system(plan, seqs)
+        with pytest.raises(ValueError, match="must be <= slice size"):
+            system.removed = {SliceRef(0, 0): 10**6}
+        assert system.removed == {}
+        assert system.remaining_samples == plan.total_samples
+        system.removed = {SliceRef(0, 0): 5}
+        assert system.remaining_samples == plan.total_samples - 5
+        record = process_request(system, UnlearnRequest(SliceRef(0, 0), 3))
+        assert f"remaining={plan.total_samples - 8}" in record.notes
+        assert system.removed == {SliceRef(0, 0): 8}
+
     @pytest.mark.parametrize("strategy", ["best", "", None])
     def test_unknown_strategy_rejected_before_any_state_change(self, strategy):
         ds, plan, seqs, cfg, model = build()
