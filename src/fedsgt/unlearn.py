@@ -15,6 +15,7 @@ remaining-sample accounting subtracts only the records actually deleted.
 from __future__ import annotations
 
 import csv
+import types
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -141,7 +142,9 @@ class FedSGTSystem:
     assignment: every slice must be in ``plan.sizes`` and every count an
     integer from 0 to that slice's size, by ``core``'s integer rule, so the
     system holds a booking a request stream could have made. Binding it
-    also sums it into ``remaining_samples``."""
+    copies it and sums it into ``remaining_samples``; reading it gives a
+    read-only view of the copy, so ``process_request`` is its only
+    writer."""
 
     plan: GroupingPlan
     seqs: SequenceSet
@@ -149,7 +152,7 @@ class FedSGTSystem:
     strategy: str = "allseq"
     model: ToyModel | None = None
     dataset: Dataset | None = None
-    removed: dict[SliceRef, int] = field(default_factory=dict)
+    removed: Mapping[SliceRef, int] = field(default_factory=dict)
     steps: int = 0
     # (model, dataset, strategy, state, utility) of the last evaluation.
     _scored: tuple | None = field(default=None, init=False, repr=False,
@@ -166,10 +169,11 @@ class FedSGTSystem:
             raise ValueError("the model was trained on another sequence family")
         _check_strategy(self.strategy)
 
-    def _book(self, removed: dict[SliceRef, int]) -> None:
-        """Bind ``removed`` after checking it, and its sum, which
+    def _book(self, removed: Mapping[SliceRef, int]) -> None:
+        """Bind a copy of ``removed`` after checking it, and its sum, which
         ``process_request`` keeps up to date from then on."""
         sizes = self.plan.sizes
+        removed = dict(removed)
         for ref, count in removed.items():
             if ref not in sizes:
                 raise ValueError(f"removed books unknown slice {ref}")
@@ -219,7 +223,8 @@ class FedSGTSystem:
 # ``removed`` has a default factory, so the dataclass leaves no class
 # attribute of that name, and its ``__init__`` binds it through ``_book``
 # like any later assignment does.
-FedSGTSystem.removed = property(lambda self: self._removed, FedSGTSystem._book)
+FedSGTSystem.removed = property(
+    lambda self: types.MappingProxyType(self._removed), FedSGTSystem._book)
 
 
 def _check_strategy(strategy: str) -> None:

@@ -3,6 +3,9 @@
 import functools
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedsgt import analytics, montecarlo
-from fedsgt.montecarlo import (_BLOCK, CHUNK_TRIALS, ZERO_VARIANCE_ULPS,
-                               MCConfig, MCEstimate, _comm_cost_job,
-                               _comm_cost_samples, _coverage_times,
+from fedsgt.montecarlo import (_BLOCK, _TABLE_UNITS, CHUNK_TRIALS,
+                               ZERO_VARIANCE_ULPS, MCConfig, MCEstimate,
+                               _comm_cost_job, _comm_costs, _coverage_times,
                                _deletion_fedcio_job, _deletion_fedsgt_job,
-                               _estimates, _remaining_job, _rotation_heads,
-                               _span_job, _span_samples,
-                               mc_comm_cost, mc_deletion_rate_fedcio,
+                               _distinct_units, _estimates, _fold_table,
+                               _remaining_job, _rotation_heads, _set_sampler,
+                               _span_job, _spans, mc_comm_cost,
+                               mc_deletion_rate_fedcio,
                                mc_deletion_rate_fedsgt,
                                mc_expected_remaining, mc_expected_span,
                                validation_grid)
@@ -97,17 +101,21 @@ class _FixedDraws:
         return self.draws
 
 
+# Both sides of the hit-mask table bound: the table path and the fold path.
+TABLE_EDGE = [_TABLE_UNITS, _TABLE_UNITS + 1]
+
+
 class TestSpanKernel:
-    @pytest.mark.parametrize("group_count", [1, 2, 4, 10, 16, 17, 32, 64, 100])
+    @pytest.mark.parametrize("group_count",
+                             [1, 2, 4, 10, *TABLE_EDGE, 16, 17, 32, 64, 100])
     @pytest.mark.parametrize("requests", [1, 2, 10, 300])
     def test_matches_row_oracle(self, group_count, requests):
         seed = 1000 * group_count + requests
-        got = _span_samples(np.random.default_rng(seed), 500, group_count,
-                            requests)
+        got = _set_sampler(_spans, group_count, requests)(
+            np.random.default_rng(seed), 500)
         want = oracle_span_samples(np.random.default_rng(seed), 500,
                                    group_count, requests)
-        assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+        assert got.astype(np.float64).tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -116,8 +124,11 @@ class TestSpanKernel:
         shape = data.draw(st.tuples(st.integers(1, 12), st.integers(1, 25)))
         draws = data.draw(arrays(np.int64, shape,
                                  elements=st.integers(0, group_count - 1)))
-        got = _span_samples(_FixedDraws(draws), shape[0], group_count, shape[1])
-        assert got.tolist() == [cyclic_span(group_count, row) for row in draws]
+        want = [cyclic_span(group_count, row) for row in draws]
+        got = _set_sampler(_spans, group_count, shape[1])(_FixedDraws(draws),
+                                                          shape[0])
+        assert got.tolist() == want
+        assert _spans(draws, group_count).tolist() == want
 
 
 def oracle_comm_cost(group_count, rows):
@@ -133,17 +144,17 @@ def oracle_comm_cost(group_count, rows):
 
 
 class TestCommCostKernel:
-    @pytest.mark.parametrize("group_count", [1, 2, 4, 10, 32, 64])
+    @pytest.mark.parametrize("group_count", [1, 2, 4, 10, *TABLE_EDGE, 32, 64])
     @pytest.mark.parametrize("slices", [1, 2, 5, "more-than-L"])
     def test_matches_rotation_oracle(self, group_count, slices):
         slices = group_count + 3 if slices == "more-than-L" else slices
         seed = 1000 * group_count + slices
-        got = _comm_cost_samples(np.random.default_rng(seed), 500,
-                                 group_count, slices)
+        got = _set_sampler(_comm_costs, group_count, slices)(
+            np.random.default_rng(seed), 500)
         draws = np.random.default_rng(seed).integers(
             0, group_count, size=(500, slices))
-        assert got.dtype == np.float64
-        assert got.tobytes() == oracle_comm_cost(group_count, draws).tobytes()
+        assert (got.astype(np.float64).tobytes()
+                == oracle_comm_cost(group_count, draws).tobytes())
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -152,9 +163,57 @@ class TestCommCostKernel:
         shape = data.draw(st.tuples(st.integers(1, 12), st.integers(1, 25)))
         draws = data.draw(arrays(np.int64, shape,
                                  elements=st.integers(0, group_count - 1)))
-        got = _comm_cost_samples(_FixedDraws(draws), shape[0], group_count,
-                                 shape[1])
-        assert got.tobytes() == oracle_comm_cost(group_count, draws).tobytes()
+        want = oracle_comm_cost(group_count, draws).tolist()
+        got = _set_sampler(_comm_costs, group_count, shape[1])(
+            _FixedDraws(draws), shape[0])
+        assert got.tolist() == want
+        assert _comm_costs(draws, group_count).tolist() == want
+
+
+class TestDistinctKernel:
+    @pytest.mark.parametrize("units", [1, 2, 5, *TABLE_EDGE, 40])
+    @pytest.mark.parametrize("requests", [1, 3, 20])
+    def test_remaining_fedcio_matches_set_oracle(self, units, requests):
+        draws = np.random.default_rng(100 * units + requests).integers(
+            0, units, size=(300, requests))
+        _, sampler = _remaining_job("FedCIO", 50_000, units, requests)
+        got = sampler(_FixedDraws(draws), len(draws))
+        assert got.tolist() == [50_000 / units * (units - len(set(row.tolist())))
+                                for row in draws]
+
+
+class TestFoldTables:
+    @pytest.mark.parametrize("universe", range(1, _TABLE_UNITS + 1))
+    def test_every_set_matches_its_oracle(self, universe):
+        masks = range(1, 1 << universe)
+        sets = [[u for u in range(universe) if mask >> u & 1] for mask in masks]
+        spans = _fold_table(_spans, universe)[1:]
+        assert spans.tolist() == [cyclic_span(universe, units) for units in sets]
+        comm = _fold_table(_comm_costs, universe)[1:]
+        assert comm.tolist() == oracle_comm_cost(universe, sets).tolist()
+        # The FedCIO remaining sampler's value at each set, as it computes it.
+        kept = 50_000 / universe * (universe - _fold_table(_distinct_units,
+                                                           universe)[1:])
+        assert kept.tolist() == [50_000 / universe * (universe - len(units))
+                                 for units in sets]
+
+    def test_tables_are_built_once_before_any_chunk_runs(self):
+        job = _span_job(7, 3)
+        assert _fold_table(_spans, 7) is _fold_table(_spans, 7)
+        assert not _fold_table(_spans, 7).flags.writeable
+        before = _fold_table.cache_info()
+        _estimates([job], MCConfig(trials=3 * CHUNK_TRIALS, seed=0), workers=2)
+        assert _fold_table.cache_info() == before
+
+    def test_import_builds_no_table(self):
+        code = ("import fedsgt.cli; from fedsgt.montecarlo import _fold_table; "
+                "assert _fold_table.cache_info().currsize == 0")
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=120)
 
 
 def oracle_coverage_times(rows, heads):
@@ -490,6 +549,34 @@ PINNED_GRID_RATES = {
     ("deletion_rate_fedcio", "c=2"): ("0x1.8231f8a0902dep+1", "0x1.49cec53150237p-7"),
     ("deletion_rate_fedcio", "c=5"): ("0x1.6d19ce075f6fdp+3", "0x1.2302493ddae49p-5"),
 }
+# Span and comm-cost samples are integers too. These were taken from the
+# sort folds, before the hit-mask tables served L <= _TABLE_UNITS.
+PINNED_GRID_SETS = {
+    ("expected_span", "L=4;r=1"): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("expected_span", "L=4;r=3"): ("0x1.3ff141205bc02p+1", "0x1.19b28b1c6e97bp-8"),
+    ("expected_span", "L=4;r=5"): ("0x1.8eacd9e83e426p+1", "0x1.15166c7be17d1p-8"),
+    ("expected_span", "L=4;r=10"): ("0x1.e2f1a9fbe76c9p+1", "0x1.8bb2db100e52bp-9"),
+    ("expected_span", "L=4;r=20"): ("0x1.fe7381d7dbf48p+1", "0x1.9555f6828d872p-11"),
+    ("expected_span", "L=6;r=1"): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("expected_span", "L=6;r=3"): ("0x1.a801a36e2eb1cp+1", "0x1.a55f5b41ff949p-8"),
+    ("expected_span", "L=6;r=5"): ("0x1.0e5e353f7ced9p+2", "0x1.665d96ba082a0p-8"),
+    ("expected_span", "L=6;r=10"): ("0x1.4a978d4fdf3b6p+2", "0x1.12df1b3058fb9p-8"),
+    ("expected_span", "L=6;r=20"): ("0x1.764189374bc6ap+2", "0x1.51565dbb8ddb6p-9"),
+    ("expected_span", "L=10;r=1"): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("expected_span", "L=10;r=3"): ("0x1.383afb7e90ff9p+2", "0x1.4cf38c970ab82p-7"),
+    ("expected_span", "L=10;r=5"): ("0x1.9b0be0ded288dp+2", "0x1.1d5f37e309aacp-7"),
+    ("expected_span", "L=10;r=10"): ("0x1.01566cf41f213p+3", "0x1.8bb7a1e200b21p-8"),
+    ("expected_span", "L=10;r=20"): ("0x1.232f1a9fbe76dp+3", "0x1.0db390130d6adp-8"),
+    ("expected_comm_cost", "L=4;S=1"): ("0x1.4000000000000p+3", "0x0.0p+0"),
+    ("expected_comm_cost", "L=4;S=2"): ("0x1.8fe2eb1c432cap+3", "0x1.5bb628d2d38c0p-7"),
+    ("expected_comm_cost", "L=4;S=5"): ("0x1.dd62b6ae7d567p+3", "0x1.acd097039af1cp-8"),
+    ("expected_comm_cost", "L=6;S=1"): ("0x1.5000000000000p+4", "0x0.0p+0"),
+    ("expected_comm_cost", "L=6;S=2"): ("0x1.acf212d773190p+4", "0x1.60bee43082452p-6"),
+    ("expected_comm_cost", "L=6;S=5"): ("0x1.04b9a6b50b0f2p+5", "0x1.b0ad7a104d8a3p-7"),
+    ("expected_comm_cost", "L=10;S=1"): ("0x1.b800000000000p+5", "0x0.0p+0"),
+    ("expected_comm_cost", "L=10;S=2"): ("0x1.1d82de00d1b71p+6", "0x1.c7507d51eaf79p-5"),
+    ("expected_comm_cost", "L=10;S=5"): ("0x1.5fa1e4f765fd9p+6", "0x1.12d396e33781cp-5"),
+}
 # One estimate per word layout: 32 heads, 64 heads, two words, 64 clusters.
 PINNED_RATES = [
     (mc_deletion_rate_fedsgt, (32, 32), ("0x1.034c226809d49p+7", "0x1.1791473cd8154p-2")),
@@ -499,13 +586,25 @@ PINNED_RATES = [
 ]
 
 
+def grid_hexes():
+    return {(r.quantity, r.params): (r.estimate.mean.hex(),
+                                     r.estimate.stderr.hex())
+            for r in validation_grid(PINNED_CFG, workers=2)}
+
+
 class TestPinnedBytes:
     def test_grid_deletion_rates(self):
-        rows = validation_grid(PINNED_CFG, workers=2)
-        got = {(r.quantity, r.params): (r.estimate.mean.hex(),
-                                        r.estimate.stderr.hex())
-               for r in rows if r.quantity.startswith("deletion_rate")}
-        assert got == PINNED_GRID_RATES
+        got = grid_hexes()
+        assert {k: got[k] for k in PINNED_GRID_RATES} == PINNED_GRID_RATES
+
+    def test_grid_spans_and_comm_costs(self):
+        got = grid_hexes()
+        assert {k: got[k] for k in PINNED_GRID_SETS} == PINNED_GRID_SETS
+
+    def test_grid_bytes_do_not_depend_on_the_table_bound(self, monkeypatch):
+        tabled = grid_hexes()
+        monkeypatch.setattr(montecarlo, "_TABLE_UNITS", 0)
+        assert grid_hexes() == tabled
 
     @pytest.mark.parametrize("estimator, args, want", PINNED_RATES)
     def test_deletion_rate_estimators(self, estimator, args, want):

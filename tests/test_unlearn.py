@@ -224,6 +224,29 @@ class TestProcessRequest:
         assert f"remaining={plan.total_samples - 8}" in record.notes
         assert system.removed == {SliceRef(0, 0): 8}
 
+    def test_booking_is_read_only_in_place(self):
+        # An in-place write used to be accepted unchecked: after
+        # removed[(0, 0)] = 10**6 a 3-record request to slice (0, 1)
+        # reported remaining=157 on a 160-sample plan.
+        ds, plan, seqs, cfg, model = build()
+        system = fedsgt_system(plan, seqs)
+        seeded = {SliceRef(0, 0): 5}
+        system.removed = seeded
+        with pytest.raises(TypeError):
+            system.removed[SliceRef(0, 0)] = 10**6
+        with pytest.raises(TypeError):
+            del system.removed[SliceRef(0, 0)]
+        seeded[SliceRef(0, 0)] = 10**6  # the system booked a copy
+        assert system.removed == {SliceRef(0, 0): 5}
+        assert system.remaining_samples == plan.total_samples - 5
+        record = process_request(system, UnlearnRequest(SliceRef(0, 1), 3))
+        assert f"remaining={plan.total_samples - 8}" in record.notes
+        # A copy of the system books through its own copy.
+        twin = dataclasses.replace(system)
+        process_request(twin, UnlearnRequest(SliceRef(0, 0), 1))
+        assert system.removed == {SliceRef(0, 0): 5, SliceRef(0, 1): 3}
+        assert twin.remaining_samples == system.remaining_samples - 1
+
     @pytest.mark.parametrize("strategy", ["best", "", None])
     def test_unknown_strategy_rejected_before_any_state_change(self, strategy):
         ds, plan, seqs, cfg, model = build()
