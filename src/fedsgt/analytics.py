@@ -27,7 +27,8 @@ from itertools import accumulate
 from typing import Iterator
 
 from .combinatorics import binomial, harmonic
-from .core import METHOD_FEDCIO, METHOD_FEDSGT, _count, check_at_least, check_fields
+from .core import (METHOD_FEDCIO, METHOD_FEDSGT, _count, check_at_least,
+                   check_fields, method_name)
 
 METHOD_FEDAVG = "FedAvg"
 
@@ -106,8 +107,8 @@ def prob_m_distinct(group_count: int, requests: int, distinct: int) -> Fraction:
 
 
 def _check_occupied(group_count: int, occupied: int) -> None:
-    check_at_least(1, group_count=group_count)
-    if occupied < 1 or occupied > group_count:
+    check_at_least(1, group_count=group_count, occupied=occupied)
+    if occupied > group_count:
         raise ValueError(
             f"occupied must be in [1, {group_count}], got {occupied}")
 
@@ -259,11 +260,9 @@ def training_cost(method: str, params: AnalyticParams) -> float:
     prefix, which telescopes to B * E * (L+1)/2 * |D| * P with balanced
     groups.
     """
-    name = method.strip().lower()
+    name = method_name(method, (METHOD_FEDAVG, METHOD_FEDCIO, METHOD_FEDSGT))
     p = params
     base = p.epochs * p.total_samples * p.adapter_params
-    if name == METHOD_FEDAVG.lower() or name == METHOD_FEDCIO.lower():
-        return float(p.rounds * base * p.group_count)
-    if name == METHOD_FEDSGT.lower():
+    if name == METHOD_FEDSGT:
         return float(p.budget * base * (p.group_count + 1) / 2.0)
-    raise ValueError(f"unknown method {method!r}; expected FedAvg, FedCIO, or FedSGT")
+    return float(p.rounds * base * p.group_count)

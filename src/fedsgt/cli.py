@@ -24,7 +24,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -36,8 +35,9 @@ from . import __version__, analytics, montecarlo
 from .bank import read_bank, write_bank
 from .core import (STRATEGIES, BankFormatError, ConfigurationError, CsvSpec,
                    FedSGTError, ModuleTrainerSpec, RequestSpec, RunConfig,
-                   SyntheticSpec, TrainingError, _count, budget_error,
-                   dataset_fit_errors, parse_script, validate_config)
+                   SyntheticSpec, TrainingError, _count, _positive_number,
+                   budget_error, dataset_fit_errors, parse_script,
+                   validate_config)
 from .dataset import Dataset, load_csv_dataset, synth_dataset
 from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
                       sequence_logits, train_fedsgt)
@@ -248,7 +248,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     k = args.confidence_k
-    _check_flags(args, [] if math.isfinite(k) and k > 0 else
+    _check_flags(args, [] if _positive_number(k) else
                  ["--confidence-k: must be finite and positive"])
     outdir = _outdir(args.out)
     cfg = MCConfig(trials=args.trials, seed=args.seed)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import Field, asdict, dataclass, field, fields
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from functools import cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,9 +81,15 @@ class ServiceUnavailable(FedSGTError):
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
-# Each integer field declares its default and minimum once, via ``_count``,
-# and each number field its default once, via ``_number``. Config files are
-# read, library configs checked, and ``to_dict`` written by walking fields.
+# Every checked field is declared once, with its default and its rule:
+#   _count   an integer of at least a minimum (``_count_problem``);
+#   _number  a finite positive number, read as a float (``_positive_number``);
+#   _string  a nonempty string (``_nonempty_string``).
+# A number or string field may also allow None. Config files are read,
+# library configs checked, and ``to_dict`` written by walking fields. The
+# strategy and method names have one rule each too (``strategy_name``,
+# ``method_name``), and so do the integers a document must hold
+# (``required_int``).
 
 
 def _count(default: int, minimum: int) -> Any:
@@ -95,7 +101,14 @@ def _count(default: int, minimum: int) -> Any:
 def _number(default: float | None, nullable: bool = False) -> Any:
     """A number config field: ``default`` when the key is absent; a value
     must be a finite positive number, or None when ``nullable``."""
-    return field(default=default, metadata={"nullable": nullable})
+    return field(default=default, metadata={"nullable": nullable, "kind": "number"})
+
+
+def _string(default: str | None = MISSING, nullable: bool = False) -> Any:
+    """A string config field: ``default`` when the key is absent, which
+    without a default reads as None; a value must be a nonempty string, or
+    None when ``nullable``."""
+    return field(default=default, metadata={"nullable": nullable, "kind": "string"})
 
 
 @dataclass(frozen=True)
@@ -112,8 +125,8 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class CsvSpec:
-    path: str
-    manifest: str
+    path: str = _string()
+    manifest: str = _string()
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": "csv", **asdict(self)}
@@ -157,7 +170,7 @@ class RequestSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    experiment: str = "default"
+    experiment: str = _string("default")
     seed: int = _count(0, 0)
     clients: int = _count(10, 1)
     slices_per_client: int = _count(5, 1)
@@ -168,7 +181,7 @@ class RunConfig:
     dataset: SyntheticSpec | CsvSpec = field(default_factory=SyntheticSpec)
     trainer: TrainerSpec = field(default_factory=TrainerSpec)
     requests: RequestSpec = field(default_factory=RequestSpec)
-    out: str | None = None
+    out: str | None = _string(None, nullable=True)
 
     def to_dict(self) -> dict[str, Any]:
         return {**asdict(self), "dataset": self.dataset.to_dict(),
@@ -195,29 +208,41 @@ def _positive_number(value: Any) -> bool:
             and 0 < value <= sys.float_info.max)
 
 
+def _nonempty_string(value: Any) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+# Each kind of field but counts: the rule its values pass, and what a
+# refused value is told.
+_KINDS = {
+    "number": (_positive_number, "must be a finite positive number"),
+    "string": (_nonempty_string, "expected a nonempty string"),
+}
+
+
 def _field_problem(f: Field, value: Any) -> str | None:
     """What keeps ``value`` from filling the declared field ``f``, or None."""
     if "minimum" in f.metadata:
         return _count_problem(value, f.metadata["minimum"])
+    passes, wanted = _KINDS[f.metadata["kind"]]
     nullable = f.metadata["nullable"]
-    if _positive_number(value) or (nullable and value is None):
+    if passes(value) or (nullable and value is None):
         return None
-    return (f"must be a finite positive number{' or null' if nullable else ''}, "
-            f"got {value!r}")
+    return f"{wanted}{' or null' if nullable else ''}, got {value!r}"
 
 
 @cache
 def _declared(spec: type) -> tuple[Field, ...]:
     """The ``_count`` fields of the dataclass ``spec`` in field order, then
-    its ``_number`` fields (the fields with metadata): the order their
-    problems are reported in."""
+    its ``_number`` and ``_string`` fields (the fields with metadata): the
+    order their problems are reported in."""
     return tuple(sorted((f for f in fields(spec) if f.metadata),
-                        key=lambda f: "nullable" in f.metadata))
+                        key=lambda f: "kind" in f.metadata))
 
 
 def _library_error(name: str, problem: str) -> ValueError:
     """A library call's error: ``"<name> must be ..."`` for a value out of
-    range, ``"<name>: expected an integer, got ..."`` for a wrong type."""
+    range, ``"<name>: expected ..., got ..."`` for a wrong type."""
     return ValueError(f"{name}{' ' if problem.startswith('must') else ': '}{problem}")
 
 
@@ -230,6 +255,38 @@ def plain_int(errors: list[str], value: Any, minimum: int, label: str) -> int | 
         return value
     errors.append(f"{label}: {problem}")
     return None
+
+
+def required_int(errors: list[str], doc: Mapping[str, Any], key: str,
+                 minimum: int, label: str) -> int | None:
+    """``doc[key]`` read by ``plain_int``; an absent key is added to
+    ``errors`` as ``"<label>: required"`` and gives None. Request scripts
+    and dataset manifests read the integers they must hold here."""
+    if key not in doc:
+        errors.append(f"{label}: required")
+        return None
+    return plain_int(errors, doc[key], minimum, label)
+
+
+def strategy_name(value: Any) -> str:
+    """The serving strategy ``value`` names, in any case, as spelled in
+    ``STRATEGIES``. Anything else, a value that is not a string too, raises
+    ValueError naming it. Configs, the serving system and
+    ``fltrain.predict_proba`` read strategies by this one rule."""
+    if isinstance(value, str) and (name := value.lower()) in STRATEGIES:
+        return name
+    raise ValueError(f"unknown strategy {value!r}")
+
+
+def method_name(value: Any, methods: Iterable[str]) -> str:
+    """The name among ``methods`` that ``value`` names, in any case and
+    with blanks around it, as spelled in ``methods``. Anything else, a value
+    that is not a string too, raises ValueError naming it and the methods."""
+    names = {name.lower(): name for name in methods}
+    if isinstance(value, str) and (key := value.strip().lower()) in names:
+        return names[key]
+    raise ValueError(f"unknown method {value!r}; expected one of "
+                     f"{tuple(names.values())}")
 
 
 def check_at_least(minimum: int, **values: Any) -> None:
@@ -245,10 +302,11 @@ def check_at_least(minimum: int, **values: Any) -> None:
 
 def check_fields(spec: Any) -> None:
     """Raise ValueError for the first declared field of the dataclass
-    instance ``spec`` (its counts, then its numbers) holding a value a
-    config file is refused, so a library config takes what a config file
-    takes. Counts read as in ``check_at_least``; a number reads ``"<field>
-    must be a finite positive number, got <value>"``."""
+    instance ``spec`` (its counts, then its numbers and strings) holding a
+    value a config file is refused, so a library config takes what a
+    config file takes. Counts read as in ``check_at_least``; a number reads
+    ``"<field> must be a finite positive number, got <value>"`` and a
+    string ``"<field>: expected a nonempty string, got <value>"``."""
     for f in _declared(type(spec)):
         if (problem := _field_problem(f, getattr(spec, f.name))) is not None:
             raise _library_error(f.name, problem)
@@ -266,27 +324,24 @@ def _object(errors: list[str], raw: Any, label: str) -> Mapping[str, Any]:
     return raw
 
 
-def _unknown_keys(errors: list[str], raw: Mapping[str, Any], spec: type,
-                  prefix: str = "", extra: tuple[str, ...] = ()) -> None:
-    allowed = {f.name for f in fields(spec)}.union(extra)
-    for key in raw:
-        if key not in allowed:
-            errors.append(f"{prefix}{key}: unknown key")
-
-
 def _read_fields(errors: list[str], raw: Mapping[str, Any], spec: type,
-                 prefix: str = "") -> dict[str, Any]:
+                 prefix: str = "", extra: tuple[str, ...] = ()) -> dict[str, Any]:
     """Every declared field of ``spec`` read from ``raw``, counts then
-    numbers: an absent key takes the field's default, and a refused value
+    numbers and strings, after any key of ``raw`` that is neither a field
+    of ``spec`` nor in ``extra`` is reported unknown. An absent key takes
+    the field's default (None for a field without one), and a refused value
     is added to ``errors`` and takes the default too. Numbers are read as
     floats."""
+    allowed = {f.name for f in fields(spec)}.union(extra)
+    errors += [f"{prefix}{key}: unknown key" for key in raw if key not in allowed]
     values = {}
     for f in _declared(spec):
-        value = raw.get(f.name, f.default)
+        default = None if f.default is MISSING else f.default
+        value = raw.get(f.name, default)
         if (problem := _field_problem(f, value)) is not None:
             errors.append(f"{prefix}{f.name}: {problem}")
-            value = f.default
-        elif "nullable" in f.metadata and value is not None:
+            value = default
+        elif f.metadata.get("kind") == "number" and value is not None:
             value = float(value)
         values[f.name] = value
     return values
@@ -323,28 +378,11 @@ def dataset_fit_errors(cfg: RunConfig, slices: int, clients: int,
 def _validate_dataset(errors: list[str], raw: Any) -> SyntheticSpec | CsvSpec:
     raw = _object(errors, raw, "dataset")
     kind = raw.get("kind", "synthetic")
-    if kind == "synthetic":
-        _unknown_keys(errors, raw, SyntheticSpec, "dataset.", extra=("kind",))
-        return SyntheticSpec(**_read_fields(errors, raw, SyntheticSpec, "dataset."))
-    if kind == "csv":
-        _unknown_keys(errors, raw, CsvSpec, "dataset.", extra=("kind",))
-        path = raw.get("path")
-        manifest = raw.get("manifest")
-        if not isinstance(path, str) or not path:
-            errors.append("dataset.path: required for csv datasets")
-            path = ""
-        if not isinstance(manifest, str) or not manifest:
-            errors.append("dataset.manifest: required for csv datasets")
-            manifest = ""
-        return CsvSpec(path=path, manifest=manifest)
+    if kind in ("synthetic", "csv"):
+        spec = SyntheticSpec if kind == "synthetic" else CsvSpec
+        return spec(**_read_fields(errors, raw, spec, "dataset.", extra=("kind",)))
     errors.append(f"dataset.kind: expected 'synthetic' or 'csv', got {kind!r}")
     return SyntheticSpec()
-
-
-def _validate_trainer(errors: list[str], raw: Any) -> TrainerSpec:
-    raw = _object(errors, raw, "trainer")
-    _unknown_keys(errors, raw, TrainerSpec, "trainer.")
-    return TrainerSpec(**_read_fields(errors, raw, TrainerSpec, "trainer."))
 
 
 def parse_script(errors: list[str], items: Any, label: str
@@ -370,11 +408,8 @@ def parse_script(errors: list[str], items: Any, label: str
         for key in item:
             if key not in ("client", "slice", "records"):
                 errors.append(f"{where}.{key}: unknown key")
-        for key in ("client", "slice"):
-            if key not in item:
-                errors.append(f"{where}.{key}: required")
-        client = plain_int(errors, item.get("client", 0), 0, f"{where}.client")
-        sl = plain_int(errors, item.get("slice", 0), 0, f"{where}.slice")
+        client = required_int(errors, item, "client", 0, f"{where}.client")
+        sl = required_int(errors, item, "slice", 0, f"{where}.slice")
         records = (plain_int(errors, item["records"], 1, f"{where}.records")
                    if "records" in item else None)
         if len(errors) == before:
@@ -391,7 +426,6 @@ def _validate_requests(errors: list[str], raw: Any) -> RequestSpec:
         script = parse_script(errors, raw["script"], "requests.script")
         return RequestSpec(script=tuple(
             (c, s, RequestSpec.record_count if n is None else n) for c, s, n in script))
-    _unknown_keys(errors, raw, RequestSpec, "requests.")
     return RequestSpec(**_read_fields(errors, raw, RequestSpec, "requests."))
 
 
@@ -406,32 +440,20 @@ def validate_config(raw: Mapping[str, Any]) -> RunConfig:
     if not isinstance(raw, Mapping):
         raise ConfigurationError(["configuration root: expected an object"])
 
-    _unknown_keys(errors, raw, RunConfig)
-
-    experiment = raw.get("experiment", RunConfig.experiment)
-    if not isinstance(experiment, str) or not experiment:
-        errors.append(f"experiment: expected a nonempty string, got {experiment!r}")
-        experiment = RunConfig.experiment
-
-    counts = _read_fields(errors, raw, RunConfig)
-
+    values = _read_fields(errors, raw, RunConfig)
     strategy = raw.get("strategy", RunConfig.strategy)
-    if not isinstance(strategy, str) or strategy.lower() not in STRATEGIES:
+    try:
+        strategy = strategy_name(strategy)
+    except ValueError:
         errors.append(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
         strategy = RunConfig.strategy
-    strategy = strategy.lower()
-
     dataset = _validate_dataset(errors, raw.get("dataset"))
-    trainer = _validate_trainer(errors, raw.get("trainer"))
-    requests = _validate_requests(errors, raw.get("requests"))
-
-    out = raw.get("out")
-    if out is not None and (not isinstance(out, str) or not out):
-        errors.append(f"out: expected a nonempty string or null, got {out!r}")
-        out = None
-
-    cfg = RunConfig(experiment=experiment, strategy=strategy, dataset=dataset,
-                    trainer=trainer, requests=requests, out=out, **counts)
+    trainer = TrainerSpec(**_read_fields(
+        errors, _object(errors, raw.get("trainer"), "trainer"), TrainerSpec,
+        "trainer."))
+    cfg = RunConfig(strategy=strategy, dataset=dataset, trainer=trainer,
+                    requests=_validate_requests(errors, raw.get("requests")),
+                    **values)
 
     # Cross-field constraints. A csv dataset brings its own clients and
     # slices, so its fit is checked when it is loaded.

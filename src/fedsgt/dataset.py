@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (STREAM_TAGS, TrainingError, _positive_number, check_at_least,
-                   keyed_stream, plain_int)
+                   keyed_stream, plain_int, required_int)
 from .grouping import SliceRef, near_equal_runs
 
 _MEAN_SCALE = 3.0
@@ -167,12 +167,6 @@ def _read_manifest(manifest: dict, path: Path
     problems are raised together as one TrainingError."""
     errors: list[str] = []
 
-    def integer(obj: dict, key: str, minimum: int, label: str) -> int | None:
-        if key not in obj:
-            errors.append(f"{label}: required")
-            return None
-        return plain_int(errors, obj[key], minimum, label)
-
     def span(value, label: str) -> _Span | None:
         if not isinstance(value, list) or len(value) != 2:
             errors.append(f"{label}: expected [start, end], got {value!r}")
@@ -186,8 +180,8 @@ def _read_manifest(manifest: dict, path: Path
             return None
         return label, lo, hi
 
-    dim = integer(manifest, "dim", 1, "dim")
-    classes = integer(manifest, "classes", 1, "classes")
+    dim = required_int(errors, manifest, "dim", 1, "dim")
+    classes = required_int(errors, manifest, "classes", 1, "classes")
     clients = manifest.get("clients")
     if not isinstance(clients, list):
         errors.append(f"clients: expected a list, got {clients!r}")
@@ -198,7 +192,7 @@ def _read_manifest(manifest: dict, path: Path
         if not isinstance(entry, dict):
             errors.append(f"{label}: expected an object, got {entry!r}")
             continue
-        cid = integer(entry, "client", 0, f"{label}.client")
+        cid = required_int(errors, entry, "client", 0, f"{label}.client")
         if cid is not None and cid != c:
             errors.append(f"{label}.client: expected {c}, its place in the list, "
                           f"got {cid}")

@@ -70,7 +70,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (ModuleTrainerSpec, ServiceUnavailable, TrainingError,
-                   _count, check_at_least, check_fields, keyed_stream)
+                   _count, check_at_least, check_fields, keyed_stream,
+                   strategy_name)
 from .dataset import Dataset
 from .grouping import GroupingPlan, SliceRef
 from .sequencing import (SequenceSet, SequenceState, select_allseq,
@@ -465,7 +466,8 @@ def train_prefixes(dataset: Dataset, plan: GroupingPlan,
     else steps beside it.
     """
     for perm, upto in jobs.values():
-        if not 0 <= upto <= len(perm):
+        check_at_least(0, upto_phase=upto)
+        if upto > len(perm):
             raise ValueError(f"upto_phase must be in [0, {len(perm)}], got {upto}")
     windows = _row_tables(dataset, plan, jobs)
     modules: dict[int, list[AdapterModule]] = {sid: [] for sid in jobs}
@@ -568,13 +570,13 @@ def predict_proba(model: ToyModel, state: SequenceState, strategy: str,
         served.add(sid)
         return kept[1]
 
-    name = strategy.lower()
+    name = strategy_name(strategy)
     if name == "longseq":
         out = probs(select_longseq(state, seqs)).copy()
     elif name == "minseq":
         out = np.mean([probs(sid) for sid in sorted(select_minseq(state, seqs))],
                       axis=0)
-    elif name == "allseq":
+    else:
         out = None
         for sid, weight in select_allseq(state, seqs):
             p = probs(sid) * weight
@@ -582,8 +584,6 @@ def predict_proba(model: ToyModel, state: SequenceState, strategy: str,
                 out = p
             else:
                 out += p
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     for sid in stored.keys() - served:
         del stored[sid]
     return out

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import analytics
 from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, _count,
-                   check_at_least, check_fields, keyed_stream)
+                   check_at_least, check_fields, keyed_stream, method_name)
 
 CHUNK_TRIALS = 8192
 _BLOCK = 64  # draws per vectorized coverage step
@@ -360,19 +360,18 @@ def mc_expected_span(group_count: int, requests: int, cfg: MCConfig,
     return _estimates([_span_job(group_count, requests)], cfg, workers)[0]
 
 
+# Each remaining-data method: its stream-key field and the fold that counts
+# the units a trial's requests took out of service.
+_REMAINING = {METHOD_FEDSGT: (1, _spans), METHOD_FEDCIO: (2, _distinct_units)}
+
+
 def _remaining_job(method: str, total_samples: int, units: int,
                    requests: int) -> Job:
     check_at_least(0, total_samples=total_samples)
     check_at_least(1, units=units, requests=requests)
-    name = method.strip().lower()
-    if name == METHOD_FEDSGT.lower():
-        lost = _set_sampler(_spans, units, requests)
-    elif name == METHOD_FEDCIO.lower():
-        lost = _set_sampler(_distinct_units, units, requests)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ((STREAM_TAGS["mc_remaining"], 1 if name == "fedsgt" else 2, units,
-             requests, total_samples),
+    key, fold = _REMAINING[method_name(method, _REMAINING)]
+    lost = _set_sampler(fold, units, requests)
+    return ((STREAM_TAGS["mc_remaining"], key, units, requests, total_samples),
             lambda rng, n: total_samples / units * (units - lost(rng, n)))
 
 

@@ -92,19 +92,31 @@ def fresh_state(seqs: SequenceSet) -> SequenceState:
     return state_from_deleted(seqs, ())
 
 
+def _group_ids(group_count: int, groups: Iterable[int]) -> frozenset[int]:
+    """``groups`` as plain ints, each first checked by ``core``'s integer
+    rule (a bool, a float such as 2.0 or a string is refused) and then
+    against the range [0, group_count)."""
+    ids = []
+    for g in groups:
+        check_at_least(0, group=g)
+        if g >= group_count:
+            raise ValueError(f"group {g} out of range [0, {group_count})")
+        ids.append(int(g))
+    return frozenset(ids)
+
+
 def state_from_deleted(seqs: SequenceSet, deleted: Iterable[int]) -> SequenceState:
-    dead = frozenset(int(g) for g in deleted)
-    for g in dead:
-        if g < 0 or g >= seqs.group_count:
-            raise ValueError(f"group {g} out of range [0, {seqs.group_count})")
+    dead = _group_ids(seqs.group_count, deleted)
     return SequenceState(deleted=dead,
                          active_len=tuple(_prefix_len(p, dead) for p in seqs.perms))
 
 
 def apply_deletion(state: SequenceState, seqs: SequenceSet, group: int) -> SequenceState:
-    """New state with ``group`` deleted. Idempotent, and order-independent
-    across a set of deletions: a repeat deletion returns ``state`` itself,
-    the same object, so nothing is recounted."""
+    """New state with ``group`` deleted, checked as ``state_from_deleted``
+    checks it. Idempotent, and order-independent across a set of deletions:
+    a repeat deletion returns ``state`` itself, the same object, so nothing
+    is checked or recounted (a value equal to a deleted group, such as 2.0
+    once group 2 is deleted, changes nothing either)."""
     if group in state.deleted:
         return state
     return state_from_deleted(seqs, state.deleted | {group})
@@ -151,11 +163,9 @@ def cyclic_span(group_count: int, deleted: Iterable[int]) -> int:
     """Shortest cyclic window covering the deleted set: L - maxgap + 1 where
     maxgap is the largest cyclic distance between consecutive deleted
     positions. Zero for the empty set."""
-    dead = sorted({int(g) for g in deleted})
+    dead = sorted(_group_ids(group_count, deleted))
     if not dead:
         return 0
-    if dead[0] < 0 or dead[-1] >= group_count:
-        raise ValueError(f"deleted groups out of range [0, {group_count})")
     max_gap = dead[0] + group_count - dead[-1]
     for a, b in zip(dead, dead[1:]):
         max_gap = max(max_gap, b - a)

@@ -23,8 +23,9 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
-                   TrainingError, _count, check_at_least, check_fields, keyed_stream)
+from .core import (METHOD_FEDCIO, METHOD_FEDSGT, STREAM_TAGS, TrainingError,
+                   _count, check_at_least, check_fields, keyed_stream,
+                   strategy_name)
 from .dataset import Dataset
 from .fltrain import (CostMeter, Reuse, ToyModel, TrainConfig, client_data,
                       evaluate, fedavg_lockstep, matrix_accuracy, train_prefixes)
@@ -167,7 +168,7 @@ class FedSGTSystem:
         # ``model.sequences``: another family serves deleted groups' modules.
         if self.model is not None and self.model.sequences != self.seqs:
             raise ValueError("the model was trained on another sequence family")
-        _check_strategy(self.strategy)
+        strategy_name(self.strategy)
 
     def _book(self, removed: Mapping[SliceRef, int]) -> None:
         """Bind a copy of ``removed`` after checking it, and its sum, which
@@ -227,13 +228,6 @@ FedSGTSystem.removed = property(
     lambda self: types.MappingProxyType(self._removed), FedSGTSystem._book)
 
 
-def _check_strategy(strategy: str) -> None:
-    """Raise ValueError unless ``strategy`` names a serving strategy, in any
-    case."""
-    if not isinstance(strategy, str) or strategy.lower() not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def fedsgt_system(plan: GroupingPlan, seqs: SequenceSet, strategy: str = "allseq",
                   model: ToyModel | None = None,
                   dataset: Dataset | None = None) -> FedSGTSystem:
@@ -244,7 +238,7 @@ def fedsgt_system(plan: GroupingPlan, seqs: SequenceSet, strategy: str = "allseq
 def process_request(system: FedSGTSystem, req: UnlearnRequest) -> TimelineRecord:
     """Apply one deletion request. Invalid targets and an unknown strategy
     are rejected (raised) before any state changes."""
-    _check_strategy(system.strategy)
+    strategy_name(system.strategy)
     system._removed_total += record_removal(system._removed, system.plan.sizes, req)
     gid = group_of(system.plan, req.target)
     system.state = apply_deletion(system.state, system.seqs, gid)

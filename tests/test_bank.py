@@ -1,5 +1,6 @@
 """Module bank binary format: round trips and corruption handling."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -89,6 +90,25 @@ class TestCorruption:
         path = tmp_path / "m.fsgt"
         write_bank(path, trained)
         return path
+
+    def test_partial_stack_is_not_written(self, trained, tmp_path):
+        partial = dataclasses.replace(
+            trained, modules=[stack[:2] for stack in trained.modules])
+        with pytest.raises(BankFormatError,
+                           match="^can only store full stacks of 4 modules, got 2$"):
+            write_bank(tmp_path / "m.fsgt", partial)
+        assert not (tmp_path / "m.fsgt").exists()
+
+    @pytest.mark.parametrize("field", range(4),
+                             ids=["groups", "budget", "dim", "classes"])
+    def test_zero_dimension_header(self, tmp_path, field):
+        dims = [4, 5, 6, 3]
+        dims[field] = 0
+        path = tmp_path / "m.fsgt"
+        path.write_bytes(struct.pack("<4sIIIII", b"FSGT", 1, *dims))
+        with pytest.raises(BankFormatError,
+                           match="bank header has nonpositive dimensions"):
+            read_bank(path)
 
     def test_bad_magic(self, trained, tmp_path):
         path = self.write(trained, tmp_path)

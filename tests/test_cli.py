@@ -2,12 +2,14 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import os
 import re
+import runpy
 import struct
 import subprocess
 import sys
@@ -20,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsgt.analytics
+import fedsgt.cli
 from fedsgt.cli import (_load_requests_file, build_dataset, build_parser,
                         build_requests, main, trainer_config)
-from fedsgt.core import ConfigurationError, TrainerSpec, validate_config
+from fedsgt.core import (ConfigurationError, ServiceUnavailable, TrainerSpec,
+                         validate_config)
 from fedsgt.dataset import save_csv_dataset, synth_dataset
 from fedsgt.grouping import SliceRef
 from fedsgt.unlearn import UnlearnRequest
@@ -1183,6 +1187,45 @@ class TestModuleEntryPoint:
                                "--out", tmp_path / "v")
         assert done.returncode == 2
         assert "config error: --data-size" in done.stderr
+
+
+class TestRareErrors:
+    """Error paths no command reaches with valid package code, driven
+    directly so each keeps its exit code and message."""
+
+    def test_version_through_the_package_main(self, monkeypatch, capsys):
+        # What ``python -m fedsgt --version`` runs, in this process.
+        monkeypatch.setattr(sys, "argv", ["fedsgt", "--version"])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("fedsgt", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out == f"{fedsgt.__version__}\n"
+
+    def test_other_package_error_is_one_error_line(self, monkeypatch, capsys,
+                                                   tmp_path):
+        def fails(args):
+            raise ServiceUnavailable("all sequences dead")
+
+        monkeypatch.setattr(fedsgt.cli, "cmd_analyze", fails)
+        assert run("analyze", "--out", tmp_path / "a") == 2
+        assert capsys.readouterr().err == "error: all sequences dead\n"
+
+    def test_unsupported_dataset_spec(self):
+        cfg = dataclasses.replace(validate_config(CONFIG), dataset=None)
+        with pytest.raises(ConfigurationError,
+                           match="^unsupported dataset spec None$"):
+            build_dataset(cfg)
+
+    @pytest.mark.parametrize("field", range(4),
+                             ids=["groups", "budget", "dim", "classes"])
+    def test_bank_with_a_zero_dimension_exits_4(self, tmp_path, capsys, field):
+        dims = [1, 1, 1, 1]
+        dims[field] = 0
+        bank = tmp_path / "bank.fsgt"
+        bank.write_bytes(struct.pack("<4sIIIII", b"FSGT", 1, *dims))
+        assert run("unlearn", "--bank", bank, "--out", tmp_path / "u") == 4
+        assert capsys.readouterr().err == (
+            f"bank error: {bank}: bank header has nonpositive dimensions\n")
 
 
 class TestParser:

@@ -1,5 +1,6 @@
 """Configuration schema: defaults, round trips, exhaustive error reporting."""
 
+import functools
 import json
 import math
 import re
@@ -14,19 +15,23 @@ from fedsgt.analytics import (AnalyticParams, deletion_rate_fedcio,
                               deletion_rate_fedsgt, expected_comm_cost,
                               expected_remaining_fedcio,
                               expected_remaining_fedsgt, expected_span,
-                              matched_budget, prob_m_distinct, prob_max_gap_le)
+                              matched_budget, prob_m_distinct, prob_max_gap_le,
+                              training_cost)
 from fedsgt.combinatorics import binomial, stirling2
-from fedsgt.core import (STRATEGIES, STREAM_TAGS, ConfigurationError, CsvSpec,
-                         RunConfig, SyntheticSpec, check_at_least, keyed_stream,
-                         validate_config)
+from fedsgt.core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
+                         ConfigurationError, CsvSpec, RunConfig, SyntheticSpec,
+                         check_at_least, keyed_stream, method_name,
+                         required_int, strategy_name, validate_config)
 from fedsgt.dataset import synth_dataset
-from fedsgt.fltrain import CostMeter, TrainConfig, fedavg_lockstep
+from fedsgt.fltrain import (CostMeter, TrainConfig, evaluate, fedavg_lockstep,
+                            predict_proba, train_fedsgt, train_prefixes)
 from fedsgt.grouping import SliceRef, build_grouping
 from fedsgt.montecarlo import (MCConfig, mc_comm_cost, mc_deletion_rate_fedcio,
                                mc_deletion_rate_fedsgt, mc_expected_remaining,
                                mc_expected_span)
-from fedsgt.sequencing import build_sequences
-from fedsgt.unlearn import fedretrain_simulate
+from fedsgt.sequencing import (apply_deletion, build_sequences, cyclic_span,
+                               fresh_state, state_from_deleted, state_to_json)
+from fedsgt.unlearn import exactness_audit, fedretrain_simulate
 
 # Every integer field as (section, key, default, minimum); section None is
 # the top level. Written out by hand so that it pins the schema
@@ -376,8 +381,36 @@ def _tiny_dataset():
 _MC = MCConfig(trials=1)
 _CATALOG = [(SliceRef(0, 0), 4), (SliceRef(0, 1), 4)]
 
+
+@functools.cache
+def _tiny_system():
+    """A dataset, plan, trainer config and structure-only model (0 epochs)
+    at L = B = 4."""
+    ds = _tiny_dataset()
+    plan = build_grouping(ds.slice_catalog(), 4, 0)
+    cfg = TrainConfig(epochs=0)
+    return ds, plan, cfg, train_fedsgt(ds, plan, build_sequences(4, 4), cfg)
+
+
+def _audit(deleted):
+    ds, plan, cfg, model = _tiny_system()
+    return exactness_audit(model, plan, cfg, ds, deleted)
+
+
+def _seqs():
+    return _tiny_system()[3].sequences
+
+
+def _upto(v):
+    ds, plan, cfg, model = _tiny_system()
+    return train_prefixes(ds, plan, {0: (model.sequences.perms[0], v)}, cfg)
+
+
 # Every library call guarded by check_at_least (or, for the config types,
 # check_fields), as (call, the argument, a call with that argument set to v).
+# Group ids and other indices are checked so before their range test: a
+# float used to be truncated (``apply_deletion(state, seqs, 2.9)`` deleted
+# group 2), and True passed as group 1.
 LIBRARY_COUNTS = [
     ("build_sequences", "group_count", lambda v: build_sequences(v, 1)),
     ("build_sequences", "budget", lambda v: build_sequences(2, v)),
@@ -444,6 +477,13 @@ LIBRARY_COUNTS = [
     ("fedretrain_simulate", "eval_every",
      lambda v: fedretrain_simulate(_tiny_dataset(), TrainConfig(), [],
                                    eval_every=v, rounds=1)),
+    ("apply_deletion", "group",
+     lambda v: apply_deletion(fresh_state(_seqs()), _seqs(), v)),
+    ("state_from_deleted", "group", lambda v: state_from_deleted(_seqs(), [0, v])),
+    ("cyclic_span", "group", lambda v: cyclic_span(4, {v})),
+    ("exactness_audit", "group", lambda v: _audit([v])),
+    ("prob_max_gap_le", "occupied", lambda v: prob_max_gap_le(6, v, 3)),
+    ("train_prefixes", "upto_phase", _upto),
 ]
 
 
@@ -461,3 +501,104 @@ def test_numpy_integers_are_counts():
     assert build_sequences(np.int64(3), np.int64(2), 0).group_count == 3
     with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         check_at_least(1, n=np.int64(0))
+
+
+def test_group_ids_are_kept_as_plain_ints():
+    # numpy ids are integers; the state holds them as int, which
+    # state_to_json can serialise.
+    state = state_from_deleted(_seqs(), [np.int64(2), np.uint8(0)])
+    assert json.loads(state_to_json(state))["deleted"] == [0, 2]
+    assert cyclic_span(4, [np.int64(1), 3]) == 3
+
+
+def _served(call):
+    def run(v):
+        ds, _, _, model = _tiny_system()
+        return call(model, fresh_state(model.sequences), v, ds.test_x, ds.test_y)
+    return run
+
+
+# Every library call that takes a strategy or a method name, as (what the
+# name is of, a call with the name set to v). A value that is not a string
+# used to raise AttributeError from ``.lower()`` or ``.strip()``.
+LIBRARY_NAMES = [
+    ("strategy", _served(evaluate)),
+    ("strategy", _served(lambda model, state, v, x, _: predict_proba(
+        model, state, v, x))),
+    ("method", lambda v: training_cost(v, AnalyticParams())),
+    ("method", lambda v: mc_expected_remaining(v, 100, 4, 2, _MC)),
+]
+
+
+@pytest.mark.parametrize("value", [5, None, b"allseq", ["FedSGT"]],
+                         ids=["int", "none", "bytes", "list"])
+@pytest.mark.parametrize("kind, run", LIBRARY_NAMES,
+                         ids=["evaluate", "predict_proba", "training_cost",
+                              "mc_expected_remaining"])
+def test_library_names_take_strings_only(kind, run, value):
+    with pytest.raises(ValueError,
+                       match=f"^unknown {kind} {re.escape(repr(value))}"):
+        run(value)
+
+
+class TestNameRules:
+    def test_strategy_in_any_case(self):
+        assert [strategy_name(s.upper()) for s in STRATEGIES] == list(STRATEGIES)
+        for bad in (" allseq", "all", "", 0):
+            with pytest.raises(ValueError, match=f"^unknown strategy {bad!r}$"):
+                strategy_name(bad)
+
+    def test_method_in_any_case_and_with_blanks(self):
+        methods = (METHOD_FEDSGT, METHOD_FEDCIO)
+        assert method_name(" fedsgt\n", methods) == METHOD_FEDSGT
+        assert method_name("FEDCIO", iter(methods)) == METHOD_FEDCIO
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown method 'FedAvg'; expected one of ('FedSGT', 'FedCIO')")):
+            method_name("FedAvg", methods)
+
+    def test_the_remaining_stream_key_names_the_method(self):
+        # The stream key keeps 1 for FedSGT and 2 for FedCIO, however the
+        # method is spelled, so the estimates keep their bytes.
+        for spelling in ("FedSGT", " fedsgt "):
+            assert (mc_expected_remaining(spelling, 100, 4, 3, _MC)
+                    == mc_expected_remaining("FedSGT", 100, 4, 3, _MC))
+        a = mc_expected_remaining("fedcio", 100, 4, 3, MCConfig(trials=200))
+        b = mc_expected_remaining("FedSGT", 100, 4, 3, MCConfig(trials=200))
+        assert a != b
+
+    def test_required_int(self):
+        errors = []
+        doc = {"a": 3, "b": 2.0, "c": -1}
+        assert [required_int(errors, doc, key, 0, f"x.{key}")
+                for key in "abcd"] == [3, None, None, None]
+        assert errors == ["x.b: expected an integer, got 2.0",
+                          "x.c: must be >= 0, got -1", "x.d: required"]
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("experiment", "", "experiment: expected a nonempty string, got ''"),
+    ("experiment", None, "experiment: expected a nonempty string, got None"),
+    ("out", "", "out: expected a nonempty string or null, got ''"),
+    ("out", ["run"], "out: expected a nonempty string or null, got ['run']"),
+])
+def test_string_fields(key, value, error):
+    assert errors_of({key: value}) == [error]
+
+
+@pytest.mark.parametrize("doc, errors", [
+    ({}, ["dataset.path: expected a nonempty string, got None",
+          "dataset.manifest: expected a nonempty string, got None"]),
+    ({"path": "", "manifest": 7},
+     ["dataset.path: expected a nonempty string, got ''",
+      "dataset.manifest: expected a nonempty string, got 7"]),
+    ({"path": "d.csv", "manifest": "d.json", "dim": 3},
+     ["dataset.dim: unknown key"]),
+])
+def test_csv_paths_are_string_fields(doc, errors):
+    assert errors_of({"dataset": {"kind": "csv", **doc}}) == errors
+
+
+def test_strategy_is_read_in_any_case():
+    assert validate_config({"strategy": "LongSeq"}).strategy == "longseq"
+    assert errors_of({"strategy": 3}) == [
+        f"strategy: expected one of {STRATEGIES}, got 3"]

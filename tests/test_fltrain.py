@@ -16,7 +16,7 @@ from fedsgt.fltrain import (CostMeter, TrainConfig, _build_stack, _softmax,
                             fedavg_train, federated_round, matrix_accuracy,
                             predict_proba, sequence_logits, train_fedsgt,
                             train_prefixes, train_sequence)
-from fedsgt.grouping import SliceRef, build_grouping
+from fedsgt.grouping import GroupingPlan, SliceRef, build_grouping
 from fedsgt.sequencing import (apply_deletion, build_sequences, fresh_state,
                                select_allseq, select_longseq, select_minseq,
                                state_from_deleted)
@@ -605,6 +605,15 @@ class TestTrainPrefixes:
         monkeypatch.setattr(fedsgt.fltrain, "federated_round", counted)
         train_sequence(ds, plan, seqs.perms[2], cfg, sequence_index=2)
         assert calls == [(2, phase, 0) for phase in range(4)]
+
+    def test_group_without_data_is_a_training_error(self):
+        ds, plan, _, cfg = system()
+        empty_head = GroupingPlan(group_count=2, seed=0,
+                                  groups=((), tuple(plan.sizes)),
+                                  sizes=plan.sizes)
+        with pytest.raises(TrainingError,
+                           match="^phase 0: cumulative groups hold no data$"):
+            train_prefixes(ds, empty_head, {0: ((0, 1), 2)}, cfg)
 
     def test_upto_out_of_range_rejected(self):
         ds, plan, seqs, cfg = system()

@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsgt.fltrain
 import fedsgt.sequencing
 import fedsgt.unlearn
 from fedsgt.analytics import deletion_rate_fedcio, deletion_rate_fedsgt
-from fedsgt.core import STREAM_TAGS
+from fedsgt.core import STREAM_TAGS, TrainingError
 from fedsgt.dataset import synth_dataset
 from fedsgt.fltrain import (CostMeter, TrainConfig, _build_stack, client_data,
                             evaluate, fedavg_train, matrix_accuracy,
@@ -66,6 +68,10 @@ class TestRequests:
         for _ in range(300):
             seen.add(next(stream).target)
         assert seen == {ref for ref, _ in cat}
+
+    def test_empty_catalogue_has_no_stream(self):
+        with pytest.raises(ValueError, match="^empty slice catalog$"):
+            next(request_stream([], seed=0))
 
     def test_record_count_validation(self):
         with pytest.raises(ValueError, match="record_count must be >= 1, got 0"):
@@ -467,6 +473,11 @@ class TestFedCIO:
         assert meter.updates == want_meter.updates
         assert train_clusters(ds, 0, cfg, rounds=4) == {}
 
+    def test_cluster_without_data_is_a_training_error(self):
+        ds, *_ = build(clients=2)
+        with pytest.raises(TrainingError, match="^cluster 2 has no data$"):
+            train_clusters(ds, 3, TrainConfig(), rounds=1)
+
     def test_scores_only_when_the_alive_set_changes(self, monkeypatch,
                                                      tmp_path):
         ds, *_ = build(clients=6)
@@ -800,6 +811,12 @@ class TestAudit:
 
 
 class TestRace:
+    def test_cap_ends_an_unfinished_race(self):
+        ds, plan, seqs, cfg, model = build()
+        with pytest.raises(RuntimeError,
+                           match="^race did not finish within 1 requests$"):
+            race_failure_steps(plan, seqs, clusters=2, seed=0, cap=1)
+
     def test_shared_stream_comparison(self):
         ds, plan, seqs, cfg, model = build(clients=10, groups=10, budget=10)
         sgt, cio = race_failure_steps(plan, seqs, clusters=5, seed=0)
@@ -916,6 +933,28 @@ def test_deletion_rate_fedsgt_is_the_exact_mean(slices, groups, budget):
 def test_deletion_rate_fedcio_is_the_exact_mean(clusters):
     assert deletion_rate_fedcio(clusters) == \
         float(fedcio_mean_failure_step(ten_client_plan(), clusters))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_closed_forms_are_the_exact_means_on_balanced_plans(data):
+    """On drawn balanced plans the closed forms equal the subset recursion,
+    as floats: FedSGT with L <= 8 groups of m slices each and B <= L, and
+    FedCIO with c <= 8 clusters of k clients holding s slices each."""
+    groups = data.draw(st.integers(1, 8), "groups")
+    budget = data.draw(st.integers(1, groups), "budget")
+    per_group = data.draw(st.integers(1, 3), "slices per group")
+    plan, seqs = single_slice_plan(groups * per_group, groups, budget)
+    assert deletion_rate_fedsgt(groups, budget) == \
+        float(fedsgt_mean_failure_step(plan, seqs))
+
+    clusters = data.draw(st.integers(1, 8), "clusters")
+    clients = clusters * data.draw(st.integers(1, 2), "clients per cluster")
+    slices = data.draw(st.integers(1, 2), "slices per client")
+    plan = build_grouping([(SliceRef(c, s), 40) for c in range(clients)
+                           for s in range(slices)], 1, 0)
+    assert deletion_rate_fedcio(clusters) == \
+        float(fedcio_mean_failure_step(plan, clusters))
 
 
 @pytest.mark.parametrize("slices, groups, budget, trials", [
