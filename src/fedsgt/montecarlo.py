@@ -6,12 +6,18 @@ fixed-size chunks; chunk i draws from a PCG64 stream keyed by (seed, tag,
 params, i) and chunk statistics are merged in index order, so estimates are
 bit-reproducible for a given (seed, trials) no matter how many workers ran
 the chunks. One runner, ``_estimates``, takes a list of (key, sampler) jobs
-and sends every chunk of every job through one thread pool; each public
-estimator is its one-job call, and ``validation_grid`` (what ``fedsgt
-validate`` runs) passes all of its rows at once, so its bytes do not depend
-on ``--workers`` either. Every sampler is vectorized over the trials of a
-chunk; none loops over trials in Python. A job builder checks its sizes
-once, with the ValueError its closed form raises, before any chunk runs.
+and numbers every chunk of every job in one index. The calling thread and
+up to ``workers - 1`` helper threads, never more threads than usable CPUs
+or chunks, take chunk numbers from that index until it runs out, and each
+chunk's statistics land in its own slot. The helpers are kept: one
+executor per process, made on first use, rebuilt after a fork, idle
+between calls, so a call starts no thread and makes one future per helper
+rather than one per chunk. Each public estimator is its one-job call, and
+``validation_grid`` (what ``fedsgt validate`` runs) passes all of its rows
+at once, so its bytes do not depend on ``--workers`` either. Every sampler
+is vectorized over the trials of a chunk; none loops over trials in
+Python. A job builder checks its sizes once, with the ValueError its
+closed form raises, before any chunk runs.
 
 The deletion-rate sampler, ``_coverage_times``, draws blocks of 64
 requests per trial: a chunk's first block in one ``rng.integers`` call,
@@ -27,7 +33,7 @@ running OR down the draws is a few long vector calls.
 The span, comm-cost and remaining-data samplers draw
 ``rng.integers(0, L, size=(trials, r))`` and fold each row to one integer
 that depends only on the set of units the row drew: ``_spans`` and
-``_comm_costs`` sort the rows and fold their cyclic gaps, and
+``_comm_costs`` sort the rows in place and fold their cyclic gaps, and
 ``_distinct_units`` scatters them into bools. Up to ``_TABLE_UNITS`` = 12
 units a set fits a 4,096-entry table, so ``_set_sampler`` ORs
 ``1 << draws[:, j]`` over the r columns into one int64 hit mask per trial
@@ -36,14 +42,15 @@ fold at L=10, r=20. The table is the fold itself, run once on a matrix
 that holds every set, so each statistic has one definition and the folds
 stay the path above the bound. Tables are cached per (fold, L) for the
 life of the process and built by the job builders on the calling thread:
-never at import, and never in a worker, which only reads them.
+never at import, and never while chunks run, which only read them.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -106,30 +113,79 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The kept helpers: (pid of the process that made them, threads, executor).
+_helpers: tuple[int, int, ThreadPoolExecutor] | None = None
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool(count: int) -> ThreadPoolExecutor:
+    """The process's executor of at least ``count`` helper threads: made on
+    first use, rebuilt after a fork (a child inherits the parent's pool
+    object but none of its threads) and when a call asks for more helpers
+    than it holds. Its threads start as chunks are first handed to them and
+    then sit idle between calls; a pool that is replaced is dropped, and
+    its idle threads exit."""
+    global _helpers
+    with _helpers_lock:
+        pid = os.getpid()
+        if _helpers is None or _helpers[0] != pid or _helpers[1] < count:
+            _helpers = (pid, count, ThreadPoolExecutor(
+                max_workers=count, thread_name_prefix="fedsgt-mc"))
+        return _helpers[2]
+
+
 def _estimates(jobs: Sequence[Job], cfg: MCConfig,
                workers: int) -> list[MCEstimate]:
-    """One estimate per ``(key, sampler)`` job. Every chunk of every job goes
-    through one pool; chunk i of a job draws from the stream keyed by
-    (seed, *key, i), and each job's chunk stats are summed in index order.
-    The pool has at most one thread per usable CPU: more only contend for
-    the interpreter lock, and the estimates do not depend on the count."""
+    """One estimate per ``(key, sampler)`` job. Chunk i of a job draws from
+    the stream keyed by (seed, *key, i). The calling thread and
+    ``min(workers, usable CPUs, chunks) - 1`` kept helpers (``_helper_pool``)
+    take chunk numbers from one shared index until it runs out; each chunk
+    writes its (sum, sum of squares) to its own slot, and each job's slots
+    are summed in index order, so the estimates do not depend on how many
+    threads ran or which took which chunk. More threads than usable CPUs
+    would only contend for the interpreter lock. A chunk that raises stops
+    every thread from taking another, and the call returns or raises only
+    once every thread that took a chunk has finished it."""
     sizes = [min(CHUNK_TRIALS, cfg.trials - start)
              for start in range(0, cfg.trials, CHUNK_TRIALS)]
     specs = [(key, sampler, index, n) for key, sampler in jobs
              for index, n in enumerate(sizes)]
+    stats: list[tuple[float, float]] = [(0.0, 0.0)] * len(specs)
+    cursor = 0
+    cursor_lock = threading.Lock()
 
-    def run(spec: tuple[tuple[int, ...], Sampler, int, int]) -> tuple[float, float]:
-        key, sampler, index, n = spec
-        values = np.asarray(sampler(keyed_stream((cfg.seed, *key, index)), n),
-                            dtype=np.float64)
-        return float(values.sum()), float(np.square(values).sum())
+    def drain() -> None:
+        nonlocal cursor
+        while True:
+            with cursor_lock:
+                i, cursor = cursor, cursor + 1
+            if i >= len(specs):
+                return
+            key, sampler, index, n = specs[i]
+            try:
+                values = np.asarray(
+                    sampler(keyed_stream((cfg.seed, *key, index)), n),
+                    dtype=np.float64)
+            except BaseException:
+                with cursor_lock:
+                    cursor = len(specs)  # no thread takes another chunk
+                raise
+            stats[i] = float(values.sum()), float(np.square(values).sum())
 
-    workers = min(workers, _usable_cpus())
-    if workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(run, specs))
-    else:
-        stats = [run(spec) for spec in specs]
+    futures = []
+    helpers = min(workers, _usable_cpus(), len(specs)) - 1
+    if helpers > 0:
+        pool = _helper_pool(helpers)
+        futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # A helper that has not started would find the index spent, so it
+        # is cancelled; one that has started is waited for.
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()
 
     n = cfg.trials
     estimates = []
@@ -279,28 +335,31 @@ def mc_deletion_rate_fedcio(clusters: int, cfg: MCConfig,
 
 
 # Each fold maps an (n, requests) draw matrix to one integer per row that
-# depends only on the set of units the row drew.
+# depends only on the set of units the row drew. A fold may reorder the
+# entries within a row, which leaves each row's set unchanged: every caller
+# (``_set_sampler``, ``_fold_table``) passes a fresh matrix it reads no more.
 Fold = Callable[[np.ndarray, int], np.ndarray]
 _TABLE_UNITS = 12  # largest universe whose folds are looked up by hit mask
 
 
 def _spans(draws: np.ndarray, group_count: int) -> np.ndarray:
-    """Cyclic span L - maxgap + 1 of each row, for any L: sort the rows,
-    then fold the largest cyclic gap between neighbours column by column
-    (faster on short rows than a ``diff`` reduction)."""
-    s = np.sort(draws, axis=1)
-    gap = s[:, 0] + group_count - s[:, -1]
-    for j in range(1, s.shape[1]):
-        np.maximum(gap, s[:, j] - s[:, j - 1], out=gap)
+    """Cyclic span L - maxgap + 1 of each row, for any L: sort the rows in
+    place, then fold the largest cyclic gap between neighbours column by
+    column (faster on short rows than a ``diff`` reduction)."""
+    draws.sort(axis=1)
+    gap = draws[:, 0] + group_count - draws[:, -1]
+    for j in range(1, draws.shape[1]):
+        np.maximum(gap, draws[:, j] - draws[:, j - 1], out=gap)
     return group_count - gap + 1
 
 
 def _comm_costs(draws: np.ndarray, group_count: int) -> np.ndarray:
     """Each row's rounds over all L rotations, L^2 - sum g(g-1)/2 over the
-    cyclic gaps g between the sorted draws (see ``mc_comm_cost``)."""
-    s = np.sort(draws, axis=1)
-    wrap = s[:, 0] + group_count - s[:, -1]
-    gaps = np.diff(s, axis=1)
+    cyclic gaps g between the draws, with the rows sorted in place (see
+    ``mc_comm_cost``)."""
+    draws.sort(axis=1)
+    wrap = draws[:, 0] + group_count - draws[:, -1]
+    gaps = np.diff(draws, axis=1)
     idle = wrap * (wrap - 1) // 2 + (gaps * (gaps - 1) // 2).sum(axis=1)
     return group_count * group_count - idle
 
@@ -339,7 +398,7 @@ def _set_sampler(fold: Fold, universe: int, requests: int) -> Sampler:
     """Per trial, ``fold`` of ``requests`` uniform draws over ``universe``
     units. Up to _TABLE_UNITS units that is the fold's table entry at the
     trial's hit mask; the table is built here, on the calling thread, so
-    the chunks that run in worker threads only read it."""
+    the chunks, which may run in helper threads, only read it."""
     if universe > _TABLE_UNITS:
         return lambda rng, n: fold(
             rng.integers(0, universe, size=(n, requests)), universe)
@@ -431,8 +490,8 @@ def validation_grid(cfg: MCConfig, workers: int = 1,
                     total_samples: int = 50_000) -> list[GridRow]:
     """The standard closed-form-versus-simulation sweep: deletion rates,
     spans, remaining data, and communication cost over a small grid. Every
-    row's chunks run through one pool; each row's estimate is the one its
-    public estimator returns alone."""
+    row's chunks go through one ``_estimates`` call; each row's estimate is
+    the one its public estimator returns alone."""
     specs: list[tuple[str, str, float, Job]] = []
 
     def add(quantity: str, params: str, closed: float, job: Job) -> None:

@@ -115,8 +115,12 @@ def apply_deletion(state: SequenceState, seqs: SequenceSet, group: int) -> Seque
     """New state with ``group`` deleted, checked as ``state_from_deleted``
     checks it. Idempotent, and order-independent across a set of deletions:
     a repeat deletion returns ``state`` itself, the same object, so nothing
-    is checked or recounted (a value equal to a deleted group, such as 2.0
-    once group 2 is deleted, changes nothing either)."""
+    is recounted. The integer rule runs before the repeat test (a plain
+    ``int`` passes it by a type test alone), so a value merely equal to a
+    deleted group, such as ``True`` or ``1.0`` once group 1 is deleted, is
+    refused as it is on any other state."""
+    if type(group) is not int:
+        check_at_least(0, group=group)
     if group in state.deleted:
         return state
     return state_from_deleted(seqs, state.deleted | {group})

@@ -1,10 +1,13 @@
 """Monte Carlo estimators versus the closed forms they certify."""
 
+import collections
 import functools
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +469,48 @@ def hexes(est):
     return est.mean.hex(), est.stderr.hex(), est.trials
 
 
+class ChunkLog:
+    """A sampler that records the thread running each chunk. The first
+    ``meet`` chunks wait for one another, so they run on ``meet`` distinct
+    threads at once; every chunk then sleeps a millisecond, long enough for
+    any further thread to take some. ``fail(thread)`` true makes a chunk
+    that met raise."""
+
+    def __init__(self, meet, fail=lambda thread: False):
+        self.meet = meet
+        self.fail = fail
+        self.barrier = threading.Barrier(meet, timeout=10)
+        self.lock = threading.Lock()
+        self.events = []  # ("start" | "end", thread), in order
+        self.sample = _deletion_fedsgt_job(6, 6)[1]
+
+    def __call__(self, rng, n):
+        thread = threading.current_thread()
+        with self.lock:
+            met = sum(e == "start" for e, _ in self.events) < self.meet
+            self.events.append(("start", thread))
+        try:
+            if met:
+                self.barrier.wait()
+            time.sleep(0.001)
+            if met and self.fail(thread):
+                raise RuntimeError("chunk failed")
+            return self.sample(rng, n)
+        finally:
+            with self.lock:
+                self.events.append(("end", thread))
+
+    def jobs(self, count):
+        return [((99, k), self) for k in range(count)]
+
+    def threads(self):
+        return len({t for _, t in self.events})
+
+    def helpers(self):
+        caller = threading.current_thread()
+        return {t for _, t in self.events if t is not caller}
+
+
 # One chunk, a full chunk less one, a partial last chunk, several chunks.
 TRIAL_COUNTS = [1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 30_000]
 
@@ -501,38 +546,115 @@ class TestChunkRunner:
                                                           stderr.hex()), job[0]
 
     def test_pool_has_at_most_one_thread_per_usable_cpu(self, monkeypatch):
-        sizes = []
+        def check(workers, cap, jobs=8, trials=30_000):  # 8 jobs: 32 chunks
+            # Exactly ``cap`` distinct threads run chunks, the caller
+            # included: the first ``cap`` chunks meet, and no other thread
+            # takes any of the rest.
+            cfg = MCConfig(trials=trials, seed=9)
+            log = ChunkLog(meet=cap)
+            got = _estimates(log.jobs(jobs), cfg, workers)
+            assert log.threads() == cap
+            want = _estimates(ChunkLog(meet=1).jobs(jobs), cfg, 1)
+            assert list(map(hexes, got)) == list(map(hexes, want))
 
-        class RecordingPool:
-            """Records the pool size asked for and runs the chunks inline."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-        cfg = MCConfig(trials=30_000, seed=9)
-        want = hexes(mc_deletion_rate_fedsgt(6, 6, cfg))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
                             raising=False)
-        assert hexes(mc_deletion_rate_fedsgt(6, 6, cfg, workers=64)) == want
-        # Without an affinity call the machine's CPU count caps the pool.
+        check(workers=64, cap=3)
+        # Without an affinity call the machine's CPU count caps the threads.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert hexes(mc_deletion_rate_fedsgt(6, 6, cfg, workers=64)) == want
-        assert hexes(mc_deletion_rate_fedsgt(6, 6, cfg, workers=2)) == want
-        # An unknown CPU count runs the chunks in the calling thread.
+        check(workers=64, cap=5)
+        check(workers=2, cap=2)
+        # A call of one chunk runs it in the calling thread.
+        check(workers=64, cap=1, jobs=1, trials=CHUNK_TRIALS)
+        # So does every call when the CPU count is unknown.
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert hexes(mc_deletion_rate_fedsgt(6, 6, cfg, workers=64)) == want
-        assert sizes == [3, 5, 2]
+        check(workers=64, cap=1)
+
+    def test_every_chunk_runs_once_under_frequent_thread_switches(
+            self, monkeypatch):
+        # Five threads on however many CPUs, switching every microsecond:
+        # a lost update of the shared index would run a chunk twice (more
+        # calls) or skip one (a different estimate).
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
+        cfg = MCConfig(trials=4 * CHUNK_TRIALS, seed=9)
+        lock = threading.Lock()
+        calls = []
+
+        def sample(rng, n):
+            with lock:
+                calls.append(n)
+            return rng.standard_normal(n) / 3
+
+        jobs = [((99, k), sample) for k in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _estimates(jobs, cfg, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 64 * 4
+        for job, est in zip(jobs, got):
+            mean, stderr = oracle_estimate(job, cfg)
+            assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(),
+                                                          stderr.hex())
+
+    @pytest.mark.parametrize("in_caller", [True, False],
+                             ids=["caller", "helper"])
+    def test_a_chunk_that_raises_surfaces_and_stops_every_thread(
+            self, monkeypatch, in_caller):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        caller = threading.current_thread()
+        log = ChunkLog(meet=2, fail=lambda t: (t is caller) == in_caller)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _estimates(log.jobs(8), MCConfig(trials=30_000, seed=9), 2)
+        seen = list(log.events)
+        time.sleep(0.05)
+        assert log.events == seen  # no chunk starts after the raise
+        assert log.threads() == 2
+        starts = collections.Counter(t for e, t in seen if e == "start")
+        ends = collections.Counter(t for e, t in seen if e == "end")
+        assert starts == ends  # every chunk taken had finished
+        # The failure spent the index: far fewer than the 32 chunks ran.
+        assert sum(starts.values()) < 32
+        # The helpers still serve the next call.
+        again = ChunkLog(meet=2)
+        _estimates(again.jobs(8), MCConfig(trials=30_000, seed=9), 2)
+        assert again.threads() == 2
+
+    def test_helpers_are_kept_across_calls(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_helpers", None)
+        cfg = MCConfig(trials=30_000, seed=9)
+        helpers, pools = [], []
+        for _ in range(3):
+            log = ChunkLog(meet=2)
+            _estimates(log.jobs(8), cfg, 2)
+            helpers.append(log.helpers())
+            pools.append(montecarlo._helpers)
+        assert len(helpers[0]) == 1
+        assert helpers[0] == helpers[1] == helpers[2]
+        assert pools[0] is pools[1] is pools[2]
+
+    def test_helpers_are_rebuilt_after_a_pid_change(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_helpers", None)
+        cfg = MCConfig(trials=30_000, seed=9)
+        first = ChunkLog(meet=2)
+        _estimates(first.jobs(8), cfg, 2)
+        pool = montecarlo._helpers[2]
+        pid = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+        second = ChunkLog(meet=2)
+        _estimates(second.jobs(8), cfg, 2)
+        assert montecarlo._helpers[2] is not pool
+        assert montecarlo._helpers[0] == pid + 1
+        (old,), (new,) = first.helpers(), second.helpers()
+        assert new is not old
+        # The dropped pool's idle helper exits.
+        del pool
+        old.join(timeout=10)
+        assert not old.is_alive()
 
 
 # Every sample of a deletion-rate estimate is an integer, so its chunk sums
@@ -585,6 +707,17 @@ PINNED_RATES = [
     (mc_deletion_rate_fedcio, (64,), ("0x1.2f504189374bcp+8", "0x1.1fce914a0adf7p-1")),
 ]
 
+# Above _TABLE_UNITS each set estimate runs its fold on the draws. These were
+# taken when the span and comm-cost folds sorted a copy of the draws.
+PINNED_SETS = [
+    (mc_expected_span, (32, 10), ("0x1.79ce075f6fd22p+4", "0x1.2ace1537415f6p-6")),
+    (mc_expected_remaining, ("FedSGT", 50_000, 32, 10),
+     ("0x1.99dd000000000p+13", "0x1.c56d7bfdd2d52p+4")),
+    (mc_expected_remaining, ("FedCIO", 50_000, 17, 10),
+     ("0x1.aa07878787878p+14", "0x1.5c7ad63409f17p+4")),
+    (mc_comm_cost, (32, 5), ("0x1.b254189374bc7p+9", "0x1.4ad928c7b3022p-2")),
+]
+
 
 def grid_hexes():
     return {(r.quantity, r.params): (r.estimate.mean.hex(),
@@ -609,6 +742,13 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("estimator, args, want", PINNED_RATES)
     def test_deletion_rate_estimators(self, estimator, args, want):
         est = estimator(*args, PINNED_CFG, workers=2)
+        assert (est.mean.hex(), est.stderr.hex()) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("estimator, args, want", PINNED_SETS)
+    def test_set_estimators_above_the_table_bound(self, estimator, args, want,
+                                                  workers):
+        est = estimator(*args, PINNED_CFG, workers=workers)
         assert (est.mean.hex(), est.stderr.hex()) == want
 
 

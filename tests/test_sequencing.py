@@ -192,6 +192,14 @@ class TestDeletionAlgebra:
                 with pytest.raises(ValueError, match=out_of_range(group, 4)):
                     apply_deletion(state, seqs, group)
 
+    @pytest.mark.parametrize("group", [True, 1.0], ids=["bool", "float"])
+    def test_value_equal_to_a_deleted_group_rejected(self, group):
+        seqs = build_sequences(4, 4)
+        for state in (fresh_state(seqs), state_from_deleted(seqs, {1})):
+            with pytest.raises(ValueError,
+                               match=f"^group: expected an integer, got {group!r}$"):
+                apply_deletion(state, seqs, group)
+
 
 class TestSelectionInvariants:
     def test_longseq_member_of_minseq(self):
