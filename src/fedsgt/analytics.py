@@ -164,13 +164,6 @@ def _span_pair(group_count: int, occupied: int) -> tuple[int, int]:
     return acc, total
 
 
-def _expected_span_given_m_exact(group_count: int, occupied: int) -> Fraction:
-    # E[U | M=m] = 1 + sum_{s=1..L-1} P(max gap <= s | M=m), via
-    # E[X] = sum P(X > s) applied to the max gap and U = L - maxgap + 1.
-    _check_occupied(group_count, occupied)
-    return Fraction(*_span_pair(group_count, occupied))
-
-
 def expected_span_curve(group_count: int, max_requests: int) -> list[float]:
     """E[cyclic span of the hit set] after r uniform draws, r = 0..max_requests:
     E[U | M=m] = S_m / T_m, computed once per m, mixed over the occupancy

@@ -121,4 +121,4 @@ def _decode_bank(raw: bytes) -> ToyModel:
                 for g, n, w in zip(*stack)]
                for stack in zip(groups, samples, weights)]
     return ToyModel(backbone=backbone, modules=modules,
-                    sequences=SequenceSet(group_count, tuple(map(tuple, groups))))
+                    sequences=SequenceSet(tuple(map(tuple, groups))))

@@ -17,8 +17,6 @@ from .core import check_at_least
 
 def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n as an exact rational. n must be >= 1."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"harmonic: n must be an int, got {type(n).__name__}")
     check_at_least(1, n=n)
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 

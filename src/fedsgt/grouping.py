@@ -38,9 +38,13 @@ class SplitMix64:
     def bounded(self, n: int) -> int:
         """Uniform integer in [0, n) by 64-bit modulo; the bias at these
         sizes is far below anything observable and the rule is trivially
-        portable."""
-        if n <= 0:
-            raise ValueError(f"bounded: n must be positive, got {n}")
+        portable. ``n`` follows ``core``'s integer rule, at least 1; a
+        plain ``int`` of at least 1 passes by a type test and a compare,
+        since a shuffle calls this once per slice. A numpy integer is taken
+        as a plain one: the 64-bit word overflows numpy's ``%``."""
+        if type(n) is not int or n < 1:
+            check_at_least(1, n=n)
+            n = int(n)
         return self.next_uint64() % n
 
 
@@ -79,10 +83,10 @@ class GroupingPlan:
 
     ``groups[g]`` preserves the shuffled order of its slices; training
     consumes slices in that order, so the order is part of the plan's
-    identity and of its serialized form.
+    identity and of its serialized form. The group count is the number of
+    groups, so it cannot disagree with them.
     """
 
-    group_count: int
     seed: int
     groups: tuple[tuple[SliceRef, ...], ...]
     sizes: dict  # SliceRef -> sample count
@@ -94,6 +98,10 @@ class GroupingPlan:
                 lookup[ref] = gid
         object.__setattr__(self, "_group_lookup", lookup)
         object.__setattr__(self, "_total_samples", sum(self.sizes.values()))
+
+    @property
+    def group_count(self) -> int:
+        return len(self.groups)
 
     @property
     def total_samples(self) -> int:
@@ -129,8 +137,7 @@ def build_grouping(slice_catalog: Sequence[tuple[SliceRef, int]],
 
     groups = tuple(tuple(order[start:stop])
                    for start, stop in near_equal_runs(len(order), group_count))
-    return GroupingPlan(group_count=group_count, seed=seed, groups=groups,
-                        sizes=sizes)
+    return GroupingPlan(seed=seed, groups=groups, sizes=sizes)
 
 
 def group_of(plan: GroupingPlan, ref: SliceRef) -> int:

@@ -30,10 +30,14 @@ from .core import STREAM_TAGS, budget_error, check_at_least, keyed_stream
 @dataclass(frozen=True)
 class SequenceSet:
     """The trained family of group orders: ``perms[t]`` is rotation t for
-    t < min(group_count, len(perms)) (the analyzable core)."""
+    t < min(group_count, len(perms)) (the analyzable core). The group count
+    is the length of an order, so it cannot disagree with the orders."""
 
-    group_count: int
     perms: tuple[tuple[int, ...], ...]
+
+    @property
+    def group_count(self) -> int:
+        return len(self.perms[0])
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ def build_sequences(group_count: int, budget: int, seed: int = 0) -> SequenceSet
         if candidate not in seen:
             seen.add(candidate)
             perms.append(candidate)
-    return SequenceSet(group_count=group_count, perms=tuple(perms))
+    return SequenceSet(tuple(perms))
 
 
 def _prefix_len(perm: tuple[int, ...], deleted: frozenset[int]) -> int:

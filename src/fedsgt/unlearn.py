@@ -15,10 +15,10 @@ remaining-sample accounting subtracts only the records actually deleted.
 from __future__ import annotations
 
 import csv
-import types
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -134,27 +134,25 @@ def record_removal(removed: dict[SliceRef, int], sizes: Mapping[SliceRef, int],
 
 @dataclass
 class FedSGTSystem:
-    """Mutable shell around immutable deletion snapshots. ``model`` and
-    ``dataset`` are optional: without them the system still tracks service
-    structure (survivors, failure), it just cannot report utility.
+    """Mutable shell around immutable deletion snapshots, built from its
+    configuration alone. ``model`` and ``dataset`` are optional: without
+    them the system still tracks service structure (survivors, failure), it
+    just cannot report utility.
 
-    ``removed`` books records deleted so far, by slice. It is checked
-    whenever it is bound, when the system is built and on any later
-    assignment: every slice must be in ``plan.sizes`` and every count an
-    integer from 0 to that slice's size, by ``core``'s integer rule, so the
-    system holds a booking a request stream could have made. Binding it
-    copies it and sums it into ``remaining_samples``; reading it gives a
-    read-only view of the copy, so ``process_request`` is its only
-    writer."""
+    A new system is the fresh one: no group deleted, no step taken and no
+    record booked. ``state``, ``steps`` and the booking are not inputs;
+    ``process_request`` is their only writer. ``removed`` books records
+    deleted so far, by slice, and reads as a read-only view."""
 
     plan: GroupingPlan
     seqs: SequenceSet
-    state: SequenceState
     strategy: str = "allseq"
     model: ToyModel | None = None
     dataset: Dataset | None = None
-    removed: Mapping[SliceRef, int] = field(default_factory=dict)
-    steps: int = 0
+    state: SequenceState = field(init=False)
+    steps: int = field(init=False)
+    _removed: dict[SliceRef, int] = field(init=False, repr=False)
+    _removed_total: int = field(init=False, repr=False, compare=False)
     # (model, dataset, strategy, state, utility) of the last evaluation.
     _scored: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
@@ -169,21 +167,13 @@ class FedSGTSystem:
         if self.model is not None and self.model.sequences != self.seqs:
             raise ValueError("the model was trained on another sequence family")
         strategy_name(self.strategy)
+        self.state = fresh_state(self.seqs)
+        self.steps = self._removed_total = 0
+        self._removed = {}
 
-    def _book(self, removed: Mapping[SliceRef, int]) -> None:
-        """Bind a copy of ``removed`` after checking it, and its sum, which
-        ``process_request`` keeps up to date from then on."""
-        sizes = self.plan.sizes
-        removed = dict(removed)
-        for ref, count in removed.items():
-            if ref not in sizes:
-                raise ValueError(f"removed books unknown slice {ref}")
-            check_at_least(0, **{f"removed[{ref}]": count})
-            if count > sizes[ref]:
-                raise ValueError(f"removed[{ref}] must be <= slice size "
-                                 f"{sizes[ref]}, got {count}")
-        self._removed = removed
-        self._removed_total = sum(removed.values())
+    @property
+    def removed(self) -> Mapping[SliceRef, int]:
+        return MappingProxyType(self._removed)
 
     @property
     def remaining_samples(self) -> int:
@@ -221,18 +211,10 @@ class FedSGTSystem:
         return value
 
 
-# ``removed`` has a default factory, so the dataclass leaves no class
-# attribute of that name, and its ``__init__`` binds it through ``_book``
-# like any later assignment does.
-FedSGTSystem.removed = property(
-    lambda self: types.MappingProxyType(self._removed), FedSGTSystem._book)
-
-
 def fedsgt_system(plan: GroupingPlan, seqs: SequenceSet, strategy: str = "allseq",
                   model: ToyModel | None = None,
                   dataset: Dataset | None = None) -> FedSGTSystem:
-    return FedSGTSystem(plan=plan, seqs=seqs, state=fresh_state(seqs),
-                        strategy=strategy, model=model, dataset=dataset)
+    return FedSGTSystem(plan, seqs, strategy, model, dataset)
 
 
 def process_request(system: FedSGTSystem, req: UnlearnRequest) -> TimelineRecord:

@@ -13,10 +13,9 @@ from itertools import product
 import pytest
 
 from fedsgt import analytics
-from fedsgt.analytics import (AnalyticParams, _expected_span_given_m_exact,
-                              deletion_rate_fedcio, deletion_rate_fedsgt,
-                              distinct_count_law, expected_comm_cost,
-                              expected_remaining_fedcio,
+from fedsgt.analytics import (AnalyticParams, deletion_rate_fedcio,
+                              deletion_rate_fedsgt, distinct_count_law,
+                              expected_comm_cost, expected_remaining_fedcio,
                               expected_remaining_fedsgt, expected_span,
                               expected_span_curve, matched_budget,
                               prob_m_distinct, prob_max_gap_le, training_cost)
@@ -175,6 +174,14 @@ class TestMaxGap:
             prob_max_gap_le(6, 7, 3)
 
 
+def expected_span_given_m(group_count: int, occupied: int) -> Fraction:
+    """E[U | M=m] as the exact rational of the span kernel's integer pair:
+    1 + sum_{s=1..L-1} P(max gap <= s | M=m), via E[X] = sum P(X > s)
+    applied to the max gap and U = L - maxgap + 1."""
+    analytics._check_occupied(group_count, occupied)
+    return Fraction(*analytics._span_pair(group_count, occupied))
+
+
 class TestExpectedSpan:
     def span_oracle(self, L: int, m: int) -> Fraction:
         """E[L - maxgap + 1] over uniform m-subsets containing position 0."""
@@ -189,20 +196,20 @@ class TestExpectedSpan:
     def test_given_m_against_enumeration(self):
         for L in (1, 2, 4, 5, 6, 8, 9, 12):
             for m in range(1, L + 1):
-                assert _expected_span_given_m_exact(L, m) == \
+                assert expected_span_given_m(L, m) == \
                     self.span_oracle(L, m), (L, m)
 
     def test_reference_value(self):
         # L=6, m=2: oracle gives 42/15 = 2.8
         assert self.span_oracle(6, 2) == Fraction(14, 5)
-        assert _expected_span_given_m_exact(6, 2) == Fraction(14, 5)
+        assert expected_span_given_m(6, 2) == Fraction(14, 5)
 
     def test_unconditional_mixture(self):
         # E[U] at L=6, r=2 mixes m=1 (w.p. 1/6, span 1) and m=2 (span 2.8)
         assert expected_span(6, 2) == pytest.approx(1 / 6 + 2.8 * 5 / 6)
 
     def test_full_occupancy(self):
-        assert _expected_span_given_m_exact(5, 5) == 5
+        assert expected_span_given_m(5, 5) == 5
 
     def test_zero_requests(self):
         assert expected_span(6, 0) == 0.0
@@ -231,7 +238,7 @@ class TestExpectedSpan:
     def test_given_m_rejects_out_of_range_occupied(self):
         for L, m in [(6, 0), (6, 7), (1, 2), (0, 1)]:
             with pytest.raises(ValueError):
-                _expected_span_given_m_exact(L, m)
+                expected_span_given_m(L, m)
 
 
 KERNEL_SIZES = [*range(1, 21), 32, 64]

@@ -52,9 +52,9 @@ class TestHarmonic:
         assert isinstance(harmonic(7), Fraction)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             harmonic(0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^n: expected an integer, got 2.5$"):
             harmonic(2.5)
 
 

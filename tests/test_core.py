@@ -17,7 +17,7 @@ from fedsgt.analytics import (AnalyticParams, deletion_rate_fedcio,
                               expected_remaining_fedsgt, expected_span,
                               matched_budget, prob_m_distinct, prob_max_gap_le,
                               training_cost)
-from fedsgt.combinatorics import binomial, stirling2
+from fedsgt.combinatorics import binomial, harmonic, stirling2
 from fedsgt.core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
                          ConfigurationError, CsvSpec, RunConfig, SyntheticSpec,
                          check_at_least, keyed_stream, method_name,
@@ -25,7 +25,7 @@ from fedsgt.core import (METHOD_FEDCIO, METHOD_FEDSGT, STRATEGIES, STREAM_TAGS,
 from fedsgt.dataset import synth_dataset
 from fedsgt.fltrain import (CostMeter, TrainConfig, evaluate, fedavg_lockstep,
                             predict_proba, train_fedsgt, train_prefixes)
-from fedsgt.grouping import SliceRef, build_grouping
+from fedsgt.grouping import SliceRef, SplitMix64, build_grouping
 from fedsgt.montecarlo import (MCConfig, mc_comm_cost, mc_deletion_rate_fedcio,
                                mc_deletion_rate_fedsgt, mc_expected_remaining,
                                mc_expected_span)
@@ -441,6 +441,8 @@ LIBRARY_COUNTS = [
     *[("AnalyticParams", name, lambda v, name=name: AnalyticParams(**{name: v}))
       for name in ("group_count", "budget", "total_samples", "rounds", "epochs",
                    "adapter_params")],
+    ("harmonic", "n", harmonic),
+    ("SplitMix64.bounded", "n", lambda v: SplitMix64(0).bounded(v)),
     ("binomial", "n", lambda v: binomial(v, 1)),
     ("binomial", "k", lambda v: binomial(4, v)),
     ("stirling2", "r", lambda v: stirling2(v, 1)),

@@ -608,8 +608,7 @@ class TestTrainPrefixes:
 
     def test_group_without_data_is_a_training_error(self):
         ds, plan, _, cfg = system()
-        empty_head = GroupingPlan(group_count=2, seed=0,
-                                  groups=((), tuple(plan.sizes)),
+        empty_head = GroupingPlan(seed=0, groups=((), tuple(plan.sizes)),
                                   sizes=plan.sizes)
         with pytest.raises(TrainingError,
                            match="^phase 0: cumulative groups hold no data$"):

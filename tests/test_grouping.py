@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsgt.analytics import prob_m_distinct
-from fedsgt.grouping import (SliceRef, SplitMix64, build_grouping,
-                             fisher_yates, group_of, near_equal_runs,
-                             plan_to_json)
+from fedsgt.grouping import (GroupingPlan, SliceRef, SplitMix64,
+                             build_grouping, fisher_yates, group_of,
+                             near_equal_runs, plan_to_json)
 
 
 def catalog(clients: int, slices: int, size: int = 10):
@@ -67,6 +67,14 @@ class TestBuildGrouping:
             sizes = [len(g) for g in plan.groups]
             assert max(sizes) - min(sizes) <= 1
 
+    def test_group_count_is_the_number_of_groups(self):
+        # It used to be an input beside the groups, free to disagree.
+        plan = build_grouping(catalog(3, 2), 4, seed=0)
+        assert plan.group_count == len(plan.groups) == 4
+        with pytest.raises(TypeError):
+            GroupingPlan(group_count=2, seed=0, groups=plan.groups,
+                         sizes=plan.sizes)
+
     def test_remainder_goes_to_first_groups(self):
         # 11 slices into 3 groups: sizes 4,4,3
         plan = build_grouping(catalog(11, 1), 3, seed=2)
@@ -113,10 +121,16 @@ class TestSplitMix64:
         rng = SplitMix64(seed)
         assert [rng.next_uint64() for _ in words] == words
 
+    def test_bounded_takes_numpy_integers_as_plain_ones(self):
+        # The integer rule passes them; the modulo of a 64-bit word by one
+        # used to raise OverflowError.
+        plain, wide = SplitMix64(7), SplitMix64(7)
+        assert [wide.bounded(np.int64(5)) for _ in range(20)] == \
+            [plain.bounded(5) for _ in range(20)]
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_bounded_rejects_an_empty_range(self, n):
-        with pytest.raises(ValueError,
-                           match=f"bounded: n must be positive, got {n}"):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             SplitMix64(0).bounded(n)
 
 

@@ -13,7 +13,9 @@ import csv
 import io
 import json
 import math
+from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,6 +98,35 @@ def test_timeline_replays_to_the_run_in_process(tmp_path_factory, run):
     folds = check_replay(path.read_text(), plan, seqs, timeline_summary(records),
                          state_to_json(system.state))
     assert folds[-1][2] == sum(system.removed.values())
+
+
+# A small scope, checked completely: a catalog of 2 clients x 2 slices of
+# 1 and 2 records, each group count L <= 3 with each budget B <= 3 its
+# orders allow, and every order of requests for 1 record or a whole slice,
+# so repeats, whole slices and requests that cap at the slice size all
+# occur. Orders run to three requests: four would add about 3 s to the
+# suite.
+SCOPE_CATALOG = [(SliceRef(c, s), s + 1) for c in range(2) for s in range(2)]
+SCOPE_REQUESTS = [UnlearnRequest(ref, n) for ref, size in SCOPE_CATALOG
+                  for n in sorted({1, size})]
+
+
+@pytest.mark.parametrize("groups, budget", [(L, B) for L in range(1, 4)
+                                            for B in range(1, 4)
+                                            if B <= math.factorial(L)])
+def test_every_small_order_replays_to_its_run(tmp_path, groups, budget):
+    plan = build_grouping(SCOPE_CATALOG, groups, 0)
+    seqs = build_sequences(groups, budget, 0)
+    path = tmp_path / "timeline.csv"
+    for length in range(4):
+        for requests in product(SCOPE_REQUESTS, repeat=length):
+            system = fedsgt_system(plan, seqs)
+            records = run_stream(system, requests)
+            write_timeline(path, records)
+            folds = check_replay(path.read_text(), plan, seqs,
+                                 timeline_summary(records),
+                                 state_to_json(system.state))
+            assert folds[-1][2] == sum(system.removed.values())
 
 
 CONFIG = {

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsgt.sequencing import (apply_deletion, build_sequences, cyclic_span,
-                               fresh_state, rotation, select_allseq,
-                               select_longseq, select_minseq,
+from fedsgt.sequencing import (SequenceSet, apply_deletion, build_sequences,
+                               cyclic_span, fresh_state, rotation,
+                               select_allseq, select_longseq, select_minseq,
                                state_from_deleted, state_to_json)
 
 
@@ -62,6 +62,13 @@ class TestConstruction:
     def test_budget_exceeding_permutation_count(self):
         with pytest.raises(ValueError):
             build_sequences(3, 7)  # 3! = 6 < 7
+
+    def test_group_count_is_the_order_length(self):
+        # It used to be an input beside the orders, free to disagree.
+        assert SequenceSet(((2, 0, 1), (0, 1, 2))).group_count == 3
+        assert build_sequences(5, 2).group_count == 5
+        with pytest.raises(TypeError):
+            SequenceSet(group_count=4, perms=((0, 1, 2),))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

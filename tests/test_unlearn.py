@@ -176,14 +176,13 @@ class TestProcessRequest:
         ds, plan, seqs, cfg, model = build()
         catalog = ds.slice_catalog()
         first, size = catalog[0]
-        seeded = {first: size - 3, catalog[1][0]: 5}
-        system = FedSGTSystem(plan=plan, seqs=seqs, state=fresh_state(seqs),
-                              removed=dict(seeded))
-        assert system.remaining_samples == ds.total_samples - sum(seeded.values())
+        system = fedsgt_system(plan, seqs)
         # Repeated hits on one slice are capped at its size and book nothing
         # once it is empty.
-        requests = [UnlearnRequest(first, 2)] * 3 + uniform_requests(
-            catalog, 40, 3, record_count=9)
+        requests = [UnlearnRequest(first, size - 3),
+                    UnlearnRequest(catalog[1][0], 5),
+                    *[UnlearnRequest(first, 2)] * 3,
+                    *uniform_requests(catalog, 40, 3, record_count=9)]
         for req in requests:
             before = dict(system.removed)
             process_request(system, req)
@@ -193,39 +192,73 @@ class TestProcessRequest:
                 plan.total_samples - sum(system.removed.values()))
         assert system.removed[first] == size
 
-    @pytest.mark.parametrize("removed, match", [
-        # Each used to be accepted. With the first, remaining_samples went
-        # negative, and a later request to slice (0, 0) un-booked records.
-        ({SliceRef(0, 0): 10**6, SliceRef(99, 9): 5}, "must be <= slice size"),
-        ({SliceRef(99, 9): 5}, r"unknown slice SliceRef\(client_id=99"),
-        ({SliceRef(0, 0): -1}, "must be >= 0, got -1"),
-        ({SliceRef(0, 0): 2.5}, "expected an integer, got 2.5"),
-        ({SliceRef(0, 0): True}, "expected an integer, got True"),
-    ], ids=["oversized", "unknown", "negative", "float", "bool"])
-    def test_unbookable_removed_rejected(self, removed, match):
+    @pytest.mark.parametrize("name", ["state", "steps", "removed"])
+    def test_service_state_is_no_constructor_input(self, name):
+        # Each used to be an input and only ``removed`` was checked: a state
+        # of another sequence family ended in an IndexError at utility(),
+        # and steps=-5 numbered the first timeline row -4.
         ds, plan, seqs, cfg, model = build()
-        with pytest.raises(ValueError, match=match):
-            FedSGTSystem(plan=plan, seqs=seqs, state=fresh_state(seqs),
-                         removed=removed)
+        value = {"state": fresh_state(seqs), "steps": 0, "removed": {}}[name]
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{name}'"):
+            FedSGTSystem(plan=plan, seqs=seqs, **{name: value})
+
+    def test_new_system_is_the_fresh_one(self):
+        ds, plan, seqs, cfg, model = build()
+        system = FedSGTSystem(plan, seqs, "allseq", model, ds)
+        assert (system.state, system.steps, system.removed) == (
+            fresh_state(seqs), 0, {})
+        assert system.remaining_samples == plan.total_samples
+        assert FedSGTSystem(plan, seqs) == fedsgt_system(plan, seqs)
+
+    @pytest.mark.parametrize("ref, count, error, match", [
+        # Each used to be accepted as a constructor booking. With the
+        # first, remaining_samples went negative, and a later request to
+        # slice (0, 0) un-booked records.
+        (SliceRef(0, 0), 10**6, ValueError, "exceeds slice size"),
+        (SliceRef(99, 9), 5, KeyError, r"unknown slice SliceRef\(client_id=99"),
+        (SliceRef(0, 0), -1, ValueError, "must be >= 1, got -1"),
+        (SliceRef(0, 0), 2.5, ValueError, "expected an integer, got 2.5"),
+        (SliceRef(0, 0), True, ValueError, "expected an integer, got True"),
+    ], ids=["oversized", "unknown", "negative", "float", "bool"])
+    def test_unbookable_removed_rejected(self, ref, count, error, match):
+        # No path books what no request stream could: the booking is no
+        # constructor input, cannot be rebound, and a request for it is
+        # refused before anything changes.
+        ds, plan, seqs, cfg, model = build()
+        with pytest.raises(TypeError):
+            FedSGTSystem(plan, seqs, removed={ref: count})
+        system = fedsgt_system(plan, seqs)
+        with pytest.raises(AttributeError):
+            system.removed = {ref: count}
+        with pytest.raises(error, match=match):
+            process_request(system, UnlearnRequest(ref, count))
+        assert (system.steps, system.removed) == (0, {})
+        assert system.remaining_samples == plan.total_samples
 
     def test_bookable_removed_accepted_at_its_bounds(self):
+        # A request books its slice up to the slice size, a numpy count
+        # included, and no further; a slice never asked for books nothing.
         ds, plan, seqs, cfg, model = build()
         (full, size), (empty, _) = ds.slice_catalog()[:2]
-        system = FedSGTSystem(plan=plan, seqs=seqs, state=fresh_state(seqs),
-                              removed={full: size, empty: np.int64(0)})
+        system = fedsgt_system(plan, seqs)
+        process_request(system, UnlearnRequest(full, np.int64(size)))
+        process_request(system, UnlearnRequest(full, 1))
+        assert system.removed == {full: size} and empty not in system.removed
         assert system.remaining_samples == plan.total_samples - size
 
-    def test_rebound_removed_is_checked_and_summed(self):
-        # Rebinding used to skip both: after an oversized booking of slice
-        # (0, 0) a 3-record request reported remaining=1000140.
+    def test_removed_cannot_be_rebound(self):
+        # Rebinding used to replace the booking, checked and summed; now
+        # ``removed`` is a read-only property and only process_request
+        # books.
         ds, plan, seqs, cfg, model = build()
         system = fedsgt_system(plan, seqs)
-        with pytest.raises(ValueError, match="must be <= slice size"):
-            system.removed = {SliceRef(0, 0): 10**6}
-        assert system.removed == {}
-        assert system.remaining_samples == plan.total_samples
-        system.removed = {SliceRef(0, 0): 5}
-        assert system.remaining_samples == plan.total_samples - 5
+        process_request(system, UnlearnRequest(SliceRef(0, 0), 5))
+        with pytest.raises(AttributeError):
+            system.removed = {}
+        with pytest.raises(AttributeError):
+            del system.removed
+        assert system.removed == {SliceRef(0, 0): 5}
         record = process_request(system, UnlearnRequest(SliceRef(0, 0), 3))
         assert f"remaining={plan.total_samples - 8}" in record.notes
         assert system.removed == {SliceRef(0, 0): 8}
@@ -236,22 +269,22 @@ class TestProcessRequest:
         # reported remaining=157 on a 160-sample plan.
         ds, plan, seqs, cfg, model = build()
         system = fedsgt_system(plan, seqs)
-        seeded = {SliceRef(0, 0): 5}
-        system.removed = seeded
+        process_request(system, UnlearnRequest(SliceRef(0, 0), 5))
         with pytest.raises(TypeError):
             system.removed[SliceRef(0, 0)] = 10**6
         with pytest.raises(TypeError):
             del system.removed[SliceRef(0, 0)]
-        seeded[SliceRef(0, 0)] = 10**6  # the system booked a copy
         assert system.removed == {SliceRef(0, 0): 5}
         assert system.remaining_samples == plan.total_samples - 5
         record = process_request(system, UnlearnRequest(SliceRef(0, 1), 3))
         assert f"remaining={plan.total_samples - 8}" in record.notes
-        # A copy of the system books through its own copy.
+        # A system built from the same configuration is fresh and books
+        # into its own booking.
         twin = dataclasses.replace(system)
+        assert twin == fedsgt_system(plan, seqs)
         process_request(twin, UnlearnRequest(SliceRef(0, 0), 1))
         assert system.removed == {SliceRef(0, 0): 5, SliceRef(0, 1): 3}
-        assert twin.remaining_samples == system.remaining_samples - 1
+        assert twin.remaining_samples == plan.total_samples - 1
 
     @pytest.mark.parametrize("strategy", ["best", "", None])
     def test_unknown_strategy_rejected_before_any_state_change(self, strategy):
