@@ -39,8 +39,8 @@ from .core import (STRATEGIES, BankFormatError, ConfigurationError, CsvSpec,
                    budget_error, dataset_fit_errors, parse_script,
                    validate_config)
 from .dataset import Dataset, load_csv_dataset, synth_dataset
-from .fltrain import (CostMeter, ToyModel, TrainConfig, evaluate,
-                      sequence_logits, train_fedsgt)
+from .fltrain import (CostMeter, TrainConfig, evaluate, sequence_logits,
+                      train_fedsgt)
 from .grouping import GroupingPlan, SliceRef, build_grouping, plan_to_json
 from .montecarlo import MCConfig
 from .sequencing import build_sequences, fresh_state, state_to_json
@@ -164,10 +164,6 @@ def build_requests(cfg: RunConfig, catalog: list[tuple[SliceRef, int]]
     if spec.script is not None:
         return resolve_script(spec.script, catalog, "requests.script")
     return uniform_requests(catalog, spec.count, spec.seed, spec.record_count)
-
-
-def _order(perm: Sequence[int]) -> str:
-    return "-".join(str(g) for g in perm)
 
 
 def trainer_config(cfg: RunConfig) -> TrainConfig:
@@ -315,7 +311,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for sid, perm in enumerate(seqs.perms):
         preds = np.argmax(sequence_logits(model, sid, len(perm), dataset.test_x),
                           axis=1)
-        per_seq.append((sid, _order(perm),
+        per_seq.append((sid, "-".join(map(str, perm)),
                         float(np.mean(preds == dataset.test_y))))
     _write_csv(outdir / "training_report.csv",
                ("sequence", "order", "test_accuracy"),
@@ -351,46 +347,6 @@ def _load_requests_file(path: str, catalog: list[tuple[SliceRef, int]]
     return resolve_script(script, catalog, "requests file")
 
 
-def _check_bank(model: ToyModel, bank_path: Path, cfg: RunConfig,
-                dataset: Dataset, plan: GroupingPlan,
-                manifest_path: Path) -> None:
-    """Reject a bank that the manifest could not have trained: the dataset's
-    class and feature counts, the same group count, the sequences ``train``
-    builds from the manifest's ``groups``, ``budget`` and ``seed``, and every
-    module's sample count equal to the plan's running total along its
-    sequence."""
-    where = f"manifest {manifest_path} and bank {bank_path} disagree"
-    k, d = model.backbone.shape
-    if (k, d) != (dataset.classes, dataset.dim):
-        raise ConfigurationError([
-            f"{where}: the manifest gives {dataset.classes} classes of "
-            f"{dataset.dim} features, the bank has {k} classes of {d} features"])
-    if plan.group_count != model.sequences.group_count:
-        raise ConfigurationError([
-            f"{where}: the manifest gives {plan.group_count} groups, the bank "
-            f"has {model.sequences.group_count}"])
-    perms = build_sequences(cfg.groups, cfg.budget, cfg.seed).perms
-    banked = model.sequences.perms
-    if len(perms) != len(banked):
-        raise ConfigurationError([
-            f"{where}: the manifest gives budget {cfg.budget}, the bank has "
-            f"{len(banked)} sequences"])
-    for sid, (perm, stored) in enumerate(zip(perms, banked)):
-        if perm != stored:
-            raise ConfigurationError([
-                f"{where} at sequence {sid}: the manifest gives order "
-                f"{_order(perm)}, the bank has {_order(stored)}"])
-    for sid, stack in enumerate(model.modules):
-        total = 0
-        for phase, module in enumerate(stack):
-            total += plan.group_samples(module.group)
-            if module.samples != total:
-                raise ConfigurationError([
-                    f"{where} at sequence {sid}, phase {phase}: the bank "
-                    f"module saw {module.samples} samples, the manifest's "
-                    f"plan gives {total}"])
-
-
 def cmd_unlearn(args: argparse.Namespace) -> int:
     bank_path = Path(args.bank)
     model = read_bank(bank_path)
@@ -401,8 +357,15 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     _check_flags(args)
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset)
-    _check_bank(model, bank_path, cfg, dataset, plan, manifest_path)
     strategy = args.strategy or cfg.strategy
+    # The system's constructor checks the bank against what the manifest
+    # builds: the plan, the sequence family ``train`` builds and the dataset.
+    seqs = build_sequences(cfg.groups, cfg.budget, cfg.seed)
+    try:
+        system = fedsgt_system(plan, seqs, strategy, model, dataset)
+    except ValueError as exc:
+        raise ConfigurationError([f"manifest {manifest_path} and bank "
+                                  f"{bank_path} disagree: {exc}"]) from exc
 
     catalog = dataset.slice_catalog()
     if args.requests_file:
@@ -412,7 +375,6 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
                                     args.record_count)
 
     outdir = _outdir(args.out)
-    system = fedsgt_system(plan, model.sequences, strategy, model, dataset)
     records = run_stream(system, requests)
     write_timeline(outdir / "timeline.csv", records)
     summary = timeline_summary(records)

@@ -146,6 +146,7 @@ def _estimates(jobs: Sequence[Job], cfg: MCConfig,
     would only contend for the interpreter lock. A chunk that raises stops
     every thread from taking another, and the call returns or raises only
     once every thread that took a chunk has finished it."""
+    check_at_least(1, workers=workers)
     sizes = [min(CHUNK_TRIALS, cfg.trials - start)
              for start in range(0, cfg.trials, CHUNK_TRIALS)]
     specs = [(key, sampler, index, n) for key, sampler in jobs

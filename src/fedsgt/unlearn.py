@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -94,9 +94,11 @@ def timeline_summary(records: list[TimelineRecord]) -> dict:
 def request_stream(catalog: list[tuple[SliceRef, int]], seed: int,
                    record_count: int = 100) -> Iterator[UnlearnRequest]:
     """Infinite stream of uniform requests over the slice catalog. Record
-    counts are capped at the slice size so every request is valid."""
+    counts are capped at the slice size so every request is valid. The
+    catalog and the seed are checked at the first draw."""
     if not catalog:
         raise ValueError("empty slice catalog")
+    check_at_least(0, seed=seed)
     rng = keyed_stream((seed, STREAM_TAGS["requests"]))
     while True:
         ref, size = catalog[int(rng.integers(len(catalog)))]
@@ -105,6 +107,7 @@ def request_stream(catalog: list[tuple[SliceRef, int]], seed: int,
 
 def uniform_requests(catalog: list[tuple[SliceRef, int]], count: int, seed: int,
                      record_count: int = 100) -> list[UnlearnRequest]:
+    check_at_least(0, count=count, seed=seed)
     stream = request_stream(catalog, seed, record_count)
     return [next(stream) for _ in range(count)]
 
@@ -133,81 +136,129 @@ def record_removal(removed: dict[SliceRef, int], sizes: Mapping[SliceRef, int],
 
 
 @dataclass
+class _Service:
+    """A system's serving record, its one mutable part: the deletion state,
+    the step count, the booking of deleted records and its running total,
+    and the last evaluation. ``process_request`` is its only writer."""
+
+    state: SequenceState
+    steps: int = 0
+    removed: dict[SliceRef, int] = field(default_factory=dict)
+    removed_total: int = field(default=0, compare=False)
+    # (active_len, utility) of the last evaluation.
+    scored: tuple = field(default=((), None), repr=False, compare=False)
+    # Each served sequence's (prefix length, test-set softmax); see
+    # ``fltrain.predict_proba``.
+    probs: Reuse = field(default_factory=dict, repr=False, compare=False)
+
+
+def _check_inputs(plan: GroupingPlan, seqs: SequenceSet, model: ToyModel | None,
+                  dataset: Dataset | None) -> None:
+    """Raise ValueError, naming both values, for the first way the inputs
+    contradict one run: the plan's group count against the family's; the
+    model's sequences against the family (their count and group count, then
+    each order); the dataset's classes and features against the model's;
+    and each module's sample count, in (sequence, phase) order, against the
+    plan's running total along the family's order."""
+    if plan.group_count != seqs.group_count:
+        raise ValueError(f"the plan has {plan.group_count} groups, the "
+                         f"sequence family {seqs.group_count}")
+    if model is None:
+        return
+    shape = (len(model.sequences.perms), model.sequences.group_count)
+    if shape != (len(seqs.perms), seqs.group_count):
+        raise ValueError(f"the model has {shape[0]} sequences of {shape[1]} "
+                         f"groups, the family {len(seqs.perms)} of {seqs.group_count}")
+    for sid, (mine, theirs) in enumerate(zip(model.sequences.perms, seqs.perms)):
+        if mine != theirs:
+            raise ValueError(f"sequence {sid}: the model was trained in order "
+                             f"{mine}, the family gives {theirs}")
+    k, d = model.backbone.shape
+    if dataset is not None and (dataset.classes, dataset.dim) != (k, d):
+        raise ValueError(f"the dataset has {dataset.classes} classes of {dataset.dim} "
+                         f"features, the model {k} classes of {d} features")
+    for sid, (perm, stack) in enumerate(zip(seqs.perms, model.modules)):
+        totals = accumulate(map(plan.group_samples, perm))
+        for phase, (module, total) in enumerate(zip(stack, totals)):
+            if module.samples != total:
+                raise ValueError(f"sequence {sid}, phase {phase}: the model's module "
+                                 f"saw {module.samples} samples, the plan gives {total}")
+
+
+@dataclass(frozen=True)
 class FedSGTSystem:
-    """Mutable shell around immutable deletion snapshots, built from its
-    configuration alone. ``model`` and ``dataset`` are optional: without
-    them the system still tracks service structure (survivors, failure), it
-    just cannot report utility.
+    """A serving system: a frozen configuration around one serving record.
+    ``model`` and ``dataset`` are optional: without them the system still
+    tracks service structure (survivors, failure), it just cannot report
+    utility.
+
+    Building a system is the one consistency check of its inputs: an
+    unknown strategy, a plan whose group count is not the family's, a model
+    of another family, a dataset of other class or feature counts than the
+    model, and a module whose sample count is not the plan's running total
+    each raise ``ValueError``. None of the five can be reassigned
+    afterwards, so what was checked is what is served.
 
     A new system is the fresh one: no group deleted, no step taken and no
-    record booked. ``state``, ``steps`` and the booking are not inputs;
-    ``process_request`` is their only writer. ``removed`` books records
-    deleted so far, by slice, and reads as a read-only view."""
+    record booked. ``state``, ``steps`` and ``removed`` (the records
+    deleted so far, by slice, as a read-only view) are read-only;
+    ``process_request`` is their only writer. A shallow copy shares the
+    whole serving record with its original, and ``dataclasses.replace``
+    builds a fresh system."""
 
     plan: GroupingPlan
     seqs: SequenceSet
     strategy: str = "allseq"
     model: ToyModel | None = None
     dataset: Dataset | None = None
-    state: SequenceState = field(init=False)
-    steps: int = field(init=False)
-    _removed: dict[SliceRef, int] = field(init=False, repr=False)
-    _removed_total: int = field(init=False, repr=False, compare=False)
-    # (model, dataset, strategy, state, utility) of the last evaluation.
-    _scored: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
-    # Each served sequence's (prefix length, test-set softmax) under the
-    # model and dataset of ``_scored``; see ``fltrain.predict_proba``.
-    _probs: Reuse = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    _service: _Service = field(init=False)
 
     def __post_init__(self):
-        # The state's prefixes come from ``seqs``, the served modules from
-        # ``model.sequences``: another family serves deleted groups' modules.
-        if self.model is not None and self.model.sequences != self.seqs:
-            raise ValueError("the model was trained on another sequence family")
         strategy_name(self.strategy)
-        self.state = fresh_state(self.seqs)
-        self.steps = self._removed_total = 0
-        self._removed = {}
+        # The state's prefixes come from ``seqs`` and the served modules
+        # from ``model``: a contradiction would serve deleted groups' data.
+        _check_inputs(self.plan, self.seqs, self.model, self.dataset)
+        object.__setattr__(self, "_service", _Service(fresh_state(self.seqs)))
+
+    @property
+    def state(self) -> SequenceState:
+        return self._service.state
+
+    @property
+    def steps(self) -> int:
+        return self._service.steps
 
     @property
     def removed(self) -> Mapping[SliceRef, int]:
-        return MappingProxyType(self._removed)
+        return MappingProxyType(self._service.removed)
 
     @property
     def remaining_samples(self) -> int:
-        return self.plan.total_samples - self._removed_total
+        return self.plan.total_samples - self._service.removed_total
 
     def utility(self) -> float | None:
         """Test accuracy of the served ensemble; None without a model, a
         dataset or a survivor.
 
         The served function reads the state only through ``active_len``, so
-        the last value is returned again while the model and dataset (by
-        identity), the strategy and every surviving prefix are unchanged.
-        The state is first compared by identity: a repeat deletion keeps
-        the very state object last scored, so it costs no tuple compare and
-        no rescoring. Deletions only accumulate, so the last state is the
-        only one that can come back and one slot suffices. Otherwise only
-        the sequences whose surviving prefix changed are scored again: each
-        served sequence's test-set softmax is kept until the model or
-        dataset is replaced, across strategy switches too, since it does
-        not depend on the strategy.
+        the one kept value is keyed on it and returned again while every
+        surviving prefix is unchanged. The key is first compared by
+        identity: a repeat deletion keeps the very state object last
+        scored, so it costs no tuple compare and no rescoring. Deletions only accumulate, so the
+        last state is the only one that can come back and one slot
+        suffices. Otherwise only the sequences whose surviving prefix
+        changed are scored again: each served sequence's test-set softmax
+        is kept, since the model and dataset cannot change.
         """
-        state = self.state
+        service = self._service
+        state = service.state
         if self.model is None or self.dataset is None or state.all_dead:
             return None
-        last = self._scored
-        if (last is None or last[0] is not self.model
-                or last[1] is not self.dataset):
-            self._probs.clear()
-        elif last[2] == self.strategy and (
-                last[3] is state or last[3].active_len == state.active_len):
-            return last[4]
-        value = evaluate(self.model, state, self.strategy,
-                         self.dataset.test_x, self.dataset.test_y, self._probs)
-        self._scored = (self.model, self.dataset, self.strategy, state, value)
+        prefixes, value = service.scored
+        if prefixes is not state.active_len and prefixes != state.active_len:
+            value = evaluate(self.model, state, self.strategy, self.dataset.test_x,
+                             self.dataset.test_y, service.probs)
+            service.scored = (state.active_len, value)
         return value
 
 
@@ -218,16 +269,16 @@ def fedsgt_system(plan: GroupingPlan, seqs: SequenceSet, strategy: str = "allseq
 
 
 def process_request(system: FedSGTSystem, req: UnlearnRequest) -> TimelineRecord:
-    """Apply one deletion request. Invalid targets and an unknown strategy
-    are rejected (raised) before any state changes."""
-    strategy_name(system.strategy)
-    system._removed_total += record_removal(system._removed, system.plan.sizes, req)
+    """Apply one deletion request. Invalid targets are rejected (raised)
+    before any state changes."""
+    service = system._service
+    service.removed_total += record_removal(service.removed, system.plan.sizes, req)
     gid = group_of(system.plan, req.target)
-    system.state = apply_deletion(system.state, system.seqs, gid)
-    system.steps += 1
+    service.state = apply_deletion(service.state, system.seqs, gid)
+    service.steps += 1
     return TimelineRecord(
-        step=system.steps, method=METHOD_FEDSGT, affected_unit=f"group:{gid}",
-        surviving=system.state.surviving, utility=system.utility(),
+        step=service.steps, method=METHOD_FEDSGT, affected_unit=f"group:{gid}",
+        surviving=service.state.surviving, utility=system.utility(),
         notes=f"slice=({req.target.client_id},{req.target.slice_idx}) "
               f"records={req.record_count} remaining={system.remaining_samples}")
 
@@ -258,6 +309,7 @@ def train_clusters(dataset: Dataset, clusters: int, cfg: TrainConfig,
                    adapter_stack: int = 1) -> dict[int, np.ndarray]:
     """Per-cluster FedAvg models. ``adapter_stack`` books the cost of the
     jointly trained module stack the collapsed matrix stands in for."""
+    check_at_least(1, clusters=clusters)
     refs = [ref for ref, _ in dataset.slice_catalog()]
     runs = []
     for cid in range(clusters):
@@ -475,6 +527,7 @@ def race_failure_steps(plan: GroupingPlan, seqs: SequenceSet, clusters: int,
     """Failure steps of FedSGT and FedCIO (no-retrain) under one shared
     uniform request stream. No models involved: failure is structural, so
     FedSGT is a structure-only system and FedCIO the clusters not yet hit."""
+    check_at_least(1, clusters=clusters, cap=cap)
     catalog = sorted(plan.sizes.items())
     system = fedsgt_system(plan, seqs)
     alive = {cluster_of(c, clusters) for c in plan.clients()}

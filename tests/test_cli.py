@@ -405,8 +405,9 @@ class TestUnlearn:
     @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["serve", "audit"])
     def test_plan_with_other_group_count_is_config_error(self, tmp_path, trained,
                                                          capsys, audit):
-        # The plan unlearn serves is the one the manifest determines; a
-        # manifest with other groups gives a plan the bank contradicts.
+        # The plan and sequence family unlearn serves are the ones the
+        # manifest determines; a manifest with other groups gives a family
+        # the bank contradicts.
         manifest = self.manifest_with(trained, tmp_path, groups=4)
         bank = trained / "bank.fsgt"
         capsys.readouterr()
@@ -414,7 +415,7 @@ class TestUnlearn:
                    "--count", 3, *audit, "--out", tmp_path / "u") == 2
         assert capsys.readouterr().err == (
             f"config error: manifest {manifest} and bank {bank} disagree: the "
-            f"manifest gives 4 groups, the bank has 5\n")
+            f"model has 5 sequences of 5 groups, the family 5 of 4\n")
         assert not (tmp_path / "u").exists()
 
     @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["serve", "audit"])
@@ -429,7 +430,7 @@ class TestUnlearn:
                    "--count", 3, *audit, "--out", tmp_path / "u") == 2
         assert capsys.readouterr().err == (
             f"config error: manifest {manifest} and bank {bank} disagree: the "
-            f"manifest gives budget 1, the bank has 5 sequences\n")
+            f"model has 5 sequences of 5 groups, the family 1 of 5\n")
         assert not (tmp_path / "u").exists()
 
     def test_manifest_with_other_seeded_orders_is_config_error(self, tmp_path,
@@ -447,8 +448,8 @@ class TestUnlearn:
                    "--count", 3, "--audit", "--out", tmp_path / "u") == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            f"config error: manifest {manifest} and bank {bank} disagree at "
-            f"sequence 5: the manifest gives order ")
+            f"config error: manifest {manifest} and bank {bank} disagree: "
+            f"sequence 5: the model was trained in order ")
         assert err.count("\n") == 1
         assert not (tmp_path / "u").exists()
 
@@ -466,13 +467,12 @@ class TestUnlearn:
                        "--out", tmp_path / "u") == 2, change
             err = capsys.readouterr().err
             assert err.startswith(
-                f"config error: manifest {manifest} and bank {bank} disagree "
-                f"at sequence 0, phase "), change
+                f"config error: manifest {manifest} and bank {bank} disagree: "
+                f"sequence 0, phase "), change
             assert err.count("\n") == 1 and "Traceback" not in err
             assert not (tmp_path / "u").exists()
         assert err.endswith(
-            "phase 0: the bank module saw 60 samples, the manifest's plan "
-            "gives 120\n")
+            "phase 0: the model's module saw 60 samples, the plan gives 120\n")
 
     @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["serve", "audit"])
     @pytest.mark.parametrize("change, gives", [
@@ -491,7 +491,7 @@ class TestUnlearn:
                    "--count", 3, *audit, "--out", tmp_path / "u") == 2
         assert capsys.readouterr().err == (
             f"config error: manifest {manifest} and bank {bank} disagree: the "
-            f"manifest gives {gives}, the bank has 3 classes of 8 features\n")
+            f"dataset has {gives}, the model 3 classes of 8 features\n")
         assert not (tmp_path / "u").exists()
 
     def test_plan_file_is_not_read(self, tmp_path, trained):
@@ -778,8 +778,8 @@ class TestCsvDataset:
                    "--out", tmp_path / "u") == 2
         assert capsys.readouterr().err == (
             f"config error: manifest {manifest} and bank {bank} disagree: the "
-            f"manifest gives 3 classes of 9 features, the bank has 3 classes "
-            f"of 8 features\n")
+            f"dataset has 3 classes of 9 features, the model 3 classes of 8 "
+            f"features\n")
         assert not (tmp_path / "u").exists()
 
     @pytest.mark.parametrize("text, code", [

@@ -28,10 +28,12 @@ from fedsgt.fltrain import (CostMeter, TrainConfig, evaluate, fedavg_lockstep,
 from fedsgt.grouping import SliceRef, SplitMix64, build_grouping
 from fedsgt.montecarlo import (MCConfig, mc_comm_cost, mc_deletion_rate_fedcio,
                                mc_deletion_rate_fedsgt, mc_expected_remaining,
-                               mc_expected_span)
+                               mc_expected_span, validation_grid)
 from fedsgt.sequencing import (apply_deletion, build_sequences, cyclic_span,
                                fresh_state, state_from_deleted, state_to_json)
-from fedsgt.unlearn import exactness_audit, fedretrain_simulate
+from fedsgt.unlearn import (exactness_audit, fedcio_simulate,
+                            fedretrain_simulate, race_failure_steps,
+                            request_stream, train_clusters, uniform_requests)
 
 # Every integer field as (section, key, default, minimum); section None is
 # the top level. Written out by hand so that it pins the schema
@@ -406,6 +408,11 @@ def _upto(v):
     return train_prefixes(ds, plan, {0: (model.sequences.perms[0], v)}, cfg)
 
 
+def _race(clusters=2, cap=10):
+    ds, plan, cfg, model = _tiny_system()
+    return race_failure_steps(plan, model.sequences, clusters, 0, cap=cap)
+
+
 # Every library call guarded by check_at_least (or, for the config types,
 # check_fields), as (call, the argument, a call with that argument set to v).
 # Group ids and other indices are checked so before their range test: a
@@ -486,7 +493,45 @@ LIBRARY_COUNTS = [
     ("exactness_audit", "group", lambda v: _audit([v])),
     ("prob_max_gap_le", "occupied", lambda v: prob_max_gap_le(6, v, 3)),
     ("train_prefixes", "upto_phase", _upto),
+    # Each count below used to run on a bool, and a float or string raised
+    # TypeError; test_counts_below_their_minimum_are_refused has the rest.
+    ("mc_deletion_rate_fedsgt", "workers",
+     lambda v: mc_deletion_rate_fedsgt(2, 1, _MC, v)),
+    ("mc_deletion_rate_fedcio", "workers", lambda v: mc_deletion_rate_fedcio(2, _MC, v)),
+    ("mc_expected_span", "workers", lambda v: mc_expected_span(4, 2, _MC, v)),
+    ("mc_expected_remaining", "workers",
+     lambda v: mc_expected_remaining("FedSGT", 100, 4, 2, _MC, v)),
+    ("mc_comm_cost", "workers", lambda v: mc_comm_cost(4, 2, _MC, v)),
+    ("validation_grid", "workers", lambda v: validation_grid(_MC, workers=v)),
+    ("uniform_requests", "count", lambda v: uniform_requests(_CATALOG, v, 0)),
+    ("uniform_requests", "seed", lambda v: uniform_requests(_CATALOG, 1, v)),
+    ("request_stream", "seed", lambda v: next(request_stream(_CATALOG, v))),
+    ("fedcio_simulate", "clusters",
+     lambda v: fedcio_simulate(_tiny_dataset(), v, TrainConfig(), [], rounds=1)),
+    ("train_clusters", "clusters",
+     lambda v: train_clusters(_tiny_dataset(), v, TrainConfig(), rounds=1)),
+    ("race_failure_steps", "clusters", lambda v: _race(clusters=v)),
+    ("race_failure_steps", "cap", lambda v: _race(cap=v)),
 ]
+
+
+@pytest.mark.parametrize("run, message", [
+    # workers 0 and -3 ran on one thread, uniform_requests(count=-1)
+    # returned [], fedcio_simulate(clusters=0) a baseline row with nothing
+    # served, and race_failure_steps(clusters=0) raised ZeroDivisionError.
+    (lambda: mc_expected_span(4, 2, _MC, workers=0), "workers must be >= 1, got 0"),
+    (lambda: validation_grid(_MC, workers=-3), "workers must be >= 1, got -3"),
+    (lambda: uniform_requests(_CATALOG, -1, 0), "count must be >= 0, got -1"),
+    (lambda: next(request_stream(_CATALOG, -1)), "seed must be >= 0, got -1"),
+    (lambda: fedcio_simulate(_tiny_dataset(), 0, TrainConfig(), [], rounds=1),
+     "clusters must be >= 1, got 0"),
+    (lambda: _race(clusters=0), "clusters must be >= 1, got 0"),
+    (lambda: _race(cap=0), "cap must be >= 1, got 0"),
+], ids=["mc-workers", "grid-workers", "count", "seed", "fedcio-clusters",
+        "race-clusters", "race-cap"])
+def test_counts_below_their_minimum_are_refused(run, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run()
 
 
 @pytest.mark.parametrize("value", [True, 2.5], ids=["bool", "float"])

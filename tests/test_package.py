@@ -138,3 +138,68 @@ def test_no_module_reads_another_modules_private_names(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert private_reads(tree) - SHARED_PRIVATE == set()
 
+
+
+README = (Path(SRC).parent / "README.md").read_text()
+
+# Top-level definitions with no reader in src/, demos/ or README's
+# documented API, each with the reason it stays.
+UNREAD_ALLOWED = {
+    "combinatorics.stirling2": "perfbench's tracer counts its calls "
+                               "(ROADMAP item 4 frees the name, item 7 moves "
+                               "it into its test)",
+    "fltrain.fedavg_train": "perfbench's tracer times it (item 4 frees the "
+                            "name, item 7 deletes it)",
+    **{f"montecarlo.{name}": "perfbench's tracer times it, and its mc "
+                             "workload calls the span and FedSGT-rate "
+                             "estimators (item 4)"
+       for name in ("mc_comm_cost", "mc_deletion_rate_fedcio",
+                    "mc_deletion_rate_fedsgt", "mc_expected_span")},
+    "unlearn.race_failure_steps": "only tests read it until validate does "
+                                  "(item 17)",
+}
+
+
+def top_level_definitions(tree: ast.Module) -> set[str]:
+    """The functions, classes and assigned names ``tree`` defines at module
+    level; dunder names are the interpreter's."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
+
+
+def code_reads(paths) -> set[str]:
+    """Every name the code of ``paths`` reads, bare or as an attribute;
+    docstrings and comments are not code."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def documented_api() -> set[str]:
+    """The names README documents as inline code above its release notes:
+    ``name``, ``module.name`` or a call ``name(...)``."""
+    current = README.split("\n## Changes by version\n", 1)[0]
+    return {found.group(1) for span in re.findall(r"`([^`\n]+)`", current)
+            if (found := re.fullmatch(r"(?:\w+\.)?(\w+)(?:\(.*\))?", span))}
+
+
+def test_every_definition_is_read():
+    root = Path(SRC).parent
+    sources = sorted(Path(SRC, "fedsgt").glob("*.py"))
+    readers = (code_reads([*sources, *root.glob("demos/*.py")])
+               | documented_api())
+    unread = {f"{path.stem}.{name}" for path in sources
+              for name in top_level_definitions(ast.parse(path.read_text()))
+              if name not in readers}
+    assert unread == set(UNREAD_ALLOWED)

@@ -1,8 +1,10 @@
 """Deletion streams, baselines, timelines, and the exactness audit."""
 
+import copy
 import csv
 import dataclasses
 import functools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +23,8 @@ from fedsgt.fltrain import (CostMeter, TrainConfig, _build_stack, client_data,
                             evaluate, fedavg_train, matrix_accuracy,
                             sequence_logits, train_fedsgt)
 from fedsgt.grouping import SliceRef, build_grouping, group_of
-from fedsgt.sequencing import build_sequences, fresh_state, state_from_deleted
+from fedsgt.sequencing import (SequenceSet, build_sequences, fresh_state,
+                               state_from_deleted)
 from fedsgt.unlearn import (FedSGTSystem, TimelineRecord, UnlearnRequest,
                             cluster_of,
                             exactness_audit, fedcio_simulate,
@@ -161,9 +164,73 @@ class TestProcessRequest:
         ds, plan, seqs, cfg, model = build(budget=8)
         other = build_sequences(4, 8, seed=1)
         assert other != seqs
-        with pytest.raises(ValueError, match="another sequence family"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sequence 4: the model was trained in order {seqs.perms[4]}, "
+                f"the family gives {other.perms[4]}")):
             fedsgt_system(plan, other, "allseq", model, ds)
         fedsgt_system(plan, build_sequences(4, 8, seed=0), "allseq", model, ds)
+
+    @pytest.mark.parametrize("kind", ["plan", "budget", "dataset", "samples"])
+    def test_contradicting_inputs_rejected_when_built(self, kind):
+        # Each used to be accepted, or refused by another message. A 6-group
+        # plan on a 4-group family booked a request to group 4 and then
+        # raised; the others served modules that no run of these inputs
+        # trains.
+        ds, plan, seqs, cfg, model = build()
+        other = synth_dataset(clients=4, samples_per_client=60, dim=7,
+                              classes=2, alpha=None, seed=0,
+                              slices_per_client=2, test_samples=90)
+        inputs, message = {
+            "plan": ((build_grouping(ds.slice_catalog(), 6, 0), seqs),
+                     "the plan has 6 groups, the sequence family 4"),
+            "budget": ((plan, build_sequences(4, 3), "allseq", model),
+                       "the model has 4 sequences of 4 groups, the family 3 "
+                       "of 4"),
+            "dataset": ((plan, seqs, "allseq", model, other),
+                        "the dataset has 2 classes of 7 features, the model 3 "
+                        "classes of 6 features"),
+            "samples": ((build_grouping(other.slice_catalog(), 4, 0), seqs,
+                         "allseq", model),
+                        "sequence 0, phase 0: the model's module saw 40 "
+                        "samples, the plan gives 60"),
+        }[kind]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FedSGTSystem(*inputs)
+
+    @pytest.mark.parametrize("name", ["plan", "seqs", "strategy", "model",
+                                      "dataset", "state", "steps"])
+    def test_configuration_and_service_state_cannot_be_assigned(self, name):
+        # Each used to be assignable. Reversing the orders of ``seqs`` after
+        # a build left sequence 0 serving modules trained on a deleted
+        # group, and the exactness audit of the deletions still passed.
+        ds, plan, seqs, cfg, model = build()
+        system = fedsgt_system(plan, seqs, "allseq", model, ds)
+        before = getattr(system, name)
+        value = {"seqs": SequenceSet(tuple(p[::-1] for p in seqs.perms)),
+                 "strategy": "longseq", "steps": 5}.get(name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(system, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(system, name)
+        assert getattr(system, name) is before
+
+    def test_shallow_copy_shares_the_whole_serving_record(self):
+        # A shallow copy used to share the booking but not its total, the
+        # state or the step count: a request served through the copy left
+        # the original's remaining samples unchanged.
+        ds, plan, seqs, cfg, model = build()
+        system = fedsgt_system(plan, seqs, "allseq", model, ds)
+        twin = copy.copy(system)
+        process_request(twin, UnlearnRequest(SliceRef(0, 0), 2))
+        process_request(system, UnlearnRequest(SliceRef(1, 1), 3))
+        assert system.remaining_samples == plan.total_samples - sum(
+            system.removed.values()) == plan.total_samples - 5
+        assert system.state.deleted == {group_of(plan, ref)
+                                        for ref in system.removed}
+        assert (twin.state, twin.steps, twin.removed, twin.remaining_samples) \
+            == (system.state, 2, system.removed, system.remaining_samples)
+        assert twin.utility() == system.utility() == evaluate(
+            model, system.state, "allseq", ds.test_x, ds.test_y)
 
     def test_remaining_samples_accounting(self):
         ds, plan, seqs, cfg, model = build()
@@ -288,16 +355,19 @@ class TestProcessRequest:
 
     @pytest.mark.parametrize("strategy", ["best", "", None])
     def test_unknown_strategy_rejected_before_any_state_change(self, strategy):
+        # The strategy is checked once: it cannot be reassigned, so every
+        # request serves the one the system was built with.
         ds, plan, seqs, cfg, model = build()
         with pytest.raises(ValueError, match="unknown strategy"):
             fedsgt_system(plan, seqs, strategy, model, ds)
         system = fedsgt_system(plan, seqs, "AllSeq", model, ds)
         process_request(system, UnlearnRequest(plan.groups[0][0], 1))
-        before = (system.steps, dict(system.removed), system.state)
-        system.strategy = strategy
-        with pytest.raises(ValueError, match="unknown strategy"):
-            process_request(system, UnlearnRequest(plan.groups[1][0], 1))
-        assert (system.steps, system.removed, system.state) == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.strategy = strategy
+        record = process_request(system, UnlearnRequest(plan.groups[1][0], 1))
+        assert (system.steps, system.strategy) == (2, "AllSeq")
+        assert record.utility == evaluate(model, system.state, "allseq",
+                                          ds.test_x, ds.test_y)
 
 
 @pytest.fixture
@@ -361,21 +431,33 @@ class TestUtilityReuse:
             model, system.state, "allseq", ds.test_x, ds.test_y)
 
     def test_new_strategy_or_dataset_is_scored_again(self, evaluations):
+        # The configuration cannot change under a system, so another
+        # strategy or dataset is another system, with its own cache.
         ds, plan, seqs, cfg, model = build()
         system = fedsgt_system(plan, seqs, "allseq", model, ds)
         req = UnlearnRequest(plan.groups[0][0], 1)
         process_request(system, req)
-        system.strategy = "longseq"
-        record = process_request(system, req)
-        assert len(evaluations) == 2
-        assert record.utility == evaluate(model, system.state, "longseq",
-                                          ds.test_x, ds.test_y)
-        system.dataset = dataclasses.replace(ds)
         process_request(system, req)
+        assert len(evaluations) == 1
+        longseq = dataclasses.replace(system, strategy="longseq")
+        record = process_request(longseq, req)
+        assert len(evaluations) == 2
+        assert record.utility == evaluate(model, longseq.state, "longseq",
+                                          ds.test_x, ds.test_y)
+        process_request(dataclasses.replace(system, dataset=dataclasses.replace(ds)),
+                        req)
         assert len(evaluations) == 3
 
-    def test_probabilities_kept_across_strategies_until_a_swap(self,
-                                                               monkeypatch):
+    def test_probabilities_kept_for_the_life_of_the_system(self, monkeypatch):
+        # Each step scores only the served sequences whose prefix changed
+        # since they were last served: the fresh state, then group 0 (which
+        # cuts rotation t to prefix t), then group 1 (which cuts rotation 3
+        # to nothing and leaves rotations 1 and 2 as they were). Strategies
+        # can no longer be switched under a system, so each has its own.
+        every = [(0, 4), (1, 4), (2, 4), (3, 4)]
+        served = {"allseq": (every, [(1, 1), (2, 2), (3, 3)], []),
+                  "minseq": (every, [(3, 3)], [(2, 2)]),
+                  "longseq": ([(0, 4)], [(3, 3)], [(2, 2)])}
         scored = []
 
         def counted(model, seq_id, active_len, x):
@@ -384,30 +466,18 @@ class TestUtilityReuse:
 
         monkeypatch.setattr(fedsgt.fltrain, "sequence_logits", counted)
         ds, plan, seqs, cfg, model = build()
-        system = fedsgt_system(plan, seqs, "allseq", model, ds)
-        system.utility()
-        assert sorted(scored) == [(sid, 4) for sid in range(4)]
-        assert sorted(system._probs) == [0, 1, 2, 3]
-        # Deleting group 0 cuts rotation t to prefix t; only those change.
-        scored.clear()
-        process_request(system, UnlearnRequest(plan.groups[0][0], 1))
-        assert sorted(scored) == [(1, 1), (2, 2), (3, 3)]
-        # Another strategy over the same prefixes scores nothing again, and
-        # the dict then holds only what longseq served.
-        for strategy in ("minseq", "LONGSEQ"):
-            scored.clear()
-            system.strategy = strategy
-            value = system.utility()
-            assert scored == [], strategy
-            assert value == evaluate(model, system.state, strategy, ds.test_x,
-                                     ds.test_y)
-        assert sorted(system._probs) == [3]
-        # A new dataset or model object is scored afresh.
-        for swap in ("dataset", "model"):
-            scored.clear()
-            setattr(system, swap, dataclasses.replace(getattr(system, swap)))
-            system.utility()
-            assert scored == [(3, 3)], swap
+        for strategy, steps in served.items():
+            system = fedsgt_system(plan, seqs, strategy, model, ds)
+            for step, (group, want) in enumerate(zip((None, 0, 1), steps)):
+                scored.clear()
+                if group is None:
+                    system.utility()
+                else:
+                    process_request(system,
+                                    UnlearnRequest(plan.groups[group][0], 1))
+                assert sorted(scored) == want, (strategy, step)
+                assert system.utility() == evaluate(
+                    model, system.state, strategy, ds.test_x, ds.test_y)
 
 
 class TestTimeline:
@@ -504,7 +574,8 @@ class TestFedCIO:
                                 cost_modules=5)
             assert got[cid].tobytes() == want.tobytes(), cid
         assert meter.updates == want_meter.updates
-        assert train_clusters(ds, 0, cfg, rounds=4) == {}
+        with pytest.raises(ValueError, match="^clusters must be >= 1, got 0$"):
+            train_clusters(ds, 0, cfg, rounds=4)
 
     def test_cluster_without_data_is_a_training_error(self):
         ds, *_ = build(clients=2)
